@@ -1,0 +1,289 @@
+#!/usr/bin/env python
+"""Golden digest oracle: pinned sha256 digests of seeded search output.
+
+Every digest is the sha256 of a canonical byte string the search
+pipeline produces:
+
+* ``search/<method>/<faults>/<pricing>/q<q>`` cells hash
+  ``json.dumps(result_to_payload(result), sort_keys=True)`` for one
+  seeded search on the ``aws-2017`` catalog.  The matrix crosses
+  {naive, augmented, hybrid, random} x {clean, faulty} x {on-demand,
+  spot} x q in {1, 4}; a few extra cells pin the budget stop and spot
+  churn quarantine.  "faulty" injects
+  ``transient:rate=0.4+outage:vm=c4.large`` with ``quarantine_after=2``;
+  "spot" prices the search on a hot market that revokes often enough
+  to reach ``fallback_after``.
+* ``cache/<grid>/<executor>`` cells hash the runner-cache file bytes of
+  a 2-workload x 2-repeat grid run under the ``serial`` and ``vector``
+  executors.
+
+The digests are float-bit-exact, so they are recorded together with the
+Python, numpy and scipy versions that produced them.
+
+Usage::
+
+    python scripts/golden.py check      # exit 1 and print a per-cell diff on drift
+    python scripts/golden.py --accept   # rewrite the digests, printing the diff
+
+Re-accepting is a deliberate act: it says the search output is *meant*
+to change.  Refactors must pass ``check`` unchanged.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import platform
+import sys
+import tempfile
+from collections.abc import Iterator
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from repro.analysis.experiments import all_workload_ids  # noqa: E402
+from repro.analysis.runner import (  # noqa: E402
+    ExperimentRunner,
+    RunGrid,
+    result_to_payload,
+)
+from repro.cloud.spot import SpotMarket, SpotPolicy  # noqa: E402
+from repro.core.augmented_bo import AugmentedBO  # noqa: E402
+from repro.core.baselines import RandomSearch  # noqa: E402
+from repro.core.hybrid_bo import HybridBO  # noqa: E402
+from repro.core.naive_bo import NaiveBO  # noqa: E402
+from repro.core.objectives import Objective  # noqa: E402
+from repro.core.stopping import PredictionDeltaThreshold  # noqa: E402
+from repro.faults import FaultInjector, RetryPolicy, parse_fault_plan  # noqa: E402
+from repro.trace.generate import default_trace  # noqa: E402
+
+DIGESTS_PATH = REPO_ROOT / "tests" / "golden" / "digests.json"
+
+WORKLOAD = "kmeans/Spark 2.1/small"
+SEED = 3
+METHODS = {
+    "naive": NaiveBO,
+    "augmented": AugmentedBO,
+    "hybrid": HybridBO,
+    "random": RandomSearch,
+}
+FAULTY_PLAN = "transient:rate=0.4+outage:vm=c4.large"
+#: High-hazard spot market (the same one the spot tests use).
+HOT_MARKET = dict(seed=5, base_hazard=0.25, hazard_slope=0.5)
+HOT_MARKET_RULE = "spot:market=5,base=0.25,slope=0.5"
+
+
+def versions() -> dict[str, str]:
+    """The toolchain the digests depend on, bit for bit."""
+    return {
+        "python": ".".join(platform.python_version_tuple()[:2]),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def payload_bytes(result) -> bytes:
+    return json.dumps(result_to_payload(result), sort_keys=True).encode()
+
+
+def build_search(
+    trace,
+    method: str,
+    faults: str,
+    pricing: str,
+    q: int,
+    max_measurements: int | None = None,
+    churn: bool = False,
+):
+    """One seeded optimiser for a matrix cell."""
+    rules = []
+    kwargs: dict = dict(
+        seed=SEED,
+        batch_size=q,
+        max_measurements=max_measurements,
+        # A non-zero backoff makes the jittered waits reach the payload.
+        retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.1),
+    )
+    if faults == "faulty":
+        rules.append(FAULTY_PLAN)
+        kwargs["quarantine_after"] = 2
+    if pricing == "spot":
+        rules.append(HOT_MARKET_RULE)
+        market = SpotMarket(**HOT_MARKET)
+        kwargs["spot"] = (
+            SpotPolicy(market=market, fallback_after=1_000, revocation_quarantine=2)
+            if churn
+            else SpotPolicy(market=market)
+        )
+    environment = trace.environment(WORKLOAD)
+    if rules:
+        environment = FaultInjector(
+            environment, parse_fault_plan("+".join(rules), seed=SEED)
+        )
+    return METHODS[method](environment, **kwargs)
+
+
+def search_cells() -> Iterator[tuple[str, dict]]:
+    """``(cell name, build_search kwargs)`` for every search cell."""
+    for method in METHODS:
+        for faults in ("clean", "faulty"):
+            for pricing in ("on-demand", "spot"):
+                for q in (1, 4):
+                    yield (
+                        f"search/{method}/{faults}/{pricing}/q{q}",
+                        dict(method=method, faults=faults, pricing=pricing, q=q),
+                    )
+    # Budget stops mid-retry-schedule and spot churn quarantine.
+    for method in ("augmented", "naive"):
+        for pricing in ("on-demand", "spot"):
+            for q in (1, 4):
+                yield (
+                    f"search/{method}/faulty-budget/{pricing}/q{q}",
+                    dict(
+                        method=method, faults="faulty", pricing=pricing, q=q,
+                        max_measurements=10,
+                    ),
+                )
+    for method in ("augmented", "random"):
+        for q in (1, 4):
+            yield (
+                f"search/{method}/churn/spot/q{q}",
+                dict(method=method, faults="clean", pricing="spot", q=q, churn=True),
+            )
+
+
+def search_payloads(trace=None) -> Iterator[tuple[str, bytes]]:
+    """``(cell name, canonical payload bytes)`` for every search cell."""
+    trace = trace if trace is not None else default_trace()
+    for name, spec in search_cells():
+        yield name, payload_bytes(build_search(trace, **spec).run())
+
+
+def _clean_factory(environment, objective, seed):
+    return AugmentedBO(
+        environment, objective=objective, seed=seed,
+        stopping=PredictionDeltaThreshold(),
+    )
+
+
+def _faulty_factory(environment, objective, seed):
+    plan = parse_fault_plan("transient:rate=0.3", seed=seed)
+    return AugmentedBO(
+        FaultInjector(environment, plan), objective=objective, seed=seed,
+        stopping=PredictionDeltaThreshold(),
+        retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.1),
+    )
+
+
+def _spot_q4_factory(environment, objective, seed):
+    market = SpotMarket(**HOT_MARKET)
+    plan = parse_fault_plan(f"transient:rate=0.2+{HOT_MARKET_RULE}", seed=seed)
+    return NaiveBO(
+        FaultInjector(environment, plan), objective=objective, seed=seed,
+        batch_size=4, retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.1),
+        spot=SpotPolicy(market=market),
+    )
+
+
+CACHE_GRIDS = {
+    "augmented-clean": _clean_factory,
+    "augmented-faulty": _faulty_factory,
+    "naive-spot-q4": _spot_q4_factory,
+}
+
+
+def cache_digests(trace=None) -> dict[str, str]:
+    """Digests of the runner-cache bytes of every (grid, executor)."""
+    trace = trace if trace is not None else default_trace()
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
+        for key, factory in CACHE_GRIDS.items():
+            grid = RunGrid(
+                key=f"golden-{key}",
+                factory=factory,
+                objective=Objective.TIME,
+                workload_ids=tuple(all_workload_ids()[:2]),
+                repeats=2,
+            )
+            for executor in ("serial", "vector"):
+                cache_dir = Path(tmp) / executor
+                ExperimentRunner(trace, cache_dir=cache_dir).run(
+                    grid, workers=1, executor=executor
+                )
+                data = (cache_dir / f"golden-{key}__time.json").read_bytes()
+                out[f"cache/{key}/{executor}"] = digest(data)
+    return out
+
+
+def compute_digests(trace=None) -> dict[str, str]:
+    """Every golden digest, keyed by cell name."""
+    trace = trace if trace is not None else default_trace()
+    out = {name: digest(data) for name, data in search_payloads(trace)}
+    out.update(cache_digests(trace))
+    return out
+
+
+def load() -> dict:
+    return json.loads(DIGESTS_PATH.read_text())
+
+
+def diff(recorded: dict[str, str], current: dict[str, str]) -> list[str]:
+    """One line per cell whose digest changed, appeared or vanished."""
+    lines = []
+    for name in sorted(set(recorded) | set(current)):
+        old, new = recorded.get(name), current.get(name)
+        if old == new:
+            continue
+        if old is None:
+            lines.append(f"+ {name}: {new[:16]}")
+        elif new is None:
+            lines.append(f"- {name}: {old[:16]}")
+        else:
+            lines.append(f"~ {name}: {old[:16]} -> {new[:16]}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "command", nargs="?", default="check", choices=("check",),
+        help="compare against the recorded digests (the default)",
+    )
+    parser.add_argument(
+        "--accept", action="store_true",
+        help="record the current digests instead of checking them",
+    )
+    args = parser.parse_args(argv)
+    current = compute_digests()
+    recorded = load() if DIGESTS_PATH.exists() else {"versions": {}, "digests": {}}
+    changes = diff(recorded["digests"], current)
+    for line in changes:
+        print(line)
+    if args.accept:
+        DIGESTS_PATH.parent.mkdir(parents=True, exist_ok=True)
+        DIGESTS_PATH.write_text(
+            json.dumps({"versions": versions(), "digests": current}, indent=2, sort_keys=True)
+            + "\n"
+        )
+        print(f"golden: accepted {len(current)} digests ({len(changes)} changed)")
+        return 0
+    if recorded["versions"] != versions():
+        print(f"golden: recorded with {recorded['versions']}, running {versions()}")
+    if changes:
+        print(f"golden: {len(changes)} of {len(current)} digests differ")
+        return 1
+    print(f"golden: all {len(current)} digests match")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
