@@ -1,13 +1,15 @@
 """Within-search measurement fan-out for batched suggestions.
 
 :class:`MeasurementFanout` implements the
-:data:`~repro.core.smbo.BatchFanout` callable the optimiser's batched
-loop accepts: it takes one round's measurement cells (``(iteration,
-catalog index)`` tuples) plus the optimiser's self-seeded
-:meth:`~repro.core.smbo.SequentialOptimizer.batch_measure_task` and
-returns every outcome.  Correctness never depends on the backend: each
-task derives its random streams from its spawn key, and the optimiser
-commits outcomes in catalog-index order, so serial and pool runs are
+:data:`~repro.core.smbo.BatchFanout` callable a q>1 search round
+accepts: it takes one round's measurement cells (``(iteration, catalog
+index)`` tuples) plus the optimiser's attempt ladder,
+:meth:`~repro.core.smbo.SequentialOptimizer.batch_measure_task`, which
+batch rounds call without a live guard, and returns every outcome.
+Correctness never depends on the backend: an unguarded task derives its
+random streams from its spawn key and records its attempts
+task-locally, and the optimiser replays them through its commit
+functions in catalog-index order, so serial and pool runs are
 bit-identical.
 
 The ``"pool"`` backend reuses the execution plane's

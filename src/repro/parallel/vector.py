@@ -273,9 +273,9 @@ class VectorizedGridDriver:
             groups: dict[tuple, list[_LiveCell]] = {}
             for live in active:
                 state = live.state
-                # Init observations and batched (q > 1) rounds are
-                # per-cell by nature; the round split only covers the
-                # sequential search phase.
+                # Init observations are per-cell by nature; batched
+                # (q > 1) rounds take their picks from the optimiser's
+                # own _suggest_batch, so they are stepped per cell too.
                 if state.phase == "init" or live.optimizer.batch_size != 1:
                     state.step()
                     continue
