@@ -9,13 +9,18 @@ pipeline produces:
   seeded search on the ``aws-2017`` catalog.  The matrix crosses
   {naive, augmented, hybrid, random} x {clean, faulty} x {on-demand,
   spot} x q in {1, 4}; a few extra cells pin the budget stop and spot
-  churn quarantine.  "faulty" injects
+  churn quarantine.  ``.../aws-large`` cells run clean on-demand q=1
+  Augmented and Hybrid BO on the 210-type ``aws-large`` catalog with a
+  budget long enough for the candidate x source query rows to pass the
+  packed tree walk's factored-size crossover.
+  "faulty" injects
   ``transient:rate=0.4+outage:vm=c4.large`` with ``quarantine_after=2``;
   "spot" prices the search on a hot market that revokes often enough
   to reach ``fallback_after``.
 * ``cache/<grid>/<executor>`` cells hash the runner-cache file bytes of
   a 2-workload x 2-repeat grid run under the ``serial`` and ``vector``
-  executors.
+  executors (the ``aws-large`` grid under ``vector`` only, which stacks
+  its searches' large query sets through ``predict_packed_many``).
 
 The digests are float-bit-exact, so they are recorded together with the
 Python, numpy and scipy versions that produced them.
@@ -60,7 +65,7 @@ from repro.core.naive_bo import NaiveBO  # noqa: E402
 from repro.core.objectives import Objective  # noqa: E402
 from repro.core.stopping import PredictionDeltaThreshold  # noqa: E402
 from repro.faults import FaultInjector, RetryPolicy, parse_fault_plan  # noqa: E402
-from repro.trace.generate import default_trace  # noqa: E402
+from repro.trace.generate import canonical_trace, default_trace  # noqa: E402
 
 DIGESTS_PATH = REPO_ROOT / "tests" / "golden" / "digests.json"
 
@@ -76,6 +81,11 @@ FAULTY_PLAN = "transient:rate=0.4+outage:vm=c4.large"
 #: High-hazard spot market (the same one the spot tests use).
 HOT_MARKET = dict(seed=5, base_hazard=0.25, hazard_slope=0.5)
 HOT_MARKET_RULE = "spot:market=5,base=0.25,slope=0.5"
+#: The large-catalog cells' catalog and budget: 20 measurements put the
+#: last scoring steps at 191 candidates x 19 sources, well past the
+#: factored-walk crossover.
+LARGE_CATALOG = "aws-large"
+LARGE_BUDGET = 20
 
 
 def versions() -> dict[str, str]:
@@ -161,11 +171,26 @@ def search_cells() -> Iterator[tuple[str, dict]]:
             )
 
 
+def large_search_cells() -> Iterator[tuple[str, dict]]:
+    """The ``aws-large`` search cells (built on that catalog's trace)."""
+    for method in ("augmented", "hybrid"):
+        yield (
+            f"search/{method}/clean/on-demand/q1/{LARGE_CATALOG}",
+            dict(
+                method=method, faults="clean", pricing="on-demand", q=1,
+                max_measurements=LARGE_BUDGET,
+            ),
+        )
+
+
 def search_payloads(trace=None) -> Iterator[tuple[str, bytes]]:
     """``(cell name, canonical payload bytes)`` for every search cell."""
     trace = trace if trace is not None else default_trace()
     for name, spec in search_cells():
         yield name, payload_bytes(build_search(trace, **spec).run())
+    large = canonical_trace(LARGE_CATALOG)
+    for name, spec in large_search_cells():
+        yield name, payload_bytes(build_search(large, **spec).run())
 
 
 def _clean_factory(environment, objective, seed):
@@ -194,10 +219,18 @@ def _spot_q4_factory(environment, objective, seed):
     )
 
 
+def _large_factory(environment, objective, seed):
+    return AugmentedBO(
+        environment, objective=objective, seed=seed, max_measurements=LARGE_BUDGET,
+    )
+
+
+#: ``grid key -> (factory, catalog, executors)``.
 CACHE_GRIDS = {
-    "augmented-clean": _clean_factory,
-    "augmented-faulty": _faulty_factory,
-    "naive-spot-q4": _spot_q4_factory,
+    "augmented-clean": (_clean_factory, None, ("serial", "vector")),
+    "augmented-faulty": (_faulty_factory, None, ("serial", "vector")),
+    "naive-spot-q4": (_spot_q4_factory, None, ("serial", "vector")),
+    "augmented-large": (_large_factory, LARGE_CATALOG, ("vector",)),
 }
 
 
@@ -206,7 +239,7 @@ def cache_digests(trace=None) -> dict[str, str]:
     trace = trace if trace is not None else default_trace()
     out = {}
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
-        for key, factory in CACHE_GRIDS.items():
+        for key, (factory, catalog, executors) in CACHE_GRIDS.items():
             grid = RunGrid(
                 key=f"golden-{key}",
                 factory=factory,
@@ -214,9 +247,10 @@ def cache_digests(trace=None) -> dict[str, str]:
                 workload_ids=tuple(all_workload_ids()[:2]),
                 repeats=2,
             )
-            for executor in ("serial", "vector"):
+            grid_trace = trace if catalog is None else canonical_trace(catalog)
+            for executor in executors:
                 cache_dir = Path(tmp) / executor
-                ExperimentRunner(trace, cache_dir=cache_dir).run(
+                ExperimentRunner(grid_trace, cache_dir=cache_dir).run(
                     grid, workers=1, executor=executor
                 )
                 data = (cache_dir / f"golden-{key}__time.json").read_bytes()
