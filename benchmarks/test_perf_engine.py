@@ -502,9 +502,10 @@ def test_catalog_scaling():
     At a fixed measured history the scorer's query phase — assembling
     and scaling one (candidates x sources) row block per score call —
     is the part that grows with the catalog.  The incremental
-    ``query_mode`` serves it from a preallocated scaled buffer instead
-    of rebuilding with ``repeat``/``tile`` every call; both modes are
-    bit-identical, so the comparison below is pure assembly cost.  The
+    ``query_mode`` keeps the block factored (scaled candidate rows and
+    scaled source rows) instead of building it with ``repeat``/``tile``
+    every call; both modes are bit-identical, so the comparison below is
+    pure assembly cost.  The
     end-to-end number is a budgeted seeded Hybrid-BO search on the
     390-type ``multicloud`` catalog: large catalogs stay searchable
     under a measurement budget.

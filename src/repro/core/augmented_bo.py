@@ -34,7 +34,7 @@ form for comparison (``benchmarks/test_ablation_surrogate.py``
 quantifies the difference).
 
 **Hot-path design.**  The scorer runs once per search step, so its inner
-loop is the dominant cost of every grid the evaluation runs.  Three
+loop is the dominant cost of every grid the evaluation runs.  Four
 optimisations keep it fast without changing seeded results:
 
 * the pair-feature matrix lives in a preallocated ``(n, n, d)`` buffer
@@ -42,18 +42,17 @@ optimisations keep it fast without changing seeded results:
   one source row and one destination column instead of re-enumerating all
   ``m^2`` pairs in Python (the reshape to the canonical source-major 2-D
   layout is a single C-level copy, bit-identical to the old enumeration);
-* candidate x source query rows live in a second preallocated
-  ``(n_vms, n_vms, d)`` buffer keyed ``[destination, source slot]``
-  holding *already-scaled* rows: each new observation writes one source
-  block (and the scaler transform of the static candidate design is
-  cached, refreshed only when the scaler statistics move), so a scoring
-  step gathers ``buffer[candidates, :m]`` instead of reassembling and
-  re-transforming all ``u * m`` rows with ``repeat``/``tile``
-  (``query_mode="rebuild"`` keeps the legacy assembly for comparison;
-  both modes produce bit-identical predictions);
-* the gathered rows are scored by a single ensemble predict — one
-  flat-array traversal over all trees, chunked over rows at large
-  ``u * m`` (:func:`repro.ml.tree.predict_packed`);
+* candidate x source query rows are never assembled: every row is
+  ``[candidate | source]``, so the scaled ``u`` candidate rows and the
+  scaled ``m``-row source table travel as a
+  :class:`~repro.ml.tree.PairRows` (scaling is elementwise per column,
+  so each factor's floats equal the dense rows' bit for bit;
+  ``query_mode="rebuild"`` keeps the dense ``repeat``/``tile`` assembly
+  as the reference);
+* the query is scored by a single ensemble predict over all trees
+  (:func:`repro.ml.tree.predict_packed`), which walks large ``u * m``
+  queries over destination-set x source-set products instead of one
+  cursor per row, and smaller ones flat;
 * ``refit_fraction`` (default 1.0 = full refit, bit-identical) enables
   the ensemble's warm-start mode: only a seeded subset of trees is
   regrown per step, cutting fit time roughly proportionally.
@@ -75,6 +74,7 @@ from repro.core.smbo import AcquisitionScores, SequentialOptimizer
 from repro.ml.extra_trees import ExtraTreesRegressor
 from repro.ml.random_forest import RandomForestRegressor
 from repro.ml.scaling import StandardScaler
+from repro.ml.tree import PairRows
 from repro.ml.tree_builder import TREE_BUILDERS
 from repro.simulator.cluster import Measurement
 
@@ -86,9 +86,10 @@ DEFAULT_N_ESTIMATORS = 24
 ENSEMBLES = ("extra_trees", "random_forest")
 
 #: How candidate query rows are produced per scoring step:
-#: ``"incremental"`` (default) gathers from the scaled query buffer,
-#: ``"rebuild"`` reassembles and re-transforms all rows (the legacy
-#: path, kept as the benchmark baseline).  Both are bit-identical.
+#: ``"incremental"`` (default) keeps them factored as scaled candidate
+#: and source tables (:class:`~repro.ml.tree.PairRows`), ``"rebuild"``
+#: assembles and transforms all dense rows (the reference path).  Both
+#: are bit-identical.
 QUERY_MODES = ("incremental", "rebuild")
 
 
@@ -106,7 +107,6 @@ class _PendingTreeScore:
     index: np.ndarray
     metrics: np.ndarray
     log_values: np.ndarray
-    pair_start: int
     scaler: StandardScaler
     model: object
     X_scaled: np.ndarray
@@ -115,7 +115,7 @@ class _PendingTreeScore:
     unmeasured: list[int] = field(default_factory=list)
     build_s: float = 0.0
     fit_prep_s: float = 0.0
-    scaled_query: np.ndarray | None = None
+    scaled_query: PairRows | np.ndarray | None = None
     query_s: float = 0.0
 
 
@@ -148,11 +148,11 @@ class PairwiseTreeScorer:
             ``"vectorized"`` (default, level-synchronous batched growth)
             or ``"classic"`` (per-node recursion); see
             :mod:`repro.ml.tree_builder`.
-        query_mode: ``"incremental"`` (default) serves candidate query
-            rows from the scaled query buffer, extended one source block
-            per observation; ``"rebuild"`` reassembles them from scratch
-            every step (the legacy path, kept as the perf baseline).
-            Predictions are bit-identical either way.
+        query_mode: ``"incremental"`` (default) hands the tree walk the
+            candidate x source query as scaled factors
+            (:class:`~repro.ml.tree.PairRows`); ``"rebuild"`` assembles
+            the dense rows every step (the reference path).  Predictions
+            are bit-identical either way.
     """
 
     def __init__(
@@ -207,18 +207,6 @@ class PairwiseTreeScorer:
         self._cached_indices = np.empty(n_vms, dtype=np.int64)
         self._cached_values = np.empty(n_vms, dtype=float)
         self._cached_metrics: np.ndarray | None = None
-        # Scaled query-row buffer, indexed [destination, source slot]:
-        # row (dest, t) is the scaler transform of
-        # [design[dest], design[index[t]], metrics[t]].  Source blocks
-        # are appended per observation and fully re-scaled only when the
-        # scaler statistics change (every step under full refit, once
-        # under warm refit).  _scaled_design caches the transform of the
-        # static candidate design for the current scaler.
-        self._qbuf: np.ndarray | None = None
-        self._qbuf_len = 0
-        self._qbuf_mean: np.ndarray | None = None
-        self._qbuf_scale: np.ndarray | None = None
-        self._scaled_design: np.ndarray | None = None
         # Warm-start state (refit_fraction < 1 only).
         self._model = None
         self._scaler: StandardScaler | None = None
@@ -272,12 +260,11 @@ class PairwiseTreeScorer:
 
     def _sync_pair_cache(
         self, index: np.ndarray, values: np.ndarray, metrics: np.ndarray
-    ) -> int:
+    ) -> None:
         """Extend (or rebuild) the cached pair buffer to cover ``index``.
 
-        Returns the slot the write started from: slots below it were
-        verified consistent with the new history (0 means the history
-        diverged and everything was rebuilt).
+        Slots the new history verifiably extends are kept; a diverging
+        history rebuilds everything.
         """
         m = index.size
         d = self._design.shape[1]
@@ -311,53 +298,6 @@ class PairwiseTreeScorer:
         self._cached_values[:m] = values
         self._cached_metrics[:m] = metrics
         self._cache_len = m
-        return start
-
-    def _sync_query_buffer(
-        self,
-        index: np.ndarray,
-        metrics: np.ndarray,
-        scaler: StandardScaler,
-        valid_len: int,
-    ) -> None:
-        """Bring the scaled query buffer up to date for ``index``.
-
-        ``valid_len`` is how many leading source slots are known to match
-        the current history (the pair cache's verified prefix).  When the
-        scaler statistics are unchanged only the new source blocks are
-        written — one ``(n_vms, width)`` block per new observation; when
-        they moved (full-refit mode refits the scaler every step) the
-        cached scaled design is recomputed and every block is re-scaled.
-        """
-        m = index.size
-        d = self._design.shape[1]
-        n_vms = self._design.shape[0]
-        width = 2 * d + metrics.shape[1]
-        mean, scale = scaler.mean_, scaler.scale_
-        if self._qbuf is None or self._qbuf.shape[2] != width:
-            self._qbuf = np.empty((n_vms, n_vms, width))
-            self._qbuf_len = 0
-            valid_len = 0
-        scaler_moved = (
-            self._qbuf_mean is None
-            or not np.array_equal(mean, self._qbuf_mean)
-            or not np.array_equal(scale, self._qbuf_scale)
-        )
-        if scaler_moved:
-            self._scaled_design = (self._design - mean[:d]) / scale[:d]
-            self._qbuf_mean = mean.copy()
-            self._qbuf_scale = scale.copy()
-            start = 0
-        else:
-            start = min(valid_len, self._qbuf_len, m)
-        buffer = self._qbuf
-        src_mean, src_scale = mean[d : 2 * d], scale[d : 2 * d]
-        met_mean, met_scale = mean[2 * d :], scale[2 * d :]
-        for t in range(start, m):
-            buffer[:, t, :d] = self._scaled_design
-            buffer[:, t, d : 2 * d] = (self._design[index[t]] - src_mean) / src_scale
-            buffer[:, t, 2 * d :] = (metrics[t] - met_mean) / met_scale
-        self._qbuf_len = m
 
     def cached_training_set(self) -> tuple[np.ndarray, np.ndarray]:
         """The (features, targets) pair set currently held by the cache.
@@ -413,7 +353,7 @@ class PairwiseTreeScorer:
         values = np.asarray(values, dtype=float)
         # to_vector is memoised per measurement, so this is m cheap reads.
         metrics = np.array([meas.metrics.to_vector() for meas in measurements])
-        pair_start = self._sync_pair_cache(index, values, metrics)
+        self._sync_pair_cache(index, values, metrics)
         X_train, y_train = self.cached_training_set()
         log_values = np.log(values)
         build_s = perf_counter() - t_build
@@ -434,7 +374,6 @@ class PairwiseTreeScorer:
             index=index,
             metrics=metrics,
             log_values=log_values,
-            pair_start=pair_start,
             scaler=scaler,
             model=model,
             X_scaled=X_scaled,
@@ -445,7 +384,7 @@ class PairwiseTreeScorer:
             fit_prep_s=perf_counter() - t_prep,
         )
 
-    def query_rows(self, pending: _PendingTreeScore) -> np.ndarray:
+    def query_rows(self, pending: _PendingTreeScore) -> PairRows | np.ndarray:
         """Assemble (and cache on ``pending``) the scaled query rows.
 
         The ``u * m`` candidate x source rows :meth:`score_commit`
@@ -454,6 +393,12 @@ class PairwiseTreeScorer:
         ensembles at once (:func:`repro.ml.tree.predict_packed_many`);
         :meth:`score_commit` calls it itself otherwise.  Idempotent per
         pending step — the rows are built once and cached.
+
+        In incremental mode the rows stay factored as a
+        :class:`~repro.ml.tree.PairRows` of the ``u`` scaled candidate
+        rows and the ``m`` scaled source rows (design + metrics), which
+        the packed tree walk consumes directly; the random-forest
+        ablation gets them materialised.
         """
         if pending.scaled_query is not None:
             return pending.scaled_query
@@ -464,8 +409,8 @@ class PairwiseTreeScorer:
         u = candidates.size
         t_query = perf_counter()
         if self.query_mode == "rebuild":
-            # Legacy path: reassemble all u * m rows and re-transform
-            # them every step.  Kept as the benchmark baseline.
+            # Reference path: assemble all u * m dense rows and transform
+            # them every step.
             measured_rows = self._design[index]
             query_rows = np.empty((u * m, pending.width))
             query_rows[:, :d] = np.repeat(self._design[candidates], m, axis=0)
@@ -473,13 +418,17 @@ class PairwiseTreeScorer:
             query_rows[:, 2 * d :] = np.tile(metrics, (u, 1))
             scaled_query = scaler.transform(query_rows)
         else:
-            # Incremental path: one gather from the scaled buffer.  The
-            # element order (destination-major, source-minor) and every
-            # scaled value match the rebuild path bit for bit.
-            self._sync_query_buffer(index, metrics, scaler, pending.pair_start)
-            scaled_query = self._qbuf[candidates, :m].reshape(
-                u * m, self._qbuf.shape[2]
+            # Factored path: the scaler is elementwise per column, so
+            # scaling each factor gives the rebuild path's floats bit
+            # for bit.
+            mean, scale = scaler.mean_, scaler.scale_
+            sources = np.concatenate([self._design[index], metrics], axis=1)
+            scaled_query = PairRows(
+                (self._design[candidates] - mean[:d]) / scale[:d],
+                (sources - mean[d:]) / scale[d:],
             )
+            if self.ensemble != "extra_trees":
+                scaled_query = scaled_query.materialize()
         pending.query_s = perf_counter() - t_query
         pending.scaled_query = scaled_query
         return scaled_query

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.ml.tree import (
     PackedTrees,
+    PairRows,
     RegressionTree,
     coerce_training_data,
     pack_trees,
@@ -111,29 +112,31 @@ class ExtraTreesRegressor:
         self._materialize_trees()
         return tuple(self._trees)
 
+    def _shell(self, built: BuiltForest, index: int) -> RegressionTree:
+        """A standalone ``RegressionTree`` for tree ``index`` of ``built``."""
+        return RegressionTree.from_arrays(
+            *built.tree_arrays(index),
+            max_features=self.max_features,
+            min_samples_split=self.min_samples_split,
+            max_depth=self.max_depth,
+        )
+
     def _materialize_trees(self) -> None:
         """Build per-tree shells from a lazily adopted forest, if any."""
         if self._built is None:
             return
         built = self._built
         self._built = None
-        self._trees = [
-            RegressionTree.from_arrays(
-                *built.tree_arrays(index),
-                max_features=self.max_features,
-                min_samples_split=self.min_samples_split,
-                max_depth=self.max_depth,
-            )
-            for index in range(built.n_trees)
-        ]
+        self._trees = [self._shell(built, index) for index in range(built.n_trees)]
 
     def adopt_built(self, built: BuiltForest) -> None:
         """Install a pre-grown forest as this ensemble's fitted state.
 
-        Used by :func:`fit_ensembles_stacked`: the packed arrays serve
-        prediction immediately; the per-tree ``RegressionTree`` shells —
-        which the prediction hot path never touches — are only
-        materialised if :attr:`trees` is actually read.
+        Used by full vectorized refits and :func:`fit_ensembles_stacked`:
+        the packed arrays serve prediction immediately; the per-tree
+        ``RegressionTree`` shells — which the prediction hot path never
+        touches — are only materialised if :attr:`trees` is actually
+        read.
         """
         if built.n_trees != self.n_estimators:
             raise ValueError(
@@ -152,11 +155,9 @@ class ExtraTreesRegressor:
         )
         return tree.fit(X, y)
 
-    def _grow_batch(
-        self, X: np.ndarray, y: np.ndarray, n_trees: int
-    ) -> tuple[list[RegressionTree], PackedTrees]:
+    def _grow_batch(self, X: np.ndarray, y: np.ndarray, n_trees: int) -> BuiltForest:
         """Grow ``n_trees`` trees in one level-synchronous builder pass."""
-        built = build_extra_trees(
+        return build_extra_trees(
             X,
             y,
             n_trees,
@@ -165,16 +166,6 @@ class ExtraTreesRegressor:
             max_depth=self.max_depth,
             rng=self._rng,
         )
-        trees = [
-            RegressionTree.from_arrays(
-                *built.tree_arrays(index),
-                max_features=self.max_features,
-                min_samples_split=self.min_samples_split,
-                max_depth=self.max_depth,
-            )
-            for index in range(n_trees)
-        ]
-        return trees, built.packed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> ExtraTreesRegressor:
         """Fit the ensemble on the full ``(X, y)`` sample.
@@ -195,36 +186,31 @@ class ExtraTreesRegressor:
                 self._rng.choice(self.n_estimators, size=n_refit, replace=False)
             )
             if vectorized:
-                regrown, _ = self._grow_batch(X, y, n_refit)
-                for slot, tree in zip(chosen, regrown):
-                    self._trees[int(slot)] = tree
+                regrown = self._grow_batch(X, y, n_refit)
+                for index, slot in enumerate(chosen):
+                    self._trees[int(slot)] = self._shell(regrown, index)
             else:
                 for index in chosen:
                     self._trees[int(index)] = self._grow_tree(X, y)
             self._packed = pack_trees(self._trees)
         elif vectorized:
-            # The builder emits the packed layout directly — no
-            # per-tree repacking on the full-refit hot path.
-            self._trees, self._packed = self._grow_batch(X, y, self.n_estimators)
-            self._built = None
+            # The builder emits the packed layout directly — no per-tree
+            # repacking or shells on the full-refit hot path.
+            self.adopt_built(self._grow_batch(X, y, self.n_estimators))
         else:
             self._trees = [self._grow_tree(X, y) for _ in range(self.n_estimators)]
             self._packed = pack_trees(self._trees)
             self._built = None
         return self
 
-    def _tree_predictions(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees and self._built is None:
-            raise RuntimeError("ensemble must be fitted before predict")
-        if self._packed is not None:
-            return predict_packed(self._packed, X)
-        return np.stack([tree.predict(X) for tree in self._trees])
-
     def predict(
-        self, X: np.ndarray, return_std: bool = False
+        self, X: np.ndarray | PairRows, return_std: bool = False
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Ensemble mean (and optionally across-tree std) for rows of ``X``."""
-        predictions = self._tree_predictions(X)
+        """Ensemble mean (and optionally across-tree std) for rows of ``X``
+        (dense rows or a :class:`~repro.ml.tree.PairRows`)."""
+        if self._packed is None:
+            raise RuntimeError("ensemble must be fitted before predict")
+        predictions = predict_packed(self._packed, X)
         mean = predictions.mean(axis=0)
         if not return_std:
             return mean

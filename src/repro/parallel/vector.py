@@ -8,8 +8,10 @@ batches the per-round linear algebra across them:
 * tree-surrogate searches (Augmented BO, the late phase of Hybrid BO)
   have their Extra-Trees ensembles grown in **one** level-synchronous
   frontier (:func:`repro.ml.extra_trees.fit_ensembles_stacked`) and
-  their candidate rows evaluated in **one** packed traversal across all
-  ensembles (:func:`repro.ml.tree.predict_packed_many`);
+  their candidate x source queries evaluated in **one** packed
+  prediction call across all ensembles
+  (:func:`repro.ml.tree.predict_packed_many`, which walks large
+  factored queries over destination x source sets and small ones flat);
 * GP searches (Naive BO, the early phase of Hybrid BO) have their
   conditioning matrices built in one stacked kernel evaluation
   (:func:`repro.ml.gp.fit_gps_stacked`) and their EI computed in one

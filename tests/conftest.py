@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cloud.vmtypes import default_catalog
-from repro.trace.generate import default_trace, generate_trace
+from repro.trace.generate import canonical_trace, default_trace, generate_trace
 from repro.workloads.registry import default_registry
 
 
@@ -25,6 +25,12 @@ def registry():
 def trace():
     """The canonical benchmark trace (seed 2018), built once per session."""
     return default_trace()
+
+
+@pytest.fixture(scope="session")
+def large_trace():
+    """The canonical trace over the 210-type ``aws-large`` catalog."""
+    return canonical_trace("aws-large")
 
 
 @pytest.fixture(scope="session")

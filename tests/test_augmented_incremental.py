@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.augmented_bo import AugmentedBO, PairwiseTreeScorer
+from repro.ml.tree import FACTORED_MIN_PAIRS, PairRows
 
 WORKLOAD = "kmeans/Spark 2.1/small"
 
@@ -167,20 +168,39 @@ class TestStepTimings:
             assert entry["n_candidates"] >= 1
 
 
+#: Query-mode comparisons: ``(trace fixture, seed, budget)``.  On
+#: ``aws-2017`` the query never reaches the factored walk; the
+#: ``aws-large`` search does from its fifth measurement on.
+SEARCH_CASES = [
+    pytest.param("trace", 0, None, id="0"),
+    pytest.param("trace", 3, None, id="3"),
+    pytest.param("large_trace", 0, 16, id="aws-large-0"),
+]
+
+#: ``(trace fixture, history sizes)`` for the scorer-level comparison; a
+#: repeated size is a fixed-history call (the frozen-scaler path).
+HISTORY_CASES = [
+    pytest.param("trace", (4, 5, 6, 7, 8, 8), id="aws-2017"),
+    pytest.param("large_trace", (3, 5, 8, 12, 12), id="aws-large"),
+]
+
+
 class TestQueryModes:
-    """The incremental query-row buffer vs the legacy repeat/tile
-    rebuild: same floats, different assembly."""
+    """Factored incremental query rows vs the dense repeat/tile rebuild:
+    same floats, different assembly and tree walk."""
 
     def test_validation(self, trace):
         with pytest.raises(ValueError, match="query_mode"):
             AugmentedBO(trace.environment(WORKLOAD), query_mode="cached")
 
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_full_search_is_bit_identical(self, trace, seed):
+    @pytest.mark.parametrize("trace_name, seed, budget", SEARCH_CASES)
+    def test_full_search_is_bit_identical(self, request, trace_name, seed, budget):
+        trace = request.getfixturevalue(trace_name)
         runs = {}
         for mode in ("incremental", "rebuild"):
             optimizer = AugmentedBO(
-                trace.environment(WORKLOAD), seed=seed, query_mode=mode
+                trace.environment(WORKLOAD), seed=seed, query_mode=mode,
+                max_measurements=budget,
             )
             result = optimizer.run()
             runs[mode] = (
@@ -189,23 +209,46 @@ class TestQueryModes:
             )
         assert runs["incremental"] == runs["rebuild"]
 
-    def test_scores_equal_at_every_history(self, trace):
+    @pytest.mark.parametrize("trace_name, sizes", HISTORY_CASES)
+    def test_scores_equal_at_every_history(self, request, trace_name, sizes):
         """Scorer-level check: identical score vectors while the history
         (and with it the scaler statistics) grows, then again on a
-        repeated call at fixed history (the frozen-scaler fast path)."""
+        repeated call at fixed history."""
+        trace = request.getfixturevalue(trace_name)
         environment = trace.environment(WORKLOAD)
         environment.reset()
         catalog = list(environment.catalog)
-        measurements = [environment.measure(vm) for vm in catalog[:8]]
+        measurements = [environment.measure(vm) for vm in catalog[: max(sizes)]]
         values = [m.execution_time_s for m in measurements]
         design = AugmentedBO(environment, seed=0).design_matrix
 
         fast = PairwiseTreeScorer(design, seed=1, query_mode="incremental")
         slow = PairwiseTreeScorer(design, seed=1, query_mode="rebuild")
-        for upto in (4, 5, 6, 7, 8, 8):  # repeated 8 = fixed-history call
+        pairs = []
+        for upto in sizes:
             measured = list(range(upto))
             unmeasured = list(range(upto, len(catalog)))
+            pairs.append(len(measured) * len(unmeasured))
             a = fast.score(measured, values[:upto], measurements[:upto], unmeasured)
             b = slow.score(measured, values[:upto], measurements[:upto], unmeasured)
             np.testing.assert_array_equal(a.scores, b.scores)
             np.testing.assert_array_equal(a.predicted, b.predicted)
+        if trace_name == "large_trace":
+            # Both sides of the factored-walk crossover were compared.
+            assert min(pairs) < FACTORED_MIN_PAIRS <= max(pairs)
+
+    def test_random_forest_gets_dense_rows(self, trace):
+        environment = trace.environment(WORKLOAD)
+        environment.reset()
+        catalog = list(environment.catalog)
+        measurements = [environment.measure(vm) for vm in catalog[:5]]
+        values = [m.execution_time_s for m in measurements]
+        design = AugmentedBO(environment, seed=0).design_matrix
+        for ensemble, kind in (("extra_trees", PairRows), ("random_forest", np.ndarray)):
+            scorer = PairwiseTreeScorer(design, seed=1, ensemble=ensemble)
+            pending = scorer.score_begin(
+                list(range(5)), values, measurements, list(range(5, len(catalog)))
+            )
+            rows = scorer.query_rows(pending)
+            assert isinstance(rows, kind)
+            assert rows.shape == (5 * (len(catalog) - 5), pending.width)

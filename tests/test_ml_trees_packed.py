@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml.extra_trees import ExtraTreesRegressor
 from repro.ml.random_forest import RandomForestRegressor
-from repro.ml.tree import RegressionTree, pack_trees, predict_packed
+from repro.ml.tree import (
+    FACTORED_MIN_PAIRS,
+    PairRows,
+    RegressionTree,
+    _walk_pairs,
+    pack_trees,
+    predict_packed,
+    predict_packed_many,
+)
+from repro.ml.tree_builder import build_extra_trees
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +237,144 @@ class TestPackedDegenerate:
         model = ExtraTreesRegressor(n_estimators=2, seed=5, tree_builder=builder)
         model.fit(X, y)
         np.testing.assert_allclose(model.predict(X), y)
+
+
+def _pair_forest(seed, dest_width, source_width, n_train, n_trees, u, m, constant=False):
+    """A seeded forest over ``dest_width + source_width`` columns and a
+    :class:`PairRows` query whose values sit on the same coarse grid as
+    the training data, with some cells set exactly to split thresholds."""
+    rng = np.random.default_rng(seed)
+    width = dest_width + source_width
+    X = rng.integers(-3, 4, size=(n_train, width)) / 2.0
+    y = np.full(n_train, 1.5) if constant else rng.normal(size=n_train)
+    packed = build_extra_trees(X, y, n_trees, rng=rng).packed
+    dest = rng.integers(-3, 4, size=(u, dest_width)) / 2.0
+    source = rng.integers(-3, 4, size=(m, source_width)) / 2.0
+    internal = np.flatnonzero(packed.feature >= 0)
+    for node in rng.choice(internal, size=min(internal.size, 8), replace=False):
+        column, threshold = int(packed.feature[node]), packed.threshold[node]
+        if column < dest_width:
+            dest[rng.integers(u), column] = threshold
+        else:
+            source[rng.integers(m), column - dest_width] = threshold
+    return packed, PairRows(dest, source)
+
+
+class TestPairRows:
+    def test_shape_and_destination_major_rows(self):
+        dest = np.arange(6.0).reshape(3, 2)
+        source = -np.arange(4.0).reshape(2, 2)
+        rows = PairRows(dest, source)
+        assert rows.shape == (6, 4)
+        dense = rows.materialize()
+        assert dense.shape == rows.shape
+        for i in range(3):
+            for t in range(2):
+                np.testing.assert_array_equal(
+                    dense[i * 2 + t], np.concatenate([dest[i], source[t]])
+                )
+
+    def test_rejects_non_matrix_factors(self):
+        with pytest.raises(ValueError, match="2-D"):
+            PairRows(np.zeros(3), np.zeros((2, 2)))
+
+    def test_empty_factor_gives_no_rows(self):
+        packed, _ = _pair_forest(0, 2, 2, 20, 2, 1, 1)
+        rows = PairRows(np.zeros((0, 2)), np.zeros((5, 2)))
+        assert predict_packed(packed, rows).shape == (2, 0)
+
+
+class TestFactoredWalk:
+    """The factored destination x source walk against the flat walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dest_width=st.integers(0, 4),
+        source_width=st.integers(0, 4),
+        n_train=st.integers(1, 60),
+        n_trees=st.integers(1, 4),
+        u=st.integers(1, 50),
+        m=st.integers(1, 30),
+        above=st.booleans(),
+        constant=st.booleans(),
+    )
+    def test_bit_identical_to_materialized_rows(
+        self, seed, dest_width, source_width, n_train, n_trees, u, m, above, constant
+    ):
+        if dest_width + source_width == 0:
+            dest_width = 1
+        if above:
+            # Push the pair count past the crossover.
+            u = max(u, -(-FACTORED_MIN_PAIRS // m))
+        packed, rows = _pair_forest(
+            seed, dest_width, source_width, n_train, n_trees, u, m, constant
+        )
+        if above:
+            assert rows.shape[0] >= FACTORED_MIN_PAIRS
+        dense = rows.materialize()
+        expected = predict_packed(packed, dense)
+        np.testing.assert_array_equal(predict_packed(packed, rows), expected)
+        # Below the crossover predict_packed materialises; walk those
+        # sizes factored directly as well.
+        np.testing.assert_array_equal(
+            _walk_pairs(packed, [packed.roots], [rows])[0], expected
+        )
+
+    @pytest.mark.parametrize(
+        "u, m",
+        [(1, FACTORED_MIN_PAIRS), (FACTORED_MIN_PAIRS, 1), (1, 1), (41, 53)],
+    )
+    @pytest.mark.parametrize("dest_width, source_width", [(0, 4), (4, 0), (2, 3)])
+    def test_degenerate_factors(self, u, m, dest_width, source_width):
+        """u = 1, m = 1, and splits that can only ever test one factor."""
+        packed, rows = _pair_forest(5, dest_width, source_width, 40, 3, u, m)
+        expected = predict_packed(packed, rows.materialize())
+        np.testing.assert_array_equal(predict_packed(packed, rows), expected)
+        np.testing.assert_array_equal(
+            _walk_pairs(packed, [packed.roots], [rows])[0], expected
+        )
+
+    def test_root_only_trees(self):
+        packed, rows = _pair_forest(1, 2, 2, 30, 3, FACTORED_MIN_PAIRS // 16, 16, constant=True)
+        assert (packed.feature == -1).all()
+        np.testing.assert_array_equal(
+            predict_packed(packed, rows), np.full((3, rows.shape[0]), 1.5)
+        )
+
+    def test_extra_trees_predict_accepts_pair_rows(self, data):
+        X, y = data
+        model = ExtraTreesRegressor(n_estimators=5, seed=2).fit(X, y)
+        rng = np.random.default_rng(8)
+        rows = PairRows(rng.uniform(size=(300, 2)), rng.uniform(size=(12, 3)))
+        assert rows.shape[0] >= FACTORED_MIN_PAIRS
+        mean, std = model.predict(rows, return_std=True)
+        dense_mean, dense_std = model.predict(rows.materialize(), return_std=True)
+        np.testing.assert_array_equal(mean, dense_mean)
+        np.testing.assert_array_equal(std, dense_std)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(
+        st.sampled_from(["above", "below", "dense"]), min_size=1, max_size=5
+    ))
+    def test_predict_packed_many_mixes_query_kinds(self, seed, kinds):
+        """A mix of large and small PairRows and dense arrays, each on its
+        own ensemble (with its own split boundary), equals per-ensemble
+        prediction over the dense rows."""
+        rng = np.random.default_rng(seed)
+        packeds, queries = [], []
+        for index, kind in enumerate(kinds):
+            dest_width = int(rng.integers(0, 4))
+            source_width = 4 - dest_width
+            m = int(rng.integers(1, 20))
+            u = -(-FACTORED_MIN_PAIRS // m) if kind == "above" else int(rng.integers(1, 20))
+            packed, rows = _pair_forest(
+                seed + index, dest_width, source_width, 30, int(rng.integers(1, 4)), u, m
+            )
+            packeds.append(packed)
+            queries.append(rows.materialize() if kind == "dense" else rows)
+        batched = predict_packed_many(packeds, queries)
+        for packed, query, result in zip(packeds, queries, batched):
+            dense = query.materialize() if isinstance(query, PairRows) else query
+            np.testing.assert_array_equal(result, predict_packed(packed, dense))
+            np.testing.assert_array_equal(result, predict_packed(packed, query))
