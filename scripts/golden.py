@@ -12,7 +12,10 @@ pipeline produces:
   churn quarantine.  ``.../aws-large`` cells run clean on-demand q=1
   Augmented and Hybrid BO on the 210-type ``aws-large`` catalog with a
   budget long enough for the candidate x source query rows to pass the
-  packed tree walk's factored-size crossover.
+  packed tree walk's factored-size crossover.  ``.../q1/<kernel>``
+  cells run clean on-demand q=1 Naive BO under the other three
+  Figure 7 kernels (RBF, Matérn 1/2, Matérn 3/2; the matrix itself
+  uses CherryPick's Matérn 5/2).
   "faulty" injects
   ``transient:rate=0.4+outage:vm=c4.large`` with ``quarantine_after=2``;
   "spot" prices the search on a hot market that revokes often enough
@@ -65,6 +68,7 @@ from repro.core.naive_bo import NaiveBO  # noqa: E402
 from repro.core.objectives import Objective  # noqa: E402
 from repro.core.stopping import PredictionDeltaThreshold  # noqa: E402
 from repro.faults import FaultInjector, RetryPolicy, parse_fault_plan  # noqa: E402
+from repro.ml.kernels import kernel_by_name  # noqa: E402
 from repro.trace.generate import canonical_trace, default_trace  # noqa: E402
 
 DIGESTS_PATH = REPO_ROOT / "tests" / "golden" / "digests.json"
@@ -86,6 +90,8 @@ HOT_MARKET_RULE = "spot:market=5,base=0.25,slope=0.5"
 #: factored-walk crossover.
 LARGE_CATALOG = "aws-large"
 LARGE_BUDGET = 20
+#: The Figure 7 kernels besides Naive BO's default Matérn 5/2.
+FIG7_KERNELS = ("rbf", "matern12", "matern32")
 
 
 def versions() -> dict[str, str]:
@@ -113,6 +119,7 @@ def build_search(
     q: int,
     max_measurements: int | None = None,
     churn: bool = False,
+    kernel: str | None = None,
 ):
     """One seeded optimiser for a matrix cell."""
     rules = []
@@ -123,6 +130,8 @@ def build_search(
         # A non-zero backoff makes the jittered waits reach the payload.
         retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.1),
     )
+    if kernel is not None:
+        kwargs["kernel"] = kernel_by_name(kernel)
     if faults == "faulty":
         rules.append(FAULTY_PLAN)
         kwargs["quarantine_after"] = 2
@@ -169,6 +178,11 @@ def search_cells() -> Iterator[tuple[str, dict]]:
                 f"search/{method}/churn/spot/q{q}",
                 dict(method=method, faults="clean", pricing="spot", q=q, churn=True),
             )
+    for kernel in FIG7_KERNELS:
+        yield (
+            f"search/naive/clean/on-demand/q1/{kernel}",
+            dict(method="naive", faults="clean", pricing="on-demand", q=1, kernel=kernel),
+        )
 
 
 def large_search_cells() -> Iterator[tuple[str, dict]]:
