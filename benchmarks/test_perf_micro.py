@@ -42,19 +42,6 @@ def test_gp_fit_12_points(benchmark, gp_data):
     benchmark(fit)
 
 
-@pytest.mark.parametrize("gradient", ["analytic", "numeric"])
-def test_gp_fit_by_gradient_mode(benchmark, gp_data, gradient):
-    """The one-Cholesky fused value+grad path vs finite differences."""
-    X, y = gp_data
-
-    def fit():
-        return GaussianProcessRegressor(
-            Matern52(), n_restarts=0, seed=0, gradient=gradient
-        ).fit(X, y)
-
-    benchmark(fit)
-
-
 def test_gp_lml_value_and_grad(benchmark, gp_data):
     """One fused LML value+gradient evaluation from cached geometry."""
     from repro.ml.kernels import Geometry

@@ -206,12 +206,6 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
         "per-node recursive grower (statistically equivalent)",
     )
     parser.add_argument(
-        "--gp-gradient", choices=["analytic", "numeric"], default="analytic",
-        help="likelihood-gradient mode for the naive/hybrid GP surrogate: "
-        "fused analytic value+gradient fits (default, one Cholesky per "
-        "L-BFGS-B step) or the legacy finite-difference path",
-    )
-    parser.add_argument(
         "--batch-size", type=int, default=1,
         help="suggestions measured per acquisition round (1 = classic "
         "sequential loop, bit-identical; q > 1 = constant-liar q-EI on "
@@ -303,8 +297,6 @@ def _build_optimizer(args: argparse.Namespace, environment, seed: int | None = N
     if args.method in ("augmented", "hybrid"):
         extra["refit_fraction"] = args.refit_fraction
         extra["tree_builder"] = args.tree_builder
-    if args.method in ("naive", "hybrid"):
-        extra["gp_gradient"] = args.gp_gradient
     batch_size = getattr(args, "batch_size", 1)
     fanout = None
     if batch_size > 1 and getattr(args, "batch_workers", 1) > 1:
@@ -398,7 +390,9 @@ def _search_grid_key(args: argparse.Namespace) -> str:
         args.method, args.objective, args.stop, args.stop_value,
         args.measure_retries, args.retry_backoff, args.quarantine_after,
         args.fault_plan, args.fault_seed, args.refit_fraction,
-        args.tree_builder, args.gp_gradient,
+        # "analytic" stands where the retired --gp-gradient value sat,
+        # so keys (and the caches they name) stay byte-stable.
+        args.tree_builder, "analytic",
     )
     # Batched searches produce different measurement sequences, so the
     # batch shape joins the key — but only when batching is on, which

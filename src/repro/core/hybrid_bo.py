@@ -33,9 +33,6 @@ class HybridBO(SequentialOptimizer):
             see :class:`~repro.core.augmented_bo.PairwiseTreeScorer`.
         query_mode: candidate-row assembly mode for the late-phase
             surrogate; see :class:`~repro.core.augmented_bo.PairwiseTreeScorer`.
-        gp_gradient: likelihood-gradient mode for the early-phase GP —
-            ``"analytic"`` (default) or ``"numeric"``; see
-            :class:`~repro.core.naive_bo.GPScorer`.
         **kwargs: forwarded to :class:`SequentialOptimizer`.
     """
 
@@ -50,7 +47,6 @@ class HybridBO(SequentialOptimizer):
         refit_fraction: float = 1.0,
         tree_builder: str = "vectorized",
         query_mode: str = "incremental",
-        gp_gradient: str = "analytic",
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
@@ -61,7 +57,6 @@ class HybridBO(SequentialOptimizer):
             self.design_matrix,
             kernel=kernel,
             seed=int(self._rng.integers(2**31)),
-            gradient=gp_gradient,
         )
         self._tree_scorer = PairwiseTreeScorer(
             self.design_matrix,

@@ -52,9 +52,6 @@ class GPScorer:
         kernel: GP covariance function (cloned per fit).
         acquisition: ``"ei"`` (default), ``"pi"`` or ``"lcb"``.
         seed: seed for the GP's hyperparameter restarts.
-        gradient: likelihood-gradient mode for the GP —
-            ``"analytic"`` (fused one-Cholesky value+gradient, default)
-            or ``"numeric"`` (finite differences, the legacy path).
     """
 
     def __init__(
@@ -63,7 +60,6 @@ class GPScorer:
         kernel: Kernel | None = None,
         acquisition: str = "ei",
         seed: int | None = None,
-        gradient: str = "analytic",
     ) -> None:
         if acquisition not in GP_ACQUISITIONS:
             raise ValueError(
@@ -82,7 +78,6 @@ class GPScorer:
             kernel=kernel if kernel is not None else Matern52(),
             n_restarts=0,
             seed=int(self._rng.integers(2**31)),
-            gradient=gradient,
         )
 
     @property
@@ -105,18 +100,18 @@ class GPScorer:
         The stacked GP path (:func:`repro.ml.gp.fit_gps_stacked`) and
         the stacked acquisition
         (:func:`repro.core.acquisition.expected_improvement_stacked`)
-        reproduce the analytic-gradient EI round bit for bit; the other
-        acquisitions (PI/LCB/MES — MES draws from the scorer RNG) and
-        the numeric-gradient path fall back to the per-search loop.
+        reproduce the EI round bit for bit; the other acquisitions
+        (PI/LCB/MES — MES draws from the scorer RNG) fall back to the
+        per-search loop.
         """
-        return self.acquisition == "ei" and self._gp.gradient == "analytic"
+        return self.acquisition == "ei"
 
     def fit_inputs(
         self, measured: list[int], values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, object]:
         """This round's GP training inputs ``(X, y, fit geometry)``.
 
-        What the analytic branch of :meth:`score` hands to ``gp.fit`` —
+        What :meth:`score` hands to ``gp.fit`` —
         exposed so a cross-search driver can fit many scorers' GPs in
         one stacked call (:func:`repro.ml.gp.fit_gps_stacked`).
         """
@@ -140,17 +135,11 @@ class GPScorer:
         self, measured: list[int], values: np.ndarray, unmeasured: list[int]
     ) -> AcquisitionScores:
         """Fit on the measured rows and return EI scores for the rest."""
-        gp = self._gp
-        if gp.gradient == "analytic":
-            # Reuse the incrementally grown distance geometry for both
-            # the fit and the cross-covariance block of the predict.
-            X, y, geometry = self.fit_inputs(measured, values)
-            gp.fit(X, y, geometry=geometry)
-            mean, std = self.posterior(measured, unmeasured)
-        else:
-            # Numeric mode preserves the legacy behaviour bit for bit.
-            gp.fit(self._scaled_design[measured], values)
-            mean, std = gp.predict(self._scaled_design[unmeasured], return_std=True)
+        # Reuse the incrementally grown distance geometry for both the
+        # fit and the cross-covariance block of the predict.
+        X, y, geometry = self.fit_inputs(measured, values)
+        self._gp.fit(X, y, geometry=geometry)
+        mean, std = self.posterior(measured, unmeasured)
         scores, ei = self._scores_from_posterior(mean, std, float(values.min()))
         return AcquisitionScores(scores=scores, predicted=mean, expected_improvements=ei)
 
@@ -183,8 +172,8 @@ class GPScorer:
         to :meth:`score` (q=1 returns before any fantasy work).  Each
         further pick fantasizes the previous one at the liar value and
         re-conditions the GP on *warm* hyperparameters (``optimise`` is
-        suspended, so no likelihood refit per fantasy); the analytic
-        path rescores the shrinking candidate set through the same
+        suspended, so no likelihood refit per fantasy), and the
+        shrinking candidate set is rescored through the same
         incremental distance geometry as :meth:`score`, appending one
         fantasy column per pick instead of rebuilding distances.
         """
@@ -203,24 +192,16 @@ class GPScorer:
             while len(picked) < q and remaining:
                 fant_measured.append(picked[-1])
                 fant_values = np.append(fant_values, lie)
-                if gp.gradient == "analytic":
-                    gp.fit(
-                        self._scaled_design[fant_measured],
-                        fant_values,
-                        geometry=self._geometry.fit_geometry(fant_measured),
-                    )
-                    mean, std = gp.predict(
-                        self._scaled_design[remaining],
-                        return_std=True,
-                        geometry=self._geometry.cross_geometry(
-                            remaining, fant_measured
-                        ),
-                    )
-                else:
-                    gp.fit(self._scaled_design[fant_measured], fant_values)
-                    mean, std = gp.predict(
-                        self._scaled_design[remaining], return_std=True
-                    )
+                gp.fit(
+                    self._scaled_design[fant_measured],
+                    fant_values,
+                    geometry=self._geometry.fit_geometry(fant_measured),
+                )
+                mean, std = gp.predict(
+                    self._scaled_design[remaining],
+                    return_std=True,
+                    geometry=self._geometry.cross_geometry(remaining, fant_measured),
+                )
                 scores, _ = self._scores_from_posterior(
                     mean, std, float(fant_values.min())
                 )
@@ -237,8 +218,6 @@ class NaiveBO(SequentialOptimizer):
         kernel: covariance function; defaults to Matérn 5/2.
         acquisition: ``"ei"`` (CherryPick's choice, default), ``"pi"`` or
             ``"lcb"``.
-        gp_gradient: ``"analytic"`` (fused value+gradient likelihood
-            fits, default) or ``"numeric"`` (legacy finite differences).
         **kwargs: forwarded to :class:`SequentialOptimizer`.
     """
 
@@ -249,7 +228,6 @@ class NaiveBO(SequentialOptimizer):
         *args,
         kernel: Kernel | None = None,
         acquisition: str = "ei",
-        gp_gradient: str = "analytic",
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
@@ -258,7 +236,6 @@ class NaiveBO(SequentialOptimizer):
             kernel=kernel,
             acquisition=acquisition,
             seed=int(self._rng.integers(2**31)),
-            gradient=gp_gradient,
         )
 
     def _score_candidates(self, unmeasured: list[int]) -> AcquisitionScores:

@@ -189,7 +189,8 @@ class Kernel(abc.ABC):
 
         Raises:
             NotImplementedError: for kernels without an analytic gradient
-                (the GP then falls back to finite differences).
+                (a GP can then only condition on fixed hyperparameters,
+                ``optimise=False``).
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no analytic gradient"

@@ -29,8 +29,8 @@ This is a dispatch-amortisation play, not an approximation.
 Desync is the normal case, not an error: searches stop at different
 step counts (stopping rules, exhausted budgets), switch surrogates at
 different times (Hybrid BO), or are simply not batchable (random
-search, PI/LCB/MES acquisitions, warm-refit ensembles, numeric-gradient
-GPs, ``batch_size > 1`` fan-out rounds).  Every pass regroups whatever
+search, PI/LCB/MES acquisitions, warm-refit ensembles,
+``batch_size > 1`` fan-out rounds).  Every pass regroups whatever
 *is* batchable that round; everything else falls back to the classic
 per-cell step — same code the serial loop runs — so a heterogeneous
 grid degrades smoothly toward serial performance rather than breaking.

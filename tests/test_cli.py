@@ -392,3 +392,25 @@ class TestSpotGridKey:
         assert self._key("--pricing", "spot", "--spot-seed", "9") != base
         assert self._key("--pricing", "spot", "--spot-fallback-after", "7") != base
         assert self._key("--pricing", "spot", "--spot-resume-credit", "0.5") != base
+
+
+class TestSearchGridKeyStability:
+    """Existing `arrow search` caches are named by these keys; a change
+    to any of them orphans every cache built under the old one."""
+
+    @pytest.mark.parametrize(
+        "method, expected",
+        [
+            ("random", "search-random-kmeans~Spark_2.1~small-3e8042e2"),
+            ("naive", "search-naive-kmeans~Spark_2.1~small-f561b50f"),
+            ("hybrid", "search-hybrid-kmeans~Spark_2.1~small-1dae1a4f"),
+            ("augmented", "search-augmented-kmeans~Spark_2.1~small-3f4d4edc"),
+        ],
+    )
+    def test_default_keys_are_byte_stable(self, method, expected):
+        from repro.cli import _search_grid_key, build_parser
+
+        args = build_parser().parse_args(
+            ["search", "kmeans/Spark 2.1/small", "--method", method]
+        )
+        assert _search_grid_key(args) == expected

@@ -7,7 +7,10 @@ space:
   stationary kernels, isotropic and ARD, the white-noise kernel, and
   sum/product composites,
 * the GP's fused log-marginal-likelihood value+gradient (Rasmussen &
-  Williams Eq. 5.9), including the observation-noise parameter.
+  Williams Eq. 5.9), including the observation-noise parameter, against
+  differences of both its own value and the value-only
+  ``log_marginal_likelihood``; and the fused optimiser against
+  L-BFGS-B driven by finite differences of that likelihood.
 
 Matérn 1/2 is not differentiable at zero distance, so its self-pair
 checks mask the diagonal (where the analytic subgradient is exactly 0
@@ -16,6 +19,7 @@ and central differences only measure ``sqrt(eps)`` noise).
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from repro.ml.gp import GaussianProcessRegressor
 from repro.ml.kernels import (
@@ -213,6 +217,39 @@ class TestFusedLMLGradient:
             numeric = (vp - vm) / (2 * STEP)
             assert grad[param] == pytest.approx(numeric, abs=1e-4, rel=1e-4)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: RBF(), id="rbf"),
+            pytest.param(lambda: Matern32(), id="matern32"),
+            pytest.param(lambda: Matern52(lengthscale=np.ones(4)), id="matern52-ard"),
+        ],
+    )
+    def test_matches_differences_of_value_only_likelihood(self, make, data):
+        """The fused gradient against central differences of the public
+        value-only :meth:`log_marginal_likelihood`.
+
+        Matérn 1/2 is left out: the value-only path evaluates distances
+        directly, so its self-pair distances carry rounding noise where
+        the kernel is not differentiable.
+        """
+        X, y_scaled = data
+        gp = GaussianProcessRegressor(make(), optimise=False, seed=0).fit(X, y_scaled)
+        gp._eye = np.eye(X.shape[0])
+        theta = gp._packed_theta()
+        _, grad = gp._lml_value_and_grad(theta, y_scaled, Geometry(X))
+
+        def lml_at(point):
+            gp._set_packed_theta(point)
+            return gp.log_marginal_likelihood(y_scaled)
+
+        for param in range(theta.size):
+            tp, tm = theta.copy(), theta.copy()
+            tp[param] += STEP
+            tm[param] -= STEP
+            numeric = (lml_at(tp) - lml_at(tm)) / (2 * STEP)
+            assert grad[param] == pytest.approx(numeric, abs=1e-4, rel=1e-4)
+
     def test_fused_value_matches_value_only_path(self, data):
         X, y_scaled = data
         gp = GaussianProcessRegressor(Matern52(), optimise=False, seed=0).fit(X, y_scaled)
@@ -223,20 +260,45 @@ class TestFusedLMLGradient:
         assert fused == pytest.approx(gp.log_marginal_likelihood(y_scaled), rel=1e-12)
 
 
-class TestGradientModes:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="gradient mode"):
-            GaussianProcessRegressor(gradient="magic")
+class FiniteDifferenceGP(GaussianProcessRegressor):
+    """The reference optimiser: L-BFGS-B on the value-only likelihood.
 
+    Same starts and bounds as the fused path, but the gradient comes
+    from L-BFGS-B's own finite differences of
+    :meth:`~repro.ml.gp.GaussianProcessRegressor.log_marginal_likelihood`
+    (one kernel build and Cholesky per parameter per gradient).
+    """
+
+    def _optimise_hyperparameters(self, y_scaled, geometry):
+        bounds = self._packed_bounds()
+        starts = [self._packed_theta()]
+        for _ in range(self.n_restarts):
+            starts.append(self._rng.uniform(bounds[:, 0], bounds[:, 1]))
+
+        def negative_lml(theta):
+            self._set_packed_theta(theta)
+            return -self.log_marginal_likelihood(y_scaled)
+
+        best_theta, best_value = starts[0], np.inf
+        for start in starts:
+            result = optimize.minimize(
+                negative_lml, start, method="L-BFGS-B", bounds=bounds
+            )
+            if result.fun < best_value:
+                best_theta, best_value = result.x, float(result.fun)
+        self._set_packed_theta(best_theta)
+
+
+class TestGradientModes:
     def test_analytic_and_numeric_reach_the_same_likelihood(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(-3, 3, size=(14, 3))
         y = np.sin(X[:, 0]) + 0.3 * X[:, 2]
         y_scaled = (y - y.mean()) / y.std()
         lml = {}
-        for mode in ("analytic", "numeric"):
-            gp = GaussianProcessRegressor(Matern52(), seed=0, gradient=mode).fit(X, y)
-            lml[mode] = gp.log_marginal_likelihood(y_scaled)
+        for name, cls in (("analytic", GaussianProcessRegressor), ("numeric", FiniteDifferenceGP)):
+            gp = cls(Matern52(), seed=0).fit(X, y)
+            lml[name] = gp.log_marginal_likelihood(y_scaled)
         assert lml["analytic"] == pytest.approx(lml["numeric"], abs=1e-3)
 
     def test_analytic_uses_fewer_kernel_builds(self):
@@ -244,14 +306,13 @@ class TestGradientModes:
         X = rng.uniform(-3, 3, size=(12, 4))
         y = np.sin(X[:, 0]) + 0.5 * X[:, 1]
         builds = {}
-        for mode in ("analytic", "numeric"):
-            gp = GaussianProcessRegressor(Matern52(), seed=0, gradient=mode).fit(X, y)
-            builds[mode] = gp.n_kernel_builds
+        for name, cls in (("analytic", GaussianProcessRegressor), ("numeric", FiniteDifferenceGP)):
+            builds[name] = cls(Matern52(), seed=0).fit(X, y).n_kernel_builds
         # The fused path needs one kernel build per L-BFGS-B iteration;
         # finite differences need one per parameter per iteration.
         assert builds["numeric"] >= 3 * builds["analytic"]
 
-    def test_kernels_without_analytic_gradient_fall_back(self):
+    def test_kernels_without_analytic_gradient_raise(self):
         class Opaque(Matern52):
             def value_and_grad(self, geometry):
                 raise NotImplementedError("no analytic gradient")
@@ -259,9 +320,12 @@ class TestGradientModes:
         rng = np.random.default_rng(6)
         X = rng.uniform(-3, 3, size=(10, 2))
         y = np.sin(X[:, 0])
-        gp = GaussianProcessRegressor(Opaque(), seed=0, gradient="analytic").fit(X, y)
-        reference = GaussianProcessRegressor(Matern52(), seed=0, gradient="numeric").fit(X, y)
-        assert np.allclose(gp.predict(X), reference.predict(X), atol=1e-8)
+        with pytest.raises(NotImplementedError, match="analytic gradient"):
+            GaussianProcessRegressor(Opaque(), seed=0).fit(X, y)
+        # Fixed hyperparameters need no gradient.
+        fixed = GaussianProcessRegressor(Opaque(), optimise=False).fit(X, y)
+        reference = GaussianProcessRegressor(Matern52(), optimise=False).fit(X, y)
+        assert np.array_equal(fixed.predict(X), reference.predict(X))
 
     def test_predict_with_cross_geometry_matches_plain(self):
         rng = np.random.default_rng(7)
