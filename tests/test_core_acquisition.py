@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.acquisition import (
     expected_improvement,
@@ -155,3 +156,38 @@ class TestTopQIndices:
         arr[10] = np.nan
         arr[50] = 5.0
         assert top_q_indices(arr, 3) == _top_q_reference(arr, 3)
+
+
+class TestStandardNormal:
+    """The acquisition module's normal cdf/pdf/logsf are scipy.stats.norm's
+    values bit for bit (the golden digests hash the scores), on finite and
+    infinite inputs alike."""
+
+    @staticmethod
+    def _same_bits(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=hnp.arrays(
+            dtype=float,
+            shape=st.integers(0, 40),
+            elements=st.floats(allow_nan=True, allow_infinity=True),
+        )
+    )
+    def test_matches_scipy_stats(self, values):
+        from scipy import stats
+
+        from repro.core import acquisition
+
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 8.3, -38.5])
+        x = np.concatenate([values, edges])
+        assert self._same_bits(acquisition._norm_cdf(x), stats.norm.cdf(x))
+        assert self._same_bits(acquisition._norm_pdf(x), stats.norm.pdf(x))
+        logsf, expected = acquisition._norm_logsf(x), stats.norm.logsf(x)
+        # The one difference is the sign of zero at x = -inf (log_ndtr
+        # gives -0.0 where scipy.stats places +0.0): equal values.
+        finite_side = x != -np.inf
+        assert self._same_bits(logsf[finite_side], expected[finite_side])
+        assert np.all(logsf[~finite_side] == expected[~finite_side])
