@@ -15,7 +15,13 @@ pipeline produces:
   packed tree walk's factored-size crossover.  ``.../q1/<kernel>``
   cells run clean on-demand q=1 Naive BO under the other three
   Figure 7 kernels (RBF, Matérn 1/2, Matérn 3/2; the matrix itself
-  uses CherryPick's Matérn 5/2).
+  uses CherryPick's Matérn 5/2).  ``search/augmented/warm/...`` cells
+  run Augmented BO with warm refits (``refit_fraction=0.25``) and
+  ``search/augmented/random-forest/...`` cells with the CART random
+  forest as the surrogate, each on both catalogs (the ``aws-large``
+  twins reach the factored walk).  ``search/history/...`` runs
+  HistoryAugmentedBO under a history prior built from every other
+  workload of the trace.
   "faulty" injects
   ``transient:rate=0.4+outage:vm=c4.large`` with ``quarantine_after=2``;
   "spot" prices the search on a hot market that revokes often enough
@@ -23,7 +29,9 @@ pipeline produces:
 * ``cache/<grid>/<executor>`` cells hash the runner-cache file bytes of
   a 2-workload x 2-repeat grid run under the ``serial`` and ``vector``
   executors (the ``aws-large`` grid under ``vector`` only, which stacks
-  its searches' large query sets through ``predict_packed_many``).
+  its searches' large query sets through ``predict_packed_many``).  The
+  clean Augmented BO grid also runs under the ``pool`` and ``queue``
+  executors with two workers; their digests must equal the serial one.
 
 The digests are float-bit-exact, so they are recorded together with the
 Python, numpy and scipy versions that produced them.
@@ -63,6 +71,11 @@ from repro.analysis.runner import (  # noqa: E402
 from repro.cloud.spot import SpotMarket, SpotPolicy  # noqa: E402
 from repro.core.augmented_bo import AugmentedBO  # noqa: E402
 from repro.core.baselines import RandomSearch  # noqa: E402
+from repro.core.history_bo import (  # noqa: E402
+    HistoryAugmentedBO,
+    HistoryModel,
+    build_history_pairs,
+)
 from repro.core.hybrid_bo import HybridBO  # noqa: E402
 from repro.core.naive_bo import NaiveBO  # noqa: E402
 from repro.core.objectives import Objective  # noqa: E402
@@ -80,6 +93,13 @@ METHODS = {
     "augmented": AugmentedBO,
     "hybrid": HybridBO,
     "random": RandomSearch,
+}
+#: The methods the clean/faulty x pricing x q matrix crosses.
+MATRIX_METHODS = ("naive", "augmented", "hybrid", "random")
+#: Augmented BO surrogate variants pinned on both catalogs.
+AUGMENTED_VARIANTS = {
+    "warm": {"refit_fraction": 0.25},
+    "random-forest": {"ensemble": "random_forest"},
 }
 FAULTY_PLAN = "transient:rate=0.4+outage:vm=c4.large"
 #: High-hazard spot market (the same one the spot tests use).
@@ -120,8 +140,14 @@ def build_search(
     max_measurements: int | None = None,
     churn: bool = False,
     kernel: str | None = None,
+    options: dict | None = None,
 ):
-    """One seeded optimiser for a matrix cell."""
+    """One seeded optimiser for a matrix cell.
+
+    ``method="history"`` builds HistoryAugmentedBO with a prior over
+    every other workload of ``trace``; ``options`` are extra optimiser
+    keyword arguments.
+    """
     rules = []
     kwargs: dict = dict(
         seed=SEED,
@@ -132,6 +158,12 @@ def build_search(
     )
     if kernel is not None:
         kwargs["kernel"] = kernel_by_name(kernel)
+    if options:
+        kwargs.update(options)
+    if method == "history":
+        kwargs["history"] = HistoryModel(
+            *build_history_pairs(trace, WORKLOAD, seed=SEED), seed=SEED
+        )
     if faults == "faulty":
         rules.append(FAULTY_PLAN)
         kwargs["quarantine_after"] = 2
@@ -148,12 +180,13 @@ def build_search(
         environment = FaultInjector(
             environment, parse_fault_plan("+".join(rules), seed=SEED)
         )
-    return METHODS[method](environment, **kwargs)
+    cls = HistoryAugmentedBO if method == "history" else METHODS[method]
+    return cls(environment, **kwargs)
 
 
 def search_cells() -> Iterator[tuple[str, dict]]:
     """``(cell name, build_search kwargs)`` for every search cell."""
-    for method in METHODS:
+    for method in MATRIX_METHODS:
         for faults in ("clean", "faulty"):
             for pricing in ("on-demand", "spot"):
                 for q in (1, 4):
@@ -183,6 +216,15 @@ def search_cells() -> Iterator[tuple[str, dict]]:
             f"search/naive/clean/on-demand/q1/{kernel}",
             dict(method="naive", faults="clean", pricing="on-demand", q=1, kernel=kernel),
         )
+    for variant, options in AUGMENTED_VARIANTS.items():
+        yield (
+            f"search/augmented/{variant}/on-demand/q1",
+            dict(method="augmented", faults="clean", pricing="on-demand", q=1, options=options),
+        )
+    yield (
+        "search/history/clean/on-demand/q1",
+        dict(method="history", faults="clean", pricing="on-demand", q=1),
+    )
 
 
 def large_search_cells() -> Iterator[tuple[str, dict]]:
@@ -193,6 +235,14 @@ def large_search_cells() -> Iterator[tuple[str, dict]]:
             dict(
                 method=method, faults="clean", pricing="on-demand", q=1,
                 max_measurements=LARGE_BUDGET,
+            ),
+        )
+    for variant, options in AUGMENTED_VARIANTS.items():
+        yield (
+            f"search/augmented/{variant}/on-demand/q1/{LARGE_CATALOG}",
+            dict(
+                method="augmented", faults="clean", pricing="on-demand", q=1,
+                max_measurements=LARGE_BUDGET, options=options,
             ),
         )
 
@@ -241,11 +291,15 @@ def _large_factory(environment, objective, seed):
 
 #: ``grid key -> (factory, catalog, executors)``.
 CACHE_GRIDS = {
-    "augmented-clean": (_clean_factory, None, ("serial", "vector")),
+    "augmented-clean": (_clean_factory, None, ("serial", "vector", "pool", "queue")),
     "augmented-faulty": (_faulty_factory, None, ("serial", "vector")),
     "naive-spot-q4": (_spot_q4_factory, None, ("serial", "vector")),
     "augmented-large": (_large_factory, LARGE_CATALOG, ("vector",)),
 }
+
+
+#: Worker counts for the process-based executors (1 everywhere else).
+EXECUTOR_WORKERS = {"pool": 2, "queue": 2}
 
 
 def cache_digests(trace=None) -> dict[str, str]:
@@ -265,7 +319,7 @@ def cache_digests(trace=None) -> dict[str, str]:
             for executor in executors:
                 cache_dir = Path(tmp) / executor
                 ExperimentRunner(grid_trace, cache_dir=cache_dir).run(
-                    grid, workers=1, executor=executor
+                    grid, workers=EXECUTOR_WORKERS.get(executor, 1), executor=executor
                 )
                 data = (cache_dir / f"golden-{key}__time.json").read_bytes()
                 out[f"cache/{key}/{executor}"] = digest(data)

@@ -50,9 +50,20 @@ def test_search_digests_unchanged(payloads):
     assert golden.diff(_recorded("search/"), current) == []
 
 
-def test_cache_digests_unchanged(trace):
-    current = golden.cache_digests(trace)
-    assert golden.diff(_recorded("cache/"), current) == []
+@pytest.fixture(scope="module")
+def caches(trace):
+    return golden.cache_digests(trace)
+
+
+def test_cache_digests_unchanged(caches):
+    assert golden.diff(_recorded("cache/"), caches) == []
+
+
+@pytest.mark.parametrize("executor", ["pool", "queue"])
+def test_process_executor_caches_equal_serial(caches, executor):
+    """Two fork workers (or queue pull-workers) write the serial bytes."""
+    grid = "cache/augmented-clean"
+    assert caches[f"{grid}/{executor}"] == caches[f"{grid}/serial"]
 
 
 def test_matrix_covers_the_pinned_behaviours(payloads):
