@@ -7,14 +7,15 @@ Writes ``BENCH_perf.json`` at the repo root with
   the resulting cache files) and the engine's clamped worker count,
 * per-step surrogate scoring time at 15 measurements for the
   full-refit configuration vs the warm-start ``refit_fraction`` path,
-  including the per-step build/fit/predict breakdown, and
-* full-refit fit time under the classic per-node grower vs the
-  level-synchronous vectorized builder, and
+  including the per-step build/fit/query/predict breakdown (each a
+  timed public call), the full-refit fit time of the level-synchronous
+  builder, and the retired per-node grower's last measured numbers
+  carried forward as ``classic_history``, and
 * full-search wall-clock for batched (``batch_size=4``) vs sequential
   suggestions on the tree and GP paths (the ``batch`` section), and
 * suggest-cycle latency across catalog sizes — the paper's 18 types,
   ``aws-large`` (210) and ``multicloud`` (390) — comparing the
-  incremental query-row buffer against the legacy rebuild path, plus a
+  factored query rows against a dense ``repeat``/``tile`` assembly, plus a
   budgeted end-to-end Hybrid-BO search on ``multicloud`` (the
   ``catalog`` section), and
 * grid wall-clock for the lock-step cross-search ``--executor vector``
@@ -219,6 +220,69 @@ def test_parallel_grid_speedup(trace, tmp_path):
         assert speedup >= 2.0
 
 
+def _dense_query_rows(design: np.ndarray, pending) -> np.ndarray:
+    """The reference query assembly: all ``u * m`` dense rows built with
+    ``repeat``/``tile`` and transformed by the step's scaler."""
+    index, metrics = pending.index, pending.metrics
+    candidates = np.asarray(pending.unmeasured, dtype=np.int64)
+    u, m, d = candidates.size, index.size, design.shape[1]
+    rows = np.empty((u * m, pending.X_scaled.shape[1]))
+    rows[:, :d] = np.repeat(design[candidates], m, axis=0)
+    rows[:, d : 2 * d] = np.tile(design[index], (u, 1))
+    rows[:, 2 * d :] = np.tile(metrics, (u, 1))
+    return pending.scaler.transform(rows)
+
+
+def _timed_step(
+    scorer: PairwiseTreeScorer, measured, values, measurements, unmeasured,
+    dense_design: np.ndarray | None = None,
+) -> tuple[dict, np.ndarray]:
+    """One scoring step as its public calls, each timed, and its scores.
+
+    With ``dense_design`` the query rows come from
+    :func:`_dense_query_rows` instead of the scorer's factored
+    ``query_rows``.
+    """
+    t0 = perf_counter()
+    pending = scorer.score_begin(measured, values, measurements, unmeasured)
+    t1 = perf_counter()
+    pending.model.fit(pending.X_scaled, pending.y_train)
+    t2 = perf_counter()
+    if dense_design is None:
+        scorer.query_rows(pending)
+    else:
+        pending.scaled_query = _dense_query_rows(dense_design, pending)
+    t3 = perf_counter()
+    scores = scorer.score_commit(pending).scores
+    t4 = perf_counter()
+    timings = {
+        "n_measured": len(measured),
+        "n_candidates": len(unmeasured),
+        "build_s": t1 - t0,
+        "fit_s": t2 - t1,
+        "query_s": t3 - t2,
+        "predict_s": t4 - t3,
+    }
+    return timings, scores
+
+
+def _classic_history() -> dict:
+    """The retired per-node grower's last measured numbers.
+
+    They are not re-measured: each run carries the previous
+    ``surrogate`` section's ``classic_history`` forward (first taken
+    from the section's old ``classic_builder_fit_s`` and
+    ``builder_reduction`` keys), so the comparison stays on record.
+    """
+    _snapshot_previous()
+    previous = (_previous_bench or {}).get("surrogate", {})
+    return dict(previous.get("classic_history") or {
+        key: previous[key]
+        for key in ("classic_builder_fit_s", "builder_reduction")
+        if key in previous
+    })
+
+
 def test_surrogate_scoring_reduction(trace):
     environment = trace.environment(all_workload_ids()[0])
     environment.reset()
@@ -242,32 +306,24 @@ def test_surrogate_scoring_reduction(trace):
             timings.append(perf_counter() - t0)
         return min(timings)
 
-    def best_fit_time(scorer: PairwiseTreeScorer, rounds: int = 5) -> float:
-        """Fastest per-step ensemble fit time over ``rounds`` calls."""
+    def best_step(scorer: PairwiseTreeScorer, rounds: int = 5) -> tuple[float, dict]:
+        """Fastest ensemble fit over ``rounds`` timed steps, and the last
+        step's breakdown."""
         scorer.score(measured, values, measurements, unmeasured)  # warm-up
-        fits = []
-        for _ in range(rounds):
-            scorer.score(measured, values, measurements, unmeasured)
-            fits.append(scorer.step_timings[-1]["fit_s"])
-        return min(fits)
+        steps = [
+            _timed_step(scorer, measured, values, measurements, unmeasured)[0]
+            for _ in range(rounds)
+        ]
+        return min(step["fit_s"] for step in steps), steps[-1]
 
     full = PairwiseTreeScorer(design, seed=0)
     fast = PairwiseTreeScorer(design, seed=0, refit_fraction=FAST_REFIT)
     full_s = best_score_time(full)
     fast_s = best_score_time(fast)
     reduction = full_s / fast_s if fast_s > 0 else float("inf")
-
-    # The tentpole comparison: the same full-refit fit under the classic
-    # per-node grower vs the level-synchronous vectorized builder.
-    classic_fit_s = best_fit_time(
-        PairwiseTreeScorer(design, seed=0, tree_builder="classic")
-    )
-    vector_fit_s = best_fit_time(
-        PairwiseTreeScorer(design, seed=0, tree_builder="vectorized")
-    )
-    builder_reduction = (
-        classic_fit_s / vector_fit_s if vector_fit_s > 0 else float("inf")
-    )
+    vector_fit_s, full_step = best_step(PairwiseTreeScorer(design, seed=0))
+    _, warm_step = best_step(fast)
+    history = _classic_history()
 
     payload = {
         "n_measured": AT_MEASUREMENTS,
@@ -276,11 +332,10 @@ def test_surrogate_scoring_reduction(trace):
         "full_refit_score_s": round(full_s, 6),
         "warm_refit_score_s": round(fast_s, 6),
         "reduction": round(reduction, 3),
-        "classic_builder_fit_s": round(classic_fit_s, 6),
         "vectorized_builder_fit_s": round(vector_fit_s, 6),
-        "builder_reduction": round(builder_reduction, 3),
-        "classic_step_timings": full.step_timings[-1],
-        "warm_step_timings": fast.step_timings[-1],
+        "full_step_timings": full_step,
+        "warm_step_timings": warm_step,
+        "classic_history": history,
     }
     _merge_bench("surrogate", payload)
     show(
@@ -289,14 +344,16 @@ def test_surrogate_scoring_reduction(trace):
             ("full-refit score (ms)", "-", f"{full_s * 1e3:.1f}"),
             ("warm-refit score (ms)", "-", f"{fast_s * 1e3:.1f}"),
             ("warm-start reduction", ">= 3x", f"{reduction:.2f}x"),
-            ("classic-builder fit (ms)", "-", f"{classic_fit_s * 1e3:.1f}"),
             ("vectorized-builder fit (ms)", "-", f"{vector_fit_s * 1e3:.1f}"),
-            ("builder reduction", ">= 4x", f"{builder_reduction:.2f}x"),
+            (
+                "classic-builder fit (ms)",
+                "-",
+                f"{history.get('classic_builder_fit_s', float('nan')) * 1e3:.1f} (historical)",
+            ),
         ],
     )
     _show_delta("surrogate", payload)
     assert reduction >= 3.0
-    assert builder_reduction >= 4.0
 
 
 #: The paper's Figure 7 kernel sweep: Naive BO under each of the four.
@@ -496,11 +553,11 @@ def test_catalog_scaling():
 
     At a fixed measured history the scorer's query phase — assembling
     and scaling one (candidates x sources) row block per score call —
-    is the part that grows with the catalog.  The incremental
-    ``query_mode`` keeps the block factored (scaled candidate rows and
-    scaled source rows) instead of building it with ``repeat``/``tile``
-    every call; both modes are bit-identical, so the comparison below is
-    pure assembly cost.  The
+    is the part that grows with the catalog.  The scorer keeps the block
+    factored (scaled candidate rows and scaled source rows) instead of
+    building it with ``repeat``/``tile`` every call
+    (:func:`_dense_query_rows`, the reference); both give bit-identical
+    scores, so the comparison below is pure assembly cost.  The
     end-to-end number is a budgeted seeded Hybrid-BO search on the
     390-type ``multicloud`` catalog: large catalogs stay searchable
     under a measurement budget.
@@ -525,15 +582,23 @@ def test_catalog_scaling():
 
         mode_stats: dict = {}
         for mode in ("incremental", "rebuild"):
-            scorer = PairwiseTreeScorer(design, seed=0, query_mode=mode)
-            first = scorer.score(measured, values, measurements, unmeasured)
-            best_suggest = best_query = float("inf")
-            for _ in range(N_CATALOG_ROUNDS):
-                t0 = perf_counter()
-                scorer.score(measured, values, measurements, unmeasured)
-                best_suggest = min(best_suggest, perf_counter() - t0)
-                best_query = min(best_query, scorer.step_timings[-1]["query_s"])
-            mode_stats[mode] = (best_suggest, best_query, first.scores)
+            scorer = PairwiseTreeScorer(design, seed=0)
+            runs = [
+                _timed_step(
+                    scorer, measured, values, measurements, unmeasured,
+                    dense_design=design if mode == "rebuild" else None,
+                )
+                for _ in range(N_CATALOG_ROUNDS + 1)
+            ]
+            timings = [step for step, _ in runs[1:]]
+            mode_stats[mode] = (
+                min(
+                    step["build_s"] + step["fit_s"] + step["query_s"] + step["predict_s"]
+                    for step in timings
+                ),
+                min(step["query_s"] for step in timings),
+                runs[0][1],
+            )
 
         suggest_s, query_s, scores = mode_stats["incremental"]
         rebuild_suggest_s, rebuild_query_s, rebuild_scores = mode_stats["rebuild"]
@@ -584,8 +649,8 @@ def test_catalog_scaling():
     assert payload["small_bit_identical"]
     assert payload["large_bit_identical"]
     assert payload["multi_bit_identical"]
-    # The perf contract: incremental query assembly at 200+ candidates
-    # beats the repeat/tile rebuild by at least 2x.
+    # The perf contract: factored query assembly at 200+ candidates
+    # beats the dense repeat/tile assembly by at least 2x.
     assert payload["multi_query_speedup"] >= 2.0
     assert len(result.steps) == CATALOG_E2E_BUDGET
 

@@ -195,15 +195,8 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--refit-fraction", type=float, default=1.0,
         help="fraction of surrogate trees regrown per step for the "
-        "augmented/hybrid methods (1.0 = full refit, bit-identical "
-        "classic behaviour; smaller = faster warm-start refits)",
-    )
-    parser.add_argument(
-        "--tree-builder", choices=["vectorized", "classic"],
-        default="vectorized",
-        help="surrogate tree-growth strategy for the augmented/hybrid "
-        "methods: level-synchronous batched growth (default) or the "
-        "per-node recursive grower (statistically equivalent)",
+        "augmented/hybrid methods (1.0 = full refit, the default; "
+        "smaller = faster warm-start refits)",
     )
     parser.add_argument(
         "--batch-size", type=int, default=1,
@@ -296,7 +289,6 @@ def _build_optimizer(args: argparse.Namespace, environment, seed: int | None = N
     extra = {}
     if args.method in ("augmented", "hybrid"):
         extra["refit_fraction"] = args.refit_fraction
-        extra["tree_builder"] = args.tree_builder
     batch_size = getattr(args, "batch_size", 1)
     fanout = None
     if batch_size > 1 and getattr(args, "batch_workers", 1) > 1:
@@ -390,9 +382,10 @@ def _search_grid_key(args: argparse.Namespace) -> str:
         args.method, args.objective, args.stop, args.stop_value,
         args.measure_retries, args.retry_backoff, args.quarantine_after,
         args.fault_plan, args.fault_seed, args.refit_fraction,
-        # "analytic" stands where the retired --gp-gradient value sat,
-        # so keys (and the caches they name) stay byte-stable.
-        args.tree_builder, "analytic",
+        # "vectorized" and "analytic" stand where the retired
+        # --tree-builder and --gp-gradient values sat, so keys (and the
+        # caches they name) stay byte-stable.
+        "vectorized", "analytic",
     )
     # Batched searches produce different measurement sequences, so the
     # batch shape joins the key — but only when batching is on, which

@@ -46,26 +46,20 @@ optimisations keep it fast without changing seeded results:
   ``[candidate | source]``, so the scaled ``u`` candidate rows and the
   scaled ``m``-row source table travel as a
   :class:`~repro.ml.tree.PairRows` (scaling is elementwise per column,
-  so each factor's floats equal the dense rows' bit for bit;
-  ``query_mode="rebuild"`` keeps the dense ``repeat``/``tile`` assembly
-  as the reference);
+  so each factor's floats equal the dense rows' bit for bit);
 * the query is scored by a single ensemble predict over all trees
   (:func:`repro.ml.tree.predict_packed`), which walks large ``u * m``
   queries over destination-set x source-set products instead of one
   cursor per row, and smaller ones flat;
-* ``refit_fraction`` (default 1.0 = full refit, bit-identical) enables
-  the ensemble's warm-start mode: only a seeded subset of trees is
-  regrown per step, cutting fit time roughly proportionally.
-
-Per-step build/fit/predict wall-clock is recorded in
-:attr:`PairwiseTreeScorer.step_timings` so ``benchmarks/test_perf_engine.py``
-can track the surrogate's perf trajectory.
+* ``refit_fraction`` (default 1.0 = full refit) enables the ensemble's
+  warm-start mode: only a seeded subset of trees is regrown per step
+  and spliced into the packed ensemble, cutting fit time roughly
+  proportionally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -75,7 +69,6 @@ from repro.ml.extra_trees import ExtraTreesRegressor
 from repro.ml.random_forest import RandomForestRegressor
 from repro.ml.scaling import StandardScaler
 from repro.ml.tree import PairRows
-from repro.ml.tree_builder import TREE_BUILDERS
 from repro.simulator.cluster import Measurement
 
 #: Default ensemble size for the Extra-Trees surrogate.
@@ -84,13 +77,6 @@ DEFAULT_N_ESTIMATORS = 24
 #: Tree ensembles the surrogate can use; the paper picks Extra-Trees,
 #: the CART random forest is its classic sibling (for the ablation).
 ENSEMBLES = ("extra_trees", "random_forest")
-
-#: How candidate query rows are produced per scoring step:
-#: ``"incremental"`` (default) keeps them factored as scaled candidate
-#: and source tables (:class:`~repro.ml.tree.PairRows`), ``"rebuild"``
-#: assembles and transforms all dense rows (the reference path).  Both
-#: are bit-identical.
-QUERY_MODES = ("incremental", "rebuild")
 
 
 @dataclass(slots=True)
@@ -111,12 +97,8 @@ class _PendingTreeScore:
     model: object
     X_scaled: np.ndarray
     y_train: np.ndarray
-    width: int
     unmeasured: list[int] = field(default_factory=list)
-    build_s: float = 0.0
-    fit_prep_s: float = 0.0
-    scaled_query: PairRows | np.ndarray | None = None
-    query_s: float = 0.0
+    scaled_query: PairRows | None = None
 
 
 class PairwiseTreeScorer:
@@ -141,18 +123,8 @@ class PairwiseTreeScorer:
         seed: seed for the ensemble's randomisation.
         refit_fraction: fraction of trees regrown per step (Extra-Trees
             only).  1.0 — the default — refits the whole ensemble from a
-            fresh per-step seed, keeping seeded searches bit-identical to
-            the classic implementation; smaller values keep one warm
-            ensemble across steps and regrow only a seeded subset.
-        tree_builder: how the surrogate's trees are grown —
-            ``"vectorized"`` (default, level-synchronous batched growth)
-            or ``"classic"`` (per-node recursion); see
-            :mod:`repro.ml.tree_builder`.
-        query_mode: ``"incremental"`` (default) hands the tree walk the
-            candidate x source query as scaled factors
-            (:class:`~repro.ml.tree.PairRows`); ``"rebuild"`` assembles
-            the dense rows every step (the reference path).  Predictions
-            are bit-identical either way.
+            fresh per-step seed; smaller values keep one warm ensemble
+            across steps and regrow only a seeded subset.
     """
 
     def __init__(
@@ -163,15 +135,9 @@ class PairwiseTreeScorer:
         ensemble: str = "extra_trees",
         seed: int | None = None,
         refit_fraction: float = 1.0,
-        tree_builder: str = "vectorized",
-        query_mode: str = "incremental",
     ) -> None:
         if ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {ensemble!r}; known: {ENSEMBLES}")
-        if query_mode not in QUERY_MODES:
-            raise ValueError(
-                f"unknown query_mode {query_mode!r}; known: {QUERY_MODES}"
-            )
         if not 0.0 < refit_fraction <= 1.0:
             raise ValueError(
                 f"refit_fraction must be in (0, 1], got {refit_fraction}"
@@ -181,22 +147,12 @@ class PairwiseTreeScorer:
                 "refit_fraction < 1 (warm-start refit) requires the "
                 "extra_trees ensemble"
             )
-        if tree_builder not in TREE_BUILDERS:
-            raise ValueError(
-                f"unknown tree_builder {tree_builder!r}, expected one of {TREE_BUILDERS}"
-            )
         self._design = np.asarray(design_matrix, dtype=float)
         self.n_estimators = n_estimators
         self.relational = relational
         self.ensemble = ensemble
         self.refit_fraction = refit_fraction
-        self.tree_builder = tree_builder
-        self.query_mode = query_mode
         self._rng = np.random.default_rng(seed)
-        #: Per-call wall-clock breakdown, appended by :meth:`score`:
-        #: dicts with n_measured / n_candidates / build_s / fit_s /
-        #: query_s (candidate-row assembly) / predict_s (whole phase).
-        self.step_timings: list[dict] = []
         # Pair-matrix cache.  The buffer is indexed [source, destination]
         # so buffer[:m, :m].reshape(m * m, d) is exactly the source-major
         # enumeration of _training_set.  Allocated lazily because the
@@ -219,14 +175,12 @@ class PairwiseTreeScorer:
                 min_samples_split=6,
                 seed=seed,
                 refit_fraction=self.refit_fraction,
-                tree_builder=self.tree_builder,
             )
         return RandomForestRegressor(
             n_estimators=self.n_estimators,
             max_features=None,
             min_samples_split=6,
             seed=seed,
-            tree_builder=self.tree_builder,
         )
 
     def _pair_row(self, dest: int, source: int, source_metrics: np.ndarray) -> np.ndarray:
@@ -322,15 +276,11 @@ class PairwiseTreeScorer:
 
         The cross-search batched builder
         (:func:`repro.ml.tree_builder.build_extra_trees_stacked`) only
-        reproduces the full-refit vectorized Extra-Trees path bit for
-        bit; warm refits, classic growth and the CART random forest fall
-        back to the per-search loop.
+        reproduces the full-refit Extra-Trees path bit for bit; warm
+        refits and the CART random forest fall back to the per-search
+        loop.
         """
-        return (
-            self.ensemble == "extra_trees"
-            and self.refit_fraction == 1.0
-            and self.tree_builder == "vectorized"
-        )
+        return self.ensemble == "extra_trees" and self.refit_fraction == 1.0
 
     def score_begin(
         self,
@@ -348,7 +298,6 @@ class PairwiseTreeScorer:
         ``model.fit`` + ``score_commit`` is bit-identical to
         :meth:`score` — it is the same code, split.
         """
-        t_build = perf_counter()
         index = np.asarray(measured, dtype=np.int64)
         values = np.asarray(values, dtype=float)
         # to_vector is memoised per measurement, so this is m cheap reads.
@@ -356,9 +305,6 @@ class PairwiseTreeScorer:
         self._sync_pair_cache(index, values, metrics)
         X_train, y_train = self.cached_training_set()
         log_values = np.log(values)
-        build_s = perf_counter() - t_build
-
-        t_prep = perf_counter()
         if self.refit_fraction < 1.0:
             # Warm start: one persistent ensemble, scaler frozen on the
             # first fit so kept trees stay consistent with new data.
@@ -378,13 +324,10 @@ class PairwiseTreeScorer:
             model=model,
             X_scaled=X_scaled,
             y_train=y_train,
-            width=X_train.shape[1],
             unmeasured=unmeasured,
-            build_s=build_s,
-            fit_prep_s=perf_counter() - t_prep,
         )
 
-    def query_rows(self, pending: _PendingTreeScore) -> PairRows | np.ndarray:
+    def query_rows(self, pending: _PendingTreeScore) -> PairRows:
         """Assemble (and cache on ``pending``) the scaled query rows.
 
         The ``u * m`` candidate x source rows :meth:`score_commit`
@@ -394,60 +337,38 @@ class PairwiseTreeScorer:
         :meth:`score_commit` calls it itself otherwise.  Idempotent per
         pending step — the rows are built once and cached.
 
-        In incremental mode the rows stay factored as a
-        :class:`~repro.ml.tree.PairRows` of the ``u`` scaled candidate
-        rows and the ``m`` scaled source rows (design + metrics), which
-        the packed tree walk consumes directly; the random-forest
-        ablation gets them materialised.
+        The rows stay factored as a :class:`~repro.ml.tree.PairRows` of
+        the ``u`` scaled candidate rows and the ``m`` scaled source rows
+        (design + metrics), which the packed tree walk consumes
+        directly.  The scaler is elementwise per column, so scaling each
+        factor gives the floats of transforming the dense rows, bit for
+        bit.
         """
-        if pending.scaled_query is not None:
-            return pending.scaled_query
-        index, metrics, scaler = pending.index, pending.metrics, pending.scaler
-        m = index.size
-        d = self._design.shape[1]
-        candidates = np.asarray(pending.unmeasured, dtype=np.int64)
-        u = candidates.size
-        t_query = perf_counter()
-        if self.query_mode == "rebuild":
-            # Reference path: assemble all u * m dense rows and transform
-            # them every step.
-            measured_rows = self._design[index]
-            query_rows = np.empty((u * m, pending.width))
-            query_rows[:, :d] = np.repeat(self._design[candidates], m, axis=0)
-            query_rows[:, d : 2 * d] = np.tile(measured_rows, (u, 1))
-            query_rows[:, 2 * d :] = np.tile(metrics, (u, 1))
-            scaled_query = scaler.transform(query_rows)
-        else:
-            # Factored path: the scaler is elementwise per column, so
-            # scaling each factor gives the rebuild path's floats bit
-            # for bit.
-            mean, scale = scaler.mean_, scaler.scale_
-            sources = np.concatenate([self._design[index], metrics], axis=1)
-            scaled_query = PairRows(
+        if pending.scaled_query is None:
+            d = self._design.shape[1]
+            mean, scale = pending.scaler.mean_, pending.scaler.scale_
+            candidates = np.asarray(pending.unmeasured, dtype=np.int64)
+            sources = np.concatenate(
+                [self._design[pending.index], pending.metrics], axis=1
+            )
+            pending.scaled_query = PairRows(
                 (self._design[candidates] - mean[:d]) / scale[:d],
                 (sources - mean[d:]) / scale[d:],
             )
-            if self.ensemble != "extra_trees":
-                scaled_query = scaled_query.materialize()
-        pending.query_s = perf_counter() - t_query
-        pending.scaled_query = scaled_query
-        return scaled_query
+        return pending.scaled_query
 
     def score_commit(
         self,
         pending: _PendingTreeScore,
-        fit_s: float,
         tree_predictions: np.ndarray | None = None,
     ) -> AcquisitionScores:
         """Everything :meth:`score` does *after* the ensemble fit.
 
         ``pending.model`` must already be fitted on
-        ``(pending.X_scaled, pending.y_train)``; ``fit_s`` is the
-        wall-clock the caller spent doing so (recorded in
-        :attr:`step_timings`).  ``tree_predictions`` optionally supplies
-        the per-tree predictions for :meth:`query_rows` — an
-        ``(n_trees, u * m)`` array from a batched cross-ensemble
-        traversal; the source average over it is exactly the model's own
+        ``(pending.X_scaled, pending.y_train)``.  ``tree_predictions``
+        optionally supplies the per-tree predictions for
+        :meth:`query_rows` — an ``(n_trees, u * m)`` array from a
+        batched cross-ensemble traversal; the source average over it is exactly the model's own
         ``predict``, so the scores are bit-identical either way.
         """
         model = pending.model
@@ -455,7 +376,6 @@ class PairwiseTreeScorer:
         # One prediction per (candidate, measured source); average sources
         # in log space (a geometric mean over sources), so one
         # catastrophic source cannot drown the rest.
-        t_predict = perf_counter()
         scaled_query = self.query_rows(pending)
         u = len(pending.unmeasured)
         if tree_predictions is None:
@@ -466,18 +386,6 @@ class PairwiseTreeScorer:
         if self.relational:
             per_source = per_source + pending.log_values[None, :]
         predicted = np.exp(per_source.mean(axis=1))
-        predict_s = perf_counter() - t_predict
-
-        self.step_timings.append(
-            {
-                "n_measured": int(m),
-                "n_candidates": int(u),
-                "build_s": pending.build_s,
-                "fit_s": fit_s,
-                "query_s": pending.query_s,
-                "predict_s": predict_s,
-            }
-        )
         return AcquisitionScores(scores=prediction_delta(predicted), predicted=predicted)
 
     def score(
@@ -489,10 +397,8 @@ class PairwiseTreeScorer:
     ) -> AcquisitionScores:
         """Fit the pairwise surrogate and score the unmeasured candidates."""
         pending = self.score_begin(measured, values, measurements, unmeasured)
-        t_fit = perf_counter()
         pending.model.fit(pending.X_scaled, pending.y_train)
-        fit_s = pending.fit_prep_s + (perf_counter() - t_fit)
-        return self.score_commit(pending, fit_s)
+        return self.score_commit(pending)
 
 
 class AugmentedBO(SequentialOptimizer):
@@ -503,8 +409,6 @@ class AugmentedBO(SequentialOptimizer):
         relational: surrogate target mode; see :class:`PairwiseTreeScorer`.
         ensemble: surrogate ensemble family; see :class:`PairwiseTreeScorer`.
         refit_fraction: warm-start refit knob; see :class:`PairwiseTreeScorer`.
-        tree_builder: tree-growth strategy; see :class:`PairwiseTreeScorer`.
-        query_mode: candidate-row assembly mode; see :class:`PairwiseTreeScorer`.
         **kwargs: forwarded to :class:`SequentialOptimizer`.
     """
 
@@ -517,8 +421,6 @@ class AugmentedBO(SequentialOptimizer):
         relational: bool = True,
         ensemble: str = "extra_trees",
         refit_fraction: float = 1.0,
-        tree_builder: str = "vectorized",
-        query_mode: str = "incremental",
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
@@ -529,13 +431,11 @@ class AugmentedBO(SequentialOptimizer):
             ensemble=ensemble,
             seed=int(self._rng.integers(2**31)),
             refit_fraction=refit_fraction,
-            tree_builder=tree_builder,
-            query_mode=query_mode,
         )
 
     @property
     def scorer(self) -> PairwiseTreeScorer:
-        """The pairwise surrogate scorer (exposes per-step timings)."""
+        """The pairwise surrogate scorer."""
         return self._scorer
 
     def _score_candidates(self, unmeasured: list[int]) -> AcquisitionScores:

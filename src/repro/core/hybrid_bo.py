@@ -29,10 +29,6 @@ class HybridBO(SequentialOptimizer):
         n_estimators: ensemble size for the late-phase Extra-Trees.
         refit_fraction: warm-start refit knob for the late-phase
             surrogate; see :class:`~repro.core.augmented_bo.PairwiseTreeScorer`.
-        tree_builder: tree-growth strategy for the late-phase surrogate;
-            see :class:`~repro.core.augmented_bo.PairwiseTreeScorer`.
-        query_mode: candidate-row assembly mode for the late-phase
-            surrogate; see :class:`~repro.core.augmented_bo.PairwiseTreeScorer`.
         **kwargs: forwarded to :class:`SequentialOptimizer`.
     """
 
@@ -45,8 +41,6 @@ class HybridBO(SequentialOptimizer):
         kernel: Kernel | None = None,
         n_estimators: int = DEFAULT_N_ESTIMATORS,
         refit_fraction: float = 1.0,
-        tree_builder: str = "vectorized",
-        query_mode: str = "incremental",
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
@@ -63,8 +57,6 @@ class HybridBO(SequentialOptimizer):
             n_estimators=n_estimators,
             seed=int(self._rng.integers(2**31)),
             refit_fraction=refit_fraction,
-            tree_builder=tree_builder,
-            query_mode=query_mode,
         )
 
     def _round_scorer(self) -> GPScorer | PairwiseTreeScorer:

@@ -18,9 +18,8 @@ from repro.ml.kernels import (
     kernel_by_name,
 )
 from repro.ml.gp import GaussianProcessRegressor
-from repro.ml.tree import RegressionTree
 from repro.ml.extra_trees import ExtraTreesRegressor
-from repro.ml.random_forest import CARTRegressionTree, RandomForestRegressor
+from repro.ml.random_forest import RandomForestRegressor
 from repro.ml.sampling import (
     SobolSequence,
     latin_hypercube,
@@ -39,9 +38,7 @@ __all__ = [
     "White",
     "kernel_by_name",
     "GaussianProcessRegressor",
-    "RegressionTree",
     "ExtraTreesRegressor",
-    "CARTRegressionTree",
     "RandomForestRegressor",
     "SobolSequence",
     "latin_hypercube",

@@ -10,19 +10,20 @@ Beyond the mean prediction, the ensemble exposes the across-tree standard
 deviation as an uncertainty proxy — useful for UCB-style acquisition over
 tree surrogates and for the stopping analysis.
 
-Two hot-path optimisations serve the surrogate's inner loop (the model
-is refitted after every measurement of a search):
+The ensemble lives in one :class:`~repro.ml.tree.PackedTrees`, which
+serves the surrogate's inner loop (the model is refitted after every
+measurement of a search):
 
-* prediction packs all trees into one flat node array and evaluates the
-  whole ensemble in a single vectorised traversal
-  (:func:`repro.ml.tree.predict_packed`) — bit-identical to per-tree
-  traversal, but one Python loop over tree depth instead of one per tree;
+* fitting grows every tree level-synchronously straight into that
+  layout (:func:`repro.ml.tree_builder.build_extra_trees`);
+* prediction evaluates the whole ensemble in a single vectorised walk
+  (:func:`repro.ml.tree.predict_packed`);
 * ``refit_fraction`` enables warm-start refitting: on a refit, only a
-  seeded subset of trees is regrown on the new data while the rest keep
-  their previous structure.  The default (1.0) refits everything, so
-  seeded results are bit-identical to the classic behaviour; smaller
-  fractions trade a little surrogate freshness for a proportional cut
-  in per-step fit time.
+  seeded subset of trees is regrown on the new data and spliced into
+  the packed arrays (:meth:`~repro.ml.tree.PackedTrees.splice`) while
+  the rest keep their previous structure.  The default (1.0) refits
+  everything; smaller fractions trade a little surrogate freshness for
+  a proportional cut in per-step fit time.
 """
 
 from __future__ import annotations
@@ -32,17 +33,14 @@ import numpy as np
 from repro.ml.tree import (
     PackedTrees,
     PairRows,
-    RegressionTree,
     coerce_training_data,
-    pack_trees,
     predict_packed,
 )
 from repro.ml.tree_builder import (
-    TREE_BUILDERS,
-    BuiltForest,
     StackedGrowTask,
     build_extra_trees,
     build_extra_trees_stacked,
+    check_growth_limits,
 )
 
 
@@ -60,17 +58,9 @@ class ExtraTreesRegressor:
         seed: seed for the ensemble's randomisation.
         refit_fraction: fraction of trees regrown when :meth:`fit` is
             called on an already-fitted ensemble.  1.0 (default) regrows
-            every tree — the classic, bit-identical behaviour; smaller
-            values warm-start: a seeded subset of ``ceil(fraction * n)``
-            trees is refitted on the new data, the rest are kept.
-        tree_builder: ``"vectorized"`` (default) grows the whole
-            ensemble level-synchronously with batched numpy
-            (:func:`repro.ml.tree_builder.build_extra_trees`) and emits
-            straight into the packed predict format; ``"classic"`` keeps
-            the per-node recursive grower.  Both implement the same
-            split rules; seeded results are statistically equivalent but
-            not bit-identical because random draws are consumed in a
-            different order.
+            every tree; smaller values warm-start: a seeded subset of
+            ``ceil(fraction * n)`` trees is refitted on the new data,
+            the rest are kept.
     """
 
     def __init__(
@@ -81,7 +71,6 @@ class ExtraTreesRegressor:
         max_depth: int | None = None,
         seed: int | None = None,
         refit_fraction: float = 1.0,
-        tree_builder: str = "vectorized",
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be at least 1")
@@ -89,73 +78,27 @@ class ExtraTreesRegressor:
             raise ValueError(
                 f"refit_fraction must be in (0, 1], got {refit_fraction}"
             )
-        if tree_builder not in TREE_BUILDERS:
-            raise ValueError(
-                f"unknown tree_builder {tree_builder!r}, expected one of {TREE_BUILDERS}"
-            )
+        check_growth_limits(min_samples_split, max_depth)
         self.n_estimators = n_estimators
         self.max_features = max_features
         self.min_samples_split = min_samples_split
         self.max_depth = max_depth
         self.refit_fraction = refit_fraction
-        self.tree_builder = tree_builder
         self._rng = np.random.default_rng(seed)
-        self._trees: list[RegressionTree] = []
         self._packed: PackedTrees | None = None
-        # Builder output adopted without per-tree shells (stacked fits);
-        # RegressionTree objects are materialised from it on demand.
-        self._built: BuiltForest | None = None
 
-    @property
-    def trees(self) -> tuple[RegressionTree, ...]:
-        """The fitted trees (empty before :meth:`fit`)."""
-        self._materialize_trees()
-        return tuple(self._trees)
-
-    def _shell(self, built: BuiltForest, index: int) -> RegressionTree:
-        """A standalone ``RegressionTree`` for tree ``index`` of ``built``."""
-        return RegressionTree.from_arrays(
-            *built.tree_arrays(index),
-            max_features=self.max_features,
-            min_samples_split=self.min_samples_split,
-            max_depth=self.max_depth,
-        )
-
-    def _materialize_trees(self) -> None:
-        """Build per-tree shells from a lazily adopted forest, if any."""
-        if self._built is None:
-            return
-        built = self._built
-        self._built = None
-        self._trees = [self._shell(built, index) for index in range(built.n_trees)]
-
-    def adopt_built(self, built: BuiltForest) -> None:
+    def adopt_built(self, packed: PackedTrees) -> None:
         """Install a pre-grown forest as this ensemble's fitted state.
 
-        Used by full vectorized refits and :func:`fit_ensembles_stacked`:
-        the packed arrays serve prediction immediately; the per-tree
-        ``RegressionTree`` shells — which the prediction hot path never
-        touches — are only materialised if :attr:`trees` is actually
-        read.
+        Used by full refits and :func:`fit_ensembles_stacked`.
         """
-        if built.n_trees != self.n_estimators:
+        if packed.n_trees != self.n_estimators:
             raise ValueError(
-                f"forest has {built.n_trees} trees, expected {self.n_estimators}"
+                f"forest has {packed.n_trees} trees, expected {self.n_estimators}"
             )
-        self._packed = built.packed
-        self._trees = []
-        self._built = built
+        self._packed = packed
 
-    def _grow_tree(self, X: np.ndarray, y: np.ndarray) -> RegressionTree:
-        tree = RegressionTree(
-            max_features=self.max_features,
-            min_samples_split=self.min_samples_split,
-            max_depth=self.max_depth,
-            seed=self._rng,
-        )
-        return tree.fit(X, y)
-
-    def _grow_batch(self, X: np.ndarray, y: np.ndarray, n_trees: int) -> BuiltForest:
+    def _grow_batch(self, X: np.ndarray, y: np.ndarray, n_trees: int) -> PackedTrees:
         """Grow ``n_trees`` trees in one level-synchronous builder pass."""
         return build_extra_trees(
             X,
@@ -177,30 +120,14 @@ class ExtraTreesRegressor:
         the structure they learned from the previous fit.
         """
         X, y = coerce_training_data(X, y)
-        vectorized = self.tree_builder == "vectorized"
-        fitted = bool(self._trees) or self._built is not None
-        if fitted and self.refit_fraction < 1.0:
-            self._materialize_trees()
+        if self._packed is not None and self.refit_fraction < 1.0:
             n_refit = max(1, int(np.ceil(self.refit_fraction * self.n_estimators)))
             chosen = np.sort(
                 self._rng.choice(self.n_estimators, size=n_refit, replace=False)
             )
-            if vectorized:
-                regrown = self._grow_batch(X, y, n_refit)
-                for index, slot in enumerate(chosen):
-                    self._trees[int(slot)] = self._shell(regrown, index)
-            else:
-                for index in chosen:
-                    self._trees[int(index)] = self._grow_tree(X, y)
-            self._packed = pack_trees(self._trees)
-        elif vectorized:
-            # The builder emits the packed layout directly — no per-tree
-            # repacking or shells on the full-refit hot path.
-            self.adopt_built(self._grow_batch(X, y, self.n_estimators))
+            self._packed = self._packed.splice(chosen, self._grow_batch(X, y, n_refit))
         else:
-            self._trees = [self._grow_tree(X, y) for _ in range(self.n_estimators)]
-            self._packed = pack_trees(self._trees)
-            self._built = None
+            self.adopt_built(self._grow_batch(X, y, self.n_estimators))
         return self
 
     def predict(
@@ -229,19 +156,15 @@ def fit_ensembles_stacked(
     (:func:`repro.ml.tree_builder.build_extra_trees_stacked`) — but all
     level-synchronous growth happens in one global frontier, amortising
     the per-level numpy dispatch that dominates small-sample fits across
-    every ensemble.  The fitted forests are adopted lazily
-    (:meth:`ExtraTreesRegressor.adopt_built`): per-tree shells are only
-    materialised if a caller reads ``model.trees``.
+    every ensemble.
 
-    Only full-refit vectorized ensembles qualify — a warm-started model
-    (already fitted with ``refit_fraction < 1.0``) or a classic-builder
-    model consumes randomness in a different pattern.
+    Only full refits qualify — a warm-started model (already fitted with
+    ``refit_fraction < 1.0``) consumes randomness in a different pattern.
 
     Raises:
-        ValueError: on length mismatch, a non-vectorized or pending
-            warm-refit model, or datasets the stacked builder cannot
-            share a frontier over (mismatched feature dimension or
-            growth limits).
+        ValueError: on length mismatch, a pending warm-refit model, or
+            datasets the stacked builder cannot share a frontier over
+            (mismatched feature dimension or growth limits).
     """
     if len(models) != len(datasets):
         raise ValueError(
@@ -249,11 +172,7 @@ def fit_ensembles_stacked(
         )
     tasks = []
     for model, (X, y) in zip(models, datasets):
-        if model.tree_builder != "vectorized":
-            raise ValueError(
-                "stacked fitting requires the vectorized tree builder"
-            )
-        if (model._trees or model._built is not None) and model.refit_fraction < 1.0:
+        if model._packed is not None and model.refit_fraction < 1.0:
             raise ValueError(
                 "stacked fitting cannot warm-refit an already-fitted ensemble"
             )
@@ -269,6 +188,6 @@ def fit_ensembles_stacked(
                 max_depth=model.max_depth,
             )
         )
-    for model, built in zip(models, build_extra_trees_stacked(tasks)):
-        model.adopt_built(built)
+    for model, packed in zip(models, build_extra_trees_stacked(tasks)):
+        model.adopt_built(packed)
     return models

@@ -10,163 +10,25 @@ so the surrogate ablation can compare the two ensembles.
 The splitter evaluates midpoints between consecutive sorted feature
 values and picks the SSE-minimising one (classic CART regression), with
 `max_features` feature subsampling per node as in Breiman's forests.
+The whole forest is grown level-synchronously
+(:func:`repro.ml.tree_builder.build_cart_forest`) into one
+:class:`~repro.ml.tree.PackedTrees` and predicted in one walk
+(:func:`repro.ml.tree.predict_packed`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import adopt_nodes, coerce_training_data
-from repro.ml.tree_builder import TREE_BUILDERS, build_cart_forest
-
-
-class CARTRegressionTree:
-    """A best-split (CART) regression tree.
-
-    Args:
-        max_features: features considered per split; ``None`` means all.
-        min_samples_split: nodes smaller than this become leaves.
-        max_depth: depth cap; ``None`` means unlimited.
-        seed: seed (or Generator) for feature subsampling.
-    """
-
-    def __init__(
-        self,
-        max_features: int | None = None,
-        min_samples_split: int = 2,
-        max_depth: int | None = None,
-        seed: int | np.random.Generator | None = None,
-    ) -> None:
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be at least 2")
-        if max_depth is not None and max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        self.max_features = max_features
-        self.min_samples_split = min_samples_split
-        self.max_depth = max_depth
-        self._rng = np.random.default_rng(seed)
-        self._feature: np.ndarray | None = None
-        self._threshold: np.ndarray | None = None
-        self._left: np.ndarray | None = None
-        self._right: np.ndarray | None = None
-        self._value: np.ndarray | None = None
-
-    @property
-    def node_count(self) -> int:
-        """Number of nodes in the fitted tree (0 before fitting)."""
-        return 0 if self._feature is None else int(self._feature.size)
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> CARTRegressionTree:
-        """Grow the tree on observations ``(X, y)``."""
-        X, y = coerce_training_data(X, y)
-
-        features: list[int] = []
-        thresholds: list[float] = []
-        lefts: list[int] = []
-        rights: list[int] = []
-        values: list[float] = []
-
-        def grow(indices: np.ndarray, depth: int) -> int:
-            node = len(features)
-            node_y = y[indices]
-            features.append(-1)
-            thresholds.append(0.0)
-            lefts.append(-1)
-            rights.append(-1)
-            values.append(float(node_y.mean()))
-
-            if (
-                indices.size < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or node_y.min() == node_y.max()
-            ):
-                return node
-
-            split = self._best_split(X, y, indices)
-            if split is None:
-                return node
-            feature, threshold, left_mask = split
-            left_child = grow(indices[left_mask], depth + 1)
-            right_child = grow(indices[~left_mask], depth + 1)
-            features[node] = feature
-            thresholds[node] = threshold
-            lefts[node] = left_child
-            rights[node] = right_child
-            return node
-
-        grow(np.arange(X.shape[0]), 0)
-        self._feature = np.array(features, dtype=np.int64)
-        self._threshold = np.array(thresholds, dtype=float)
-        self._left = np.array(lefts, dtype=np.int64)
-        self._right = np.array(rights, dtype=np.int64)
-        self._value = np.array(values, dtype=float)
-        return self
-
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray, indices: np.ndarray
-    ) -> tuple[int, float, np.ndarray] | None:
-        """Exact SSE-minimising split over a feature subsample.
-
-        Uses the running-sums identity over each sorted feature column:
-        for a prefix of size k with sum s, the two-sided SSE is
-        ``total_sq - s^2/k - (total - s)^2/(n - k)`` (dropping constants).
-        """
-        n_features = X.shape[1]
-        k = self.max_features if self.max_features is not None else n_features
-        k = min(max(k, 1), n_features)
-        candidates = self._rng.choice(n_features, size=k, replace=False)
-
-        node_y = y[indices]
-        n = indices.size
-        total = node_y.sum()
-
-        best_feature, best_threshold, best_score = -1, 0.0, np.inf
-        for feature in candidates:
-            column = X[indices, feature]
-            order = np.argsort(column, kind="stable")
-            sorted_col = column[order]
-            sorted_y = node_y[order]
-            prefix = np.cumsum(sorted_y)[:-1]
-            sizes = np.arange(1, n)
-            # Valid cut positions are where the feature value changes.
-            valid = sorted_col[:-1] < sorted_col[1:]
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                score = -(prefix**2) / sizes - (total - prefix) ** 2 / (n - sizes)
-            score = np.where(valid, score, np.inf)
-            pos = int(np.argmin(score))
-            if score[pos] < best_score:
-                best_score = float(score[pos])
-                best_feature = int(feature)
-                best_threshold = float((sorted_col[pos] + sorted_col[pos + 1]) / 2.0)
-        if best_feature < 0:
-            return None
-        return best_feature, best_threshold, X[indices, best_feature] <= best_threshold
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted values for each row of ``X`` (vectorised traversal)."""
-        if self._feature is None:
-            raise RuntimeError("tree must be fitted before predict")
-        assert self._threshold is not None and self._value is not None
-        assert self._left is not None and self._right is not None
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        active = self._feature[node] >= 0
-        while active.any():
-            current = node[active]
-            feats = self._feature[current]
-            go_left = X[rows[active], feats] <= self._threshold[current]
-            node[active] = np.where(go_left, self._left[current], self._right[current])
-            active = self._feature[node] >= 0
-        return self._value[node]
+from repro.ml.tree import PackedTrees, PairRows, coerce_training_data, predict_packed
+from repro.ml.tree_builder import build_cart_forest, check_growth_limits
 
 
 class RandomForestRegressor:
     """Bootstrap-aggregated CART trees with per-node feature subsampling.
+
+    All bootstrap resamples are drawn up front, then the whole forest is
+    grown in one builder pass.
 
     Args:
         n_estimators: number of trees.
@@ -175,12 +37,6 @@ class RandomForestRegressor:
         min_samples_split: node size below which growth stops.
         max_depth: per-tree depth cap.
         seed: ensemble randomisation seed.
-        tree_builder: ``"vectorized"`` (default) grows the whole forest
-            level-synchronously (:func:`repro.ml.tree_builder.build_cart_forest`)
-            with all bootstrap resamples drawn up front; ``"classic"``
-            keeps the per-node recursive grower.  Statistically
-            equivalent, not bit-identical (random draws are consumed in
-            a different order).
     """
 
     def __init__(
@@ -190,26 +46,16 @@ class RandomForestRegressor:
         min_samples_split: int = 2,
         max_depth: int | None = None,
         seed: int | None = None,
-        tree_builder: str = "vectorized",
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be at least 1")
-        if tree_builder not in TREE_BUILDERS:
-            raise ValueError(
-                f"unknown tree_builder {tree_builder!r}, expected one of {TREE_BUILDERS}"
-            )
+        check_growth_limits(min_samples_split, max_depth)
         self.n_estimators = n_estimators
         self.max_features = max_features
         self.min_samples_split = min_samples_split
         self.max_depth = max_depth
-        self.tree_builder = tree_builder
         self._rng = np.random.default_rng(seed)
-        self._trees: list[CARTRegressionTree] = []
-
-    @property
-    def trees(self) -> tuple[CARTRegressionTree, ...]:
-        """The fitted trees (empty before :meth:`fit`)."""
-        return tuple(self._trees)
+        self._packed: PackedTrees | None = None
 
     def _resolve_max_features(self, n_features: int) -> int | None:
         if self.max_features == "third":
@@ -222,48 +68,28 @@ class RandomForestRegressor:
         """Fit every tree on a bootstrap resample of ``(X, y)``."""
         X, y = coerce_training_data(X, y)
         max_features = self._resolve_max_features(X.shape[1])
-
-        self._trees = []
         n = X.shape[0]
-        if self.tree_builder == "vectorized":
-            samples = self._rng.integers(n, size=(self.n_estimators, n))
-            built = build_cart_forest(
-                X,
-                y,
-                self.n_estimators,
-                max_features=max_features,
-                min_samples_split=self.min_samples_split,
-                max_depth=self.max_depth,
-                rng=self._rng,
-                sample_indices=samples,
-            )
-            for index in range(self.n_estimators):
-                tree = CARTRegressionTree(
-                    max_features=max_features,
-                    min_samples_split=self.min_samples_split,
-                    max_depth=self.max_depth,
-                )
-                adopt_nodes(tree, *built.tree_arrays(index))
-                self._trees.append(tree)
-            return self
-        for _ in range(self.n_estimators):
-            sample = self._rng.integers(n, size=n)
-            tree = CARTRegressionTree(
-                max_features=max_features,
-                min_samples_split=self.min_samples_split,
-                max_depth=self.max_depth,
-                seed=self._rng,
-            )
-            self._trees.append(tree.fit(X[sample], y[sample]))
+        samples = self._rng.integers(n, size=(self.n_estimators, n))
+        self._packed = build_cart_forest(
+            X,
+            y,
+            self.n_estimators,
+            max_features=max_features,
+            min_samples_split=self.min_samples_split,
+            max_depth=self.max_depth,
+            rng=self._rng,
+            sample_indices=samples,
+        )
         return self
 
     def predict(
-        self, X: np.ndarray, return_std: bool = False
+        self, X: np.ndarray | PairRows, return_std: bool = False
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Forest mean (and optionally across-tree std) for rows of ``X``."""
-        if not self._trees:
+        """Forest mean (and optionally across-tree std) for rows of ``X``
+        (dense rows or a :class:`~repro.ml.tree.PairRows`)."""
+        if self._packed is None:
             raise RuntimeError("forest must be fitted before predict")
-        predictions = np.stack([tree.predict(X) for tree in self._trees])
+        predictions = predict_packed(self._packed, X)
         mean = predictions.mean(axis=0)
         if not return_std:
             return mean

@@ -1,16 +1,20 @@
-"""Regression trees with extremely-randomised splits.
+"""Flat-array regression trees: the packed layout and its tree walks.
 
-Building block for the Extra-Trees ensemble (Geurts, Ernst & Wehenkel,
-2006) that Augmented BO uses as its surrogate: at every node a random
-subset of features is considered and, for each, a *uniformly random*
-threshold between the node's min and max — the split with the best
-variance reduction wins.  Randomised thresholds are what distinguish
-Extra-Trees from random forests and make single trees cheap to grow.
+Arrow's surrogate is an Extra-Trees ensemble (Geurts, Ernst & Wehenkel,
+2006) refitted after every measurement.  The level-synchronous builders
+in :mod:`repro.ml.tree_builder` grow whole ensembles straight into one
+set of flat node arrays, :class:`PackedTrees`; this module holds that
+layout and the vectorised walks over it:
 
-The implementation is tuned for the surrogate's inner loop (the ensemble
-is refitted after every measurement): split search uses running-sum SSE
-instead of repeated variance calls, and prediction is a vectorised batch
-traversal over flat node arrays.
+* :func:`predict_packed` descends every ``(tree, row)`` cursor of an
+  ensemble at once, one loop iteration per tree level;
+* :class:`PairRows` keeps the surrogate's candidate x source query as
+  its two factors, which large queries walk as destination-set x
+  source-set products;
+* :func:`predict_packed_many` walks many ensembles in one pass for the
+  cross-search driver;
+* :meth:`PackedTrees.splice` swaps regrown trees into an ensemble for
+  warm refits.
 """
 
 from __future__ import annotations
@@ -44,15 +48,14 @@ def coerce_training_data(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True)
 class PackedTrees:
-    """A whole ensemble flattened into one set of node arrays.
+    """A whole ensemble as one set of flat node arrays.
 
-    Every fitted tree in this package stores its nodes as flat arrays
-    (``feature``, ``threshold``, ``left``, ``right``, ``value``; leaves
-    have ``feature == -1``).  Packing concatenates those arrays across
-    trees, offsetting child indices, so the *entire ensemble* can be
-    evaluated with one vectorised traversal over ``n_trees x n_rows``
-    cursor states instead of one Python-level traversal per tree — the
-    ensemble predict becomes a single flat-array walk.
+    Nodes are stored tree-major: each tree's nodes form one contiguous
+    span starting at its root, in breadth-first order, and child
+    indices are absolute (leaves have ``feature == -1`` and children
+    ``-1``).  The *entire ensemble* is evaluated with one vectorised
+    traversal over ``n_trees x n_rows`` cursor states instead of one
+    Python-level traversal per tree.
 
     Attributes:
         feature: split feature per node (-1 for leaves), all trees.
@@ -80,36 +83,60 @@ class PackedTrees:
         """Total number of nodes across all packed trees."""
         return int(self.feature.size)
 
+    @property
+    def counts(self) -> np.ndarray:
+        """Node count of each tree (the length of its span)."""
+        return np.diff(self.roots, append=self.node_count)
 
-def pack_trees(trees: Sequence) -> PackedTrees:
-    """Pack fitted trees (any class using the flat node layout) together.
+    def splice(self, slots: np.ndarray, regrown: PackedTrees) -> PackedTrees:
+        """This ensemble with tree ``slots[i]`` replaced by tree ``i`` of
+        ``regrown``.
 
-    Raises:
-        ValueError: on an empty sequence or an unfitted tree.
-    """
-    if not trees:
-        raise ValueError("cannot pack an empty tree sequence")
-    features, thresholds, lefts, rights, values, roots = [], [], [], [], [], []
-    offset = 0
-    for tree in trees:
-        if tree._feature is None:
-            raise ValueError("all trees must be fitted before packing")
-        features.append(tree._feature)
-        thresholds.append(tree._threshold)
-        # Child pointers become absolute packed indices; leaves stay -1.
-        lefts.append(np.where(tree._left >= 0, tree._left + offset, -1))
-        rights.append(np.where(tree._right >= 0, tree._right + offset, -1))
-        values.append(tree._value)
-        roots.append(offset)
-        offset += tree._feature.size
-    return PackedTrees(
-        feature=np.concatenate(features),
-        threshold=np.concatenate(thresholds),
-        left=np.concatenate(lefts),
-        right=np.concatenate(rights),
-        value=np.concatenate(values),
-        roots=np.array(roots, dtype=np.int64),
-    )
+        The warm-refit step: every span keeps its tree order, kept spans
+        are copied and regrown spans take the replaced trees' places, so
+        the result holds exactly the live trees' nodes.
+
+        ``slots`` must be distinct tree indices.
+
+        Raises:
+            ValueError: when ``slots`` and ``regrown`` disagree on the
+                number of trees.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        if slots.size != regrown.n_trees:
+            raise ValueError(
+                f"{slots.size} slots but {regrown.n_trees} regrown trees"
+            )
+        counts = self.counts
+        keep = np.ones(self.n_trees, dtype=bool)
+        keep[slots] = False
+        old_tree = np.repeat(np.arange(self.n_trees), counts)
+        kept = keep[old_tree]
+        # Every surviving node's tree slot and its source tree's root; a
+        # stable sort by slot lays the spans out tree-major again.
+        tree = np.concatenate([old_tree[kept], np.repeat(slots, regrown.counts)])
+        source_root = np.concatenate([
+            self.roots[old_tree[kept]], np.repeat(regrown.roots, regrown.counts)
+        ])
+        order = np.argsort(tree, kind="stable")
+        counts[slots] = regrown.counts
+        roots = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        shift = (roots[tree] - source_root)[order]
+
+        def gather(name: str) -> np.ndarray:
+            return np.concatenate(
+                [getattr(self, name)[kept], getattr(regrown, name)]
+            )[order]
+
+        left, right = gather("left"), gather("right")
+        return PackedTrees(
+            feature=gather("feature"),
+            threshold=gather("threshold"),
+            left=np.where(left >= 0, left + shift, -1),
+            right=np.where(right >= 0, right + shift, -1),
+            value=gather("value"),
+            roots=roots,
+        )
 
 
 #: Row-chunk size for :func:`predict_packed`.  Bounds the transient
@@ -415,8 +442,7 @@ def predict_packed(
     ``X`` may be a :class:`PairRows`: from :data:`FACTORED_MIN_PAIRS`
     pairs on it is walked factored (:func:`_walk_pairs`), below that it
     is materialised first.  Returns an ``(n_trees, n_rows)`` array
-    identical to stacking each tree's own :meth:`RegressionTree.predict`
-    over the dense rows.
+    identical to walking each tree on its own over the dense rows.
     """
     chunk = PREDICT_CHUNK_ROWS if chunk_rows is None else int(chunk_rows)
     if chunk < 1:
@@ -473,236 +499,3 @@ def predict_packed_many(
         for i, result in zip(picks, walk(stacked, [roots[i] for i in picks], queries)):
             out[i] = result
     return out
-
-
-def adopt_nodes(
-    tree,
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    value: np.ndarray,
-    depths: np.ndarray,
-) -> None:
-    """Install flat node arrays into ``tree`` as its fitted state.
-
-    Works for any tree class using this package's flat node layout
-    (:class:`RegressionTree` and the CART tree in
-    :mod:`repro.ml.random_forest`).  Child indices must be tree-local.
-
-    Raises:
-        ValueError: when the arrays disagree on the node count.
-    """
-    n = feature.shape[0]
-    for name, array in (
-        ("threshold", threshold), ("left", left), ("right", right),
-        ("value", value), ("depths", depths),
-    ):
-        if array.shape[0] != n:
-            raise ValueError(
-                f"{name} has {array.shape[0]} nodes but feature has {n}"
-            )
-    tree._feature = np.ascontiguousarray(feature, dtype=np.int64)
-    tree._threshold = np.ascontiguousarray(threshold, dtype=float)
-    tree._left = np.ascontiguousarray(left, dtype=np.int64)
-    tree._right = np.ascontiguousarray(right, dtype=np.int64)
-    tree._value = np.ascontiguousarray(value, dtype=float)
-    tree._depths = [int(depth) for depth in depths]
-
-
-class RegressionTree:
-    """A single extremely-randomised regression tree.
-
-    Args:
-        max_features: features considered per split; ``None`` means all
-            (the Extra-Trees default for regression).
-        min_samples_split: nodes smaller than this become leaves.
-        max_depth: depth cap; ``None`` means unlimited.
-        seed: seed (or Generator) for split randomisation.
-    """
-
-    def __init__(
-        self,
-        max_features: int | None = None,
-        min_samples_split: int = 2,
-        max_depth: int | None = None,
-        seed: int | np.random.Generator | None = None,
-    ) -> None:
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be at least 2")
-        if max_depth is not None and max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        self.max_features = max_features
-        self.min_samples_split = min_samples_split
-        self.max_depth = max_depth
-        self._rng = np.random.default_rng(seed)
-        # Flat node arrays (filled by fit): leaves have feature == -1.
-        self._feature: np.ndarray | None = None
-        self._threshold: np.ndarray | None = None
-        self._left: np.ndarray | None = None
-        self._right: np.ndarray | None = None
-        self._value: np.ndarray | None = None
-        self._depths: list[int] = []
-
-    @property
-    def node_count(self) -> int:
-        """Number of nodes in the fitted tree (0 before fitting)."""
-        return 0 if self._feature is None else int(self._feature.size)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        feature: np.ndarray,
-        threshold: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
-        value: np.ndarray,
-        depths: np.ndarray,
-        **params,
-    ) -> RegressionTree:
-        """A fitted tree adopting pre-grown flat node arrays.
-
-        Used by the level-synchronous builder
-        (:mod:`repro.ml.tree_builder`), which grows whole ensembles at
-        once and hands each tree its slice of the packed node arrays.
-        ``params`` are forwarded to the constructor so the shell reports
-        the hyper-parameters it was grown with.
-        """
-        tree = cls(**params)
-        adopt_nodes(tree, feature, threshold, left, right, value, depths)
-        return tree
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> RegressionTree:
-        """Grow the tree on observations ``(X, y)``.
-
-        Raises:
-            ValueError: on empty or mismatched inputs.
-        """
-        X, y = coerce_training_data(X, y)
-
-        features: list[int] = []
-        thresholds: list[float] = []
-        lefts: list[int] = []
-        rights: list[int] = []
-        values: list[float] = []
-        self._depths = []
-
-        y_sq = y * y
-
-        def grow(indices: np.ndarray, depth: int) -> int:
-            node = len(features)
-            node_y = y[indices]
-            features.append(-1)
-            thresholds.append(0.0)
-            lefts.append(-1)
-            rights.append(-1)
-            values.append(float(node_y.mean()))
-            self._depths.append(depth)
-
-            if (
-                indices.size < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or node_y.min() == node_y.max()
-            ):
-                return node
-
-            split = self._best_random_split(X, y, y_sq, indices)
-            if split is None:
-                return node
-
-            feature, threshold, left_mask = split
-            left_child = grow(indices[left_mask], depth + 1)
-            right_child = grow(indices[~left_mask], depth + 1)
-            features[node] = feature
-            thresholds[node] = threshold
-            lefts[node] = left_child
-            rights[node] = right_child
-            return node
-
-        grow(np.arange(X.shape[0]), 0)
-        self._feature = np.array(features, dtype=np.int64)
-        self._threshold = np.array(thresholds, dtype=float)
-        self._left = np.array(lefts, dtype=np.int64)
-        self._right = np.array(rights, dtype=np.int64)
-        self._value = np.array(values, dtype=float)
-        return self
-
-    def _best_random_split(
-        self, X: np.ndarray, y: np.ndarray, y_sq: np.ndarray, indices: np.ndarray
-    ) -> tuple[int, float, np.ndarray] | None:
-        """Pick the best of one random threshold per candidate feature.
-
-        The winner minimises the children's summed squared error, computed
-        from running sums (``sse = sum(y^2) - sum(y)^2 / n``) rather than
-        per-partition variance calls.  Returns ``None`` when no candidate
-        feature varies within the node.
-        """
-        n_features = X.shape[1]
-        k = self.max_features if self.max_features is not None else n_features
-        k = min(max(k, 1), n_features)
-        candidates = self._rng.choice(n_features, size=k, replace=False)
-
-        node_X = X[np.ix_(indices, candidates)]
-        node_y = y[indices]
-        node_y_sq = y_sq[indices]
-        total_sum = float(node_y.sum())
-        total_sq = float(node_y_sq.sum())
-        n_total = indices.size
-
-        lows = node_X.min(axis=0)
-        highs = node_X.max(axis=0)
-        varying = lows < highs
-        if not varying.any():
-            return None
-        thresholds = lows + self._rng.uniform(size=k) * (highs - lows)
-
-        masks = node_X <= thresholds  # (n_total, k)
-        n_left = masks.sum(axis=0)
-        valid = varying & (n_left > 0) & (n_left < n_total)
-        if not valid.any():
-            return None
-
-        left_sum = node_y @ masks
-        left_sq = node_y_sq @ masks
-        n_right = n_total - n_left
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sse = (
-                left_sq
-                - left_sum**2 / n_left
-                + (total_sq - left_sq)
-                - (total_sum - left_sum) ** 2 / n_right
-            )
-        sse = np.where(valid, sse, np.inf)
-        pick = int(np.argmin(sse))
-        return int(candidates[pick]), float(thresholds[pick]), masks[:, pick]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted values for each row of ``X`` (vectorised traversal).
-
-        Raises:
-            RuntimeError: if called before :meth:`fit`.
-        """
-        if self._feature is None:
-            raise RuntimeError("tree must be fitted before predict")
-        assert self._threshold is not None and self._value is not None
-        assert self._left is not None and self._right is not None
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = self._feature[node] >= 0
-        rows = np.arange(X.shape[0])
-        while active.any():
-            current = node[active]
-            feats = self._feature[current]
-            go_left = X[rows[active], feats] <= self._threshold[current]
-            node[active] = np.where(go_left, self._left[current], self._right[current])
-            active = self._feature[node] >= 0
-        return self._value[node]
-
-    def depth(self) -> int:
-        """Depth of the fitted tree (a root-only tree has depth 0)."""
-        if self._feature is None:
-            raise RuntimeError("tree must be fitted before depth")
-        return max(self._depths)

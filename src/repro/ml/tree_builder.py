@@ -1,13 +1,11 @@
 """Level-synchronous, vectorized construction of tree ensembles.
 
-The classic growers in :mod:`repro.ml.tree` and
-:mod:`repro.ml.random_forest` recurse node by node in Python, which
-makes the surrogate refit — Arrow's inner loop, re-run after every
-measurement — the dominant cost of every experiment grid.  This module
-replaces the recursion with *breadth-first* growth: all frontier nodes
-of **all trees of the ensemble** advance one depth level per iteration,
-and each level's split search is a handful of batched numpy reductions
-instead of thousands of tiny per-node calls.
+The surrogate refit — Arrow's inner loop, re-run after every
+measurement — is the dominant cost of every experiment grid, so trees
+are never grown node by node in Python.  Growth is *breadth-first*: all
+frontier nodes of **all trees of the ensemble** advance one depth level
+per iteration, and each level's split search is a handful of batched
+numpy reductions instead of thousands of tiny per-node calls.
 
 Mechanics shared by both builders:
 
@@ -17,9 +15,9 @@ Mechanics shared by both builders:
 * children are emitted in a deterministic node-major order, so parent
   child-pointers are assigned *before* the children exist and the whole
   forest materialises as flat node arrays in one pass;
-* nodes are finally stably re-ordered tree-major, which *is* the packed
-  flat-node-array layout of :class:`repro.ml.tree.PackedTrees` —
-  ``predict_packed`` consumes the builder's output with no conversion.
+* nodes are finally stably re-ordered tree-major, which *is* the
+  :class:`repro.ml.tree.PackedTrees` layout — ``predict_packed``
+  consumes the builder's output with no conversion.
 
 Split search per level:
 
@@ -32,16 +30,9 @@ Split search per level:
   node* (one ``lexsort`` per feature per level), evaluating every
   boundary where the sorted feature value changes.
 
-Equivalence to the classic growers: both builders implement the same
-split *rules* (same SSE objective, same validity conditions, same
-threshold formulas), but consume random draws in breadth-first rather
-than depth-first order, so a seeded vectorized ensemble is
-*statistically* equivalent — not bit-identical — to a seeded classic
-one.  ``tests/test_ml_tree_builder.py`` pins the per-split equivalence
-under injected RNG draws, and ``tests/test_builder_equivalence.py``
-checks that seeded searches reach identical outcomes on the tier-1
-grid.  The classic growers stay available behind
-``tree_builder="classic"``.
+``tests/tree_reference.py`` keeps the textbook depth-first growers;
+``tests/test_ml_tree_builder.py`` checks that, given the same stubbed
+random draws, both builders make exactly the reference's splits.
 """
 
 from __future__ import annotations
@@ -52,9 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.tree import PackedTrees
-
-#: The tree-construction strategies ensembles accept.
-TREE_BUILDERS = ("vectorized", "classic")
 
 #: A level splitter: (rows, sizes, starts, tree ids) for the splittable
 #: frontier -> (found, best_feature, best_threshold, go_left) where
@@ -68,53 +56,20 @@ _SplitFn = Callable[
 ]
 
 
-@dataclass(frozen=True)
-class BuiltForest:
-    """A whole ensemble grown in one pass, already packed.
+def check_growth_limits(min_samples_split: int, max_depth: int | None) -> None:
+    """Reject growth limits no tree can honour.
 
-    Attributes:
-        packed: the ensemble in :class:`~repro.ml.tree.PackedTrees`
-            layout (tree-major, absolute child indices).
-        offsets: packed start offset of each tree (== ``packed.roots``).
-        counts: node count of each tree.
-        depths: per-node depth, aligned with the packed arrays.
+    Raises:
+        ValueError: on ``min_samples_split < 2`` or ``max_depth < 1``.
     """
-
-    packed: PackedTrees
-    offsets: np.ndarray
-    counts: np.ndarray
-    depths: np.ndarray
-
-    @property
-    def n_trees(self) -> int:
-        """Number of trees grown."""
-        return int(self.offsets.size)
-
-    def tree_arrays(
-        self, index: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One tree's ``(feature, threshold, left, right, value, depths)``.
-
-        Child indices are rebased to be tree-local, so the arrays can be
-        adopted by a standalone tree (:func:`repro.ml.tree.adopt_nodes`).
-        """
-        start = int(self.offsets[index])
-        stop = start + int(self.counts[index])
-        sl = slice(start, stop)
-        left = self.packed.left[sl]
-        right = self.packed.right[sl]
-        return (
-            self.packed.feature[sl],
-            self.packed.threshold[sl],
-            np.where(left >= 0, left - start, -1),
-            np.where(right >= 0, right - start, -1),
-            self.packed.value[sl],
-            self.depths[sl],
-        )
+    if min_samples_split < 2:
+        raise ValueError("min_samples_split must be at least 2")
+    if max_depth is not None and max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
 
 
 def _resolve_k(max_features: int | None, n_features: int) -> int:
-    """Per-split candidate count, clamped exactly like the classic growers."""
+    """Per-split candidate count: ``max_features`` clamped to ``[1, d]``."""
     k = max_features if max_features is not None else n_features
     return min(max(k, 1), n_features)
 
@@ -137,7 +92,7 @@ def _grow(
     min_samples_split: int,
     max_depth: int | None,
     split_fn: _SplitFn,
-) -> BuiltForest:
+) -> PackedTrees:
     """Breadth-first forest growth over a pre-partitioned root frontier.
 
     ``rows`` holds sample indices grouped contiguously per root (one
@@ -149,7 +104,6 @@ def _grow(
     level_right: list[np.ndarray] = []
     level_value: list[np.ndarray] = []
     level_tree: list[np.ndarray] = []
-    level_depth: list[np.ndarray] = []
 
     tree_ids = np.arange(n_trees, dtype=np.int64)
     total_nodes = 0
@@ -213,7 +167,6 @@ def _grow(
         level_right.append(right)
         level_value.append(values)
         level_tree.append(tree_ids)
-        level_depth.append(np.full(F, depth, dtype=np.int64))
         total_nodes += F
         rows, sizes, tree_ids = next_rows, next_sizes, next_tree
         depth += 1
@@ -229,22 +182,14 @@ def _grow(
     perm[order] = np.arange(total_nodes, dtype=np.int64)
     g_left = np.where(g_left >= 0, perm[g_left], -1)[order]
     g_right = np.where(g_right >= 0, perm[g_right], -1)[order]
-    counts = np.bincount(g_tree, minlength=n_trees).astype(np.int64)
     # A tree's first breadth-first node is its root, emitted in level 0.
-    roots = perm[:n_trees]
-    packed = PackedTrees(
+    return PackedTrees(
         feature=np.concatenate(level_feature)[order],
         threshold=np.concatenate(level_threshold)[order],
         left=g_left,
         right=g_right,
         value=np.concatenate(level_value)[order],
-        roots=roots,
-    )
-    return BuiltForest(
-        packed=packed,
-        offsets=roots,
-        counts=counts,
-        depths=np.concatenate(level_depth)[order],
+        roots=perm[:n_trees],
     )
 
 
@@ -257,7 +202,7 @@ def build_extra_trees(
     min_samples_split: int = 2,
     max_depth: int | None = None,
     rng: np.random.Generator,
-) -> BuiltForest:
+) -> PackedTrees:
     """Grow a whole Extra-Trees ensemble level-synchronously.
 
     All trees train on the full ``(X, y)`` sample (classic Extra-Trees,
@@ -325,7 +270,7 @@ def build_cart_forest(
     max_depth: int | None = None,
     rng: np.random.Generator,
     sample_indices: np.ndarray | None = None,
-) -> BuiltForest:
+) -> PackedTrees:
     """Grow a CART forest level-synchronously with exact best splits.
 
     Args:
@@ -445,7 +390,7 @@ class StackedGrowTask:
 
 def build_extra_trees_stacked(
     tasks: list[StackedGrowTask],
-) -> list[BuiltForest]:
+) -> list[PackedTrees]:
     """Grow many Extra-Trees ensembles in one level-synchronous pass.
 
     All tasks' frontiers are concatenated (task-major) into a single
@@ -458,7 +403,7 @@ def build_extra_trees_stacked(
     thresholds, SSE, child ordering) is segment-local, and each task's
     random draws come from its own ``rng`` in the exact per-level order
     the per-ensemble builder uses, so each returned
-    :class:`BuiltForest` equals — bit for bit — what
+    :class:`~repro.ml.tree.PackedTrees` equals — bit for bit — what
     :func:`build_extra_trees` would have produced for that task alone.
 
     Constraints: all tasks must share the feature dimension,
@@ -586,31 +531,22 @@ def build_extra_trees_stacked(
     # Carve the global tree-major forest back into per-task forests.
     # Packed nodes are contiguous per task (task-major tree ids), so each
     # task is one slice with child pointers rebased to its start.
-    results: list[BuiltForest] = []
-    node_offset = 0
+    results: list[PackedTrees] = []
+    span_bounds = np.append(built.roots, built.node_count)
     for t in range(len(tasks)):
         lo_tree, hi_tree = int(tree_bounds[t]), int(tree_bounds[t + 1])
-        counts = built.counts[lo_tree:hi_tree].copy()
-        n_nodes = int(counts.sum())
-        sl = slice(node_offset, node_offset + n_nodes)
-        left = built.packed.left[sl]
-        right = built.packed.right[sl]
-        roots = built.offsets[lo_tree:hi_tree] - node_offset
-        packed = PackedTrees(
-            feature=built.packed.feature[sl].copy(),
-            threshold=built.packed.threshold[sl].copy(),
-            left=np.where(left >= 0, left - node_offset, -1),
-            right=np.where(right >= 0, right - node_offset, -1),
-            value=built.packed.value[sl].copy(),
-            roots=roots.copy(),
-        )
+        start = int(span_bounds[lo_tree])
+        sl = slice(start, int(span_bounds[hi_tree]))
+        left = built.left[sl]
+        right = built.right[sl]
         results.append(
-            BuiltForest(
-                packed=packed,
-                offsets=packed.roots,
-                counts=counts,
-                depths=built.depths[sl].copy(),
+            PackedTrees(
+                feature=built.feature[sl].copy(),
+                threshold=built.threshold[sl].copy(),
+                left=np.where(left >= 0, left - start, -1),
+                right=np.where(right >= 0, right - start, -1),
+                value=built.value[sl].copy(),
+                roots=built.roots[lo_tree:hi_tree] - start,
             )
         )
-        node_offset += n_nodes
     return results

@@ -46,7 +46,6 @@ compute/memory-bound regime where batching converges to ~1x.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from time import perf_counter
 
 import numpy as np
 
@@ -140,7 +139,6 @@ class VectorizedGridDriver:
 
     def _run_tree_group(self, group: list[_LiveCell]) -> None:
         """One stacked ensemble fit + one packed traversal for the group."""
-        t_fit = perf_counter()
         try:
             fit_ensembles_stacked(
                 [live.pending.model for live in group],
@@ -153,22 +151,17 @@ class VectorizedGridDriver:
             self.fallback_rounds += 1
             for live in group:
                 pending = live.pending
-                t_one = perf_counter()
                 pending.model.fit(pending.X_scaled, pending.y_train)
-                fit_s = pending.fit_prep_s + (perf_counter() - t_one)
-                self._commit(live, live.scorer.score_commit(pending, fit_s))
+                self._commit(live, live.scorer.score_commit(pending))
             return
         self.stacked_tree_fits += 1
-        fit_share = (perf_counter() - t_fit) / len(group)
         rows = [live.scorer.query_rows(live.pending) for live in group]
         predictions = predict_packed_many(
             [live.pending.model._packed for live in group], rows
         )
         for live, tree_predictions in zip(group, predictions):
             acquisition = live.scorer.score_commit(
-                live.pending,
-                live.pending.fit_prep_s + fit_share,
-                tree_predictions=tree_predictions,
+                live.pending, tree_predictions=tree_predictions
             )
             self._commit(live, acquisition)
 

@@ -151,24 +151,35 @@ class TestRefitFraction:
         assert result.best_value <= 1.5 * optimum
 
 
-class TestStepTimings:
-    def test_timings_are_recorded(self, trace):
-        optimizer = AugmentedBO(trace.environment(WORKLOAD), seed=0)
-        optimizer.run()
-        timings = optimizer.scorer.step_timings
-        assert timings
-        assert [t["n_measured"] for t in timings] == sorted(
-            t["n_measured"] for t in timings
-        )
-        for entry in timings:
-            assert entry["build_s"] >= 0.0
-            assert entry["fit_s"] > 0.0
-            assert entry["predict_s"] > 0.0
-            assert entry["query_s"] >= 0.0
-            assert entry["n_candidates"] >= 1
+class DenseQueryScorer(PairwiseTreeScorer):
+    """Reference query assembly: all ``u * m`` dense rows, built by
+    ``repeat``/``tile`` and transformed by the scaler every step, then
+    walked flat."""
+
+    def query_rows(self, pending):
+        if pending.scaled_query is None:
+            design, index, metrics = self._design, pending.index, pending.metrics
+            candidates = np.asarray(pending.unmeasured, dtype=np.int64)
+            u, m, d = candidates.size, index.size, design.shape[1]
+            rows = np.empty((u * m, pending.X_scaled.shape[1]))
+            rows[:, :d] = np.repeat(design[candidates], m, axis=0)
+            rows[:, d : 2 * d] = np.tile(design[index], (u, 1))
+            rows[:, 2 * d :] = np.tile(metrics, (u, 1))
+            pending.scaled_query = pending.scaler.transform(rows)
+        return pending.scaled_query
 
 
-#: Query-mode comparisons: ``(trace fixture, seed, budget)``.  On
+def _history(trace, size):
+    environment = trace.environment(WORKLOAD)
+    environment.reset()
+    catalog = list(environment.catalog)
+    measurements = [environment.measure(vm) for vm in catalog[:size]]
+    values = [m.execution_time_s for m in measurements]
+    design = AugmentedBO(environment, seed=0).design_matrix
+    return design, catalog, measurements, values
+
+
+#: Query assembly comparisons: ``(trace fixture, seed, budget)``.  On
 #: ``aws-2017`` the query never reaches the factored walk; the
 #: ``aws-large`` search does from its fifth measurement on.
 SEARCH_CASES = [
@@ -186,28 +197,27 @@ HISTORY_CASES = [
 
 
 class TestQueryModes:
-    """Factored incremental query rows vs the dense repeat/tile rebuild:
-    same floats, different assembly and tree walk."""
-
-    def test_validation(self, trace):
-        with pytest.raises(ValueError, match="query_mode"):
-            AugmentedBO(trace.environment(WORKLOAD), query_mode="cached")
+    """Factored query rows vs the dense repeat/tile reference
+    (:class:`DenseQueryScorer`): same floats, different assembly and
+    tree walk."""
 
     @pytest.mark.parametrize("trace_name, seed, budget", SEARCH_CASES)
     def test_full_search_is_bit_identical(self, request, trace_name, seed, budget):
         trace = request.getfixturevalue(trace_name)
         runs = {}
-        for mode in ("incremental", "rebuild"):
+        for dense in (False, True):
             optimizer = AugmentedBO(
-                trace.environment(WORKLOAD), seed=seed, query_mode=mode,
-                max_measurements=budget,
+                trace.environment(WORKLOAD), seed=seed, max_measurements=budget,
             )
+            if dense:
+                # Same scorer state and seed; only the query assembly differs.
+                optimizer.scorer.__class__ = DenseQueryScorer
             result = optimizer.run()
-            runs[mode] = (
+            runs[dense] = (
                 result.measured_vm_names,
                 [s.objective_value for s in result.steps],
             )
-        assert runs["incremental"] == runs["rebuild"]
+        assert runs[False] == runs[True]
 
     @pytest.mark.parametrize("trace_name, sizes", HISTORY_CASES)
     def test_scores_equal_at_every_history(self, request, trace_name, sizes):
@@ -215,15 +225,10 @@ class TestQueryModes:
         (and with it the scaler statistics) grows, then again on a
         repeated call at fixed history."""
         trace = request.getfixturevalue(trace_name)
-        environment = trace.environment(WORKLOAD)
-        environment.reset()
-        catalog = list(environment.catalog)
-        measurements = [environment.measure(vm) for vm in catalog[: max(sizes)]]
-        values = [m.execution_time_s for m in measurements]
-        design = AugmentedBO(environment, seed=0).design_matrix
+        design, catalog, measurements, values = _history(trace, max(sizes))
 
-        fast = PairwiseTreeScorer(design, seed=1, query_mode="incremental")
-        slow = PairwiseTreeScorer(design, seed=1, query_mode="rebuild")
+        fast = PairwiseTreeScorer(design, seed=1)
+        slow = DenseQueryScorer(design, seed=1)
         pairs = []
         for upto in sizes:
             measured = list(range(upto))
@@ -237,18 +242,23 @@ class TestQueryModes:
             # Both sides of the factored-walk crossover were compared.
             assert min(pairs) < FACTORED_MIN_PAIRS <= max(pairs)
 
-    def test_random_forest_gets_dense_rows(self, trace):
-        environment = trace.environment(WORKLOAD)
-        environment.reset()
-        catalog = list(environment.catalog)
-        measurements = [environment.measure(vm) for vm in catalog[:5]]
-        values = [m.execution_time_s for m in measurements]
-        design = AugmentedBO(environment, seed=0).design_matrix
-        for ensemble, kind in (("extra_trees", PairRows), ("random_forest", np.ndarray)):
-            scorer = PairwiseTreeScorer(design, seed=1, ensemble=ensemble)
-            pending = scorer.score_begin(
-                list(range(5)), values, measurements, list(range(5, len(catalog)))
-            )
-            rows = scorer.query_rows(pending)
-            assert isinstance(rows, kind)
-            assert rows.shape == (5 * (len(catalog) - 5), pending.width)
+    @pytest.mark.parametrize("ensemble", ["extra_trees", "random_forest"])
+    def test_random_forest_gets_pair_rows(self, large_trace, ensemble):
+        """Both ensembles take the factored rows (here past the
+        factored-walk crossover), and score exactly as on the dense
+        reference rows."""
+        design, catalog, measurements, values = _history(large_trace, 8)
+        measured, unmeasured = list(range(8)), list(range(8, len(catalog)))
+        scorer = PairwiseTreeScorer(design, seed=1, ensemble=ensemble)
+        pending = scorer.score_begin(measured, values, measurements, unmeasured)
+        rows = scorer.query_rows(pending)
+        assert isinstance(rows, PairRows)
+        assert rows.shape == (8 * (len(catalog) - 8), pending.X_scaled.shape[1])
+        assert rows.shape[0] >= FACTORED_MIN_PAIRS
+        scores = [
+            cls(design, seed=1, ensemble=ensemble)
+            .score(measured, values, measurements, unmeasured)
+            .scores
+            for cls in (PairwiseTreeScorer, DenseQueryScorer)
+        ]
+        np.testing.assert_array_equal(*scores)

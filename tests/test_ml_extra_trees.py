@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.extra_trees import ExtraTreesRegressor
+from tests.tree_reference import predict_per_tree, tree_depth
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ class TestEnsemble:
         model = ExtraTreesRegressor(n_estimators=10, seed=3).fit(X, y)
         rng = np.random.default_rng(1)
         queries = rng.uniform(-2, 2, size=(20, 4))
-        per_tree = np.stack([tree.predict(queries) for tree in model.trees])
+        per_tree = predict_per_tree(model._packed, queries)
         assert np.any(per_tree.std(axis=0) > 0)
 
     def test_std_is_across_tree_dispersion(self, data):
@@ -46,7 +47,7 @@ class TestEnsemble:
         model = ExtraTreesRegressor(n_estimators=15, seed=4).fit(X, y)
         queries = X[:10]
         mean, std = model.predict(queries, return_std=True)
-        per_tree = np.stack([tree.predict(queries) for tree in model.trees])
+        per_tree = predict_per_tree(model._packed, queries)
         assert np.allclose(mean, per_tree.mean(axis=0))
         assert np.allclose(std, per_tree.std(axis=0))
 
@@ -66,10 +67,7 @@ class TestEnsemble:
     def test_hyperparameters_forwarded_to_trees(self, data):
         X, y = data
         model = ExtraTreesRegressor(n_estimators=3, max_depth=2, seed=0).fit(X, y)
-        assert all(tree.depth() <= 2 for tree in model.trees)
-
-    def test_trees_property_empty_before_fit(self):
-        assert ExtraTreesRegressor().trees == ()
+        assert all(tree_depth(model._packed, i) <= 2 for i in range(3))
 
 
 class TestValidation:

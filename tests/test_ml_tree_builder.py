@@ -1,18 +1,17 @@
-"""Level-synchronous vectorized tree builders vs the classic growers.
+"""Level-synchronous tree builders vs the depth-first reference growers.
 
-Bit-identity between the breadth-first builders and the depth-first
-classic growers is impossible in general — random draws are consumed in
-a different order, and exact score ties are broken by floating-point
-noise that differs between the per-node and the segmented arithmetic.
-So equivalence is pinned in layers:
+Bit-identity between the breadth-first builders and the textbook
+depth-first growers (``tests/tree_reference.py``) is impossible in
+general — random draws are consumed in a different order, and exact
+score ties are broken by floating-point noise that differs between the
+per-node and the segmented arithmetic.  So equivalence is pinned in
+layers:
 
 * with *deterministic* stubbed randomness (ascending candidate order,
-  midpoint thresholds) and well-separated nodes, both growers must make
-  literally identical splits (checked by walking the trees);
-* the vectorized output must be self-consistent: the directly-emitted
-  packed arrays and the per-tree shells must predict identically;
-* seeded end-to-end searches must reach identical outcomes
-  (``tests/test_builder_equivalence.py``).
+  midpoint thresholds) and well-separated nodes, the builders must make
+  literally the reference's splits (checked by walking the trees);
+* the packed output must be self-consistent: the ensemble-wide walk and
+  a walk of each tree on its own must predict identically.
 """
 
 from __future__ import annotations
@@ -20,18 +19,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ml.extra_trees import ExtraTreesRegressor
-from repro.ml.random_forest import CARTRegressionTree, RandomForestRegressor
-from repro.ml.tree import RegressionTree, predict_packed
-from repro.ml.tree_builder import (
-    TREE_BUILDERS,
-    build_cart_forest,
-    build_extra_trees,
+from repro.ml.random_forest import RandomForestRegressor
+from repro.ml.tree import predict_packed
+from repro.ml.tree_builder import build_cart_forest, build_extra_trees
+from tests.tree_reference import (
+    CARTRegressionTree,
+    RegressionTree,
+    predict_per_tree,
+    tree_arrays,
+    tree_depth,
 )
 
 
 class AscendingChoice:
-    """Deterministic RNG stub for the classic growers: candidate
+    """Deterministic RNG stub for the reference growers: candidate
     features in ascending order, thresholds at the feature midpoint."""
 
     def choice(self, n, size, replace):
@@ -61,7 +62,7 @@ def _make_data(seed, n=200, d=6):
 
 
 def _assert_same_structure(built, index, classic):
-    feature, threshold, left, right, value, _ = built.tree_arrays(index)
+    feature, threshold, left, right, value = tree_arrays(built, index)
 
     def walk(vi, ci):
         assert feature[vi] == classic._feature[ci]
@@ -115,46 +116,43 @@ class TestStubbedSplitEquivalence:
         built = build_cart_forest(X, y, 1, rng=np.random.default_rng(0))
         classic = CARTRegressionTree(seed=0).fit(X, y)
         np.testing.assert_allclose(
-            predict_packed(built.packed, X)[0], classic.predict(X)
+            predict_packed(built, X)[0], classic.predict(X)
         )
 
 
 class TestBuiltForestEmission:
     def test_packed_and_shells_predict_identically(self):
-        """The directly-emitted packed arrays and the rebased per-tree
-        arrays are two views of the same forest."""
+        """The ensemble-wide walk and one walk per tree span are two
+        views of the same forest."""
         X, y = _make_data(5)
         built = build_extra_trees(X, y, 8, rng=np.random.default_rng(3))
-        shells = [
-            RegressionTree.from_arrays(*built.tree_arrays(i))
-            for i in range(built.n_trees)
-        ]
         queries = np.random.default_rng(9).normal(size=(50, X.shape[1]))
-        expected = np.stack([shell.predict(queries) for shell in shells])
-        np.testing.assert_array_equal(predict_packed(built.packed, queries), expected)
+        np.testing.assert_array_equal(
+            predict_packed(built, queries), predict_per_tree(built, queries)
+        )
 
     def test_roots_and_counts_partition_the_node_arrays(self):
         X, y = _make_data(6)
         built = build_extra_trees(X, y, 5, rng=np.random.default_rng(4))
         assert built.n_trees == 5
-        assert built.offsets[0] == 0
+        assert built.roots[0] == 0
         np.testing.assert_array_equal(
-            built.offsets[1:], np.cumsum(built.counts)[:-1]
+            built.roots[1:], np.cumsum(built.counts)[:-1]
         )
-        assert built.counts.sum() == built.packed.node_count
+        assert built.counts.sum() == built.node_count
         # Child pointers stay within their own tree's packed block.
         for i in range(5):
-            start, stop = built.offsets[i], built.offsets[i] + built.counts[i]
+            start, stop = built.roots[i], built.roots[i] + built.counts[i]
             block = slice(start, stop)
-            inner = built.packed.left[block][built.packed.left[block] >= 0]
+            inner = built.left[block][built.left[block] >= 0]
             assert np.all((inner >= start) & (inner < stop))
 
     def test_deterministic_given_seed(self):
         X, y = _make_data(7)
         a = build_extra_trees(X, y, 4, rng=np.random.default_rng(21))
         b = build_extra_trees(X, y, 4, rng=np.random.default_rng(21))
-        np.testing.assert_array_equal(a.packed.feature, b.packed.feature)
-        np.testing.assert_array_equal(a.packed.threshold, b.packed.threshold)
+        np.testing.assert_array_equal(a.feature, b.feature)
+        np.testing.assert_array_equal(a.threshold, b.threshold)
 
     def test_respects_depth_and_split_limits(self):
         X, y = _make_data(8)
@@ -162,10 +160,7 @@ class TestBuiltForestEmission:
             X, y, 6, max_depth=3, min_samples_split=30,
             rng=np.random.default_rng(5),
         )
-        assert built.depths.max() <= 3
-        for i in range(6):
-            tree = RegressionTree.from_arrays(*built.tree_arrays(i))
-            assert tree.depth() <= 3
+        assert max(tree_depth(built, i) for i in range(6)) <= 3
 
     def test_cart_bootstrap_shape_validation(self):
         X, y = _make_data(9)
@@ -182,59 +177,16 @@ class TestBuiltForestEmission:
         built = build_extra_trees(
             X, y, 4, max_features=1, rng=np.random.default_rng(6)
         )
-        chosen = built.packed.feature[built.packed.feature >= 0]
+        chosen = built.feature[built.feature >= 0]
         assert chosen.size > 0
         assert np.all(chosen < X.shape[1])
 
 
-class TestEnsembleBuilderSelection:
-    def test_unknown_builder_rejected(self):
-        for cls in (ExtraTreesRegressor, RandomForestRegressor):
-            with pytest.raises(ValueError, match="tree_builder"):
-                cls(tree_builder="nope")
-        assert set(TREE_BUILDERS) == {"vectorized", "classic"}
-
-    def test_classic_escape_hatch_preserves_old_stream(self):
-        """tree_builder='classic' reproduces the original per-node
-        grower bit for bit (same RNG consumption order)."""
-        X, y = _make_data(12)
-        model = ExtraTreesRegressor(
-            n_estimators=4, seed=33, tree_builder="classic"
-        ).fit(X, y)
-        reference_rng = np.random.default_rng(33)
-        reference = [
-            RegressionTree(seed=reference_rng).fit(X, y) for _ in range(4)
-        ]
-        queries = np.random.default_rng(13).normal(size=(20, X.shape[1]))
-        expected = np.stack([tree.predict(queries) for tree in reference])
-        np.testing.assert_array_equal(
-            model.predict(queries), expected.mean(axis=0)
-        )
-
-    @pytest.mark.parametrize("builder", TREE_BUILDERS)
-    def test_random_forest_fits_and_predicts(self, builder):
+class TestRandomForest:
+    def test_random_forest_fits_and_predicts(self):
         X, y = _make_data(14)
-        forest = RandomForestRegressor(
-            n_estimators=6, seed=2, tree_builder=builder
-        ).fit(X, y)
+        forest = RandomForestRegressor(n_estimators=6, seed=2).fit(X, y)
         mean, std = forest.predict(X, return_std=True)
         rmse = float(np.sqrt(np.mean((mean - y) ** 2)))
         assert rmse < 1.0
         assert np.all(std >= 0)
-
-    def test_builders_statistically_equivalent(self):
-        """Same generalisation quality from both builders (they
-        implement the same split rules)."""
-        rng = np.random.default_rng(15)
-        coef = rng.normal(size=6)
-        X, Xq = rng.normal(size=(300, 6)), rng.normal(size=(300, 6))
-        y = X @ coef + 0.05 * rng.normal(size=300)
-        yq = Xq @ coef + 0.05 * rng.normal(size=300)
-        errors = {}
-        for builder in TREE_BUILDERS:
-            model = ExtraTreesRegressor(
-                n_estimators=20, seed=8, tree_builder=builder
-            ).fit(X, y)
-            errors[builder] = float(np.sqrt(np.mean((model.predict(Xq) - yq) ** 2)))
-        ratio = errors["vectorized"] / errors["classic"]
-        assert 0.8 < ratio < 1.25, errors

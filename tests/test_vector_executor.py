@@ -362,9 +362,10 @@ class TestFitEnsemblesStacked:
                 model_a._packed.value, model_b._packed.value
             )
 
-    def test_rejects_classic_builder_models(self):
-        datasets, _, stacked = self._pairs(2, tree_builder="classic")
-        with pytest.raises(ValueError):
+    def test_rejects_pending_warm_refit_models(self):
+        datasets, _, stacked = self._pairs(2, refit_fraction=0.5)
+        fit_ensembles_stacked(stacked, datasets)
+        with pytest.raises(ValueError, match="warm-refit"):
             fit_ensembles_stacked(stacked, datasets)
 
     def test_predict_packed_many_matches_per_ensemble(self):
