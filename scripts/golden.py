@@ -21,7 +21,12 @@ pipeline produces:
   forest as the surrogate, each on both catalogs (the ``aws-large``
   twins reach the factored walk).  ``search/history/...`` runs
   HistoryAugmentedBO under a history prior built from every other
-  workload of the trace.
+  workload of the trace.  ``.../multicloud`` cells run clean
+  on-demand q=1 searches on the 390-type ``multicloud`` catalog with
+  budgets long enough for the pairwise training set to pass the
+  Extra-Trees builder's factored-growth crossover: Hybrid BO (budget
+  40) and Augmented BO with the absolute target (``relational=False``,
+  budget 30).
   "faulty" injects
   ``transient:rate=0.4+outage:vm=c4.large`` with ``quarantine_after=2``;
   "spot" prices the search on a hot market that revokes often enough
@@ -110,6 +115,9 @@ HOT_MARKET_RULE = "spot:market=5,base=0.25,slope=0.5"
 #: factored-walk crossover.
 LARGE_CATALOG = "aws-large"
 LARGE_BUDGET = 20
+#: The multicloud cells' catalog: up to 39 x 39 training pairs, well
+#: past the factored-growth crossover of the Extra-Trees builder.
+MULTICLOUD_CATALOG = "multicloud"
 #: The Figure 7 kernels besides Naive BO's default Matérn 5/2.
 FIG7_KERNELS = ("rbf", "matern12", "matern32")
 
@@ -227,11 +235,13 @@ def search_cells() -> Iterator[tuple[str, dict]]:
     )
 
 
-def large_search_cells() -> Iterator[tuple[str, dict]]:
-    """The ``aws-large`` search cells (built on that catalog's trace)."""
+def catalog_search_cells() -> Iterator[tuple[str, str, dict]]:
+    """``(cell name, catalog, build_search kwargs)`` for the cells built
+    on the ``aws-large`` and ``multicloud`` traces."""
     for method in ("augmented", "hybrid"):
         yield (
             f"search/{method}/clean/on-demand/q1/{LARGE_CATALOG}",
+            LARGE_CATALOG,
             dict(
                 method=method, faults="clean", pricing="on-demand", q=1,
                 max_measurements=LARGE_BUDGET,
@@ -240,11 +250,28 @@ def large_search_cells() -> Iterator[tuple[str, dict]]:
     for variant, options in AUGMENTED_VARIANTS.items():
         yield (
             f"search/augmented/{variant}/on-demand/q1/{LARGE_CATALOG}",
+            LARGE_CATALOG,
             dict(
                 method="augmented", faults="clean", pricing="on-demand", q=1,
                 max_measurements=LARGE_BUDGET, options=options,
             ),
         )
+    yield (
+        f"search/hybrid/clean/on-demand/q1/{MULTICLOUD_CATALOG}",
+        MULTICLOUD_CATALOG,
+        dict(
+            method="hybrid", faults="clean", pricing="on-demand", q=1,
+            max_measurements=40,
+        ),
+    )
+    yield (
+        f"search/augmented/absolute/on-demand/q1/{MULTICLOUD_CATALOG}",
+        MULTICLOUD_CATALOG,
+        dict(
+            method="augmented", faults="clean", pricing="on-demand", q=1,
+            max_measurements=30, options={"relational": False},
+        ),
+    )
 
 
 def search_payloads(trace=None) -> Iterator[tuple[str, bytes]]:
@@ -252,9 +279,11 @@ def search_payloads(trace=None) -> Iterator[tuple[str, bytes]]:
     trace = trace if trace is not None else default_trace()
     for name, spec in search_cells():
         yield name, payload_bytes(build_search(trace, **spec).run())
-    large = canonical_trace(LARGE_CATALOG)
-    for name, spec in large_search_cells():
-        yield name, payload_bytes(build_search(large, **spec).run())
+    traces: dict = {}
+    for name, catalog, spec in catalog_search_cells():
+        if catalog not in traces:
+            traces[catalog] = canonical_trace(catalog)
+        yield name, payload_bytes(build_search(traces[catalog], **spec).run())
 
 
 def _clean_factory(environment, objective, seed):
