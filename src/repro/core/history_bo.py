@@ -30,10 +30,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.acquisition import prediction_delta
-from repro.core.augmented_bo import DEFAULT_N_ESTIMATORS, AugmentedBO, PairwiseTreeScorer
+from repro.core.augmented_bo import DEFAULT_N_ESTIMATORS, AugmentedBO
 from repro.core.smbo import AcquisitionScores
 from repro.ml.extra_trees import ExtraTreesRegressor
 from repro.ml.scaling import StandardScaler
+from repro.ml.tree import PairRows
 from repro.trace.dataset import BenchmarkTrace
 
 #: Default number of (source, destination) pairs sampled per history workload.
@@ -102,8 +103,18 @@ class HistoryModel:
         )
         self._model.fit(self._scaler.transform(rows), targets)
 
-    def predict(self, rows: np.ndarray) -> np.ndarray:
-        """Predicted log performance ratios for pairwise ``rows``."""
+    def predict(self, rows: np.ndarray | PairRows) -> np.ndarray:
+        """Predicted log performance ratios for pairwise ``rows`` (dense,
+        or a :class:`~repro.ml.tree.PairRows` whose factors are scaled
+        one by one — the scaler is elementwise per column, so that gives
+        the scaled dense rows' floats, bit for bit)."""
+        if isinstance(rows, PairRows):
+            mean, scale = self._scaler.mean_, self._scaler.scale_
+            split = rows.dest.shape[1]
+            return self._model.predict(PairRows(
+                (rows.dest - mean[:split]) / scale[:split],
+                (rows.source - mean[split:]) / scale[split:],
+            ))
         return self._model.predict(self._scaler.transform(rows))
 
 
@@ -149,14 +160,11 @@ class HistoryAugmentedBO(AugmentedBO):
         measured = self.measured_indices
         metrics = np.array([m.metrics.to_vector() for m in self.measured_measurements])
         log_values = np.log(self.measured_values)
-        query_rows = np.array(
-            [
-                self._scorer._pair_row(candidate, src_index, metrics[src_pos])
-                for candidate in unmeasured
-                for src_pos, src_index in enumerate(measured)
-            ]
+        design = self.design_matrix
+        query = PairRows(
+            design[unmeasured], np.concatenate([design[measured], metrics], axis=1)
         )
-        ratios = self.history.predict(query_rows).reshape(len(unmeasured), len(measured))
+        ratios = self.history.predict(query).reshape(len(unmeasured), len(measured))
         prior_log = (ratios + log_values[None, :]).mean(axis=1)
 
         k = len(measured)

@@ -90,11 +90,13 @@ class TestPairwiseTreeScorer:
         assert y[0] == y[4] == y[8] == 0.0
 
     def test_pair_row_layout(self):
+        """Pair (source 0 -> destination 1) is row ``0 * m + 1``:
+        ``[design[1] | design[0] | metrics[0]]``."""
         design = np.arange(8.0).reshape(2, 4)
         scorer = PairwiseTreeScorer(design, seed=0)
-        metrics = np.full(6, 9.0)
-        row = scorer._pair_row(dest=1, source=0, source_metrics=metrics)
-        assert row.tolist() == design[1].tolist() + design[0].tolist() + [9.0] * 6
+        metrics = np.vstack([np.full(6, 9.0), np.full(6, 7.0)])
+        rows, _ = scorer._training_set([0, 1], np.zeros(2), metrics)
+        assert rows[1].tolist() == design[1].tolist() + design[0].tolist() + [9.0] * 6
 
     def test_prediction_averages_over_sources(self, trace):
         workload_id = "kmeans/Spark 2.1/small"
