@@ -9,8 +9,11 @@ Writes ``BENCH_perf.json`` at the repo root with
   full-refit configuration vs the warm-start ``refit_fraction`` path,
   including the per-step build/fit/query/predict breakdown (each a
   timed public call), the full-refit fit time of the level-synchronous
-  builder, and the retired per-node grower's last measured numbers
-  carried forward as ``classic_history``, and
+  builder, the retired per-node grower's last measured numbers
+  carried forward as ``classic_history``, and the dense builder vs the
+  factored destination x source growth on a 36-measurement
+  ``multicloud`` pair set (``factored_fit_s``, ``factored_fit_speedup``,
+  bit-identity asserted), and
 * full-search wall-clock for batched (``batch_size=4``) vs sequential
   suggestions on the tree and GP paths (the ``batch`` section), and
 * suggest-cycle latency across catalog sizes — the paper's 18 types,
@@ -57,7 +60,9 @@ from repro.core.objectives import Objective
 from repro.core.stopping import PredictionDeltaThreshold
 from repro.ml.gp import GaussianProcessRegressor
 from repro.ml.kernels import kernel_by_name
+from repro.ml.tree_builder import build_extra_trees
 from repro.parallel import plan_workers, run_cells
+from repro.trace.generate import canonical_trace
 
 from conftest import REPO_ROOT, show
 
@@ -83,6 +88,10 @@ FAST_REFIT = 0.25
 
 #: Measured-history size at which the surrogate hot path is profiled.
 AT_MEASUREMENTS = 15
+
+#: Measured-history size of the multicloud pair set on which the dense
+#: and the factored Extra-Trees growth are compared (36 x 36 pairs).
+FACTORED_AT_MEASUREMENTS = 36
 
 # Snapshot of the committed BENCH_perf.json, taken once per session
 # before the first overwrite; None when there was nothing to preserve.
@@ -246,7 +255,7 @@ def _timed_step(
     t0 = perf_counter()
     pending = scorer.score_begin(measured, values, measurements, unmeasured)
     t1 = perf_counter()
-    pending.model.fit(pending.X_scaled, pending.y_train)
+    pending.model.fit(pending.X_scaled, pending.y_train, pairs=pending.pairs)
     t2 = perf_counter()
     if dense_design is None:
         scorer.query_rows(pending)
@@ -281,6 +290,46 @@ def _classic_history() -> dict:
         for key in ("classic_builder_fit_s", "builder_reduction")
         if key in previous
     })
+
+
+def _factored_fit_timings(rounds: int = 5) -> tuple[float, float]:
+    """Fastest dense and factored growth of the Arrow surrogate's 24-tree
+    ensemble on a 36-measurement ``multicloud`` pair set.
+
+    Both builds start from the same seed and must yield the same trees
+    and leave the generator in the same state.
+    """
+    environment = canonical_trace("multicloud").environment(all_workload_ids()[0])
+    environment.reset()
+    catalog = list(environment.catalog)
+    measured = list(range(0, len(catalog), len(catalog) // FACTORED_AT_MEASUREMENTS))
+    measured = measured[:FACTORED_AT_MEASUREMENTS]
+    measurements = [environment.measure(catalog[index]) for index in measured]
+    values = [Objective.TIME.value_of(m) for m in measurements]
+    unmeasured = sorted(set(range(len(catalog))) - set(measured))
+    scorer = PairwiseTreeScorer(AugmentedBO(environment, seed=0).design_matrix, seed=0)
+    pending = scorer.score_begin(measured, values, measurements, unmeasured)
+    model = pending.model
+
+    def grow(pairs):
+        rng = np.random.default_rng(7)
+        t0 = perf_counter()
+        packed = build_extra_trees(
+            pending.X_scaled, pending.y_train, model.n_estimators,
+            min_samples_split=model.min_samples_split, rng=rng, pairs=pairs,
+        )
+        return perf_counter() - t0, packed, rng.bit_generator.state
+
+    dense_s, factored_s = [], []
+    for _ in range(rounds):
+        seconds, dense, dense_state = grow(None)
+        dense_s.append(seconds)
+        seconds, factored, factored_state = grow(pending.pairs)
+        factored_s.append(seconds)
+        for name in ("feature", "threshold", "left", "right", "value", "roots"):
+            np.testing.assert_array_equal(getattr(factored, name), getattr(dense, name))
+        assert factored_state == dense_state
+    return min(dense_s), min(factored_s)
 
 
 def test_surrogate_scoring_reduction(trace):
@@ -324,6 +373,8 @@ def test_surrogate_scoring_reduction(trace):
     vector_fit_s, full_step = best_step(PairwiseTreeScorer(design, seed=0))
     _, warm_step = best_step(fast)
     history = _classic_history()
+    dense_fit_s, factored_fit_s = _factored_fit_timings()
+    factored_speedup = dense_fit_s / factored_fit_s
 
     payload = {
         "n_measured": AT_MEASUREMENTS,
@@ -336,6 +387,10 @@ def test_surrogate_scoring_reduction(trace):
         "full_step_timings": full_step,
         "warm_step_timings": warm_step,
         "classic_history": history,
+        "factored_at_measurements": FACTORED_AT_MEASUREMENTS,
+        "dense_fit_s": round(dense_fit_s, 6),
+        "factored_fit_s": round(factored_fit_s, 6),
+        "factored_fit_speedup": round(factored_speedup, 3),
     }
     _merge_bench("surrogate", payload)
     show(
@@ -350,6 +405,17 @@ def test_surrogate_scoring_reduction(trace):
                 "-",
                 f"{history.get('classic_builder_fit_s', float('nan')) * 1e3:.1f} (historical)",
             ),
+            (
+                f"dense fit @{FACTORED_AT_MEASUREMENTS} multicloud (ms)",
+                "-",
+                f"{dense_fit_s * 1e3:.1f}",
+            ),
+            (
+                f"factored fit @{FACTORED_AT_MEASUREMENTS} multicloud (ms)",
+                "-",
+                f"{factored_fit_s * 1e3:.1f}",
+            ),
+            ("factored-fit speedup", ">= 1.4x", f"{factored_speedup:.2f}x"),
         ],
     )
     _show_delta("surrogate", payload)

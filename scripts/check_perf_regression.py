@@ -19,7 +19,8 @@ wall-clock reduction for q-point suggestions must stay >= 1.8x, the
 candidates must stay >= 2x, the ``vector`` section's lock-step
 cross-search grid reduction must stay >= 2x, the ``spot`` section's
 cost-saving ratio of spot+fallback pricing over on-demand must stay
->= 1.05x, and a section marked
+>= 1.05x, the ``surrogate`` section's factored Extra-Trees fit speedup
+on a 36 x 36 pair set must stay >= 1.4x, and a section marked
 ``clamped`` (the engine collapsed to one effective worker, or the
 runner has a single core) is skipped rather than judged — a clamped
 run measures pool overhead, not performance.
@@ -74,6 +75,9 @@ FLOORS = (
     # floor is tight: spot pricing with the on-demand fallback ladder
     # must keep the search strictly cheaper than pure on-demand.
     ("spot", "saving_ratio", 1.05, "spot+fallback cost saving vs on-demand"),
+    # Single-threaded arithmetic: the factored destination x source
+    # Extra-Trees growth vs the dense builder on a 36 x 36 pair set.
+    ("surrogate", "factored_fit_speedup", 1.4, "factored Extra-Trees fit speedup @36"),
 )
 
 

@@ -1,9 +1,9 @@
-"""Incremental pair-matrix cache of the augmented surrogate.
+"""The augmented surrogate's pair training set, step by step.
 
-Property under test: after every step of a seeded search, the cached
-(incrementally extended) training set equals the from-scratch enumeration
-of all ordered measured pairs — the reference `_training_set` the unit
-tests pin.
+Property under test: after every step of a seeded search, the training
+set the scorer fitted on equals the enumeration of all ordered measured
+pairs — the reference `_training_set` the unit tests pin — also when a
+call's history does not extend the previous one.
 """
 
 from __future__ import annotations
