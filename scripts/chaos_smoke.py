@@ -4,20 +4,22 @@
 Drives real interrupted-grid scenarios, outside pytest, the way an
 operator would hit them.
 
-``--scenario pool`` (journal/resume):
+``--scenario pool`` (durable record/resume):
 
 1. Computes a clean serial reference cache for a small grid.
 2. Launches a child process running the same grid on a worker pool with
    a worker-killer factory (one cell kills its worker to exercise pool
    self-healing) and per-cell pacing, waits until the child's crash-safe
-   journal holds a few completed cells, then SIGTERMs it mid-grid.
+   record — the grid's ``.queue`` file — holds a few ``done`` cells,
+   then SIGTERMs it mid-grid.
 3. Re-runs the grid with ``resume=True`` and asserts that
 
-   * no journaled/flushed cell is recomputed — only the cells that were
+   * no recorded/flushed cell is recomputed — only the cells that were
      in flight (or never started) at the moment of the signal are
-     scheduled, and
+     scheduled,
    * the final consolidated cache is byte-identical to the clean
-     serial reference.
+     serial reference, and
+   * the clean completion retires the queue file.
 
 ``--scenario queue`` (durable queue / lease recovery):
 
@@ -82,7 +84,7 @@ from repro.cloud.spot import SpotMarket, SpotPolicy  # noqa: E402
 from repro.core.baselines import RandomSearch  # noqa: E402
 from repro.core.objectives import Objective  # noqa: E402
 from repro.faults.models import FaultPlan, SpotInterruptions  # noqa: E402
-from repro.parallel import GridCheckpoint, WorkQueue  # noqa: E402
+from repro.parallel import WorkQueue  # noqa: E402
 from repro.trace.generate import default_trace  # noqa: E402
 
 WORKLOADS = (
@@ -107,9 +109,9 @@ SPOT_SEED = 5
 PACE_S = 0.5
 
 #: The cell whose pool attempts kill their worker.  The *first* cell in
-#: submission order: results are yielded (and journaled) in that order,
+#: submission order: results are yielded (and recorded) in that order,
 #: so a crash-recovering cell in the middle would buffer every completed
-#: sibling and make the journal grow in one burst instead of steadily.
+#: sibling and make the record grow in one burst instead of steadily.
 LETHAL_SEED = run_seed(WORKLOADS[0], 0)
 
 ALL_CELLS = {(w, r) for w in WORKLOADS for r in range(REPEATS)}
@@ -193,6 +195,19 @@ def run_child(cache_dir: Path) -> int:
     return 0
 
 
+def _done_cells(queue_path: Path) -> set:
+    """The cells the queue file holds ``done`` (empty while it is being
+    created).  Read-only, so it is safe while the writer runs."""
+    try:
+        with WorkQueue.attach(queue_path, readonly=True) as queue:
+            return {
+                cell for cell, state, _p, _e, _a in queue.terminal_cells()
+                if state == "done"
+            }
+    except (FileNotFoundError, ValueError):
+        return set()
+
+
 def scenario_pool(work: Path, trace) -> int:
     ref_dir, chaos_dir = work / "ref", work / "chaos"
     total = len(ALL_CELLS)
@@ -207,18 +222,23 @@ def scenario_pool(work: Path, trace) -> int:
         [sys.executable, __file__, "--child", str(chaos_dir)],
         cwd=REPO_ROOT,
     )
-    journal_path = chaos_dir / f"{CACHE_NAME}.journal"
+    queue_path = chaos_dir / f"{CACHE_NAME}.queue"
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline:
         if child.poll() is not None:
             print("chaos-smoke[pool]: FAIL — child finished before the signal")
             return 1
-        if journal_path.exists() and len(journal_path.read_bytes().splitlines()) >= 3:
-            break
+        if queue_path.exists():
+            try:
+                with WorkQueue.attach(queue_path, readonly=True) as queue:
+                    if queue.counts()["done"] >= 3:
+                        break
+            except ValueError:
+                pass  # the child is still creating the file
         time.sleep(0.05)
     else:
         child.kill()
-        print("chaos-smoke[pool]: FAIL — journal never reached 3 cells")
+        print("chaos-smoke[pool]: FAIL — the queue file never held 3 done cells")
         return 1
     child.send_signal(signal.SIGTERM)
     child.wait(timeout=60.0)
@@ -227,9 +247,9 @@ def scenario_pool(work: Path, trace) -> int:
         print(f"chaos-smoke[pool]: FAIL — child exit {child.returncode}, wanted 143")
         return 1
 
-    journaled = GridCheckpoint(journal_path, cache_key=CACHE_NAME).load()
+    recorded = _done_cells(queue_path)
     print(
-        f"chaos-smoke[pool]: child SIGTERMed after {len(journaled)} journaled cells "
+        f"chaos-smoke[pool]: child SIGTERMed after {len(recorded)} recorded cells "
         f"({interrupted_s:.1f}s)"
     )
 
@@ -242,28 +262,30 @@ def scenario_pool(work: Path, trace) -> int:
 
     completed = {e.cell for e in events if e.kind in ("cell_cached", "cell_resumed")}
     scheduled = {e.cell for e in events if e.kind == "cell_scheduled"}
-    recomputed_beyond_in_flight = scheduled & set(journaled)
+    recomputed_beyond_in_flight = scheduled & recorded
     print(
         f"chaos-smoke[pool]: resume recovered {len(completed)} cells, "
         f"recomputed {len(scheduled)} ({resume_s:.1f}s)"
     )
     failures = []
+    if len(recorded) < 3:
+        failures.append(f"the queue file lost recorded cells (read {len(recorded)})")
     if recomputed_beyond_in_flight:
         failures.append(
-            f"recomputed journaled cells: {sorted(recomputed_beyond_in_flight)}"
+            f"recomputed recorded cells: {sorted(recomputed_beyond_in_flight)}"
         )
     if scheduled | completed != ALL_CELLS or len(scheduled) + len(completed) != total:
         failures.append("recovered + recomputed cells do not partition the grid")
     final = (chaos_dir / f"{CACHE_NAME}.json").read_bytes()
     if final != reference:
         failures.append("resumed cache differs from the clean serial reference")
-    if journal_path.exists():
-        failures.append("journal not retired after clean completion")
+    if queue_path.exists():
+        failures.append("queue file not retired after clean completion")
 
     _store_bench("chaos", {
         "interrupted_run_s": round(interrupted_s, 3),
         "resume_run_s": round(resume_s, 3),
-        "journaled_cells": len(journaled),
+        "recorded_cells": len(recorded),
         "recovered_cells": len(completed),
         "recomputed_cells": len(scheduled),
     })

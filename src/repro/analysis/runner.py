@@ -16,10 +16,10 @@ recomputed rather than crashing the runner.  Every run is deterministic
 given its seed, so recomputation yields identical results.
 
 Interrupted grids resume instead of recomputing: every completed cell is
-additionally journaled (append + fsync) to a ``*.journal`` file next to
-the cache (:class:`~repro.parallel.checkpoint.GridCheckpoint`), SIGINT/
-SIGTERM flush the consolidated cache before the process dies, and
-``run(grid, resume=True)`` folds journaled results back in so at most
+also recorded in the grid's ``*.queue`` file next to the cache
+(:class:`~repro.parallel.checkpoint.GridCheckpoint`), SIGINT/SIGTERM
+flush the consolidated cache before the process dies, and
+``run(grid, resume=True)`` folds recorded results back in so at most
 the in-flight cells of the interrupted run are recomputed — the final
 cache file is byte-identical to an uninterrupted run.
 """
@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import numbers
+import os
 import zlib
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
@@ -366,56 +367,6 @@ class ExperimentRunner:
             return {}
         return payload["results"]
 
-    @staticmethod
-    def _reconcile_queue(
-        queue_path: Path,
-        cache_key: str,
-        results: Mapping[str, Sequence[SearchResult | None]],
-    ) -> None:
-        """Make a resumed queue agree with the cache before any lease.
-
-        The cache (journal folded in) is the source of truth: every
-        cell it holds is marked ``done`` in the queue so it can never
-        be re-leased, whatever state its row was left in by the
-        interrupted run.  A queue file that belongs to a different grid
-        or schema is removed — it must not serve this run.
-        """
-        from repro.parallel.queue import WorkQueue
-
-        if not queue_path.exists():
-            return
-        try:
-            queue = WorkQueue.attach(queue_path)
-        except ValueError as error:
-            logger.warning(
-                "removing unusable queue file %s (%s)", queue_path, error
-            )
-            WorkQueue.remove(queue_path)
-            return
-        try:
-            if queue.cache_key != cache_key:
-                logger.warning(
-                    "removing queue file %s: belongs to grid %r, not %r",
-                    queue_path, queue.cache_key, cache_key,
-                )
-                queue.close()
-                WorkQueue.remove(queue_path)
-                return
-            done = [
-                (workload_id, repeat)
-                for workload_id, slots in results.items()
-                for repeat, slot in enumerate(slots)
-                if slot is not None
-            ]
-            changed = queue.reconcile(done)
-            if changed:
-                logger.info(
-                    "queue %s: reconciled %d cell(s) already held by the cache",
-                    queue_path, changed,
-                )
-        finally:
-            queue.close()
-
     def run(
         self,
         grid: RunGrid,
@@ -441,10 +392,11 @@ class ExperimentRunner:
         order, so the cache file that lands on disk is byte-identical
         for any worker count (and for any interruption/resume history).
 
-        While computing, every completed cell is journaled crash-safely
-        next to the cache file and SIGINT/SIGTERM flush the
-        consolidated cache before the process dies, so an interrupted
-        grid loses at most its in-flight cells.
+        While computing, every completed cell is recorded crash-safely
+        in the grid's ``<cache>.queue`` file (the same file for every
+        executor) and SIGINT/SIGTERM flush the consolidated cache
+        before the process dies, so an interrupted grid loses at most
+        its in-flight cells.
 
         Args:
             grid: the experiment grid to run.
@@ -453,10 +405,11 @@ class ExperimentRunner:
             on_event: optional sink for
                 :class:`~repro.parallel.events.CellEvent` progress
                 events (cache hits emit ``cell_cached``; cells
-                recovered from a journal emit ``cell_resumed``).
-            resume: fold results journaled by an interrupted run back
-                into the cache and skip those cells.  When False
-                (default) a leftover journal is discarded — a fresh run
+                recovered from the queue file emit ``cell_resumed``).
+            resume: fold results recorded by an interrupted run back
+                into the cache, skip those cells, and mark every cell
+                the cache holds ``done`` in the queue file.  When False
+                (default) a leftover queue file is removed — a fresh run
                 was asked for.  Only meaningful with a ``cache_dir``.
             cell_timeout: wall-clock deadline per cell on a pool;
                 stragglers are cancelled and completed serially.
@@ -474,18 +427,13 @@ class ExperimentRunner:
                 batching per-round surrogate algebra across searches
                 with results (and the cache file) byte-identical to the
                 serial path.  ``"queue"`` dispatches cells
-                through a durable :class:`~repro.parallel.queue.
-                WorkQueue` at ``<cache>.queue`` next to the cache file
-                (crash-surviving, at-least-once; external workers can
-                join via ``arrow queue-worker``) and therefore requires
-                a ``cache_dir``.  On ``resume=True`` a reconciliation
-                pass first marks every cell the cache/journal already
-                holds as ``done`` in the queue — the cache is the
-                source of truth; durable results are never re-leased.
-                On ``resume=False`` a leftover queue file is removed,
-                mirroring the journal semantics.  The queue file
-                survives a clean completion: its events table is the
-                run's persisted robustness record.
+                through the durable :class:`~repro.parallel.queue.
+                WorkQueue` in that same file (crash-surviving,
+                at-least-once; external workers can join via ``arrow
+                queue-worker``) and therefore requires a
+                ``cache_dir``.  Its workers record each result, and
+                the file survives a clean completion: its events table
+                is the run's persisted robustness record.
             queue_workers: local pull-workers the queue coordinator
                 forks (``None`` = the planned worker count; ``0`` =
                 rely on an external worker fleet).
@@ -522,16 +470,20 @@ class ExperimentRunner:
             )
         cache = self._load_cache(cache_path)
 
-        journal: GridCheckpoint | None = None
-        journaled: dict[tuple[str, int], dict] = {}
+        checkpoint: GridCheckpoint | None = None
+        recovered: dict[tuple[str, int], object] = {}
         if cache_path is not None:
-            journal = GridCheckpoint.for_cache(cache_path)
+            checkpoint = GridCheckpoint.for_cache(cache_path)
             if resume:
-                journaled = journal.load()
+                cells = [(w, r) for w in grid.workload_ids for r in range(grid.repeats)]
+                held = {(w, r) for w, r in cells if str(r) in cache.get(w, {})}
+                recovered = checkpoint.resume(
+                    [c for c in cells if c not in held], [c for c in cells if c in held]
+                )
             else:
-                # A fresh run was asked for: a stale journal must not
-                # inject results behind the caller's back.
-                journal.clear()
+                # A fresh run was asked for: a stale record must not
+                # inject results or serve old leases.
+                checkpoint.clear()
 
         results: dict[str, list[SearchResult | None]] = {}
         missing: list[tuple[str, int]] = []
@@ -540,20 +492,12 @@ class ExperimentRunner:
             slots: list[SearchResult | None] = []
             for repeat in range(grid.repeats):
                 seed_key = str(repeat)
-                recovered = False
-                if seed_key not in per_workload and (workload_id, repeat) in journaled:
-                    # An interrupted run completed this cell; its
-                    # payload is durable in the journal.  Fold it in as
-                    # if it had been cached all along.
-                    payload = journaled[(workload_id, repeat)]
-                    if _valid_payload(payload):
-                        per_workload[seed_key] = payload
-                        recovered = True
-                    else:
-                        logger.warning(
-                            "dropping malformed journal entry %s/%s",
-                            workload_id, seed_key,
-                        )
+                cell = (workload_id, repeat)
+                if cell in recovered:
+                    # An interrupted run completed this cell and its
+                    # payload is durable in the queue file: fold it in
+                    # as if it had been cached all along.
+                    per_workload[seed_key] = recovered[cell]
                 if seed_key in per_workload:
                     if _valid_payload(per_workload[seed_key]):
                         slots.append(
@@ -562,12 +506,8 @@ class ExperimentRunner:
                             )
                         )
                         if on_event is not None:
-                            on_event(
-                                CellEvent.for_cell(
-                                    "cell_resumed" if recovered else "cell_cached",
-                                    (workload_id, repeat),
-                                )
-                            )
+                            kind = "cell_resumed" if cell in recovered else "cell_cached"
+                            on_event(CellEvent.for_cell(kind, cell))
                         continue
                     # A malformed entry is dropped and recomputed below.
                     logger.warning(
@@ -576,23 +516,16 @@ class ExperimentRunner:
                     )
                     del per_workload[seed_key]
                 slots.append(None)
-                missing.append((workload_id, repeat))
+                missing.append(cell)
             results[workload_id] = slots
 
         queue_config = None
         if executor == "queue":
-            from repro.parallel.queue import QueueConfig, WorkQueue
+            from repro.parallel.queue import QueueConfig
 
-            queue_path = cache_path.with_suffix(".queue")
-            if resume:
-                self._reconcile_queue(queue_path, cache_path.stem, results)
-            else:
-                # A fresh run was asked for: a stale queue must not
-                # serve old leases or results (journal semantics).
-                WorkQueue.remove(queue_path)
             queue_config = QueueConfig(
-                path=queue_path,
-                cache_key=cache_path.stem,
+                path=checkpoint.path,
+                cache_key=checkpoint.cache_key,
                 workers=queue_workers,
                 lease_duration_s=queue_lease_s,
                 max_attempts=queue_max_attempts,
@@ -600,18 +533,32 @@ class ExperimentRunner:
                 pricing=queue_pricing,
             )
 
+        # Queue workers record each result themselves; every other
+        # executor records through the checkpoint.
+        recording = checkpoint is not None and executor != "queue"
         dirty = 0
 
         def flush() -> None:
+            # The cache must be durable before the queue file, the other
+            # copy of its cells, can be removed: fsync the new bytes,
+            # rename, then fsync the directory entry.
             if cache_path is not None:
                 tmp_path = cache_path.with_suffix(".tmp")
-                tmp_path.write_text(
-                    json.dumps({"schema": CACHE_SCHEMA_VERSION, "results": cache})
-                )
-                tmp_path.replace(cache_path)
+                with tmp_path.open("w") as handle:
+                    handle.write(
+                        json.dumps({"schema": CACHE_SCHEMA_VERSION, "results": cache})
+                    )
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.replace(tmp_path, cache_path)
+                directory = os.open(cache_path.parent, os.O_RDONLY)
+                try:
+                    os.fsync(directory)
+                finally:
+                    os.close(directory)
 
-        if missing:
-            try:
+        try:
+            if missing:
                 with flush_on_signal(flush):
                     for cell, result in run_cells(
                         trace=self.trace,
@@ -635,31 +582,26 @@ class ExperimentRunner:
                         payload = _result_to_json(result)
                         cache[workload_id][str(repeat)] = payload
                         results[workload_id][repeat] = result
-                        if journal is not None:
+                        if recording:
                             # Durable the instant the cell completes: a
                             # kill -9 from here on loses only in-flight
                             # cells.
-                            journal.record(cell, payload)
+                            checkpoint.record(cell, payload)
                         dirty += 1
                         # Consolidate periodically so the common restart
-                        # path reads one JSON file, not a long journal.
+                        # path reads one JSON file, not a long record.
                         if dirty >= 100:
                             flush()
                             dirty = 0
-                if dirty:
-                    flush()
-            finally:
-                if journal is not None:
-                    journal.close()
-            # A clean completion owns its journal: everything in it is
-            # now in the consolidated cache.
-            if journal is not None:
-                journal.clear()
-        elif resume and journaled and journal is not None and cache_path is not None:
-            # Every journaled cell was folded into the cache; persist
-            # the consolidation and retire the journal.
-            flush()
-            journal.clear()
+            if dirty or recovered:
+                flush()
+        finally:
+            if checkpoint is not None:
+                checkpoint.close()
+        # A clean non-queue completion owns its record: everything in it
+        # is now in the consolidated cache.
+        if recording:
+            checkpoint.clear()
         return results
 
     def optimal_value(self, workload_id: str, objective: Objective) -> float:

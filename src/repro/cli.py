@@ -417,9 +417,10 @@ def _run_repeats(args: argparse.Namespace, trace, objective):
 
     With ``--cache-dir`` the repeats run as a one-workload
     :class:`~repro.analysis.runner.RunGrid` through the caching
-    :class:`~repro.analysis.runner.ExperimentRunner`, which journals
-    every completed repeat — an interrupted campaign picks up with
-    ``--resume`` instead of recomputing.  Without it they stream
+    :class:`~repro.analysis.runner.ExperimentRunner`, which records
+    every completed repeat in the grid's ``.queue`` file — an
+    interrupted campaign picks up with ``--resume`` instead of
+    recomputing.  Without it they stream
     straight through the supervised engine.
     """
     from repro.parallel.engine import run_cells
@@ -927,13 +928,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--cache-dir",
-        help="cache/journal directory for --repeats campaigns; completed "
-        "repeats persist across invocations and interruptions",
+        help="cache directory for --repeats campaigns; completed repeats "
+        "persist across invocations and interruptions (each is recorded in "
+        "a .queue file next to the cache as it finishes)",
     )
     search.add_argument(
         "--resume", action="store_true",
-        help="with --cache-dir: fold results journaled by an interrupted "
-        "campaign back in and recompute only the cells it lost in flight",
+        help="with --cache-dir: fold results an interrupted campaign "
+        "recorded in its .queue file back in, under any --executor, and "
+        "recompute only the cells it lost in flight",
     )
     search.add_argument(
         "--executor", choices=["auto", "serial", "pool", "queue", "vector"],

@@ -12,13 +12,14 @@ quarantine.  Worker counts are clamped to what the machine and grid can
 use (:func:`~repro.parallel.engine.plan_workers`), the trace's bulk
 arrays reach workers through one shared-memory segment
 (:class:`~repro.parallel.dataplane.TraceShare`) instead of per-worker
-copies, and completed cells are journaled crash-safely by
-:class:`~repro.parallel.checkpoint.GridCheckpoint` so interrupted grids
-resume instead of recomputing.
+copies, and completed cells are recorded crash-safely by
+:class:`~repro.parallel.checkpoint.GridCheckpoint` in the grid's
+work-queue file — one durable record for every executor — so
+interrupted grids resume, under any executor, instead of recomputing.
 
 For campaigns that must survive more than worker deaths, the durable
-work queue (:mod:`repro.parallel.queue`) moves grid state into a SQLite
-file next to the cache: leased cells, heartbeats, at-least-once
+work queue (:mod:`repro.parallel.queue`) also runs the grid from that
+SQLite file next to the cache: leased cells, heartbeats, at-least-once
 requeue of cells whose worker died, and an external worker fleet via
 ``arrow queue-worker`` — all behind the same executor protocol
 (:class:`~repro.parallel.queue.QueueExecutor`).

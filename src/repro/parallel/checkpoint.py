@@ -1,28 +1,22 @@
-"""Crash-safe grid checkpointing: the journal behind ``--resume``.
+"""Crash-safe grid checkpointing: the durable record behind ``--resume``.
 
 A long grid run writes its consolidated JSON cache only periodically —
-an atomic whole-file rewrite per cell would be quadratic — so a killed
-process could lose up to a flush interval of finished work.  The
-:class:`GridCheckpoint` closes that gap: every completed cell is
-appended to a JSON-Lines journal next to the cache file and ``fsync``'d
-immediately, so after any interruption (SIGTERM, ``kill -9``, power
-loss) at most the *in-flight* cells are lost.  On ``resume=True`` the
-runner folds journaled results back into its cache map and skips those
-cells entirely; on a clean completion the journal's contents are in the
-consolidated cache and the journal is deleted.
+an atomic whole-file rewrite per cell would be quadratic — so every
+completed cell is also recorded in the grid's one durable per-cell
+record: its work-queue file, ``<grid-key>__<objective>.queue`` next to
+the cache (:class:`~repro.parallel.queue.WorkQueue`).  Each record is an
+fsync'd SQLite commit, so after any interruption (SIGTERM, ``kill -9``,
+power loss) at most the *in-flight* cells are lost.  Serial, pool and
+vector runs record through :class:`GridCheckpoint`; under
+``executor="queue"`` the worker's guarded ``complete()`` has already
+written the row.  The file is the same for every executor, so a grid
+interrupted under one resumes under any other.  A ``*.journal`` file
+from before this record existed is not read; its cells are recomputed,
+which is deterministic.
 
-Journal lines are self-describing and defensive:
-
-* each line carries the grid's ``cache_key``, so a journal accidentally
-  pointed at a different grid contributes nothing;
-* a truncated final line — the footprint of dying mid-append — is
-  skipped, never fatal;
-* payloads are validated by the caller with the same schema check as
-  cache entries, so a corrupt line degrades to recomputing one cell.
-
-:func:`flush_on_signal` complements the journal for *graceful*
+:func:`flush_on_signal` complements the record for *graceful*
 interruption: while active, SIGINT/SIGTERM first flush the
-consolidated cache (journaled results are already safe), then re-raise
+consolidated cache (recorded results are already safe), then re-raise
 as ``KeyboardInterrupt`` / ``SystemExit`` so the process still dies
 with conventional semantics.
 """
@@ -31,128 +25,108 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import signal
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.parallel.executors import Cell
+from repro.parallel.queue import QUEUE_SUFFIX, WorkQueue
+
 logger = logging.getLogger(__name__)
-
-#: One grid cell: (workload_id, repeat).
-Cell = tuple[str, int]
-
-#: Journal files live next to the cache file they shadow.
-JOURNAL_SUFFIX = ".journal"
 
 
 class GridCheckpoint:
-    """Append-only, fsync-per-record journal of completed grid cells.
+    """The durable per-cell record of one grid: its work-queue file.
 
     Args:
-        path: the journal file (conventionally the cache path with
-            :data:`JOURNAL_SUFFIX`).
-        cache_key: identity of the grid this journal belongs to —
-            recorded in and checked against every line.
+        path: the queue database (conventionally the cache path with
+            :data:`~repro.parallel.queue.QUEUE_SUFFIX`).
+        cache_key: identity of the grid — stamped into the file and
+            checked on resume.
     """
 
     def __init__(self, path: str | Path, cache_key: str) -> None:
         self.path = Path(path)
         self.cache_key = cache_key
-        self._handle = None
+        self._queue: WorkQueue | None = None
 
     @classmethod
     def for_cache(cls, cache_path: str | Path) -> GridCheckpoint:
-        """The journal shadowing one cache file, under the canonical
-        naming every sibling artefact follows: ``<stem>.journal`` next
-        to the cache, keyed by the cache's stem (the durable work queue
-        derives ``<stem>.queue`` the same way)."""
+        """The record shadowing one cache file: ``<stem>.queue`` next to
+        it, keyed by the cache's stem.  Nothing is opened before the
+        first :meth:`record` or :meth:`resume`, so a fully cached run
+        creates no file."""
         cache_path = Path(cache_path)
-        return cls(
-            cache_path.with_suffix(JOURNAL_SUFFIX), cache_key=cache_path.stem
-        )
-
-    # -- writing ----------------------------------------------------------
+        return cls(cache_path.with_suffix(QUEUE_SUFFIX), cache_key=cache_path.stem)
 
     def record(self, cell: Cell, payload: dict) -> None:
-        """Durably append one completed cell's result payload.
+        """Durably mark one completed cell ``done`` with its payload.
 
-        The line is flushed and ``fsync``'d before returning, so a
-        subsequent hard kill cannot lose this cell.
+        The commit is fsync'd before returning (SQLite's default
+        ``synchronous=FULL``), so a subsequent hard kill cannot lose
+        this cell.
         """
-        workload_id, repeat = cell
-        line = json.dumps(
-            {
-                "cache_key": self.cache_key,
-                "workload": workload_id,
-                "repeat": repeat,
-                "result": payload,
-            }
-        )
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        if self._queue is None:
+            self._queue = WorkQueue(self.path, self.cache_key)
+        self._queue.record_external(cell, payload, "recorded by the runner")
 
-    def close(self) -> None:
-        """Close the append handle (records stay on disk)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+    def resume(
+        self, lacking: Iterable[Cell], held: Iterable[Cell]
+    ) -> dict[Cell, object]:
+        """Recovered ``{cell: payload}`` for the ``lacking`` cells.
 
-    def clear(self) -> None:
-        """Remove the journal — its contents live in the cache now."""
-        self.close()
-        self.path.unlink(missing_ok=True)
-
-    # -- reading ----------------------------------------------------------
-
-    def load(self) -> dict[Cell, dict]:
-        """Journaled ``{cell: payload}`` for this grid, tolerating damage.
-
-        Unparseable lines (a truncated tail from a hard kill) and lines
-        recorded for a different ``cache_key`` are skipped with a log
-        message; they cost one recomputation each, never a crash.
+        Attaches the file once.  One that is unusable or belongs to
+        another grid is removed instead.  Otherwise only the rows of
+        ``lacking`` cells are decoded, each validated with the cache's
+        schema check (a bad row loses its result, so any executor
+        recomputes the cell), and the ``held`` cells — those the cache
+        already has — are reconciled ``done`` so they are never leased.
         """
         if not self.path.exists():
             return {}
-        entries: dict[Cell, dict] = {}
-        skipped = 0
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
+        try:
+            queue = WorkQueue.attach(self.path)
+            if queue.cache_key != self.cache_key:
+                queue.close()
+                raise ValueError(
+                    f"belongs to grid {queue.cache_key!r}, not {self.cache_key!r}"
+                )
+        except ValueError as error:
+            logger.warning("removing queue file %s (%s)", self.path, error)
+            WorkQueue.remove(self.path)
+            return {}
+        self._queue = queue
+        # Imported here: the runner imports this package lazily, and the
+        # schema check lives beside the cache code it guards.
+        from repro.analysis.runner import valid_payload
+
+        recovered: dict[Cell, object] = {}
+        for cell, text in queue.stored_results(lacking):
             try:
-                record = json.loads(line)
+                payload = json.loads(text)
             except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if not isinstance(record, dict):
-                skipped += 1
-                continue
-            if record.get("cache_key") != self.cache_key:
-                skipped += 1
-                continue
-            workload_id = record.get("workload")
-            repeat = record.get("repeat")
-            payload = record.get("result")
-            if (
-                not isinstance(workload_id, str)
-                or not isinstance(repeat, int)
-                or not isinstance(payload, dict)
-            ):
-                skipped += 1
-                continue
-            entries[(workload_id, repeat)] = payload
-        if skipped:
-            logger.warning(
-                "grid journal %s: skipped %d unusable line(s) "
-                "(truncated tail or foreign cache_key)",
-                self.path, skipped,
-            )
-        return entries
+                payload = None
+            if valid_payload(payload):
+                recovered[cell] = payload
+            else:
+                logger.warning("dropping invalid result %s/%s in %s", *cell, self.path)
+                queue.record_external(cell, None, "invalid stored result dropped")
+        if queue.reconcile(held):
+            logger.info("queue %s: reconciled cells the cache holds", self.path)
+        return recovered
+
+    def close(self) -> None:
+        """Close the connection (records stay on disk)."""
+        if self._queue is not None:
+            self._queue.close()
+            self._queue = None
+
+    def clear(self) -> None:
+        """Remove the file and its WAL sidecars."""
+        self.close()
+        WorkQueue.remove(self.path)
 
     def __enter__(self) -> GridCheckpoint:
         return self

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 #: * ``cell_failed`` — the cell raised an application error in a worker;
 #: * ``cell_cached`` — the runner served the cell from its cache (the
 #:   engine never sees those cells);
-#: * ``cell_resumed`` — the runner recovered the cell from a grid
-#:   checkpoint journal left by an interrupted run;
+#: * ``cell_resumed`` — the runner recovered the cell from the grid's
+#:   work-queue file, where an interrupted run recorded it;
 #: * ``cell_retried`` — the supervisor re-attempted a failed cell
 #:   (resubmitted to the pool, or fell back to the parent's serial
 #:   path — ``detail`` says which);

@@ -30,7 +30,7 @@ losing the disk:
 * :class:`QueueExecutor` — the coordinator side, implementing the
   four-method :class:`~repro.parallel.executors.CellExecutor` protocol,
   so :class:`~repro.parallel.supervisor.Supervisor` policy and the
-  runner's journal/cache machinery apply unchanged.  ``submit``
+  runner's cache/resume machinery apply unchanged.  ``submit``
   enqueues durable rows; ``poll`` sweeps expired leases (emitting
   ``lease_expired`` / ``worker_lost`` / ``cell_requeued``
   :class:`~repro.parallel.events.CellEvent`\\ s), forwards fleet
@@ -41,6 +41,10 @@ losing the disk:
   parked ``poisoned`` and reported as a crash, which the engine's
   queue-mode supervision config (``poison_threshold=1``) turns into
   exactly one serial completion by the coordinator.
+
+The file is also the grid's one durable per-cell record under every
+other executor (:class:`~repro.parallel.checkpoint.GridCheckpoint`), so
+every connection commits at SQLite's default ``synchronous=FULL``.
 
 Results cross the queue as the runner's canonical JSON payloads
 (:func:`~repro.analysis.runner.result_to_payload`), which round-trip
@@ -60,7 +64,7 @@ import secrets
 import sqlite3
 import threading
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -119,6 +123,7 @@ CREATE TABLE IF NOT EXISTS cells (
     PRIMARY KEY (workload, repeat)
 );
 CREATE INDEX IF NOT EXISTS cells_by_state ON cells (state, priority, seq);
+CREATE INDEX IF NOT EXISTS cells_by_seq ON cells (seq);
 CREATE TABLE IF NOT EXISTS events (
     id       INTEGER PRIMARY KEY AUTOINCREMENT,
     at       REAL    NOT NULL,
@@ -223,7 +228,6 @@ class WorkQueue:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._con = sqlite3.connect(self.path, timeout=30.0, isolation_level=None)
         self._con.execute("PRAGMA journal_mode=WAL")
-        self._con.execute("PRAGMA synchronous=NORMAL")
         self._con.execute("PRAGMA busy_timeout=30000")
         self._con.executescript(_SCHEMA)
         with self._tx():
@@ -266,12 +270,12 @@ class WorkQueue:
             )
         else:
             queue._con = sqlite3.connect(path, timeout=30.0, isolation_level=None)
-        queue._con.execute("PRAGMA busy_timeout=30000")
         try:
+            queue._con.execute("PRAGMA busy_timeout=30000")
             meta = dict(queue._con.execute("SELECT key, value FROM meta"))
-        except sqlite3.OperationalError as error:
+        except sqlite3.DatabaseError as error:
             # The file exists but the schema is still being created by
-            # the coordinator (or it is not a queue at all).
+            # the coordinator, or it is not a queue (or a database) at all.
             queue._con.close()
             raise ValueError(f"{path} is not a work queue database: {error}") from error
         if meta.get("schema") != str(QUEUE_SCHEMA_VERSION):
@@ -369,8 +373,7 @@ class WorkQueue:
             if front:
                 row = self._con.execute("SELECT MIN(priority) FROM cells").fetchone()
                 priority = (row[0] if row[0] is not None else 0) - 1
-            row = self._con.execute("SELECT MAX(seq) FROM cells").fetchone()
-            seq = row[0] if row[0] is not None else 0
+            seq = self._con.execute("SELECT MAX(seq) FROM cells").fetchone()[0] or 0
             for (workload_id, repeat), seed in items:
                 seq += 1
                 cursor = self._con.execute(
@@ -604,6 +607,19 @@ class WorkQueue:
             out.append(((workload_id, repeat), state, payload, error, attempts))
         return out
 
+    def stored_results(self, cells: Iterable[Cell]) -> Iterator[tuple[Cell, str]]:
+        """``(cell, result text)`` for each ``done`` row among ``cells``
+        that stores one.  Rows are looked up one at a time, so only the
+        asked-for results are read."""
+        for cell in cells:
+            row = self._con.execute(
+                "SELECT result FROM cells WHERE workload=? AND repeat=? "
+                "AND state='done' AND result IS NOT NULL",
+                cell,
+            ).fetchone()
+            if row is not None:
+                yield cell, row[0]
+
     def counts(self) -> dict[str, int]:
         """Cell count per state (states with no cells included as 0)."""
         counts = dict.fromkeys(CELL_STATES, 0)
@@ -666,7 +682,7 @@ class WorkQueue:
         """Mark cells the cache already holds as ``done`` — never re-lease
         work whose result is durable elsewhere.
 
-        The journal/cache is the source of truth on resume: a cell it
+        The cache is the source of truth on resume: a cell it
         holds must not be claimable, whatever state a stale queue row is
         in.  Rows are upserted (a queue predating this grid's cells gets
         ``done`` markers), existing stored results are kept, and only
@@ -674,8 +690,7 @@ class WorkQueue:
         """
         changed = 0
         with self._tx():
-            row = self._con.execute("SELECT MAX(seq) FROM cells").fetchone()
-            seq = row[0] if row[0] is not None else 0
+            seq = self._con.execute("SELECT MAX(seq) FROM cells").fetchone()[0] or 0
             for workload_id, repeat in done_cells:
                 seq += 1
                 cursor = self._con.execute(
@@ -699,10 +714,10 @@ class WorkQueue:
 
     def record_external(self, cell: Cell, payload: dict | None, detail: str) -> None:
         """Mark ``cell`` ``done`` with a result produced outside the
-        fleet (the coordinator's serial fallback for parked cells)."""
+        fleet: the coordinator's serial fallback for parked cells, or a
+        :class:`~repro.parallel.checkpoint.GridCheckpoint` record."""
         with self._tx():
-            row = self._con.execute("SELECT MAX(seq) FROM cells").fetchone()
-            seq = (row[0] if row[0] is not None else 0) + 1
+            seq = self._con.execute("SELECT MAX(seq) FROM cells").fetchone()[0] or 0
             self._con.execute(
                 """
                 INSERT INTO cells (workload, repeat, seed, state, result, seq)
@@ -712,7 +727,7 @@ class WorkQueue:
                     lease_owner=NULL, lease_expires=NULL, heartbeat_at=NULL
                 """,
                 (cell[0], cell[1],
-                 None if payload is None else json.dumps(payload), seq),
+                 None if payload is None else json.dumps(payload), seq + 1),
             )
             self._event("cell_done", cell, detail)
 
@@ -930,7 +945,7 @@ class QueueExecutor:
 
     Implements the four-method :class:`~repro.parallel.executors.
     CellExecutor` protocol, so the :class:`~repro.parallel.supervisor.
-    Supervisor` and everything above it (journal, cache, resume) treat
+    Supervisor` and everything above it (cache, resume) treat
     a crash-surviving multi-process fleet exactly like the in-process
     backends.  ``supports_cancel`` is falsy — a remote worker cannot be
     killed through a database file; stragglers are bounded by lease

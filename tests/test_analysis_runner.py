@@ -260,6 +260,49 @@ class TestCacheRecovery:
         assert rebuilt["results"][workload]["0"]["steps"][0][0] != "vm"
 
 
+class TestFlushDurability:
+    def test_cache_is_durable_before_the_record_is_removed(
+        self, runner, tmp_path, monkeypatch
+    ):
+        """fsync the new cache bytes, rename, fsync the directory — and
+        only then remove the queue file, the other copy of the cells."""
+        import os
+
+        from repro.parallel.checkpoint import GridCheckpoint
+
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+        real_clear = GridCheckpoint.clear
+        cache_path = tmp_path / "cache" / "random__time.json"
+
+        def fsync(fd):
+            target = os.readlink(f"/proc/self/fd/{fd}")
+            calls.append(("fsync", os.path.basename(target)))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.basename(dst)))
+            real_replace(src, dst)
+
+        def clear(self):
+            calls.append(("clear", self.path.name))
+            real_clear(self)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(GridCheckpoint, "clear", clear)
+        runner.run(RunGrid("random", random_factory, Objective.TIME, WORKLOADS, 1))
+        tail = calls[calls.index(("fsync", "random__time.tmp")):]
+        assert tail == [
+            ("fsync", "random__time.tmp"),
+            ("replace", "random__time.json"),
+            ("fsync", "cache"),
+            ("clear", "random__time.queue"),
+        ]
+        assert cache_path.exists()
+        assert not cache_path.with_suffix(".queue").exists()
+
+
 class TestChargeRoundTrip:
     """Fractional spot charges must cross the cache codec exactly."""
 

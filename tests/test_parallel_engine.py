@@ -12,7 +12,7 @@ from repro.analysis.runner import ExperimentRunner, RunGrid, run_seed
 from repro.core.baselines import RandomSearch
 from repro.core.objectives import Objective
 from repro.faults import FaultInjector, parse_fault_plan, RetryPolicy
-from repro.parallel import CellEvent, GridCheckpoint, plan_workers, run_cells
+from repro.parallel import CellEvent, GridCheckpoint, WorkQueue, plan_workers, run_cells
 from repro.parallel.engine import POOL_MIN_CELLS, _fork_available
 
 WORKLOADS = (
@@ -427,8 +427,8 @@ class _InterruptAfter:
 
 class TestResume:
     def test_interrupted_grid_resumes_from_journal(self, trace, tmp_path):
-        """Only the cells the interrupted run never journaled are
-        recomputed, and the final cache is byte-identical to an
+        """Only the cells the interrupted run never recorded in its queue
+        file are recomputed, and the final cache is byte-identical to an
         uninterrupted run's."""
         grid = _grid("par-resume", random_factory)
         clean = ExperimentRunner(trace, cache_dir=tmp_path / "clean")
@@ -437,12 +437,11 @@ class TestResume:
         runner = ExperimentRunner(trace, cache_dir=tmp_path / "bumpy")
         with pytest.raises(KeyboardInterrupt):
             runner.run(grid, workers=1, on_event=_InterruptAfter(3))
-        journal_path = tmp_path / "bumpy" / "par-resume__time.journal"
-        assert journal_path.exists()
-        journaled = GridCheckpoint(journal_path, cache_key="par-resume__time").load()
+        queue_path = tmp_path / "bumpy" / "par-resume__time.queue"
         # The interrupting cell was never yielded back, so it is not
-        # journaled; the two before it are durable.
-        assert len(journaled) == 2
+        # recorded; the two before it are durable.
+        assert _recorded(queue_path) == 2
+        assert not list((tmp_path / "bumpy").glob("*.journal"))
 
         events: list[CellEvent] = []
         resumed = runner.run(grid, workers=1, resume=True, on_event=events.append)
@@ -453,8 +452,8 @@ class TestResume:
         clean_bytes = (tmp_path / "clean" / "par-resume__time.json").read_bytes()
         bumpy_bytes = (tmp_path / "bumpy" / "par-resume__time.json").read_bytes()
         assert clean_bytes == bumpy_bytes
-        # A clean completion retires its journal.
-        assert not journal_path.exists()
+        # A clean completion retires its record.
+        assert not queue_path.exists()
 
     def test_resume_false_discards_stale_journal(self, trace, tmp_path):
         grid = _grid("par-noresume", random_factory)
@@ -472,39 +471,94 @@ class TestResume:
         runner = ExperimentRunner(trace, cache_dir=tmp_path)
         reference = runner.run(grid, workers=1)
         cache_path = tmp_path / "par-full__time.json"
-        journal_path = tmp_path / "par-full__time.journal"
-        # Rebuild the journal from the consolidated cache, then delete
+        # Rebuild the record from the consolidated cache, then delete
         # the cache: the state of a run killed right before its final
         # consolidation.
         import json
 
         cached = json.loads(cache_path.read_text())["results"]
-        with GridCheckpoint(journal_path, cache_key="par-full__time") as journal:
+        with GridCheckpoint.for_cache(cache_path) as record:
             for workload_id, per_workload in cached.items():
                 for seed_key, payload in per_workload.items():
-                    journal.record((workload_id, int(seed_key)), payload)
+                    record.record((workload_id, int(seed_key)), payload)
         cache_path.unlink()
 
         events: list[CellEvent] = []
         resumed = runner.run(grid, workers=1, resume=True, on_event=events.append)
         assert resumed == reference
         assert {event.kind for event in events} == {"cell_resumed"}
-        # The consolidated cache was rebuilt and the journal retired.
+        # The consolidated cache was rebuilt and the record retired.
         assert cache_path.exists()
-        assert not journal_path.exists()
+        assert not (tmp_path / "par-full__time.queue").exists()
 
     def test_journal_payloads_tolerate_damage(self, trace, tmp_path):
-        """A malformed journal entry is dropped and its cell recomputed."""
+        """A malformed stored payload is dropped and its cell recomputed."""
         grid = _grid("par-damage", random_factory, repeats=1)
         runner = ExperimentRunner(trace, cache_dir=tmp_path)
         reference = runner.run(grid, workers=1)
-        (tmp_path / "par-damage__time.json").unlink()
-        journal_path = tmp_path / "par-damage__time.journal"
-        with GridCheckpoint(journal_path, cache_key="par-damage__time") as journal:
-            journal.record((WORKLOADS[0], 0), {"optimizer": "x"})  # invalid shape
+        cache_path = tmp_path / "par-damage__time.json"
+        cache_path.unlink()
+        with GridCheckpoint.for_cache(cache_path) as record:
+            record.record((WORKLOADS[0], 0), {"optimizer": "x"})  # invalid shape
         events: list[CellEvent] = []
         resumed = runner.run(grid, workers=1, resume=True, on_event=events.append)
         assert resumed == reference
         kinds = [event.kind for event in events]
         assert "cell_resumed" not in kinds
         assert kinds.count("cell_scheduled") == 3
+
+    @pytest.mark.parametrize(
+        ("first", "then"),
+        [("serial", "vector"), ("vector", "queue"), ("queue", "serial")],
+    )
+    def test_resume_under_a_different_executor(
+        self, trace, tmp_path, monkeypatch, first, then
+    ):
+        """One record for every executor: cells recorded under one
+        resume under another, and the cache matches a clean serial run."""
+        grid = _grid("par-cross", random_factory)
+        clean = ExperimentRunner(trace, cache_dir=tmp_path / "clean")
+        clean.run(grid, executor="serial")
+
+        runner = ExperimentRunner(trace, cache_dir=tmp_path / "bumpy")
+        on_event = None
+        if first == "queue":
+            # Queue workers record cells themselves; stop the coordinator.
+            on_event = _InterruptAfter(3)
+        else:
+            # The vector driver yields only once every search is done, so
+            # interrupt on the runner's third record instead.
+            record = GridCheckpoint.record
+            recorded_calls = []
+
+            def record_then_die(self, cell, payload):
+                record(self, cell, payload)
+                recorded_calls.append(cell)
+                if len(recorded_calls) == 3:
+                    raise KeyboardInterrupt
+
+            monkeypatch.setattr(GridCheckpoint, "record", record_then_die)
+        with pytest.raises(KeyboardInterrupt):
+            runner.run(grid, executor=first, workers=1, on_event=on_event)
+        monkeypatch.undo()
+        queue_path = tmp_path / "bumpy" / "par-cross__time.queue"
+        recorded = _recorded(queue_path)
+        assert recorded >= 3
+
+        events: list[CellEvent] = []
+        runner.run(
+            grid, executor=then, workers=1, resume=True, on_event=events.append
+        )
+        kinds = [event.kind for event in events]
+        assert kinds.count("cell_resumed") == recorded
+        assert kinds.count("cell_scheduled") == 6 - recorded
+        clean_bytes = (tmp_path / "clean" / "par-cross__time.json").read_bytes()
+        bumpy_bytes = (tmp_path / "bumpy" / "par-cross__time.json").read_bytes()
+        assert clean_bytes == bumpy_bytes
+        assert queue_path.exists() == (then == "queue")
+
+
+def _recorded(queue_path: Path) -> int:
+    """Cells an interrupted run left ``done`` in its queue file."""
+    with WorkQueue.attach(queue_path, readonly=True) as queue:
+        return queue.counts()["done"]

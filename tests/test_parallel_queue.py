@@ -290,6 +290,31 @@ class TestDurability:
         with pytest.raises(ValueError, match="schema"):
             WorkQueue.attach(bogus)
 
+    def test_attach_non_database_file_is_refused(self, tmp_path):
+        garbage = tmp_path / "garbage.queue"
+        garbage.write_bytes(b"not a database at all" * 100)
+        with pytest.raises(ValueError, match="not a work queue"):
+            WorkQueue.attach(garbage)
+
+    def test_max_seq_reads_the_seq_index(self, tmp_path, clock):
+        """enqueue/reconcile/record_external each read MAX(seq); the
+        index keeps that O(log n) instead of a full scan."""
+        with WorkQueue(tmp_path / "g.queue", "key", clock=clock) as queue:
+            plan = " ".join(
+                row[-1]
+                for row in queue._con.execute(
+                    "EXPLAIN QUERY PLAN SELECT MAX(seq) FROM cells"
+                )
+            )
+        assert "cells_by_seq" in plan
+
+    def test_connections_commit_at_full_synchronous(self, tmp_path, clock):
+        """Every commit is fsync-durable: the queue file is the only
+        record of a finished cell between cache flushes."""
+        with WorkQueue(tmp_path / "g.queue", "key", clock=clock) as queue:
+            # 2 = FULL, SQLite's default.
+            assert queue._con.execute("PRAGMA synchronous").fetchone()[0] == 2
+
     def test_readonly_attach_reads_while_writer_lives(self, tmp_path, clock):
         with WorkQueue(tmp_path / "g.queue", "key", clock=clock) as queue:
             queue.enqueue([(("a", 0), 1)])
