@@ -8,6 +8,7 @@ one full surrogate step of each optimiser, and trace generation.
 import numpy as np
 import pytest
 
+from repro.cloud.catalog import get_catalog
 from repro.core.augmented_bo import PairwiseTreeScorer
 from repro.core.naive_bo import GPScorer
 from repro.ml.extra_trees import ExtraTreesRegressor
@@ -103,5 +104,12 @@ def test_sobol_1024_points(benchmark):
 
 
 def test_trace_generation_full_study(benchmark):
-    """Full 107x18 sweep through the performance model (one round)."""
-    benchmark.pedantic(lambda: generate_trace(seed=5), rounds=1, iterations=1)
+    """Full 107x18 and 107x390 (``multicloud``) sweeps through the
+    performance model (one round)."""
+    multicloud = get_catalog("multicloud")
+
+    def sweep():
+        generate_trace(seed=5)
+        generate_trace(seed=5, catalog=multicloud)
+
+    benchmark.pedantic(sweep, rounds=1, iterations=1)

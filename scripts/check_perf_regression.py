@@ -20,7 +20,9 @@ candidates must stay >= 2x, the ``vector`` section's lock-step
 cross-search grid reduction must stay >= 2x, the ``spot`` section's
 cost-saving ratio of spot+fallback pricing over on-demand must stay
 >= 1.05x, the ``surrogate`` section's factored Extra-Trees fit speedup
-on a 36 x 36 pair set must stay >= 1.4x, and a section marked
+on a 36 x 36 pair set must stay >= 1.4x, the ``trace`` section's
+row-wise ``multicloud`` synthesis speedup over the cell-by-cell
+reference must stay >= 10x, and a section marked
 ``clamped`` (the engine collapsed to one effective worker, or the
 runner has a single core) is skipped rather than judged — a clamped
 run measures pool overhead, not performance.
@@ -78,6 +80,9 @@ FLOORS = (
     # Single-threaded arithmetic: the factored destination x source
     # Extra-Trees growth vs the dense builder on a 36 x 36 pair set.
     ("surrogate", "factored_fit_speedup", 1.4, "factored Extra-Trees fit speedup @36"),
+    # Single-threaded arithmetic: row-wise multicloud trace synthesis vs
+    # the cell-by-cell test reference.
+    ("trace", "synthesis_speedup", 10.0, "row-wise trace synthesis speedup @390"),
 )
 
 

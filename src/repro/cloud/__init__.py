@@ -22,6 +22,7 @@ from repro.cloud.encoding import InstanceEncoder
 from repro.cloud.catalog import (
     DEFAULT_CATALOG_NAME,
     Catalog,
+    VMArrays,
     catalog_names,
     get_catalog,
     register_catalog,
@@ -47,6 +48,7 @@ __all__ = [
     "InstanceEncoder",
     "DEFAULT_CATALOG_NAME",
     "Catalog",
+    "VMArrays",
     "catalog_names",
     "get_catalog",
     "register_catalog",

@@ -28,8 +28,11 @@ catalogs, which keeps grid keys and cached results stable.
 from __future__ import annotations
 
 import difflib
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from repro.cloud.pricing import PriceList, default_price_list
 from repro.cloud.vmtypes import (
@@ -41,6 +44,39 @@ from repro.cloud.vmtypes import (
 
 #: Name of the catalog every default path uses (the paper's).
 DEFAULT_CATALOG_NAME = "aws-2017"
+
+
+class VMArrays:
+    """Column-aligned float arrays of the VM attributes the simulator reads.
+
+    The performance model, the low-level metrics and the deployment cost
+    evaluate over these arrays, one workload at a time across a whole
+    catalog.  A single VM is a one-element instance, so one copy of each
+    formula serves both a trace sweep and a single measurement.
+
+    Args:
+        vms: the VM types, in column order.
+        prices: the price list behind :attr:`price_per_s` (the default
+            list when ``None``).  It is read on first use only, so
+            price-free callers (the performance model alone) accept types
+            the list does not price.
+    """
+
+    def __init__(self, vms: Sequence[VMType], prices: PriceList | None = None) -> None:
+        self.vms = tuple(vms)
+        self.vcpus = np.array([vm.vcpus for vm in self.vms], dtype=float)
+        self.ram_gb = np.array([vm.ram_gb for vm in self.vms], dtype=float)
+        self.clock_factor = np.array([vm.clock_factor for vm in self.vms], dtype=float)
+        self.disk_mbps = np.array([vm.disk_mbps for vm in self.vms], dtype=float)
+        self._prices = prices if prices is not None else default_price_list()
+
+    def __len__(self) -> int:
+        return len(self.vms)
+
+    @cached_property
+    def price_per_s(self) -> np.ndarray:
+        """On-demand USD per second of each VM."""
+        return np.array([self._prices.price_per_second(vm) for vm in self.vms])
 
 
 @dataclass(frozen=True)

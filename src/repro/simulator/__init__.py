@@ -17,7 +17,12 @@ from repro.simulator.lowlevel import (
     derive_metrics,
 )
 from repro.simulator.noise import InterferenceModel
-from repro.simulator.cluster import Measurement, MeasurementEnvironment, SimulatedCloud
+from repro.simulator.cluster import (
+    Measurement,
+    MeasurementEnvironment,
+    SimulatedCloud,
+    simulate_runs,
+)
 from repro.simulator.sar import SarSample, SarTrace, record_sar_trace
 
 __all__ = [
@@ -30,6 +35,7 @@ __all__ = [
     "Measurement",
     "MeasurementEnvironment",
     "SimulatedCloud",
+    "simulate_runs",
     "SarSample",
     "SarTrace",
     "record_sar_trace",

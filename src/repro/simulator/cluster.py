@@ -18,13 +18,15 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.cloud.catalog import Catalog
+from repro.cloud.catalog import Catalog, VMArrays
 from repro.cloud.pricing import PriceList, default_price_list, deployment_cost
 from repro.cloud.vmtypes import VMType, default_catalog
 from repro.simulator.lowlevel import LowLevelMetrics, derive_metrics
 from repro.simulator.noise import InterferenceModel
 from repro.simulator.perfmodel import PerformanceModel
-from repro.workloads.spec import Workload
+from repro.workloads.spec import ResourceProfile, Workload
+
+_MODEL = PerformanceModel()
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,6 +37,22 @@ class Measurement:
     execution_time_s: float
     cost_usd: float
     metrics: LowLevelMetrics
+
+
+def simulate_runs(
+    profile: ResourceProfile, vms: VMArrays, noise: InterferenceModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run a workload once on every VM of ``vms``, in column order.
+
+    Returns the execution times, the deployment costs and the
+    ``(n_vms, 6)`` low-level metrics, with ``noise`` drawn in VM order:
+    the same values as measuring the VMs one at a time.
+    """
+    breakdown = _MODEL.breakdown(vms, profile)
+    times, metrics = noise.perturb(
+        breakdown.total_time_s, derive_metrics(vms, profile, breakdown)
+    )
+    return times, deployment_cost(times, vms), metrics
 
 
 @runtime_checkable
@@ -96,7 +114,7 @@ class SimulatedCloud:
             self._catalog = catalog if catalog is not None else default_catalog()
             self._prices = prices if prices is not None else default_price_list()
         self._noise = noise if noise is not None else InterferenceModel(seed=seed)
-        self._model = PerformanceModel()
+        self._arrays = VMArrays(self._catalog, self._prices)
         self._count = 0
 
     @property
@@ -107,24 +125,26 @@ class SimulatedCloud:
     def measurement_count(self) -> int:
         return self._count
 
+    def _run(self, vms: VMArrays) -> list[Measurement]:
+        self._count += len(vms)
+        times, costs, metrics = simulate_runs(self.workload.profile, vms, self._noise)
+        return [
+            Measurement(
+                vm=vm,
+                execution_time_s=float(times[i]),
+                cost_usd=float(costs[i]),
+                metrics=LowLevelMetrics.from_vector(metrics[i]),
+            )
+            for i, vm in enumerate(vms.vms)
+        ]
+
     def measure(self, vm: VMType) -> Measurement:
         """Simulate one full run of the workload on ``vm``.
 
         The attempt is charged up front, so a wrapper that makes this
         call fail (fault injection, a live cloud) still bills it.
         """
-        self._count += 1
-        breakdown = self._model.breakdown(vm, self.workload.profile)
-        time_s = self._noise.perturb_time(breakdown.total_time_s)
-        metrics = self._noise.perturb_metrics(
-            derive_metrics(vm, self.workload.profile, breakdown)
-        )
-        return Measurement(
-            vm=vm,
-            execution_time_s=time_s,
-            cost_usd=deployment_cost(time_s, vm, self._prices),
-            metrics=metrics,
-        )
+        return self._run(VMArrays((vm,), self._prices))[0]
 
     def reset(self) -> None:
         self._count = 0
@@ -139,10 +159,8 @@ class SimulatedCloud:
 
     def measure_all(self) -> list[Measurement]:
         """Measure every VM in the catalog once (a brute-force sweep)."""
-        return [self.measure(vm) for vm in self._catalog]
+        return self._run(self._arrays)
 
     def noise_free_times(self) -> np.ndarray:
         """Ground-truth execution times per catalog VM (for analysis only)."""
-        return np.array(
-            [self._model.execution_time(vm, self.workload.profile) for vm in self._catalog]
-        )
+        return _MODEL.execution_time(self._arrays, self.workload.profile)

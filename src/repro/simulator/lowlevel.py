@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cloud.catalog import VMArrays
 from repro.cloud.vmtypes import VMType
-from repro.simulator.perfmodel import PhaseBreakdown
+from repro.simulator.perfmodel import PhaseBreakdown, libm_pow
 from repro.workloads.spec import ResourceProfile
 
 #: Metric names in canonical vector order.
@@ -90,18 +91,29 @@ class LowLevelMetrics:
 
 
 def derive_metrics(
-    vm: VMType, profile: ResourceProfile, breakdown: PhaseBreakdown
-) -> LowLevelMetrics:
-    """Derive noise-free low-level metrics for one run.
+    vm: VMType | VMArrays, profile: ResourceProfile, breakdown: PhaseBreakdown
+) -> LowLevelMetrics | np.ndarray:
+    """Derive noise-free low-level metrics for a run.
 
     CPU-user and I/O-wait shares follow the phase balance; memory commit
     tracks the working-set-to-RAM ratio (saturating, as real ``%commit``
     does); disk wait grows superlinearly with disk utilisation, spiking
     under paging — the signature visible in the paper's Figure 8.
+
+    For one VM type this returns a :class:`LowLevelMetrics`.  For a
+    :class:`~repro.cloud.catalog.VMArrays`, with the array ``breakdown``
+    of the same VMs, it returns an ``(n_vms, 6)`` array in
+    :data:`METRIC_NAMES` order.
     """
+    if isinstance(vm, VMType):
+        return LowLevelMetrics.from_vector(
+            derive_metrics(VMArrays((vm,)), profile, breakdown)[0]
+        )
     busy = breakdown.compute_time_s + breakdown.disk_time_s
-    cpu_share = breakdown.compute_time_s / busy if busy > 0 else 0.0
-    io_share = breakdown.disk_time_s / busy if busy > 0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cpu_share = np.where(busy > 0, breakdown.compute_time_s / busy, 0.0)
+        io_share = np.where(busy > 0, breakdown.disk_time_s / busy, 0.0)
+        paging_per_gb = np.where(vm.ram_gb != 0, breakdown.paging_gb / vm.ram_gb, 0.0)
 
     # Parallel efficiency limits achievable CPU utilisation: a workload
     # with speedup 3 on 8 cores cannot drive all 8 cores to 100%.
@@ -109,19 +121,13 @@ def derive_metrics(
     cpu_user = 100.0 * cpu_share * (0.35 + 0.65 * parallel_efficiency)
     cpu_iowait = 100.0 * io_share * 0.9
 
-    mem_commit = min(100.0 * breakdown.memory_ratio, _MEM_COMMIT_CAP_PCT)
+    mem_commit = np.minimum(100.0 * breakdown.memory_ratio, _MEM_COMMIT_CAP_PCT)
 
-    disk_util = 100.0 * min(1.0, breakdown.disk_time_s / breakdown.total_time_s)
-    paging_surge = 1.0 + 0.5 * (breakdown.paging_gb / vm.ram_gb if vm.ram_gb else 0.0)
-    disk_wait = (2.0 + 45.0 * (disk_util / 100.0) ** 3) * paging_surge
+    disk_util = 100.0 * np.minimum(1.0, breakdown.disk_time_s / breakdown.total_time_s)
+    paging_surge = 1.0 + 0.5 * paging_per_gb
+    disk_wait = (2.0 + 45.0 * libm_pow(disk_util / 100.0, 3)) * paging_surge
 
     task_count = vm.vcpus * (1.0 + 2.0 * profile.parallel_fraction)
 
-    return LowLevelMetrics(
-        cpu_user_pct=cpu_user,
-        cpu_iowait_pct=cpu_iowait,
-        task_count=task_count,
-        mem_commit_pct=mem_commit,
-        disk_util_pct=disk_util,
-        disk_wait_ms=disk_wait,
-    )
+    columns = (cpu_user, cpu_iowait, task_count, mem_commit, disk_util, disk_wait)
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)

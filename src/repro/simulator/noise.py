@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.simulator.lowlevel import LowLevelMetrics
-
 #: Default relative noise on execution time (a few percent, per CherryPick).
 DEFAULT_TIME_SIGMA = 0.03
 
@@ -47,16 +45,26 @@ class InterferenceModel:
         """Replace the noise stream (batched measurements re-seed per task)."""
         self._rng = np.random.default_rng(rng)
 
-    def perturb_time(self, execution_time_s: float) -> float:
-        """Return ``execution_time_s`` with one draw of interference noise."""
-        if self.time_sigma == 0.0:
-            return execution_time_s
-        return float(execution_time_s * np.exp(self._rng.normal(0.0, self.time_sigma)))
+    def perturb(
+        self, times: np.ndarray, metrics: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``n`` runs' execution times and ``(n, m)`` metric rows
+        with one draw of interference noise each.
 
-    def perturb_metrics(self, metrics: LowLevelMetrics) -> LowLevelMetrics:
-        """Return ``metrics`` with independent noise on each component."""
-        if self.metric_sigma == 0.0:
-            return metrics
-        vector = metrics.to_vector()
-        factors = np.exp(self._rng.normal(0.0, self.metric_sigma, size=vector.shape))
-        return LowLevelMetrics.from_vector(vector * factors)
+        The draws come as one standard-normal block of shape ``(n, k)``.
+        Row ``i`` holds run ``i``'s draws: its time draw, then its ``m``
+        metric draws.  A zero sigma draws nothing, so ``k`` counts only
+        the nonzero ones.  That is the order in which runs measured one
+        at a time consume the stream, so one block over ``n`` runs equals
+        ``n`` one-run calls bit for bit.
+        """
+        time_draws = 1 if self.time_sigma != 0.0 else 0
+        metric_draws = metrics.shape[1] if self.metric_sigma != 0.0 else 0
+        if time_draws + metric_draws == 0:
+            return times, metrics
+        draws = self._rng.standard_normal((len(times), time_draws + metric_draws))
+        if time_draws:
+            times = times * np.exp(self.time_sigma * draws[:, 0])
+        if metric_draws:
+            metrics = metrics * np.exp(self.metric_sigma * draws[:, time_draws:])
+        return times, metrics

@@ -25,8 +25,11 @@ a clean invertible function of the measured time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+import numpy as np
+
+from repro.cloud.catalog import VMArrays
 from repro.cloud.vmtypes import VMType
 from repro.workloads.spec import ResourceProfile
 
@@ -47,25 +50,45 @@ MEM_STALL_FACTOR = 0.6
 PHASE_OVERLAP = 0.5
 
 
+def libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """``base ** exponent`` element by element through C's ``pow``.
+
+    Python's float ``**`` calls libm ``pow``; ``np.power`` runs its own
+    SIMD loop, which rounds differently on some inputs (about 5% of them
+    on an AVX-512 host).  Traces are pinned bit for bit, so the model's
+    two powers go through this.
+    """
+    flat = [value**exponent for value in np.ravel(base).tolist()]
+    return np.array(flat).reshape(np.shape(base))
+
+
 @dataclass(frozen=True, slots=True)
 class PhaseBreakdown:
-    """Noise-free decomposition of one (workload, VM) execution.
+    """Noise-free decomposition of one workload's execution.
 
     This is the latent state shared by the execution-time model and the
-    low-level metric derivation.
+    low-level metric derivation.  For one VM type every field is a float;
+    for a :class:`~repro.cloud.catalog.VMArrays` every field is an array
+    with one entry per VM.
     """
 
-    compute_time_s: float
-    disk_time_s: float
-    total_time_s: float
-    paging_gb: float
-    memory_ratio: float
-    parallel_speedup: float
+    compute_time_s: float | np.ndarray
+    disk_time_s: float | np.ndarray
+    total_time_s: float | np.ndarray
+    paging_gb: float | np.ndarray
+    memory_ratio: float | np.ndarray
+    parallel_speedup: float | np.ndarray
 
     @property
-    def paging(self) -> bool:
+    def paging(self) -> bool | np.ndarray:
         """Whether the working set overflowed the VM's safe RAM capacity."""
         return self.paging_gb > 0.0
+
+    def row(self, index: int) -> PhaseBreakdown:
+        """One VM's breakdown, with float fields, out of an array breakdown."""
+        return PhaseBreakdown(
+            *(float(getattr(self, f.name)[index]) for f in fields(self))
+        )
 
 
 class PerformanceModel:
@@ -77,14 +100,22 @@ class PerformanceModel:
     comparable.
     """
 
-    def breakdown(self, vm: VMType, profile: ResourceProfile) -> PhaseBreakdown:
-        """Compute the full phase decomposition for ``profile`` on ``vm``."""
+    def breakdown(
+        self, vm: VMType | VMArrays, profile: ResourceProfile
+    ) -> PhaseBreakdown:
+        """Compute the full phase decomposition for ``profile`` on ``vm``.
+
+        ``vm`` is one VM type (float fields) or a
+        :class:`~repro.cloud.catalog.VMArrays` (one array entry per VM).
+        """
+        if isinstance(vm, VMType):
+            return self.breakdown(VMArrays((vm,)), profile).row(0)
         par = profile.parallel_fraction
         speedup = 1.0 / ((1.0 - par) + par / vm.vcpus)
-        core_speed = vm.clock_factor**profile.cpu_gen_sensitivity
+        core_speed = libm_pow(vm.clock_factor, profile.cpu_gen_sensitivity)
 
         memory_ratio = profile.working_set_gb / vm.ram_gb
-        overflow_ratio = max(0.0, memory_ratio - MEM_SAFE_FRACTION)
+        overflow_ratio = np.maximum(0.0, memory_ratio - MEM_SAFE_FRACTION)
         paging_gb = PAGING_CHURN * overflow_ratio * vm.ram_gb
         mem_stall = 1.0 + MEM_STALL_FACTOR * overflow_ratio
 
@@ -96,7 +127,8 @@ class PerformanceModel:
             + paging_gb * 1024.0 / (vm.disk_mbps * PAGING_BANDWIDTH_FRACTION)
         )
 
-        longer, shorter = max(compute_time, disk_time), min(compute_time, disk_time)
+        longer = np.maximum(compute_time, disk_time)
+        shorter = np.minimum(compute_time, disk_time)
         total = longer + (1.0 - PHASE_OVERLAP) * shorter
 
         return PhaseBreakdown(
@@ -108,6 +140,8 @@ class PerformanceModel:
             parallel_speedup=speedup,
         )
 
-    def execution_time(self, vm: VMType, profile: ResourceProfile) -> float:
+    def execution_time(
+        self, vm: VMType | VMArrays, profile: ResourceProfile
+    ) -> float | np.ndarray:
         """Noise-free execution time in seconds of ``profile`` on ``vm``."""
         return self.breakdown(vm, profile).total_time_s

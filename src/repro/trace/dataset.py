@@ -46,6 +46,7 @@ class BenchmarkTrace:
     seed: int
     catalog_name: str = "aws-2017"
     _row_by_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    _column_by_name: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n_w, n_v = len(self.registry), len(self.catalog)
@@ -58,6 +59,11 @@ class BenchmarkTrace:
             actual = getattr(self, name).shape
             if actual != shape:
                 raise ValueError(f"{name} has shape {actual}, expected {shape}")
+            # NaN compares false against every bound below, so a
+            # doctored file (JSON accepts NaN and Infinity) would replay
+            # non-finite objectives unless rejected here.
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"trace contains non-finite {name}")
         if np.any(self.times <= 0) or np.any(self.costs <= 0):
             raise ValueError("trace contains non-positive times or costs")
         object.__setattr__(
@@ -65,6 +71,10 @@ class BenchmarkTrace:
             "_row_by_id",
             {w.workload_id: i for i, w in enumerate(self.registry)},
         )
+        columns: dict[str, int] = {}
+        for i, vm in enumerate(self.catalog):
+            columns.setdefault(vm.name, i)
+        object.__setattr__(self, "_column_by_name", columns)
 
     # -- lookup ----------------------------------------------------------
 
@@ -79,10 +89,10 @@ class BenchmarkTrace:
     def column_of(self, vm: VMType | str) -> int:
         """Column index of ``vm`` (a :class:`VMType` or name)."""
         name = vm.name if isinstance(vm, VMType) else vm
-        for i, candidate in enumerate(self.catalog):
-            if candidate.name == name:
-                return i
-        raise KeyError(f"VM type {name!r} is not in this trace")
+        try:
+            return self._column_by_name[name]
+        except KeyError:
+            raise KeyError(f"VM type {name!r} is not in this trace") from None
 
     def times_for(self, workload: Workload | str) -> np.ndarray:
         """Execution times of ``workload`` across the catalog (copy)."""

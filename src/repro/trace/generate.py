@@ -3,8 +3,10 @@
 ``generate_trace(seed)`` sweeps every workload across every VM through the
 simulator, with each workload's interference-noise stream seeded from the
 trace seed and the workload id — so the canonical trace is bit-identical
-across processes and machines.  ``default_trace()`` memoises the canonical
-``seed=2018`` trace used by all experiments.
+across processes and machines.  Each workload row is one array pass over
+the catalog (:func:`~repro.simulator.cluster.simulate_runs`), equal bit
+for bit to measuring its VMs one at a time.  ``default_trace()`` memoises
+the canonical ``seed=2018`` trace used by all experiments.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.cloud.catalog import DEFAULT_CATALOG_NAME, Catalog, get_catalog
+from repro.cloud.catalog import DEFAULT_CATALOG_NAME, Catalog, VMArrays, get_catalog
 from repro.cloud.pricing import PriceList, default_price_list
 from repro.cloud.vmtypes import VMType, default_catalog
-from repro.simulator.cluster import SimulatedCloud
+from repro.simulator.cluster import simulate_runs
 from repro.simulator.lowlevel import METRIC_NAMES
 from repro.simulator.noise import InterferenceModel
 from repro.trace.dataset import BenchmarkTrace
@@ -63,6 +65,7 @@ def generate_trace(
         )
     prices = prices if prices is not None else default_price_list()
 
+    vms = VMArrays(catalog, prices)
     n_w, n_v = len(registry), len(catalog)
     times = np.empty((n_w, n_v))
     costs = np.empty((n_w, n_v))
@@ -76,17 +79,8 @@ def generate_trace(
 
     for row, workload in enumerate(registry):
         workload_seed = seed ^ zlib.crc32(workload.workload_id.encode())
-        cloud = SimulatedCloud(
-            workload,
-            catalog=catalog,
-            prices=prices,
-            noise=InterferenceModel(seed=workload_seed, **noise_kwargs),
-        )
-        for col, vm in enumerate(catalog):
-            measurement = cloud.measure(vm)
-            times[row, col] = measurement.execution_time_s
-            costs[row, col] = measurement.cost_usd
-            metrics[row, col] = measurement.metrics.to_vector()
+        noise = InterferenceModel(seed=workload_seed, **noise_kwargs)
+        times[row], costs[row], metrics[row] = simulate_runs(workload.profile, vms, noise)
 
     return BenchmarkTrace(
         registry=registry,

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.cloud.catalog import get_catalog
 from repro.cloud.pricing import default_price_list
 from repro.cloud.vmtypes import get_vm_type
 from repro.simulator.cluster import MeasurementEnvironment, SimulatedCloud
+from tests.trace_reference import ReferenceCloud, reference_breakdown
 
 
 @pytest.fixture()
@@ -67,3 +69,38 @@ class TestMeasurement:
         cloud = SimulatedCloud(workload, seed=0)
         m = cloud.measure(get_vm_type("r3.large"))
         assert m.metrics.to_vector().shape == (6,)
+
+
+class TestReferenceStream:
+    """A live cloud consumes its noise stream as one-at-a-time measuring does."""
+
+    def test_measurements_match_reference_before_and_after_arm_for(self, workload):
+        catalog = get_catalog("multicloud")
+        cloud = SimulatedCloud(workload, catalog=catalog, seed=4)
+        reference = ReferenceCloud(workload, prices=catalog.prices, seed=4)
+
+        def assert_same(measurement, vm):
+            time_s, cost, metrics = reference.measure(vm)
+            assert measurement.vm is vm
+            assert measurement.execution_time_s == time_s
+            assert measurement.cost_usd == cost
+            assert np.array_equal(measurement.metrics.to_vector(), metrics)
+
+        picks = [catalog.vms[i] for i in (5, 120, 5, 389)]
+        for vm in picks:
+            assert_same(cloud.measure(vm), vm)
+        for measurement, vm in zip(cloud.measure_all(), catalog.vms):
+            assert_same(measurement, vm)
+        cloud.arm_for((3, 1))
+        reference.arm_for((3, 1))
+        for vm in picks:
+            assert_same(cloud.measure(vm), vm)
+        assert cloud.measurement_count == 2 * len(picks) + len(catalog)
+
+    def test_noise_free_times_match_reference(self, workload):
+        catalog = get_catalog("multicloud")
+        cloud = SimulatedCloud(workload, catalog=catalog, seed=0)
+        expected = [
+            reference_breakdown(vm, workload.profile).total_time_s for vm in catalog.vms
+        ]
+        assert np.array_equal(cloud.noise_free_times(), expected)

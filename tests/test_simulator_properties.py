@@ -5,16 +5,23 @@ any workload, because the paper's phenomena (and the optimisers' sanity)
 depend on them.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cloud.catalog import VMArrays
 from repro.cloud.pricing import deployment_cost
-from repro.cloud.vmtypes import VMType, get_vm_type
+from repro.cloud.vmtypes import VMType, default_catalog, get_vm_type
+from repro.simulator.cluster import simulate_runs
 from repro.simulator.lowlevel import derive_metrics
+from repro.simulator.noise import InterferenceModel
 from repro.simulator.perfmodel import PerformanceModel
+from repro.workloads.registry import default_registry
 from repro.workloads.spec import ResourceProfile
+from tests.trace_reference import ReferenceCloud, reference_breakdown, reference_metrics
 
 MODEL = PerformanceModel()
 
@@ -143,3 +150,45 @@ class TestMetricInvariants:
         vm = get_vm_type(vm_name)
         breakdown = MODEL.breakdown(vm, profile)
         assert breakdown.paging == (breakdown.memory_ratio > MEM_SAFE_FRACTION)
+
+
+class TestArrayPath:
+    """The catalog-wide array formulas equal the scalar reference exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        profile=profiles(),
+        working_set_gb=st.floats(4.0, 50.0),
+        time_sigma=st.sampled_from([0.0, 0.03]),
+        metric_sigma=st.sampled_from([0.0, 0.05]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_catalog_pass_matches_reference(
+        self, profile, working_set_gb, time_sigma, metric_sigma, seed
+    ):
+        # A working set of 4-50 GiB pages on c3.large (3.75 GiB of RAM)
+        # and fits on r3.2xlarge (61 GiB), so every example covers both.
+        profile = replace(profile, working_set_gb=working_set_gb)
+        catalog = default_catalog()
+        vms = VMArrays(catalog)
+        breakdown = MODEL.breakdown(vms, profile)
+        assert breakdown.paging.any() and not breakdown.paging.all()
+
+        workload = replace(next(iter(default_registry())), profile=profile)
+        times, costs, metrics = simulate_runs(
+            profile, vms, InterferenceModel(time_sigma, metric_sigma, seed=seed)
+        )
+        reference = ReferenceCloud(
+            workload, seed=seed, time_sigma=time_sigma, metric_sigma=metric_sigma
+        )
+        for col, vm in enumerate(catalog):
+            expected = reference_breakdown(vm, profile)
+            assert breakdown.row(col) == expected
+            assert MODEL.breakdown(vm, profile) == expected
+            assert np.array_equal(
+                derive_metrics(vm, profile, expected).to_vector(),
+                reference_metrics(vm, profile, expected),
+            )
+            time_s, cost, vector = reference.measure(vm)
+            assert (times[col], costs[col]) == (time_s, cost)
+            assert np.array_equal(metrics[col], vector)

@@ -42,6 +42,17 @@ class TestShapeAndValidation:
             )
 
 
+    @pytest.mark.parametrize("name", ["times", "costs", "metrics"])
+    def test_non_finite_values_rejected(self, trace, name):
+        arrays = {"times": trace.times, "costs": trace.costs, "metrics": trace.metrics}
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[3] = np.nan
+        with pytest.raises(ValueError, match=f"non-finite {name}"):
+            BenchmarkTrace(
+                registry=trace.registry, catalog=trace.catalog, seed=0, **arrays
+            )
+
+
 class TestLookup:
     def test_row_and_column_indexing(self, trace):
         workload = trace.registry.workloads[13]
@@ -51,13 +62,27 @@ class TestLookup:
         assert trace.column_of(vm) == 7
         assert trace.column_of(vm.name) == 7
 
+    def test_duplicate_vm_name_resolves_to_first_column(self, trace):
+        catalog = trace.catalog[:3] + trace.catalog[:1]
+        doubled = BenchmarkTrace(
+            registry=trace.registry,
+            catalog=catalog,
+            times=trace.times[:, [0, 1, 2, 0]],
+            costs=trace.costs[:, [0, 1, 2, 0]],
+            metrics=trace.metrics[:, [0, 1, 2, 0]],
+            seed=0,
+        )
+        assert doubled.column_of(catalog[0]) == 0
+        assert doubled.column_of(catalog[3].name) == 0
+
     def test_unknown_workload_raises(self, trace):
         with pytest.raises(KeyError, match="not in this trace"):
             trace.row_of("nope/Spark 9/huge")
 
     def test_unknown_vm_raises(self, trace):
-        with pytest.raises(KeyError, match="not in this trace"):
+        with pytest.raises(KeyError) as error:
             trace.column_of("z9.nano")
+        assert error.value.args == ("VM type 'z9.nano' is not in this trace",)
 
     def test_times_for_returns_copy(self, trace):
         workload = trace.registry.workloads[0]

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.trace.generate import DEFAULT_TRACE_SEED, default_trace, generate_trace
+from repro.cloud.catalog import get_catalog
+from repro.trace.generate import (
+    DEFAULT_TRACE_SEED,
+    canonical_trace,
+    default_trace,
+    generate_trace,
+)
+from tests.trace_reference import reference_trace
 
 
 class TestDeterminism:
@@ -31,17 +38,47 @@ class TestNoiseControls:
         from repro.simulator.perfmodel import PerformanceModel
 
         model = PerformanceModel()
-        workload = registry.workloads[17]
-        row = clean_trace.row_of(workload)
-        for col, vm in enumerate(clean_trace.catalog):
-            assert clean_trace.times[row, col] == pytest.approx(
-                model.execution_time(vm, workload.profile)
-            )
+        truth = np.array(
+            [
+                [model.execution_time(vm, workload.profile) for vm in clean_trace.catalog]
+                for workload in registry
+            ]
+        )
+        assert np.array_equal(clean_trace.times, truth)
 
     def test_noisy_trace_close_to_clean(self, trace, clean_trace):
         log_ratio = np.log(trace.times / clean_trace.times)
         assert np.abs(log_ratio).max() < 0.25
         assert np.abs(log_ratio).mean() < 0.05
+
+
+class TestReferenceEquivalence:
+    """Row-wise synthesis equals measuring every cell one at a time."""
+
+    @staticmethod
+    def _assert_matches(trace, expected):
+        for actual, want in zip((trace.times, trace.costs, trace.metrics), expected):
+            assert np.array_equal(actual, want)
+
+    @pytest.mark.parametrize("catalog_name", ["aws-2017", "aws-large", "multicloud"])
+    def test_canonical_trace_bit_identical(self, catalog_name, registry):
+        expected = reference_trace(
+            DEFAULT_TRACE_SEED, registry, get_catalog(catalog_name)
+        )
+        self._assert_matches(canonical_trace(catalog_name), expected)
+
+    @pytest.mark.parametrize(
+        "time_sigma, metric_sigma", [(0.0, None), (None, 0.0), (0.0, 0.0)]
+    )
+    def test_zero_sigmas_bit_identical(self, time_sigma, metric_sigma, registry):
+        catalog = get_catalog("multicloud")
+        sigmas = {
+            key: value
+            for key, value in (("time_sigma", time_sigma), ("metric_sigma", metric_sigma))
+            if value is not None
+        }
+        trace = generate_trace(seed=31, catalog=catalog, **sigmas)
+        self._assert_matches(trace, reference_trace(31, registry, catalog, **sigmas))
 
 
 class TestDatasetShape:

@@ -82,6 +82,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="metric names"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "array, value", [("times", float("nan")), ("metrics", float("inf"))]
+    )
+    def test_non_finite_values_rejected(self, small_trace, tmp_path, array, value):
+        """JSON parses NaN and Infinity, so a doctored file must not load
+        and replay non-finite objectives."""
+
+        def mutate(d):
+            cell = d[array][2]
+            if array == "metrics":
+                cell = cell[4]
+            cell[1] = value
+
+        path = self._corrupt(small_trace, tmp_path, mutate)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_trace(path)
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_trace(tmp_path / "absent.json")
