@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cloud.catalog import VMArrays
 from repro.cloud.pricing import PriceList, default_price_list, deployment_cost
 from repro.cloud.vmtypes import default_catalog, get_vm_type
 
@@ -74,6 +75,11 @@ class TestDeploymentCost:
 
     def test_same_time_cheaper_on_cheaper_vm(self):
         assert deployment_cost(100.0, "c4.large") < deployment_cost(100.0, "r3.2xlarge")
+
+    def test_price_list_rejected_with_vm_arrays(self):
+        vms = VMArrays([get_vm_type("c4.large")])
+        with pytest.raises(ValueError, match="own price list"):
+            deployment_cost(vms.vcpus, vms, PriceList(prices={"c4.large": 1.0}))
 
 
 class TestPriceListContainer:
