@@ -26,7 +26,11 @@ Writes ``BENCH_perf.json`` at the repo root with
   the result bit-identity check (the ``vector`` section), and
 * ``multicloud`` trace synthesis time for the row-wise array pass vs the
   cell-by-cell test reference, their ratio and the bit-identity check
-  (the ``trace`` section).
+  (the ``trace`` section), and
+* fresh-process start-up — seconds from spawn to exit and peak RSS of
+  ``import repro.cli`` plus one optimiser build — for AugmentedBO (which
+  must leave scipy unloaded) vs NaiveBO (which loads it), and their RSS
+  ratio (the ``startup`` section).
 
 Every section records the ``cpu_count`` it ran under and whether its
 parallelism-dependent numbers were ``clamped`` by the machine, so the
@@ -50,6 +54,9 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
+import subprocess
+import sys
 from pathlib import Path
 from time import perf_counter
 
@@ -833,8 +840,6 @@ def test_trace_synthesis():
     catalog both must give bit-identical times, costs and metrics; the
     section records the fastest round of each and their ratio.
     """
-    import sys
-
     sys.path.insert(0, str(REPO_ROOT))  # the tests package holds the reference
     from tests.trace_reference import reference_trace
 
@@ -884,3 +889,84 @@ def test_trace_synthesis():
     _show_delta("trace", payload)
     assert identical
     assert speedup >= 10.0
+
+
+#: Fresh processes per optimiser in the ``startup`` section (medians).
+N_STARTUP_ROUNDS = 5
+
+# Peak RSS is read from VmHWM where the kernel reports it: ru_maxrss of
+# a child started from a large process (pytest) can report the parent's
+# resident size from before the exec.
+_STARTUP_CODE = """
+import json, resource, sys
+import repro.cli
+from repro.core.{module} import {cls}
+from repro.trace.generate import default_trace
+trace = default_trace()
+{cls}(trace.environment(next(iter(trace.registry))), seed=0)
+try:
+    with open("/proc/self/status") as status:
+        peak_kb = next(int(l.split()[1]) for l in status if l.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({{
+    "rss_mb": peak_kb / 1024.0,
+    "scipy": any(m == "scipy" or m.startswith("scipy.") for m in sys.modules),
+}}))
+"""
+
+
+def _startup_sample(module: str, cls: str) -> tuple[float, float, bool]:
+    """One fresh interpreter: (spawn-to-exit seconds, peak RSS MB,
+    whether scipy was loaded)."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    t0 = perf_counter()
+    completed = subprocess.run(
+        [sys.executable, "-c", _STARTUP_CODE.format(module=module, cls=cls)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    elapsed = perf_counter() - t0
+    out = json.loads(completed.stdout.strip().splitlines()[-1])
+    return elapsed, out["rss_mb"], out["scipy"]
+
+
+def test_startup_import_boundary():
+    """Start-up cost of a process that builds one optimiser.
+
+    Only a GP loads scipy, so a process that builds an AugmentedBO (the
+    paper's method) pays numpy and the package, and a NaiveBO process
+    pays scipy on top.  Rounds alternate between the two; medians count.
+    """
+    samples: dict[str, list[tuple[float, float, bool]]] = {"augmented": [], "naive": []}
+    for _ in range(N_STARTUP_ROUNDS):
+        samples["augmented"].append(_startup_sample("augmented_bo", "AugmentedBO"))
+        samples["naive"].append(_startup_sample("naive_bo", "NaiveBO"))
+
+    def median(name: str, index: int) -> float:
+        return statistics.median(sample[index] for sample in samples[name])
+
+    payload = {
+        "rounds": N_STARTUP_ROUNDS,
+        "augmented_s": round(median("augmented", 0), 4),
+        "augmented_rss_mb": round(median("augmented", 1), 1),
+        "augmented_loads_scipy": any(s[2] for s in samples["augmented"]),
+        "naive_s": round(median("naive", 0), 4),
+        "naive_rss_mb": round(median("naive", 1), 1),
+        "naive_loads_scipy": all(s[2] for s in samples["naive"]),
+    }
+    payload["rss_ratio"] = round(payload["naive_rss_mb"] / payload["augmented_rss_mb"], 3)
+    _merge_bench("startup", payload)
+    show(
+        f"fresh-process start-up, median of {N_STARTUP_ROUNDS}",
+        [
+            ("AugmentedBO build (s)", "-", f"{payload['augmented_s']:.3f}"),
+            ("AugmentedBO peak RSS (MB)", "-", f"{payload['augmented_rss_mb']:.1f}"),
+            ("NaiveBO build (s)", "-", f"{payload['naive_s']:.3f}"),
+            ("NaiveBO peak RSS (MB)", "-", f"{payload['naive_rss_mb']:.1f}"),
+            ("RSS ratio NaiveBO / AugmentedBO", ">= 1.4x", f"{payload['rss_ratio']:.2f}x"),
+        ],
+    )
+    _show_delta("startup", payload)
+    assert not payload["augmented_loads_scipy"]
+    assert payload["naive_loads_scipy"]
+    assert payload["rss_ratio"] >= 1.4

@@ -22,7 +22,9 @@ cost-saving ratio of spot+fallback pricing over on-demand must stay
 >= 1.05x, the ``surrogate`` section's factored Extra-Trees fit speedup
 on a 36 x 36 pair set must stay >= 1.4x, the ``trace`` section's
 row-wise ``multicloud`` synthesis speedup over the cell-by-cell
-reference must stay >= 10x, and a section marked
+reference must stay >= 10x, the ``startup`` section's peak-RSS ratio of
+a NaiveBO process over an AugmentedBO one must stay >= 1.4x (scipy
+loads only where a GP is built), and a section marked
 ``clamped`` (the engine collapsed to one effective worker, or the
 runner has a single core) is skipped rather than judged — a clamped
 run measures pool overhead, not performance.
@@ -83,6 +85,10 @@ FLOORS = (
     # Single-threaded arithmetic: row-wise multicloud trace synthesis vs
     # the cell-by-cell test reference.
     ("trace", "synthesis_speedup", 10.0, "row-wise trace synthesis speedup @390"),
+    # Fresh-process peak RSS: import repro.cli plus one optimiser build.
+    # Only the GP loads scipy, so AugmentedBO stays ~40 MB below NaiveBO;
+    # a module that imports scipy again pulls the ratio to ~1.0x.
+    ("startup", "rss_ratio", 1.4, "start-up RSS ratio NaiveBO / AugmentedBO"),
 )
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +76,19 @@ def _vm_stream(seed: int, vm_name: str, *extra: int) -> np.random.Generator:
     )
 
 
+# Sized for every (seed, name) pair a process quotes in practice: the
+# largest catalog has 390 types.
+@lru_cache(maxsize=1 << 14)
+def _tick0_uniform(seed: int, vm_name: str) -> float:
+    """The first draw of the VM's stream, behind every discount.
+
+    Memoised at module level (a frozen, slotted :class:`SpotMarket` has
+    nowhere to keep it): building the Philox stream costs ~60x the
+    lookup, and a spot attempt reads the discount several times.
+    """
+    return float(_vm_stream(seed, vm_name).random())
+
+
 @dataclass(frozen=True, slots=True)
 class SpotMarket:
     """A seeded, deterministic spot market over VM-type names.
@@ -114,7 +128,7 @@ class SpotMarket:
     def discount(self, vm_name: str) -> float:
         """The VM's discount depth — hashed from its name, not its
         catalog position, so catalogs can grow without moving markets."""
-        u = float(_vm_stream(self.seed, vm_name).random())
+        u = _tick0_uniform(self.seed, vm_name)
         return self.min_discount + u * (self.max_discount - self.min_discount)
 
     def hazard(self, vm_name: str) -> float:

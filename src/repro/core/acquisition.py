@@ -23,10 +23,23 @@ the fantasy observation value used by the GP path's q-EI.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 _EPS = 1e-12
 _SQRT_2PI = np.sqrt(2 * np.pi)
+
+# scipy.special, imported by the first _special() call: prediction
+# delta (Augmented BO's acquisition) never needs it, and a GP build has
+# usually loaded it already (repro.ml.gp._load_scipy).
+_SPECIAL = None
+
+
+def _special():
+    global _SPECIAL
+    if _SPECIAL is None:
+        from scipy import special
+
+        _SPECIAL = special
+    return _SPECIAL
 
 
 # The standard normal's cdf, pdf and log survival function, evaluated
@@ -35,7 +48,7 @@ _SQRT_2PI = np.sqrt(2 * np.pi)
 # its per-call argument handling, which costs ~60x the ufunc on the
 # handful of candidates a search scores.
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    return special.ndtr(x)
+    return _special().ndtr(x)
 
 
 def _norm_pdf(x: np.ndarray) -> np.ndarray:
@@ -45,7 +58,7 @@ def _norm_pdf(x: np.ndarray) -> np.ndarray:
 
 
 def _norm_logsf(x: np.ndarray) -> np.ndarray:
-    return special.log_ndtr(-x)
+    return _special().log_ndtr(-x)
 
 
 def _validate(mean: np.ndarray, std: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:

@@ -25,27 +25,53 @@ The matrices are tiny (one row per measured VM, so at most a few dozen),
 which makes scipy.linalg's per-call wrapper work — finiteness scans,
 batch dispatch, shape checks, routine lookup — cost more than LAPACK
 itself.  Every factorisation and solve therefore goes straight to the
-``potrf`` / ``potrs`` / ``trtrs`` handles, fetched once at import, with
+``potrf`` / ``potrs`` / ``trtrs`` handles, fetched once per process, with
 the flags scipy's ``cholesky`` / ``cho_solve`` / ``solve_triangular``
 pass: the results are bit-identical.  The wrappers' checks move to
 where they are needed: a non-finite matrix is rejected once before its
 jitter ladder, the targets once per fit, the cross-covariance once per
 predict.
+
+scipy is imported when the first :class:`GaussianProcessRegressor` is
+built, never when this module is: Arrow's own searches fit no GP, and
+loading ``scipy.linalg`` / ``optimize`` / ``special`` costs a process
+~0.5 s and ~40 MB.  Building the GP (not its first fit) keeps the
+import out of every timed search step.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
-from scipy.linalg import get_lapack_funcs
 
 from repro.ml.kernels import Geometry, Kernel, Matern52, stacked_stationary_value
 
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
 # The double-precision LAPACK routines scipy.linalg resolves on every
-# cholesky / cho_solve / solve_triangular call, resolved once.
-_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
+# cholesky / cho_solve / solve_triangular call, and scipy.optimize:
+# bound once per process by _load_scipy().
+_potrf = _potrs = _trtrs = None
+optimize = None
+
+
+def _load_scipy() -> None:
+    """Import what a GP needs from scipy, once per process.
+
+    ``scipy.special`` comes along because the GP methods score with
+    expected improvement (:mod:`repro.core.acquisition` then finds it
+    loaded).  A forked worker inherits whatever its parent loaded.
+    """
+    global _potrf, _potrs, _trtrs, optimize
+    if optimize is not None:
+        return
+    import scipy.special  # noqa: F401
+    from scipy import optimize as scipy_optimize
+    from scipy.linalg import get_lapack_funcs
+
+    _potrf, _potrs, _trtrs = get_lapack_funcs(
+        ("potrf", "potrs", "trtrs"), dtype=np.float64
+    )
+    optimize = scipy_optimize
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -70,6 +96,7 @@ def _cholesky_with_jitter(K: np.ndarray, start: int = 0) -> tuple[np.ndarray, in
         np.linalg.LinAlgError: if ``K`` stays indefinite even at the
             largest jitter.
     """
+    _load_scipy()
     _require_finite(K, "covariance matrix")
     n = K.shape[0]
     for index in range(start, len(_JITTERS)):
@@ -91,6 +118,7 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     finiteness checks: ``L`` comes from :func:`_cholesky_with_jitter`
     and callers check ``b``.  ``b`` is never overwritten.
     """
+    _load_scipy()
     x, info = _potrs(L, b, lower=True)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
@@ -104,6 +132,7 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     its finiteness checks, including its branch for C-ordered factors
     (which it solves as the transposed upper system).
     """
+    _load_scipy()
     if L.flags.f_contiguous:
         x, info = _trtrs(L, b, lower=True, trans=0, unitdiag=False)
     else:
@@ -143,6 +172,7 @@ class GaussianProcessRegressor:
     ) -> None:
         if noise <= 0:
             raise ValueError("noise must be positive")
+        _load_scipy()
         self.kernel = (kernel if kernel is not None else Matern52()).clone()
         self.noise = float(noise)
         self.optimise = optimise

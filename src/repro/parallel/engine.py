@@ -168,6 +168,26 @@ def _execute_cell(cell: Cell) -> SearchResult:
     return optimizer.run()
 
 
+def _prime_before_fork(context: _CellContext, cell: Cell) -> None:
+    """Build ``cell``'s optimiser once in the parent, before any fork.
+
+    Whatever the build imports (scipy for GP methods, nothing for
+    AugmentedBO) is then inherited by every forked worker instead of
+    being imported by each of them.  A build that raises is ignored
+    here: the cell's own attempt raises again and is supervised as
+    usual.
+    """
+    workload_id, repeat = cell
+    try:
+        context.factory(
+            context.trace.environment(workload_id),
+            context.objective,
+            context.seed_fn(workload_id, repeat),
+        )
+    except Exception:  # noqa: BLE001 - reported by the cell's own attempt
+        pass
+
+
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -335,6 +355,8 @@ def run_cells(
         share=share,
     )
     try:
+        if forks_workers and cells:
+            _prime_before_fork(_CELL_CONTEXT, cells[0])
         if executor == "queue":
             backend: CellExecutor = QueueExecutor(
                 queue.path,

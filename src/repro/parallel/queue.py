@@ -18,12 +18,13 @@ losing the disk:
   write lock serialises them and the ``state='pending'`` guard stops
   the loser.
 * :func:`queue_worker_loop` — the pull-loop a worker runs: claim a
-  lease, start a heartbeat thread, execute the cell with its *stored*
-  deterministic seed, then write the result and mark the cell ``done``
-  in one guarded transaction.  A worker killed with ``SIGKILL``
-  mid-cell simply stops heartbeating; once its lease deadline passes,
-  any sweep (a sibling worker's next claim, or the coordinator's poll)
-  requeues the cell with ``attempts + 1`` — *at-least-once* execution.
+  lease, hand it to the worker's one heartbeat thread, execute the cell
+  with its *stored* deterministic seed, then write the result and mark
+  the cell ``done`` in one guarded transaction.  A worker killed with
+  ``SIGKILL`` mid-cell simply stops heartbeating; once its lease
+  deadline passes, any sweep (a sibling worker's next claim, or the
+  coordinator's poll) requeues the cell with ``attempts + 1`` —
+  *at-least-once* execution.
   The completion guard (``state='leased' AND lease_owner=me``) makes
   result *recording* effectively once: a worker that lost its lease
   cannot overwrite the rightful result.
@@ -746,30 +747,52 @@ class WorkQueue:
 
 
 class _HeartbeatPump(threading.Thread):
-    """Refreshes one lease in the background until stopped or lost.
+    """Refreshes a worker's current lease in the background.
 
-    Owns its own database connection (SQLite connections are
-    single-thread); a heartbeat that comes back False (the lease
-    expired under us and the cell moved on) stops the pump and raises
-    the ``lost`` flag so the worker discards its in-flight result.
+    One pump — one thread and one database connection (SQLite
+    connections are single-thread) — serves a whole worker loop, which
+    hands it each lease in turn with :meth:`track`.  Every lease gets
+    its own ``lost`` flag: a heartbeat that comes back False (the lease
+    expired under us and the cell moved on) raises that lease's flag so
+    the worker discards its in-flight result, and never the flag of a
+    lease tracked later.
     """
 
-    def __init__(self, path: Path, lease: Lease, interval_s: float) -> None:
-        super().__init__(daemon=True, name=f"heartbeat-{lease.owner}")
+    def __init__(self, path: Path, owner: str, interval_s: float) -> None:
+        super().__init__(daemon=True, name=f"heartbeat-{owner}")
         self._path = path
-        self._lease = lease
+        self._owner = owner
         self._interval_s = interval_s
         # Not named ``_stop``: threading.Thread owns that internally.
         self._halt = threading.Event()
-        self.lost = threading.Event()
+        # Held across each heartbeat, so release() returns only once no
+        # heartbeat of the released lease is in flight.
+        self._lock = threading.Lock()
+        self._current: tuple[Cell, threading.Event] | None = None
+
+    def track(self, lease: Lease) -> threading.Event:
+        """Refresh ``lease`` until :meth:`release`; its ``lost`` flag."""
+        lost = threading.Event()
+        with self._lock:
+            self._current = (lease.cell, lost)
+        return lost
+
+    def release(self) -> None:
+        """Stop refreshing the current lease; its ``lost`` flag is final."""
+        with self._lock:
+            self._current = None
 
     def run(self) -> None:
         queue = WorkQueue.attach(self._path)
         try:
             while not self._halt.wait(self._interval_s):
-                if not queue.heartbeat(self._lease.cell, self._lease.owner):
-                    self.lost.set()
-                    return
+                with self._lock:
+                    if self._current is None:
+                        continue
+                    cell, lost = self._current
+                    if not queue.heartbeat(cell, self._owner):
+                        lost.set()
+                        self._current = None
         finally:
             queue.close()
 
@@ -837,34 +860,43 @@ def queue_worker_loop(
         else max(0.05, queue.lease_duration_s / 4.0)
     )
     processed = 0
-    while max_cells is None or processed < max_cells:
-        if should_stop is not None and should_stop():
-            break
-        lease = queue.claim(owner)
-        if lease is None:
-            if exit_when_drained and queue.drained():
+    # Started with the first lease: a worker that finds nothing to do
+    # opens no second connection.
+    pump: _HeartbeatPump | None = None
+    try:
+        while max_cells is None or processed < max_cells:
+            if should_stop is not None and should_stop():
                 break
-            time.sleep(poll_interval_s)
-            continue
-        pump = _HeartbeatPump(queue.path, lease, interval)
-        pump.start()
-        try:
-            result = run_lease(lease)
-        except BaseException as error:  # noqa: BLE001 - report, keep pulling
+            lease = queue.claim(owner)
+            if lease is None:
+                if exit_when_drained and queue.drained():
+                    break
+                time.sleep(poll_interval_s)
+                continue
+            if pump is None:
+                pump = _HeartbeatPump(queue.path, owner, interval)
+                pump.start()
+            lost = pump.track(lease)
+            try:
+                result = run_lease(lease)
+            except BaseException as error:  # noqa: BLE001 - report, keep pulling
+                pump.release()
+                delay = policy.delay_for(min(lease.attempts, policy.max_attempts), rng)
+                queue.fail(
+                    lease.cell, owner,
+                    f"{type(error).__name__}: {error}", requeue_delay_s=delay,
+                )
+            else:
+                pump.release()
+                # A lost lease means the cell was requeued and may be (or
+                # have been) run elsewhere; complete()'s guard would refuse
+                # anyway, but skipping the call keeps the event log honest.
+                if not lost.is_set():
+                    queue.complete(lease.cell, owner, result_to_payload(result))
+            processed += 1
+    finally:
+        if pump is not None:
             pump.stop()
-            delay = policy.delay_for(min(lease.attempts, policy.max_attempts), rng)
-            queue.fail(
-                lease.cell, owner,
-                f"{type(error).__name__}: {error}", requeue_delay_s=delay,
-            )
-        else:
-            pump.stop()
-            # A lost lease means the cell was requeued and may be (or
-            # have been) run elsewhere; complete()'s guard would refuse
-            # anyway, but skipping the call keeps the event log honest.
-            if not pump.lost.is_set():
-                queue.complete(lease.cell, owner, result_to_payload(result))
-        processed += 1
     return processed
 
 

@@ -1,7 +1,9 @@
 """Unit tests for the seeded spot market (repro.cloud.spot)."""
 
 import math
+import zlib
 
+import numpy as np
 import pytest
 
 from repro.cloud.catalog import get_catalog
@@ -45,6 +47,18 @@ class TestSpotMarket:
         for vm in catalog.vms:
             market.discount(vm.name)  # interleave other queries
         assert market.discount(catalog.vms[0].name) == alone
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2018, 2**31 - 1])
+    def test_memoised_discount_matches_a_fresh_stream(self, seed):
+        # The reference draws the tick-0 uniform from a new Philox
+        # stream on every call, as the market did before memoising it.
+        market = SpotMarket(seed=seed, min_discount=0.3, max_discount=0.7)
+        for _ in range(2):  # cold, then memoised
+            for vm in get_catalog("multicloud").vms:
+                u = np.random.default_rng(
+                    [seed, zlib.crc32(vm.name.encode()) & 0x7FFFFFFF]
+                ).random()
+                assert market.discount(vm.name) == 0.3 + float(u) * (0.7 - 0.3)
 
     def test_hazard_rises_with_discount(self, catalog):
         market = SpotMarket(seed=11, hazard_slope=0.5)

@@ -28,6 +28,7 @@ from repro.core.baselines import RandomSearch
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult, SearchStep
 from repro.faults import RetryPolicy
+from repro.parallel import queue as queue_module
 from repro.parallel.engine import _fork_available
 from repro.parallel.executors import CellExecutor
 from repro.parallel.queue import (
@@ -443,6 +444,83 @@ class TestWorkerLoop:
             )
             assert done == 2
             assert queue.counts()["pending"] == 1
+
+    def test_one_pump_thread_and_connection_serve_every_lease(
+        self, tmp_path, monkeypatch
+    ):
+        attached, started = [], []
+        attach = WorkQueue.attach.__func__
+        start = queue_module._HeartbeatPump.start
+
+        def counting_attach(cls, *args, **kwargs):
+            attached.append(args[0])
+            return attach(cls, *args, **kwargs)
+
+        def counting_start(self):
+            started.append(self.name)
+            start(self)
+
+        monkeypatch.setattr(WorkQueue, "attach", classmethod(counting_attach))
+        monkeypatch.setattr(queue_module._HeartbeatPump, "start", counting_start)
+        with WorkQueue(tmp_path / "g.queue", "key", lease_duration_s=30.0) as queue:
+            queue.enqueue([((f"w{i}", 0), i) for i in range(5)])
+
+            def run_lease(lease):
+                time.sleep(0.03)  # a few heartbeats per cell
+                return _result(lease.workload_id)
+
+            done = queue_worker_loop(
+                queue, run_lease, owner="w", heartbeat_interval_s=0.01
+            )
+            assert done == 5 and queue.counts()["done"] == 5
+        assert started == ["heartbeat-w"]
+        assert attached == [tmp_path / "g.queue"]
+        assert not any(t.name == "heartbeat-w" for t in threading.enumerate())
+
+    def test_lease_lost_mid_cell_is_discarded_and_next_lease_completes(
+        self, tmp_path, monkeypatch
+    ):
+        refused = threading.Event()
+        heartbeat = WorkQueue.heartbeat
+
+        def watched_heartbeat(self, cell, owner):
+            ok = heartbeat(self, cell, owner)
+            if not ok:
+                refused.set()
+            return ok
+
+        completed = []
+        complete = WorkQueue.complete
+
+        def recording_complete(self, cell, owner, payload):
+            completed.append(cell)
+            return complete(self, cell, owner, payload)
+
+        monkeypatch.setattr(WorkQueue, "heartbeat", watched_heartbeat)
+        monkeypatch.setattr(WorkQueue, "complete", recording_complete)
+        path = tmp_path / "g.queue"
+        with WorkQueue(path, "key", lease_duration_s=30.0) as queue:
+            queue.enqueue([(("lost", 0), 1), (("next", 0), 2)])
+
+            def run_lease(lease):
+                if lease.workload_id == "lost":
+                    # Another worker takes the cell over mid-run.
+                    with WorkQueue.attach(path) as other:
+                        other.expire_owner("w")
+                        assert other.claim("thief").cell == lease.cell
+                    assert refused.wait(timeout=10.0)
+                return _result(lease.workload_id)
+
+            done = queue_worker_loop(
+                queue, run_lease, owner="w", heartbeat_interval_s=0.01,
+                max_cells=2,
+            )
+            assert done == 2
+            assert completed == [("next", 0)]
+            states = {cell: state for cell, state, *_ in queue.terminal_cells()}
+            assert states == {("next", 0): "done"}
+            [(cell, owner, *_)] = queue.leases()
+            assert (cell, owner) == (("lost", 0), "thief")
 
     def test_should_stop_halts_before_claiming(self, tmp_path):
         with WorkQueue(tmp_path / "g.queue", "key") as queue:
