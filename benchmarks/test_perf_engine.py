@@ -553,10 +553,8 @@ def test_batch_suggestions(trace):
     A full search over the 18-VM catalog fits the surrogate once per
     acquisition round; ``batch_size=q`` measures q suggestions per round,
     so the fit count — the dominant per-step cost against microsecond
-    trace measurements — drops by ~q x.  The fan-out is the inline
-    serial one, so the reduction below is pure suggest-cycle savings;
-    concurrent measurement (``--batch-workers``) stacks on top of it on
-    real clouds.
+    trace measurements — drops by ~q x.  A round's measurements run
+    inline, so the reduction below is pure suggest-cycle savings.
     """
     workload_id = all_workload_ids()[0]
 

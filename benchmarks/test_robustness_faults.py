@@ -128,7 +128,7 @@ def run_spot_search(trace, seed: int, policy: SpotPolicy | None):
     return AugmentedBO(
         environment,
         stopping=PredictionDeltaThreshold(threshold=1.1),
-        measure_retries=6,
+        retry_policy=RetryPolicy.from_retries(6),
         seed=seed,
         spot=policy,
     ).run()

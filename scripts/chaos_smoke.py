@@ -84,6 +84,7 @@ from repro.cloud.spot import SpotMarket, SpotPolicy  # noqa: E402
 from repro.core.baselines import RandomSearch  # noqa: E402
 from repro.core.objectives import Objective  # noqa: E402
 from repro.faults.models import FaultPlan, SpotInterruptions  # noqa: E402
+from repro.faults.retry import RetryPolicy  # noqa: E402
 from repro.parallel import WorkQueue  # noqa: E402
 from repro.trace.generate import default_trace  # noqa: E402
 
@@ -140,7 +141,7 @@ def spot_factory(environment, objective, seed):
         objective=objective,
         seed=seed,
         max_measurements=6,
-        measure_retries=5,
+        retry_policy=RetryPolicy.from_retries(5),
         spot=SpotPolicy(market=_spot_market()),
     )
 

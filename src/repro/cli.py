@@ -210,12 +210,6 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
         "picked points at the min (optimistic, spreads the batch), mean, "
         "or max (pessimistic, clusters) of the observed values",
     )
-    parser.add_argument(
-        "--batch-workers", type=int, default=1,
-        help="processes measuring one batch concurrently (1 = inline; "
-        "results are identical for any value — each measurement is "
-        "seeded from (search seed, iteration, catalog index))",
-    )
     parser.add_argument("--stop", choices=["none", "ei", "delta"], default="none")
     parser.add_argument("--stop-value", type=float, default=None)
     parser.add_argument(
@@ -289,12 +283,6 @@ def _build_optimizer(args: argparse.Namespace, environment, seed: int | None = N
     extra = {}
     if args.method in ("augmented", "hybrid"):
         extra["refit_fraction"] = args.refit_fraction
-    batch_size = getattr(args, "batch_size", 1)
-    fanout = None
-    if batch_size > 1 and getattr(args, "batch_workers", 1) > 1:
-        from repro.parallel.batch import MeasurementFanout
-
-        fanout = MeasurementFanout("pool", workers=args.batch_workers)
     cls = _METHODS[args.method]
     return cls(
         environment,
@@ -304,9 +292,8 @@ def _build_optimizer(args: argparse.Namespace, environment, seed: int | None = N
         retry_policy=retry_policy,
         quarantine_after=args.quarantine_after,
         max_measurements=getattr(args, "max_measurements", None),
-        batch_size=batch_size,
+        batch_size=getattr(args, "batch_size", 1),
         liar=getattr(args, "liar", "min"),
-        measurement_fanout=fanout,
         spot=_spot_policy(args),
         **extra,
     )
@@ -389,8 +376,7 @@ def _search_grid_key(args: argparse.Namespace) -> str:
     )
     # Batched searches produce different measurement sequences, so the
     # batch shape joins the key — but only when batching is on, which
-    # keeps every pre-existing q=1 digest stable.  --batch-workers is
-    # deliberately excluded: results are identical for any worker count.
+    # keeps every pre-existing q=1 digest stable.
     if getattr(args, "batch_size", 1) > 1:
         relevant = (*relevant, args.batch_size, args.liar)
     # Same stability rule for the catalog axis and measurement budget:
@@ -493,11 +479,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     try:
         if args.repeats == 1:
             optimizer = _build_optimizer(args, _search_environment(args, trace))
-            try:
-                result = optimizer.run()
-            finally:
-                if optimizer._fanout is not None:
-                    optimizer._fanout.close()
+            result = optimizer.run()
             print(f"{'step':>4}  {'VM type':<12} {'value':>12} {'best':>12}")
             for step in result.steps:
                 retried = f"  ({step.attempts} attempts)" if step.attempts > 1 else ""

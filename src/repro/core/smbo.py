@@ -36,12 +36,11 @@ and successes are folded into search state by one commit function each.
 Batched suggestions (``q > 1``): each round the optimiser asks its
 :meth:`SequentialOptimizer._suggest_batch` hook for ``q`` distinct
 candidates (constant-liar q-EI on GP scorers, top-q prediction delta by
-default), measures them — concurrently, when a measurement fan-out is
-injected — and replays the task-local attempts through the commit
-functions in catalog-index order.  Every batch measurement draws its
-randomness from the spawn key ``(search stream seed, 2, iteration,
-catalog index)``, so results and fault-injection streams are
-independent of completion order and worker count.
+default), measures them inline in pick order, and replays the
+task-local attempts through the commit functions in catalog-index
+order.  Every batch measurement draws its randomness from the spawn key
+``(search stream seed, 2, iteration, catalog index)``, so results and
+fault-injection streams are independent of the order the tasks run in.
 
 ``q = 1`` is the degenerate batch: the round measures the argmax of the
 scores, and the task runs with a *live guard* instead of a spawn key.
@@ -150,9 +149,8 @@ class FailedAttempt:
 class BatchMeasurement:
     """The outcome of one measurement task (one observation's ladder).
 
-    Produced by :meth:`SequentialOptimizer.batch_measure_task` —
-    possibly in a worker process — and folded into search state by the
-    commit functions.
+    Produced by :meth:`SequentialOptimizer.batch_measure_task` and
+    folded into search state by the commit functions.
 
     Attributes:
         index: catalog index of the measured VM.
@@ -187,23 +185,6 @@ BatchCell = tuple[int, int]
 #: attempt ladder (the live mode of :meth:`SequentialOptimizer.batch_measure_task`).
 AttemptGuard = Callable[[int, FailedAttempt], bool]
 
-#: A within-search measurement fan-out: runs every cell through
-#: ``run_task`` (in any order, on any backend) and returns all outcomes.
-#: Injected — rather than imported — so the core loop stays free of the
-#: execution plane; :class:`repro.parallel.batch.MeasurementFanout`
-#: implements it over the pluggable cell executors.
-BatchFanout = Callable[
-    [list[BatchCell], Callable[[BatchCell], BatchMeasurement]],
-    list[BatchMeasurement],
-]
-
-
-def _inline_fanout(
-    cells: list[BatchCell], run_task: Callable[[BatchCell], BatchMeasurement]
-) -> list[BatchMeasurement]:
-    """The default fan-out: run the batch's tasks inline, in pick order."""
-    return [run_task(cell) for cell in cells]
-
 
 class SequentialOptimizer(abc.ABC):
     """Base class implementing the SMBO loop over a finite VM catalog.
@@ -220,10 +201,8 @@ class SequentialOptimizer(abc.ABC):
         initial_design: explicit catalog indices to measure first instead
             of the quasi-random design (the Section III-C sensitivity
             experiments fix these).
-        measure_retries: legacy retry counter; shorthand for
-            ``retry_policy=RetryPolicy(max_attempts=measure_retries + 1)``.
-        retry_policy: full retry behaviour (attempts, backoff, jitter);
-            overrides ``measure_retries`` when given.  Each attempt is
+        retry_policy: retry behaviour (attempts, backoff, jitter); the
+            default makes one attempt per observation.  Each attempt is
             charged like any other measurement (the cloud billed it).
         quarantine_after: consecutive failures after which a VM is
             quarantined for the rest of the search.
@@ -237,10 +216,6 @@ class SequentialOptimizer(abc.ABC):
         liar: constant-liar strategy (``"min"``/``"mean"``/``"max"``)
             for GP-based batch suggestion; ignored by scorers that
             batch via top-q prediction delta.
-        measurement_fanout: optional callable running one batch's
-            measurement tasks (see :data:`BatchFanout`); ``None`` runs
-            them inline.  Results are identical for any fan-out because
-            each task reseeds from its spawn key.
         spot: optional :class:`~repro.cloud.spot.SpotPolicy` switching
             the search to spot pricing.  Measurements then run on spot
             capacity first (the environment's ``set_pricing`` hook is
@@ -265,32 +240,23 @@ class SequentialOptimizer(abc.ABC):
         max_measurements: int | None = None,
         seed: int | None = None,
         initial_design: list[int] | None = None,
-        measure_retries: int = 0,
         retry_policy: RetryPolicy | None = None,
         quarantine_after: int = 3,
         batch_size: int = 1,
         liar: str = "min",
-        measurement_fanout: BatchFanout | None = None,
         spot: SpotPolicy | None = None,
     ) -> None:
         if n_initial < 1:
             raise ValueError(f"n_initial must be at least 1, got {n_initial}")
         if max_measurements is not None and max_measurements < n_initial:
             raise ValueError("max_measurements must be at least n_initial")
-        if measure_retries < 0:
-            raise ValueError(f"measure_retries must be >= 0, got {measure_retries}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if liar not in LIAR_STRATEGIES:
             raise ValueError(
                 f"unknown liar strategy {liar!r}; known: {LIAR_STRATEGIES}"
             )
-        self.measure_retries = measure_retries
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy.from_retries(measure_retries)
-        )
+        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.quarantine_after = quarantine_after  # CircuitBreaker validates
         self.initial_design = list(initial_design) if initial_design is not None else None
         self._env = environment
@@ -300,7 +266,6 @@ class SequentialOptimizer(abc.ABC):
         self.max_measurements = max_measurements
         self.batch_size = batch_size
         self.liar = liar
-        self._fanout = measurement_fanout
         self._spot = spot
         self._rng = np.random.default_rng(seed)
         # The initial design gets its own stream, split off before any
@@ -531,11 +496,11 @@ class SequentialOptimizer(abc.ABC):
         the eventual success is billed for the uncovered remainder only.
 
         Without a ``guard`` (a q>1 batch task) the task is safe to run
-        in any order, on any worker: it derives every random stream it
-        touches — environment noise, fault rules, retry jitter — from
-        its spawn key ``(stream seed, 2, iteration, catalog index)``
-        (environments expose an optional ``arm_for`` hook for the first
-        two) and records its attempts task-locally; breaker, budget and
+        in any order: it derives every random stream it touches —
+        environment noise, fault rules, retry jitter — from its spawn
+        key ``(stream seed, 2, iteration, catalog index)`` (environments
+        expose an optional ``arm_for`` hook for the first two) and
+        records its attempts task-locally; breaker, budget and
         events are applied when the batch commits.  With a ``guard``
         (the live mode) retry jitter comes from the search-wide stream,
         each wait is accounted as it happens, and the guard commits
@@ -724,21 +689,19 @@ class SequentialOptimizer(abc.ABC):
         ``iteration=None`` measures live, one pick after the other (the
         initial design and every q=1 round): each task runs under the
         live guard and commits before the next starts.  Otherwise the
-        picks are batch round ``iteration``: the tasks run through the
-        measurement fan-out and their task-local attempts are replayed
-        in catalog-index order, so events, failure records, breaker
-        state and step numbering are identical for any fan-out backend
-        and worker count.
+        picks are batch round ``iteration``: the tasks run inline in pick
+        order and their task-local attempts are replayed in
+        catalog-index order, so events, failure records, breaker state
+        and step numbering do not depend on the order the tasks ran in.
         """
         if iteration is None:
             guard = functools.partial(self._commit_failure, live=True)
             # A generator, so each live task commits before the next runs.
             outcomes = (self.batch_measure_task((0, i), guard) for i in picked)
         else:
-            fanout = self._fanout if self._fanout is not None else _inline_fanout
-            cells: list[BatchCell] = [(iteration, index) for index in picked]
             outcomes = sorted(
-                fanout(cells, self.batch_measure_task), key=lambda o: o.index
+                (self.batch_measure_task((iteration, index)) for index in picked),
+                key=lambda o: o.index,
             )
         succeeded = 0
         for outcome in outcomes:
@@ -861,9 +824,9 @@ class SearchState:
     per search), and :meth:`complete_round` applies it.
 
     The state (optimiser included) is plain-picklable as long as the
-    environment and any injected measurement fan-out are, so a search
-    can be serialized mid-flight with :meth:`to_bytes` and resumed in
-    another process with :meth:`from_bytes`.
+    environment is, so a search can be serialized mid-flight with
+    :meth:`to_bytes` and resumed in another process with
+    :meth:`from_bytes`.
     """
 
     def __init__(

@@ -68,7 +68,7 @@ class RetryPolicy:
 
     @classmethod
     def from_retries(cls, retries: int, **kwargs) -> RetryPolicy:
-        """The legacy ``measure_retries`` counter as a policy."""
+        """A retry counter (``--measure-retries``) as a policy."""
         if retries < 0:
             raise ValueError(f"measure_retries must be >= 0, got {retries}")
         return cls(max_attempts=retries + 1, **kwargs)

@@ -9,10 +9,9 @@ Cells are dispatched through the pluggable
 :class:`~repro.parallel.supervisor.Supervisor` — per-cell deadlines,
 bounded retries, pool self-healing with a restart budget, poison-cell
 quarantine.  Worker counts are clamped to what the machine and grid can
-use (:func:`~repro.parallel.engine.plan_workers`), the trace's bulk
-arrays reach workers through one shared-memory segment
-(:class:`~repro.parallel.dataplane.TraceShare`) instead of per-worker
-copies, and completed cells are recorded crash-safely by
+use (:func:`~repro.parallel.engine.plan_workers`), forked workers read
+the trace they inherit from the parent, and completed cells are
+recorded crash-safely by
 :class:`~repro.parallel.checkpoint.GridCheckpoint` in the grid's
 work-queue file — one durable record for every executor — so
 interrupted grids resume, under any executor, instead of recomputing.
@@ -32,9 +31,7 @@ tree traversal, GP conditioning, EI — is computed once across all live
 searches, bit-identical per search to the serial loop.
 """
 
-from repro.parallel.batch import BATCH_BACKENDS, MeasurementFanout
 from repro.parallel.checkpoint import GridCheckpoint, flush_on_signal
-from repro.parallel.dataplane import TraceShare
 from repro.parallel.engine import (
     DEFAULT_POOL_RESTARTS,
     EXECUTOR_CHOICES,
@@ -61,7 +58,6 @@ from repro.parallel.supervisor import SupervisionConfig, Supervisor
 from repro.parallel.vector import VectorizedGridDriver
 
 __all__ = [
-    "BATCH_BACKENDS",
     "CELL_EVENT_KINDS",
     "CellEvent",
     "CellExecutor",
@@ -72,14 +68,12 @@ __all__ = [
     "GRID_EVENT_KINDS",
     "GridCheckpoint",
     "Lease",
-    "MeasurementFanout",
     "POOL_MIN_CELLS",
     "QueueConfig",
     "QueueExecutor",
     "SerialExecutor",
     "SupervisionConfig",
     "Supervisor",
-    "TraceShare",
     "VectorizedGridDriver",
     "WorkQueue",
     "build_executor",

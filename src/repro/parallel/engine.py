@@ -19,27 +19,21 @@ Properties that make this a drop-in for the serial loop:
   supervision had to re-run it.  Results are yielded in submission
   order, so downstream cache assembly is byte-identical to the serial
   path.
-* **Fork-based context sharing and a zero-copy data plane** — optimiser
-  factories are arbitrary closures and therefore not picklable.  The
-  engine stores the cell context (trace, factory, objective, seed
-  function) in a module global *before* the pool forks; workers inherit
-  it through copy-on-write memory, and only the tiny
-  ``(workload_id, repeat)`` tuples and the picklable
-  :class:`~repro.core.result.SearchResult` objects ever cross the
-  process boundary.  The trace's bulk arrays additionally ride in one
-  ``multiprocessing.shared_memory`` segment
-  (:class:`~repro.parallel.dataplane.TraceShare`), so every worker reads
-  the same physical bytes instead of copy-on-write page duplicates.
-  When fork is unavailable (or ``workers <= 1``, or the grid has a
-  single cell) the engine runs serially in-process — same code path per
-  cell, no pool.
+* **Fork-based context sharing** — optimiser factories are arbitrary
+  closures and therefore not picklable.  The engine stores the cell
+  context (trace, factory, objective, seed function) in a module global
+  *before* the pool forks; workers inherit it through copy-on-write
+  memory, and only the tiny ``(workload_id, repeat)`` tuples and the
+  picklable :class:`~repro.core.result.SearchResult` objects ever cross
+  the process boundary.  The trace's numpy buffers are never written,
+  so the inherited pages stay shared.  When fork is unavailable (or
+  ``workers <= 1``, or the grid has a single cell) the engine runs
+  serially in-process — same code path per cell, no pool.
 * **Worker clamping** — a requested worker count is only a ceiling: the
   engine clamps it to ``min(workers, os.cpu_count(), n_cells)`` and
   skips the pool entirely for grids under :data:`POOL_MIN_CELLS` cells
   (:func:`plan_workers`), where fork + warm-up overhead exceeds the
-  work.  The decision is observable as a ``pool_planned`` event;
-  ``auto_clamp=False`` restores the literal request for tests that
-  need a pool regardless of the host machine.
+  work.  The decision is observable as a ``pool_planned`` event.
 * **Crash containment and self-healing** — an application error in a
   worker is retried (``cell_retries`` pool attempts under
   :class:`~repro.faults.retry.RetryPolicy` backoff, then one serial
@@ -66,7 +60,6 @@ from repro.analysis.runner import OptimizerFactory, run_seed
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult
 from repro.faults.retry import RetryPolicy
-from repro.parallel.dataplane import TraceShare
 from repro.parallel.events import CellEvent
 from repro.parallel.executors import (
     Cell,
@@ -130,7 +123,7 @@ def plan_workers(
 class _CellContext:
     """Everything a worker needs to execute one cell."""
 
-    __slots__ = ("trace", "factory", "objective", "seed_fn", "share")
+    __slots__ = ("trace", "factory", "objective", "seed_fn")
 
     def __init__(
         self,
@@ -138,13 +131,11 @@ class _CellContext:
         factory: OptimizerFactory,
         objective: Objective,
         seed_fn: SeedFn,
-        share: TraceShare | None = None,
     ) -> None:
         self.trace = trace
         self.factory = factory
         self.objective = objective
         self.seed_fn = seed_fn
-        self.share = share
 
 
 # Set in the parent before the pool forks; workers inherit it.  This is
@@ -158,10 +149,7 @@ def _execute_cell(cell: Cell) -> SearchResult:
     if context is None:
         raise RuntimeError("cell context is not initialised in this process")
     workload_id, repeat = cell
-    # Pool runs read the trace from the shared-memory data plane (one
-    # physical copy across all workers); serial runs use it directly.
-    trace = context.trace if context.share is None else context.share.trace()
-    environment = trace.environment(workload_id)
+    environment = context.trace.environment(workload_id)
     optimizer = context.factory(
         environment, context.objective, context.seed_fn(workload_id, repeat)
     )
@@ -207,7 +195,6 @@ def run_cells(
     workers: int = 1,
     on_event: EventSink = None,
     seed_fn: SeedFn = run_seed,
-    auto_clamp: bool = True,
     cell_timeout: float | None = None,
     cell_retries: int = 0,
     pool_restarts: int = DEFAULT_POOL_RESTARTS,
@@ -222,17 +209,14 @@ def run_cells(
         factory: builds the optimiser for each cell.
         objective: what to minimise.
         cells: the ``(workload_id, repeat)`` pairs to run.
-        workers: pool size; ``<= 1`` runs serially in-process.
+        workers: requested pool size, reduced to what can help —
+            ``min(workers, cpu_count, n_cells)``, serial for tiny grids
+            (:func:`plan_workers`); the decision is reported via a
+            ``pool_planned`` event.  ``<= 1`` runs serially in-process.
         on_event: optional sink for :class:`~repro.parallel.events.CellEvent`
             progress events.
         seed_fn: maps a cell to its optimiser seed (default
             :func:`~repro.analysis.runner.run_seed`).
-        auto_clamp: when true (default), the requested ``workers`` is
-            reduced to what can help — ``min(workers, cpu_count,
-            n_cells)``, serial for tiny grids (:func:`plan_workers`) —
-            and the decision is reported via a ``pool_planned`` event.
-            ``False`` takes the request literally (for tests exercising
-            pool behaviour regardless of the host machine).
         cell_timeout: wall-clock deadline in seconds per cell execution
             on a pool; a straggler past it is cancelled and completed
             serially.  ``None`` (default) disables deadlines.
@@ -247,10 +231,11 @@ def run_cells(
             to ``RetryPolicy.from_retries(cell_retries)``.  When given,
             it overrides ``cell_retries``.
         executor: backend selection (:data:`EXECUTOR_CHOICES`).
-            ``"auto"`` (default) picks serial or fork pool from the
-            planned worker count; ``"serial"`` / ``"pool"`` force those
-            backends; ``"queue"`` dispatches through the durable
-            :class:`~repro.parallel.queue.WorkQueue` (crash-surviving,
+            ``"auto"`` (default) and ``"pool"`` pick serial or fork
+            pool from the planned worker count, so a grid the planner
+            serialises runs in-process under either; ``"serial"``
+            forces in-process execution; ``"queue"`` dispatches through
+            the durable :class:`~repro.parallel.queue.WorkQueue` (crash-surviving,
             external workers welcome) and requires ``queue``;
             ``"vector"`` runs every cell in-process via the lock-step
             :class:`~repro.parallel.vector.VectorizedGridDriver`,
@@ -287,11 +272,8 @@ def run_cells(
         )
         yield from driver.run()
         return
-    # plan_workers validates the request (single site) even when the
-    # clamp itself is disabled.
-    planned = plan_workers(workers, len(cells))
-    effective = planned if auto_clamp else workers
-    if auto_clamp and on_event is not None:
+    effective = plan_workers(workers, len(cells))
+    if on_event is not None:
         on_event(
             CellEvent.for_grid(
                 "pool_planned",
@@ -318,15 +300,6 @@ def run_cells(
             pool_restarts=pool_restarts,
         )
 
-    if executor == "serial":
-        serial = True
-    elif executor == "pool":
-        serial = not _fork_available()
-    elif executor == "queue":
-        serial = False
-    else:
-        serial = effective <= 1 or len(cells) <= 1 or not _fork_available()
-
     local_queue_workers = 0
     if executor == "queue":
         local_queue_workers = (
@@ -337,26 +310,13 @@ def run_cells(
 
     global _CELL_CONTEXT
     previous = _CELL_CONTEXT
-    # The shared-memory data plane only pays off when workers fork.  If
-    # the platform can't provide a segment (e.g. no /dev/shm), workers
-    # simply fall back to the fork-inherited copy of the trace.
-    share = None
-    forks_workers = (not serial and executor != "queue") or local_queue_workers > 0
-    if forks_workers:
-        try:
-            share = TraceShare.export(trace)
-        except OSError:  # pragma: no cover - platform-dependent
-            share = None
     _CELL_CONTEXT = _CellContext(
         trace=trace,
         factory=factory,
         objective=objective,
         seed_fn=seed_fn,
-        share=share,
     )
     try:
-        if forks_workers and cells:
-            _prime_before_fork(_CELL_CONTEXT, cells[0])
         if executor == "queue":
             backend: CellExecutor = QueueExecutor(
                 queue.path,
@@ -373,12 +333,19 @@ def run_cells(
                 on_event=on_event,
             )
         else:
-            backend = build_executor(1 if serial else min(effective, len(cells)))
+            backend = build_executor(
+                1 if executor == "serial" else min(effective, len(cells))
+            )
+        # Both backends fork lazily, on the first dispatch, so priming
+        # here still precedes every fork.
+        forks_workers = (
+            isinstance(backend, ForkPoolExecutor) or local_queue_workers > 0
+        )
+        if forks_workers and cells:
+            _prime_before_fork(_CELL_CONTEXT, cells[0])
         supervisor = Supervisor(
             backend, _execute_cell, config=config, on_event=on_event
         )
         yield from supervisor.run(cells)
     finally:
         _CELL_CONTEXT = previous
-        if share is not None:
-            share.close()

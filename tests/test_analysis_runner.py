@@ -309,12 +309,14 @@ class TestChargeRoundTrip:
     def _spot_result(self, trace):
         from repro.cloud.spot import SpotMarket, SpotPolicy
         from repro.faults.models import FaultInjector, FaultPlan, SpotInterruptions
+        from repro.faults.retry import RetryPolicy
 
         market = SpotMarket(seed=5, base_hazard=0.25, hazard_slope=0.5)
         plan = FaultPlan((SpotInterruptions(market=market),), seed=3)
         env = FaultInjector(trace.environment(WORKLOADS[0]), plan)
         return RandomSearch(
-            env, seed=3, measure_retries=5, spot=SpotPolicy(market=market)
+            env, seed=3, retry_policy=RetryPolicy.from_retries(5),
+            spot=SpotPolicy(market=market),
         ).run()
 
     def test_charges_survive_json_with_no_float_drift(self, trace):

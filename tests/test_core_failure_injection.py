@@ -31,7 +31,9 @@ def faulty(trace, *rules, seed=0):
 class TestTransientFailures:
     def test_every_third_call_failing_still_completes(self, trace):
         env = faulty(trace, TransientTimeouts(every=3))
-        result = RandomSearch(env, seed=0, measure_retries=1).run()
+        result = RandomSearch(
+            env, seed=0, retry_policy=RetryPolicy.from_retries(1)
+        ).run()
         assert result.search_cost == 18
         assert result.stopped_by == "exhausted"
         assert result.failure_count > 0
@@ -48,7 +50,9 @@ class TestTransientFailures:
     def test_retried_search_matches_reliable_search_outcome(self, trace):
         reliable = RandomSearch(trace.environment(WORKLOAD), seed=4).run()
         env = faulty(trace, TransientTimeouts(every=4))
-        retried = RandomSearch(env, seed=4, measure_retries=2).run()
+        retried = RandomSearch(
+            env, seed=4, retry_policy=RetryPolicy.from_retries(2)
+        ).run()
         # Trace replay is deterministic, so retries change nothing but cost.
         assert retried.measured_vm_names == reliable.measured_vm_names
         assert retried.best_value == pytest.approx(reliable.best_value)
@@ -59,13 +63,15 @@ class TestTransientFailures:
         # best VM as the fault-free run under the same optimiser seed.
         clean = NaiveBO(trace.environment(WORKLOAD), seed=0).run()
         env = faulty(trace, TransientTimeouts(rate=1 / 3), seed=11)
-        noisy = NaiveBO(env, seed=0, measure_retries=3).run()
+        noisy = NaiveBO(env, seed=0, retry_policy=RetryPolicy.from_retries(3)).run()
         assert noisy.best_vm_name == clean.best_vm_name
         assert noisy.best_value == pytest.approx(clean.best_value)
 
     def test_environment_bill_matches_charged_cost(self, trace):
         env = faulty(trace, TransientTimeouts(every=3))
-        result = RandomSearch(env, seed=0, measure_retries=1).run()
+        result = RandomSearch(
+            env, seed=0, retry_policy=RetryPolicy.from_retries(1)
+        ).run()
         # Failed attempts are billed by the cloud and counted by us.
         assert env.measurement_count == result.charged_cost
 
@@ -73,7 +79,9 @@ class TestTransientFailures:
 class TestPermanentFailures:
     def test_dead_vm_is_quarantined_and_search_completes(self, trace):
         env = faulty(trace, PermanentOutage("c3.large"))
-        result = ExhaustiveSearch(env, seed=0, measure_retries=2).run()
+        result = ExhaustiveSearch(
+            env, seed=0, retry_policy=RetryPolicy.from_retries(2)
+        ).run()
         assert result.quarantined_vms == ("c3.large",)
         assert result.search_cost == 17  # every reachable VM measured
         assert result.stopped_by == "exhausted"
@@ -81,7 +89,9 @@ class TestPermanentFailures:
 
     def test_failure_events_record_the_cause(self, trace):
         env = faulty(trace, PermanentOutage("c3.large"))
-        result = ExhaustiveSearch(env, seed=0, measure_retries=2).run()
+        result = ExhaustiveSearch(
+            env, seed=0, retry_policy=RetryPolicy.from_retries(2)
+        ).run()
         c3_events = [e for e in result.failure_events if e.vm_name == "c3.large"]
         assert len(c3_events) == 3  # quarantined after 3 consecutive failures
         assert [e.attempt for e in c3_events] == [1, 2, 3]
@@ -96,20 +106,26 @@ class TestPermanentFailures:
 
     def test_negative_retries_rejected(self, trace):
         with pytest.raises(ValueError, match="measure_retries"):
-            RandomSearch(trace.environment(WORKLOAD), measure_retries=-1)
+            RandomSearch(
+                trace.environment(WORKLOAD), retry_policy=RetryPolicy.from_retries(-1)
+            )
 
 
 class TestCorruptedMeasurements:
     def test_nan_measurements_are_rejected_and_retried(self, trace):
         env = faulty(trace, CorruptedMeasurements(every=5, mode="nan"))
-        result = RandomSearch(env, seed=0, measure_retries=2).run()
+        result = RandomSearch(
+            env, seed=0, retry_policy=RetryPolicy.from_retries(2)
+        ).run()
         assert result.search_cost == 18
         assert all(step.objective_value > 0 for step in result.steps)
         assert any("CorruptedMeasurementError" in e.error for e in result.failure_events)
 
     def test_negative_measurements_are_rejected(self, trace):
         env = faulty(trace, CorruptedMeasurements(every=6, mode="negative"))
-        result = RandomSearch(env, seed=0, measure_retries=2).run()
+        result = RandomSearch(
+            env, seed=0, retry_policy=RetryPolicy.from_retries(2)
+        ).run()
         assert all(step.objective_value > 0 for step in result.steps)
 
 
@@ -137,14 +153,18 @@ class TestDeterminism:
 
     def test_rerun_of_same_optimizer_instance_is_identical(self, trace):
         env = faulty(trace, TransientTimeouts(every=3), seed=2)
-        optimizer = ExhaustiveSearch(env, seed=1, measure_retries=1)
+        optimizer = ExhaustiveSearch(
+            env, seed=1, retry_policy=RetryPolicy.from_retries(1)
+        )
         assert optimizer.run() == optimizer.run()
 
 
 class TestBudgetAccounting:
     def test_failed_attempts_count_against_the_budget(self, trace):
         env = faulty(trace, TransientTimeouts(every=2))
-        result = RandomSearch(env, seed=0, measure_retries=3, max_measurements=8).run()
+        result = RandomSearch(
+            env, seed=0, retry_policy=RetryPolicy.from_retries(3), max_measurements=8
+        ).run()
         assert result.stopped_by == "budget"
         assert result.charged_cost == 8
         assert result.search_cost < 8  # some of the 8 charges failed
@@ -153,7 +173,7 @@ class TestBudgetAccounting:
         env = faulty(trace, PermanentOutage("c3.large"))
         # One success, then c3.large burns the remaining budget mid-retry.
         result = ExhaustiveSearch(
-            env, seed=0, measure_retries=5,
+            env, seed=0, retry_policy=RetryPolicy.from_retries(5),
             max_measurements=3, quarantine_after=10,
         ).run(initial_vms=[1, 0])
         assert result.stopped_by == "budget"
@@ -163,7 +183,9 @@ class TestBudgetAccounting:
 
     def test_step_attempt_counts_recorded(self, trace):
         env = faulty(trace, TransientTimeouts(every=3))
-        result = RandomSearch(env, seed=0, measure_retries=2).run()
+        result = RandomSearch(
+            env, seed=0, retry_policy=RetryPolicy.from_retries(2)
+        ).run()
         assert any(step.attempts > 1 for step in result.steps)
         retries_within_steps = sum(step.attempts - 1 for step in result.steps)
         assert retries_within_steps <= result.failure_count

@@ -12,8 +12,8 @@ The contract under test:
   ladder the remaining attempts run on-demand (``fallback_to_ondemand``
   event) at full price.
 * Spot runs are deterministic given the market seed and independent of
-  batch fan-out order (q=4), with the PR-7 batch-commit divergence
-  pinned — not silently drifting — under revocations.
+  the order a q=4 round's tasks run in, with the PR-7 batch-commit
+  divergence pinned — not silently drifting — under revocations.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.core.augmented_bo import AugmentedBO
 from repro.core.baselines import RandomSearch
 from repro.faults.models import FaultInjector, FaultPlan, SpotInterruptions
 from repro.faults.retry import RetryPolicy
+from tests.test_batch_equivalence import batch_rounds_both_orders
 
 WORKLOAD = "kmeans/Spark 2.1/small"
 
@@ -82,7 +83,8 @@ class TestSpotCharges:
         def run():
             market = SpotMarket(**HOT_MARKET)
             return RandomSearch(
-                _spot_env(trace, market), seed=3, measure_retries=5,
+                _spot_env(trace, market), seed=3,
+                retry_policy=RetryPolicy.from_retries(5),
                 spot=_policy(),
             ).run()
 
@@ -93,7 +95,8 @@ class TestSpotCharges:
     def test_revocations_bill_partial_progress(self, trace):
         market = SpotMarket(**HOT_MARKET)
         result = RandomSearch(
-            _spot_env(trace, market), seed=3, measure_retries=5, spot=_policy()
+            _spot_env(trace, market), seed=3,
+            retry_policy=RetryPolicy.from_retries(5), spot=_policy(),
         ).run()
         revoked = [e for e in result.events if e.kind == "spot_revoked"]
         assert revoked, "hot market produced no revocations"
@@ -110,7 +113,8 @@ class TestSpotCharges:
         def charged(credit: float) -> float:
             market = SpotMarket(**HOT_MARKET)
             result = RandomSearch(
-                _spot_env(trace, market), seed=3, measure_retries=5,
+                _spot_env(trace, market), seed=3,
+                retry_policy=RetryPolicy.from_retries(5),
                 spot=_policy(resume_credit=credit, fallback_after=1_000_000),
             ).run()
             assert any(e.kind == "spot_revoked" for e in result.events)
@@ -125,7 +129,8 @@ class TestFallback:
     def test_fallback_event_after_threshold(self, trace):
         market = SpotMarket(**HOT_MARKET)
         result = RandomSearch(
-            _spot_env(trace, market), seed=3, measure_retries=5,
+            _spot_env(trace, market), seed=3,
+            retry_policy=RetryPolicy.from_retries(5),
             spot=_policy(fallback_after=1),
         ).run()
         fallbacks = [e for e in result.events if e.kind == "fallback_to_ondemand"]
@@ -136,7 +141,8 @@ class TestFallback:
     def test_fallback_disabled_by_large_threshold(self, trace):
         market = SpotMarket(**HOT_MARKET)
         result = RandomSearch(
-            _spot_env(trace, market), seed=3, measure_retries=5,
+            _spot_env(trace, market), seed=3,
+            retry_policy=RetryPolicy.from_retries(5),
             spot=_policy(fallback_after=1_000_000),
         ).run()
         assert any(e.kind == "spot_revoked" for e in result.events)
@@ -153,7 +159,7 @@ class TestRevocationQuarantine:
         result = RandomSearch(
             FaultInjector(trace.environment(WORKLOAD), plan),
             seed=3,
-            measure_retries=1,
+            retry_policy=RetryPolicy.from_retries(1),
             spot=SpotPolicy(
                 market=market, fallback_after=1_000_000, revocation_quarantine=2
             ),
@@ -172,7 +178,6 @@ class TestBatchSpot:
     def _kwargs(self, **extra):
         kwargs = dict(
             seed=5,
-            measure_retries=3,
             retry_policy=RetryPolicy(max_attempts=4, backoff_base_s=0.1),
             spot=_policy(),
         )
@@ -197,26 +202,24 @@ class TestBatchSpot:
         assert batched.best_vm_name == serial.best_vm_name
 
     def test_q4_spot_deterministic_and_order_independent(self, trace):
-        def build(fanout=None):
+        def build():
             market = SpotMarket(**HOT_MARKET)
             return AugmentedBO(
-                _spot_env(trace, market),
-                batch_size=4,
-                measurement_fanout=fanout,
-                **self._kwargs(),
+                _spot_env(trace, market), batch_size=4, **self._kwargs()
             )
-
-        def reversed_fanout(cells, run_task):
-            outcomes = [run_task(cell) for cell in reversed(cells)]
-            outcomes.reverse()
-            return outcomes
 
         inline = build().run()
         again = build().run()
-        shuffled = build(fanout=reversed_fanout).run()
         assert inline == again
-        assert shuffled == inline
         assert any(e.kind == "spot_revoked" for e in inline.events)
+        rounds = batch_rounds_both_orders(build)
+        # Revocations reach the reordered tasks, not only the full run.
+        assert any(
+            failure.revocation
+            for outcomes in rounds
+            for outcome in outcomes
+            for failure in outcome.failures
+        )
 
     def test_q4_divergence_from_serial_is_pinned(self, trace):
         """The PR-7 batch-commit divergence, now with revocations.
