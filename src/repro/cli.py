@@ -398,6 +398,11 @@ def _search_grid_key(args: argparse.Namespace) -> str:
     return f"search-{args.method}-{slug}-{digest:08x}"
 
 
+def _repeat_seed(_workload: str, repeat: int) -> int:
+    """The optimiser seed of one ``--repeats`` cell: its repeat index."""
+    return repeat
+
+
 def _run_repeats(args: argparse.Namespace, trace, objective):
     """All repeat results for ``arrow search --repeats N``, in order.
 
@@ -413,9 +418,6 @@ def _run_repeats(args: argparse.Namespace, trace, objective):
 
     def factory(environment, _objective, seed):
         return _build_optimizer(args, _wrap_faults(args, environment), seed=seed)
-
-    def seed_fn(_workload: str, repeat: int) -> int:
-        return repeat
 
     if args.cache_dir:
         from repro.analysis.runner import ExperimentRunner, RunGrid
@@ -435,7 +437,7 @@ def _run_repeats(args: argparse.Namespace, trace, objective):
             cell_timeout=args.cell_timeout,
             cell_retries=args.cell_retries,
             pool_restarts=args.pool_restarts,
-            seed_fn=seed_fn,
+            seed_fn=_repeat_seed,
             executor=args.executor,
             queue_workers=args.queue_workers,
             queue_lease_s=args.queue_lease,
@@ -453,7 +455,7 @@ def _run_repeats(args: argparse.Namespace, trace, objective):
             objective=objective,
             cells=[(args.workload, repeat) for repeat in range(args.repeats)],
             workers=args.workers,
-            seed_fn=seed_fn,
+            seed_fn=_repeat_seed,
             cell_timeout=args.cell_timeout,
             cell_retries=args.cell_retries,
             pool_restarts=args.pool_restarts,
@@ -522,6 +524,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
             f"{float(np.median(charged)):.1f} (max {max(charged)})"
         )
     print(f"  best-vs-optimum: median {float(np.median(ratios)):.3f}x")
+    for repeat, (result, ratio) in enumerate(zip(results, ratios)):
+        print(
+            f"  repeat {repeat}: seed {_repeat_seed(args.workload, repeat)}, "
+            f"search cost {result.search_cost}, charged {result.charged_cost}, "
+            f"best {result.best_vm_name} ({ratio:.3f}x optimum)"
+        )
     return 0
 
 

@@ -24,7 +24,8 @@ losing the disk:
   ``SIGKILL`` mid-cell simply stops heartbeating; once its lease
   deadline passes, any sweep (a sibling worker's next claim, or the
   coordinator's poll) requeues the cell with ``attempts + 1`` —
-  *at-least-once* execution.
+  *at-least-once* execution.  A sweep with no expired lease is one
+  read-only probe; the write lock is taken only when there is work.
   The completion guard (``state='leased' AND lease_owner=me``) makes
   result *recording* effectively once: a worker that lost its lease
   cannot overwrite the rightful result.
@@ -36,12 +37,16 @@ losing the disk:
   ``lease_expired`` / ``worker_lost`` / ``cell_requeued``
   :class:`~repro.parallel.events.CellEvent`\\ s), forwards fleet
   activity from the events table, and returns terminal cells as
-  outcomes.  It can fork local pull-workers (``workers > 0``) and/or
-  serve an external fleet started with ``arrow queue-worker``.  A cell
-  whose attempts exhaust ``max_attempts`` through worker deaths is
-  parked ``poisoned`` and reported as a crash, which the engine's
-  queue-mode supervision config (``poison_threshold=1``) turns into
-  exactly one serial completion by the coordinator.
+  outcomes.  A poll costs what changed since the last one: the
+  terminal events it reads (plus each cell submitted or cancelled
+  since) name the only rows it reads, and each stored payload is
+  decoded once per delivery.  It can fork local pull-workers
+  (``workers > 0``) and/or serve an external fleet started with
+  ``arrow queue-worker``.  A cell whose attempts exhaust
+  ``max_attempts`` through worker deaths is parked ``poisoned`` and
+  reported as a crash, which the engine's queue-mode supervision
+  config (``poison_threshold=1``) turns into exactly one serial
+  completion by the coordinator.
 
 The file is also the grid's one durable per-cell record under every
 other executor (:class:`~repro.parallel.checkpoint.GridCheckpoint`), so
@@ -172,6 +177,12 @@ class Lease:
 
 #: Executes one leased cell to a result (seed comes from the lease).
 LeaseFn = Callable[[Lease], SearchResult]
+
+#: Events that move a row to a terminal state: the coordinator rereads
+#: exactly the cells they name.
+_TERMINAL_EVENTS = frozenset(
+    ("cell_done", "cell_failed", "cell_poisoned", "cell_reconciled")
+)
 
 
 class WorkQueue:
@@ -532,10 +543,21 @@ class WorkQueue:
         reached ``max_attempts`` (a cell that keeps killing workers
         must not eat the whole fleet).
 
+        Every claim and coordinator tick sweeps, and almost every sweep
+        finds nothing, so a read-only probe of the leased rows comes
+        first and the write lock is taken only when a deadline has
+        passed.  A lease that expires just after the probe is caught by
+        the next sweep.
+
         Returns ``(cell, new_state, attempts, owner)`` transitions.
         """
         now = self._clock()
         transitions: list[tuple[Cell, str, int, str]] = []
+        if self._con.execute(
+            "SELECT 1 FROM cells WHERE state='leased' AND lease_expires <= ? LIMIT 1",
+            (now,),
+        ).fetchone() is None:
+            return transitions
         with self._tx():
             rows = self._con.execute(
                 "SELECT workload, repeat, attempts, lease_owner FROM cells "
@@ -592,21 +614,28 @@ class WorkQueue:
     def terminal_cells(self) -> list[tuple[Cell, str, dict | None, str | None, int]]:
         """Every ``done`` / ``failed`` / ``poisoned`` row:
         ``(cell, state, payload, error, attempts)``.  A stored payload
-        that fails to parse is surfaced as an error instead."""
+        that fails to parse is surfaced as an error instead.  Reads and
+        decodes the whole grid: a status view, not a polling path."""
         rows = self._con.execute(
             "SELECT workload, repeat, state, result, error, attempts FROM cells "
             "WHERE state IN ('done','failed','poisoned') ORDER BY seq"
         ).fetchall()
-        out: list[tuple[Cell, str, dict | None, str | None, int]] = []
-        for workload_id, repeat, state, result, error, attempts in rows:
-            payload: dict | None = None
-            if result is not None:
-                try:
-                    payload = json.loads(result)
-                except json.JSONDecodeError as exc:
-                    state, error = "failed", f"QueuePayloadError: {exc}"
-            out.append(((workload_id, repeat), state, payload, error, attempts))
-        return out
+        return [
+            ((workload_id, repeat), *_decode_terminal(state, result, error), attempts)
+            for workload_id, repeat, state, result, error, attempts in rows
+        ]
+
+    def terminal_row(self, cell: Cell) -> tuple[str, dict | None, str | None] | None:
+        """``(state, payload, error)`` of ``cell`` if its row is
+        ``done`` / ``failed`` / ``poisoned``, else ``None``.  One
+        primary-key read; the payload is decoded as in
+        :meth:`terminal_cells`."""
+        row = self._con.execute(
+            "SELECT state, result, error FROM cells WHERE workload=? AND repeat=? "
+            "AND state IN ('done','failed','poisoned')",
+            cell,
+        ).fetchone()
+        return None if row is None else _decode_terminal(*row)
 
     def stored_results(self, cells: Iterable[Cell]) -> Iterator[tuple[Cell, str]]:
         """``(cell, result text)`` for each ``done`` row among ``cells``
@@ -741,6 +770,20 @@ class WorkQueue:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _decode_terminal(
+    state: str, result: str | None, error: str | None
+) -> tuple[str, dict | None, str | None]:
+    """A terminal row's ``(state, payload, error)``; a stored payload
+    that fails to parse reads as ``failed`` with a ``QueuePayloadError``."""
+    payload: dict | None = None
+    if result is not None:
+        try:
+            payload = json.loads(result)
+        except json.JSONDecodeError as exc:
+            state, error = "failed", f"QueuePayloadError: {exc}"
+    return state, payload, error
 
 
 # -- worker side -----------------------------------------------------------
@@ -989,7 +1032,9 @@ class QueueExecutor:
     from the durable events table to ``on_event``, and returns terminal
     cells — ``done`` rows as results (deserialised from the stored
     canonical payload), ``failed`` rows as application errors,
-    ``poisoned`` rows as crashes.
+    ``poisoned`` rows as crashes.  Only the rows of cells named by a
+    new terminal event, or submitted or cancelled since the last poll,
+    are read, so a poll's cost follows what changed, not the grid size.
 
     Args:
         path: the queue database file.
@@ -1037,8 +1082,13 @@ class QueueExecutor:
         self._poll_tick_s = poll_tick_s
         self._stall_timeout_s = stall_timeout_s
         self._on_event = on_event
-        self._submitted: list[Cell] = []
+        # Submission position of every cell ever submitted: outcomes
+        # are returned in this order.
+        self._submitted: dict[Cell, int] = {}
         self._delivered: set[Cell] = set()
+        # Cells whose rows may have turned terminal since the last poll:
+        # named by a terminal event, (re)submitted, or cancelled.
+        self._changed: set[Cell] = set()
         self._workers: dict[str, multiprocessing.process.BaseProcess] = {}
         self._worker_serial = 0
         # Only *new* queue activity is forwarded; a resumed campaign's
@@ -1074,7 +1124,9 @@ class QueueExecutor:
             del self._workers[owner]
             for (cell, state, attempts, _owner) in self.queue.expire_owner(owner):
                 self._note_activity()
-        if self._target and not self.queue.drained():
+        # drained() counts the outstanding rows: ask only when a worker
+        # is missing, not on every tick of a full fleet.
+        if len(self._workers) < self._target and not self.queue.drained():
             while len(self._workers) < self._target:
                 self._spawn_worker()
 
@@ -1092,7 +1144,11 @@ class QueueExecutor:
             self._note_activity()
         for event_id, kind, cell, detail in rows:
             self._seen_event_id = event_id
-            if self._on_event is None or cell is None:
+            if cell is None:
+                continue
+            if kind in _TERMINAL_EVENTS:
+                self._changed.add(cell)
+            if self._on_event is None:
                 continue
             if kind in ("lease_claimed", "lease_expired", "worker_lost",
                         "cell_requeued"):
@@ -1106,23 +1162,29 @@ class QueueExecutor:
             [((workload_id, repeat), self._seed_fn(workload_id, repeat))],
             front=front,
         )
-        if cell not in self._submitted:
-            self._submitted.append(cell)
-        # A resubmission expects a fresh outcome.
+        self._submitted.setdefault(cell, len(self._submitted))
+        # A resubmission expects a fresh outcome.  The row is checked
+        # once: one already terminal (a restarted coordinator's stored
+        # result) emits no event.
         self._delivered.discard(cell)
+        self._changed.add(cell)
         self._note_activity()
 
     def _collect(self) -> list[CellOutcome]:
-        wanted = [c for c in self._submitted if c not in self._delivered]
-        if not wanted:
-            return []
-        terminal = {
-            cell: (state, payload, error)
-            for cell, state, payload, error, _attempts in self.queue.terminal_cells()
-        }
+        """Outcomes of the undelivered cells whose rows changed since
+        the last poll, in submission order.  Each such row is read once
+        by primary key, and its payload decoded once per delivery."""
+        wanted = sorted(
+            (
+                cell for cell in self._changed
+                if cell in self._submitted and cell not in self._delivered
+            ),
+            key=self._submitted.__getitem__,
+        )
+        self._changed.clear()
         outcomes: list[CellOutcome] = []
         for cell in wanted:
-            row = terminal.get(cell)
+            row = self.queue.terminal_row(cell)
             if row is None:
                 continue
             state, payload, error = row
@@ -1210,7 +1272,11 @@ class QueueExecutor:
             "WHERE workload=? AND repeat=? AND state='pending'",
             cell,
         )
-        return cursor.rowcount == 1
+        if cursor.rowcount != 1:
+            return False
+        # No event marks this transition, so the next poll must look.
+        self._changed.add(cell)
+        return True
 
     def started_at(self, cell: Cell) -> float | None:
         # Lease timestamps are wall-clock across machines; the

@@ -75,6 +75,14 @@ class TestSearch:
         out = capsys.readouterr().out
         assert "3 repeats" in out
         assert "median" in out
+        repeat_lines = [line for line in out.splitlines() if "  repeat " in line]
+        assert [line.split(":")[0] for line in repeat_lines] == [
+            "  repeat 0", "  repeat 1", "  repeat 2",
+        ]
+        assert repeat_lines[2].startswith(
+            "  repeat 2: seed 2, search cost 18, charged 18, best "
+        )
+        assert repeat_lines[2].endswith("x optimum)")
 
     def test_stopping_rule_applies(self, capsys):
         assert main(

@@ -216,6 +216,22 @@ class TestLeaseSemantics:
         assert queue.enqueue([(("a", 0), 9)]) == 0
         assert queue.counts()["leased"] == 1
 
+    def test_sweep_without_expired_lease_takes_no_write_lock(self, queue, clock):
+        queue.enqueue([(("a", 0), 1), (("b", 0), 2)])
+        queue.claim("w")
+        statements: list[str] = []
+        queue._con.set_trace_callback(statements.append)
+        assert queue.sweep_expired() == []
+        assert not [s for s in statements if s.startswith("BEGIN")]
+        # A claim with nothing to sweep is one write transaction.
+        assert queue.claim("w").cell == ("b", 0)
+        assert statements.count("BEGIN IMMEDIATE") == 1
+        statements.clear()
+        clock.advance(11.0)
+        assert sorted(t[0] for t in queue.sweep_expired()) == [("a", 0), ("b", 0)]
+        assert statements.count("BEGIN IMMEDIATE") == 1
+        queue._con.set_trace_callback(None)
+
     def test_expire_owner_recovers_known_dead_worker_immediately(self, queue):
         queue.enqueue([(("a", 0), 1)])
         queue.claim("dead")
@@ -680,6 +696,154 @@ class TestQueueExecutor:
             executor.submit(("a", 0))
             assert executor.cancel(("a", 0))
             assert not executor.cancel(("a", 0))
+        finally:
+            executor.shutdown()
+
+    @staticmethod
+    def _finish(path, count):
+        """Claim and complete the ``count`` oldest pending cells from a
+        second connection, as an external worker would."""
+        worker = WorkQueue.attach(path)
+        try:
+            for _ in range(count):
+                lease = worker.claim("external")
+                payload = result_to_payload(_result(lease.workload_id))
+                assert worker.complete(lease.cell, "external", payload)
+        finally:
+            worker.close()
+
+    def test_poll_decodes_each_payload_once_per_delivery(self, tmp_path, monkeypatch):
+        import repro.analysis.runner as runner_module
+
+        decodes: list[str] = []
+        builds: list[str] = []
+        real_loads = json.loads
+        real_from_payload = runner_module.result_from_payload
+
+        def counting_loads(text, *args, **kwargs):
+            decodes.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        def counting_from_payload(payload, objective, workload_id):
+            builds.append(workload_id)
+            return real_from_payload(payload, objective, workload_id)
+
+        executor = self._executor(tmp_path)
+        try:
+            cells = [(f"w{index}", 0) for index in range(6)]
+            for cell in cells:
+                executor.submit(cell)
+            monkeypatch.setattr(json, "loads", counting_loads)
+            monkeypatch.setattr(
+                runner_module, "result_from_payload", counting_from_payload
+            )
+            assert executor.poll(0) == []
+            assert decodes == []
+
+            self._finish(tmp_path / "g.queue", 4)
+            outcomes = executor.poll(0)
+            assert [o.cell for o in outcomes] == cells[:4]
+            assert all(o.ok for o in outcomes)
+            assert (len(decodes), len(builds)) == (4, 4)
+
+            # Two cells are still pending: polls with no new terminal
+            # row decode nothing.
+            for _ in range(3):
+                assert executor.poll(0) == []
+            assert (len(decodes), len(builds)) == (4, 4)
+
+            self._finish(tmp_path / "g.queue", 2)
+            assert [o.cell for o in executor.poll(0)] == cells[4:]
+            assert (len(decodes), len(builds)) == (6, 6)
+
+            # A resubmitted cell is a new delivery: its stored result is
+            # decoded once more, and only once.
+            executor.submit(cells[0])
+            [again] = executor.poll(0)
+            assert again.cell == cells[0] and again.result == _result("w0")
+            assert executor.poll(0) == []
+            assert (len(decodes), len(builds)) == (7, 7)
+        finally:
+            executor.shutdown()
+
+    def test_outcomes_follow_submission_order(self, tmp_path):
+        executor = self._executor(tmp_path)
+        try:
+            for cell in [("c", 0), ("a", 0), ("b", 0)]:
+                executor.submit(cell)
+            executor.submit(("c", 0))  # a repeat keeps its first position
+            # Complete in claim order (c was revived to the back: a, b, c).
+            self._finish(tmp_path / "g.queue", 3)
+            assert [o.cell for o in executor.poll(0)] == [("c", 0), ("a", 0), ("b", 0)]
+        finally:
+            executor.shutdown()
+
+    def test_row_done_at_submit_is_delivered_without_recomputation(self, tmp_path):
+        with WorkQueue(tmp_path / "g.queue", "key") as earlier:
+            earlier.record_external(
+                ("a", 0), result_to_payload(_result("a")), "earlier coordinator"
+            )
+
+        def never_run(cell):
+            raise AssertionError(f"{cell} recomputed")
+
+        executor = QueueExecutor(
+            tmp_path / "g.queue", "key", never_run, Objective.TIME,
+            lambda workload_id, repeat: repeat,
+            workers=0, stall_timeout_s=None, poll_tick_s=0.01,
+        )
+        try:
+            executor.submit(("a", 0))
+            [outcome] = executor.poll(0)
+            assert outcome.cell == ("a", 0) and outcome.result == _result("a")
+            assert "lease_claimed" not in _event_kinds(executor.queue)
+            assert executor.poll(0) == []
+        finally:
+            executor.shutdown()
+
+    def test_corrupt_stored_payloads_give_one_error_each(self, tmp_path):
+        executor = self._executor(tmp_path)
+        try:
+            executor.submit(("garbled", 0))
+            executor.submit(("misshapen", 0))
+            self._finish(tmp_path / "g.queue", 2)
+            executor.queue._con.execute(
+                "UPDATE cells SET result='{not json' WHERE workload='garbled'"
+            )
+            executor.queue._con.execute(
+                "UPDATE cells SET result='{}' WHERE workload='misshapen'"
+            )
+            outcomes = executor.poll(0)
+            assert [o.cell for o in outcomes] == [("garbled", 0), ("misshapen", 0)]
+            assert all(o.error.startswith("QueuePayloadError: ") for o in outcomes)
+            assert not any(o.crashed for o in outcomes)
+            assert executor.poll(0) == []
+        finally:
+            executor.shutdown()
+
+    def test_done_row_without_payload_gives_one_error(self, tmp_path):
+        executor = self._executor(tmp_path)
+        try:
+            executor.submit(("a", 0))
+            executor.queue.record_external(("a", 0), None, "no result kept")
+            [outcome] = executor.poll(0)
+            assert outcome.cell == ("a", 0)
+            assert outcome.error == "QueuePayloadError: done row without a payload"
+            assert executor.poll(0) == []
+        finally:
+            executor.shutdown()
+
+    def test_cancelled_pending_cell_is_delivered_as_failed(self, tmp_path):
+        executor = self._executor(tmp_path)
+        try:
+            executor.submit(("a", 0))
+            executor.submit(("b", 0))
+            assert executor.poll(0) == []
+            assert executor.cancel(("a", 0))
+            [outcome] = executor.poll(0)
+            assert outcome.cell == ("a", 0)
+            assert outcome.error == "cancelled by coordinator"
+            assert executor.poll(0) == []
         finally:
             executor.shutdown()
 
