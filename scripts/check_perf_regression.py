@@ -52,14 +52,6 @@ TRACKED = (
     ("gp", "fit_s", "analytic GP hyperparameter fit"),
 )
 
-#: Sections recorded for observability only, never gated.  ``chaos``
-#: (pool interrupt/resume), ``chaos_queue`` (durable-queue SIGKILL
-#: recovery), and ``chaos_spot`` (spot-grid partial-credit survival)
-#: hold chaos-smoke timings (scripts/chaos_smoke.py): they measure
-#: signal latency, crash recovery, and deliberate pacing sleeps — not
-#: hot-path speed — so a "regression" there is meaningless by design.
-EXEMPT_SECTIONS = ("chaos", "chaos_queue", "chaos_spot")
-
 #: Higher-is-better floors: (section, key, minimum, human label).  A
 #: floored metric is skipped when its section (current *or* baseline)
 #: is marked ``clamped`` — the run had no parallelism to measure.
@@ -124,10 +116,6 @@ def main(argv: list[str] | None = None) -> int:
     if baseline is None:
         print(f"perf gate: no baseline at {args.baseline}; skipping")
         return 0
-
-    for section in EXEMPT_SECTIONS:
-        if section in current or section in baseline:
-            print(f"perf gate: section '{section}' present but exempt; ignoring")
 
     failures = []
     for section, key, label in TRACKED:

@@ -31,12 +31,13 @@ pipeline produces:
   ``transient:rate=0.4+outage:vm=c4.large`` with ``quarantine_after=2``;
   "spot" prices the search on a hot market that revokes often enough
   to reach ``fallback_after``.
-* ``cache/<grid>/<executor>`` cells hash the runner-cache file bytes of
+* ``cache/<grid>/<label>`` cells hash the runner-cache file bytes of
   a 2-workload x 2-repeat grid run under the ``serial`` and ``vector``
   executors (the ``aws-large`` grid under ``vector`` only, which stacks
   its searches' large query sets through ``predict_packed_many``).  The
-  clean Augmented BO grid also runs under the ``pool`` and ``queue``
-  executors with two workers; their digests must equal the serial one.
+  clean Augmented BO grid also runs as ``pool`` (``auto`` at two
+  workers: two local queue workers) and ``queue`` (two workers); their
+  digests must equal the serial one.
 
 The digests are float-bit-exact, so they are recorded together with the
 Python, numpy and scipy versions that produced them.
@@ -318,7 +319,8 @@ def _large_factory(environment, objective, seed):
     )
 
 
-#: ``grid key -> (factory, catalog, executors)``.
+#: ``grid key -> (factory, catalog, labels)``; a label is an executor
+#: name unless :data:`EXECUTOR_RUNS` maps it.
 CACHE_GRIDS = {
     "augmented-clean": (_clean_factory, None, ("serial", "vector", "pool", "queue")),
     "augmented-faulty": (_faulty_factory, None, ("serial", "vector")),
@@ -327,8 +329,10 @@ CACHE_GRIDS = {
 }
 
 
-#: Worker counts for the process-based executors (1 everywhere else).
-EXECUTOR_WORKERS = {"pool": 2, "queue": 2}
+#: ``label -> (executor, workers)`` for the labels that are not plain
+#: executor names at one worker.  ``pool`` is ``auto`` at two workers,
+#: which runs the grid on two local queue workers.
+EXECUTOR_RUNS = {"pool": ("auto", 2), "queue": ("queue", 2)}
 
 
 def cache_digests(trace=None) -> dict[str, str]:
@@ -345,13 +349,14 @@ def cache_digests(trace=None) -> dict[str, str]:
                 repeats=2,
             )
             grid_trace = trace if catalog is None else canonical_trace(catalog)
-            for executor in executors:
-                cache_dir = Path(tmp) / executor
+            for label in executors:
+                executor, workers = EXECUTOR_RUNS.get(label, (label, 1))
+                cache_dir = Path(tmp) / label
                 ExperimentRunner(grid_trace, cache_dir=cache_dir).run(
-                    grid, workers=EXECUTOR_WORKERS.get(executor, 1), executor=executor
+                    grid, workers=workers, executor=executor
                 )
                 data = (cache_dir / f"golden-{key}__time.json").read_bytes()
-                out[f"cache/{key}/{executor}"] = digest(data)
+                out[f"cache/{key}/{label}"] = digest(data)
     return out
 
 

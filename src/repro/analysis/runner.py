@@ -197,6 +197,15 @@ def _valid_payload(payload: object) -> bool:
     return True
 
 
+def _in_repeat_order(entries: dict) -> dict:
+    """``entries`` with its repeat keys in ascending order — the order a
+    clean run writes them — and any other key after them.  A resumed
+    run can hold recovered cells ahead of the ones it computes (queue
+    workers record out of order), and must still write the same bytes."""
+    repeats = sorted((key for key in entries if key.isdigit()), key=int)
+    return {**{key: entries[key] for key in repeats}, **entries}
+
+
 def _migrate_legacy(payload: dict) -> dict[str, dict[str, dict]] | None:
     """Upgrade a pre-schema (v1) cache body, or None if it isn't one.
 
@@ -287,7 +296,7 @@ class ExperimentRunner:
             canonical one).
         cache_dir: directory for JSON result caches; ``None`` disables
             caching.
-        workers: default worker-pool size for :meth:`run` (1 = serial).
+        workers: default worker count for :meth:`run` (1 = serial).
             Per-cell seeding makes results — cache files included —
             byte-identical regardless of the worker count.
     """
@@ -374,8 +383,6 @@ class ExperimentRunner:
         on_event: Callable[..., None] | None = None,
         resume: bool = False,
         cell_timeout: float | None = None,
-        cell_retries: int = 0,
-        pool_restarts: int | None = None,
         seed_fn: Callable[[str, int], int] | None = None,
         executor: str = "auto",
         queue_workers: int | None = None,
@@ -400,7 +407,7 @@ class ExperimentRunner:
 
         Args:
             grid: the experiment grid to run.
-            workers: worker-pool size for this call; defaults to the
+            workers: worker count for this call; defaults to the
                 runner's ``workers``.
             on_event: optional sink for
                 :class:`~repro.parallel.events.CellEvent` progress
@@ -411,18 +418,18 @@ class ExperimentRunner:
                 the cache holds ``done`` in the queue file.  When False
                 (default) a leftover queue file is removed — a fresh run
                 was asked for.  Only meaningful with a ``cache_dir``.
-            cell_timeout: wall-clock deadline per cell on a pool;
-                stragglers are cancelled and completed serially.
-            cell_retries: extra pool attempts for a cell whose worker
-                raised, before the parent's serial fallback.
-            pool_restarts: worker deaths survived before serial
-                degradation (default: the engine's budget).
+            cell_timeout: wall-clock deadline per cell on local queue
+                workers; stragglers are cancelled and completed serially.
             seed_fn: maps ``(workload_id, repeat)`` to the optimiser
                 seed (default :func:`run_seed`).  The grid ``key`` must
                 change whenever this changes — seeds determine results.
             executor: backend selection (``auto`` / ``serial`` /
-                ``pool`` / ``queue`` / ``vector``).  ``"vector"`` runs
-                every missing cell in-process through the lock-step
+                ``queue`` / ``vector``).  ``"auto"`` runs serially, or on
+                the work queue's local workers when the planner gives
+                the grid more than one; they write each result to the
+                queue file, which a clean completion removes.
+                ``"vector"`` runs every missing cell in-process through
+                the lock-step
                 :class:`~repro.parallel.vector.VectorizedGridDriver`,
                 batching per-round surrogate algebra across searches
                 with results (and the cache file) byte-identical to the
@@ -458,7 +465,7 @@ class ExperimentRunner:
         """
         # Imported lazily: the engine imports this module at top level.
         from repro.parallel.checkpoint import GridCheckpoint, flush_on_signal
-        from repro.parallel.engine import DEFAULT_POOL_RESTARTS, run_cells
+        from repro.parallel.engine import queue_backed, run_cells
         from repro.parallel.events import CellEvent
 
         n_workers = self.workers if workers is None else workers
@@ -519,23 +526,24 @@ class ExperimentRunner:
                 missing.append(cell)
             results[workload_id] = slots
 
+        on_queue = bool(missing) and queue_backed(executor, n_workers, len(missing))
         queue_config = None
-        if executor == "queue":
+        if on_queue and checkpoint is not None:
             from repro.parallel.queue import QueueConfig
 
             queue_config = QueueConfig(
                 path=checkpoint.path,
                 cache_key=checkpoint.cache_key,
-                workers=queue_workers,
+                workers=queue_workers if executor == "queue" else None,
                 lease_duration_s=queue_lease_s,
                 max_attempts=queue_max_attempts,
                 stall_timeout_s=queue_stall_timeout_s,
                 pricing=queue_pricing,
             )
 
-        # Queue workers record each result themselves; every other
-        # executor records through the checkpoint.
-        recording = checkpoint is not None and executor != "queue"
+        # Queue workers record each result themselves; the serial and
+        # vector paths record through the checkpoint.
+        recording = checkpoint is not None and not on_queue
         dirty = 0
 
         def flush() -> None:
@@ -544,9 +552,10 @@ class ExperimentRunner:
             # rename, then fsync the directory entry.
             if cache_path is not None:
                 tmp_path = cache_path.with_suffix(".tmp")
+                ordered = {w: _in_repeat_order(e) for w, e in cache.items()}
                 with tmp_path.open("w") as handle:
                     handle.write(
-                        json.dumps({"schema": CACHE_SCHEMA_VERSION, "results": cache})
+                        json.dumps({"schema": CACHE_SCHEMA_VERSION, "results": ordered})
                     )
                     handle.flush()
                     os.fsync(handle.fileno())
@@ -569,12 +578,6 @@ class ExperimentRunner:
                         on_event=on_event,
                         seed_fn=seed_fn if seed_fn is not None else run_seed,
                         cell_timeout=cell_timeout,
-                        cell_retries=cell_retries,
-                        pool_restarts=(
-                            DEFAULT_POOL_RESTARTS
-                            if pool_restarts is None
-                            else pool_restarts
-                        ),
                         executor=executor,
                         queue=queue_config,
                     ):
@@ -598,9 +601,10 @@ class ExperimentRunner:
         finally:
             if checkpoint is not None:
                 checkpoint.close()
-        # A clean non-queue completion owns its record: everything in it
-        # is now in the consolidated cache.
-        if recording:
+        # A clean completion owns its record — everything in it is now in
+        # the consolidated cache — except under "queue", whose events
+        # table is the run's persisted robustness record.
+        if checkpoint is not None and executor != "queue":
             checkpoint.clear()
         return results
 

@@ -435,8 +435,6 @@ def _run_repeats(args: argparse.Namespace, trace, objective):
             workers=args.workers,
             resume=args.resume,
             cell_timeout=args.cell_timeout,
-            cell_retries=args.cell_retries,
-            pool_restarts=args.pool_restarts,
             seed_fn=_repeat_seed,
             executor=args.executor,
             queue_workers=args.queue_workers,
@@ -457,8 +455,6 @@ def _run_repeats(args: argparse.Namespace, trace, objective):
             workers=args.workers,
             seed_fn=_repeat_seed,
             cell_timeout=args.cell_timeout,
-            cell_retries=args.cell_retries,
-            pool_restarts=args.pool_restarts,
             executor=args.executor,
         )
     ]
@@ -903,18 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock deadline per repeat when running on a worker "
-        "pool; a straggler past it is cancelled and completed serially",
-    )
-    search.add_argument(
-        "--cell-retries", type=int, default=0,
-        help="extra pool attempts for a repeat whose worker raised, "
-        "before the final in-process attempt",
-    )
-    search.add_argument(
-        "--pool-restarts", type=int, default=2,
-        help="worker deaths survived (pool healed, cell re-run) before "
-        "the remaining repeats degrade to serial execution",
+        help="wall-clock deadline per repeat when running on local "
+        "workers; a straggler past it is cancelled and completed serially",
     )
     search.add_argument(
         "--cache-dir",
@@ -929,13 +915,14 @@ def build_parser() -> argparse.ArgumentParser:
         "recompute only the cells it lost in flight",
     )
     search.add_argument(
-        "--executor", choices=["auto", "serial", "pool", "queue", "vector"],
+        "--executor", choices=["auto", "serial", "queue", "vector"],
         default="auto",
-        help="execution backend for --repeats campaigns: auto (serial or "
-        "fork pool from --workers), serial, pool, queue — a durable "
-        "SQLite work queue next to the cache (requires --cache-dir) that "
-        "survives crashes and admits external 'arrow queue-worker' "
-        "processes — or vector, which steps every search in lock-step "
+        help="execution backend for --repeats campaigns: auto (serial, or "
+        "the work queue's local workers from --workers), serial, queue — "
+        "a durable SQLite work queue next to the cache (requires "
+        "--cache-dir) that survives crashes, is kept after the run and "
+        "admits external 'arrow queue-worker' processes — or vector, "
+        "which steps every search in lock-step "
         "and batches per-round surrogate algebra across them "
         "(in-process, bit-identical results to serial)",
     )

@@ -5,9 +5,9 @@ attempted and how long to back off between attempts (exponential with
 seeded jitter, so retry schedules are as reproducible as everything else
 in this package).  It is the *single* retry implementation in the
 codebase: the measurement layer retries failed observations with it,
-and the execution plane's :class:`~repro.parallel.supervisor.Supervisor`
-retries whole grid cells with it (``RetryPolicy.from_retries(
-cell_retries)``).  Charge accounting stays with the caller — every
+and the execution plane's work queue spaces the requeues of a grid cell
+whose worker raised with it (:data:`~repro.parallel.queue.
+DEFAULT_REQUEUE_POLICY`).  Charge accounting stays with the caller — every
 attempt, failed or not, is billed by the cloud — the policy only shapes
 the attempt schedule.
 

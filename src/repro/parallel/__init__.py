@@ -1,27 +1,28 @@
 """Supervised parallel experiment engine.
 
-Shards :class:`~repro.analysis.runner.RunGrid` cells across a process
-pool with deterministic per-cell seeding, so grid results are identical
-(bit for bit, caches included) no matter how many workers ran them.
-Cells are dispatched through the pluggable
+Shards :class:`~repro.analysis.runner.RunGrid` cells across worker
+processes with deterministic per-cell seeding, so grid results are
+identical (bit for bit, caches included) no matter how many workers ran
+them.  Cells are dispatched through the pluggable
 :class:`~repro.parallel.executors.CellExecutor` protocol
 (``submit/poll/cancel/shutdown``) and supervised by
-:class:`~repro.parallel.supervisor.Supervisor` — per-cell deadlines,
-bounded retries, pool self-healing with a restart budget, poison-cell
-quarantine.  Worker counts are clamped to what the machine and grid can
-use (:func:`~repro.parallel.engine.plan_workers`), forked workers read
-the trace they inherit from the parent, and completed cells are
-recorded crash-safely by
-:class:`~repro.parallel.checkpoint.GridCheckpoint` in the grid's
-work-queue file — one durable record for every executor — so
-interrupted grids resume, under any executor, instead of recomputing.
+:class:`~repro.parallel.supervisor.Supervisor`, which completes every
+crashed, failed or timed-out cell serially in the parent.  Worker
+counts are clamped to what the machine and grid can use
+(:func:`~repro.parallel.engine.plan_workers`).
 
-For campaigns that must survive more than worker deaths, the durable
-work queue (:mod:`repro.parallel.queue`) also runs the grid from that
-SQLite file next to the cache: leased cells, heartbeats, at-least-once
-requeue of cells whose worker died, and an external worker fleet via
-``arrow queue-worker`` — all behind the same executor protocol
-(:class:`~repro.parallel.queue.QueueExecutor`).
+There is one process backend: the durable work queue
+(:mod:`repro.parallel.queue`), one SQLite file next to the cache.
+``executor="auto"`` runs a grid the planner gives more than one worker
+on its fork-local pull-workers, and ``executor="queue"`` also admits an
+external fleet via ``arrow queue-worker``: leased cells, heartbeats,
+at-least-once requeue of cells whose worker died, lease-based
+deadlines — all behind the same executor protocol
+(:class:`~repro.parallel.queue.QueueExecutor`).  Forked workers read
+the trace they inherit from the parent.  The same file is the grid's
+one durable per-cell record for every executor
+(:class:`~repro.parallel.checkpoint.GridCheckpoint`), so interrupted
+grids resume, under any executor, instead of recomputing.
 
 On the other axis entirely, ``executor="vector"``
 (:class:`~repro.parallel.vector.VectorizedGridDriver`) trades process
@@ -33,20 +34,13 @@ searches, bit-identical per search to the serial loop.
 
 from repro.parallel.checkpoint import GridCheckpoint, flush_on_signal
 from repro.parallel.engine import (
-    DEFAULT_POOL_RESTARTS,
     EXECUTOR_CHOICES,
     POOL_MIN_CELLS,
-    build_executor,
     plan_workers,
     run_cells,
 )
 from repro.parallel.events import CELL_EVENT_KINDS, GRID_EVENT_KINDS, CellEvent
-from repro.parallel.executors import (
-    CellExecutor,
-    CellOutcome,
-    ForkPoolExecutor,
-    SerialExecutor,
-)
+from repro.parallel.executors import CellExecutor, CellOutcome, SerialExecutor
 from repro.parallel.queue import (
     Lease,
     QueueConfig,
@@ -62,9 +56,7 @@ __all__ = [
     "CellEvent",
     "CellExecutor",
     "CellOutcome",
-    "DEFAULT_POOL_RESTARTS",
     "EXECUTOR_CHOICES",
-    "ForkPoolExecutor",
     "GRID_EVENT_KINDS",
     "GridCheckpoint",
     "Lease",
@@ -76,7 +68,6 @@ __all__ = [
     "Supervisor",
     "VectorizedGridDriver",
     "WorkQueue",
-    "build_executor",
     "flush_on_signal",
     "plan_workers",
     "queue_worker_loop",

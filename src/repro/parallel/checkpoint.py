@@ -6,10 +6,10 @@ completed cell is also recorded in the grid's one durable per-cell
 record: its work-queue file, ``<grid-key>__<objective>.queue`` next to
 the cache (:class:`~repro.parallel.queue.WorkQueue`).  Each record is an
 fsync'd SQLite commit, so after any interruption (SIGTERM, ``kill -9``,
-power loss) at most the *in-flight* cells are lost.  Serial, pool and
-vector runs record through :class:`GridCheckpoint`; under
-``executor="queue"`` the worker's guarded ``complete()`` has already
-written the row.  The file is the same for every executor, so a grid
+power loss) at most the *in-flight* cells are lost.  Serial and vector
+runs record through :class:`GridCheckpoint`; on the work queue (``auto``
+with local workers, or ``queue``) the worker's guarded ``complete()``
+has already written the row.  The file is the same for every executor, so a grid
 interrupted under one resumes under any other.  A ``*.journal`` file
 from before this record existed is not read; its cells are recomputed,
 which is deterministic.

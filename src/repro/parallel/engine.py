@@ -3,82 +3,81 @@
 The engine runs ``(workload, repeat)`` cells of a
 :class:`~repro.analysis.runner.RunGrid` through the execution plane:
 cells are dispatched via the :class:`~repro.parallel.executors.
-CellExecutor` protocol (:class:`~repro.parallel.executors.
-SerialExecutor` in-process, :class:`~repro.parallel.executors.
-ForkPoolExecutor` across forked workers — remote or async backends can
-plug in behind the same four methods) and supervised by
-:class:`~repro.parallel.supervisor.Supervisor`, which owns deadlines,
-retries, pool self-healing, and degradation policy.
+CellExecutor` protocol — :class:`~repro.parallel.executors.
+SerialExecutor` in-process, :class:`~repro.parallel.queue.
+QueueExecutor` across forked local pull-workers (and any external
+ones); remote or async backends can plug in behind the same four
+methods — and supervised by :class:`~repro.parallel.supervisor.
+Supervisor`, which completes every cell that does not come back cleanly
+serially in the parent.
 
 Properties that make this a drop-in for the serial loop:
 
 * **Determinism** — each cell's optimiser is built from a deterministic
   seed (``seed_fn(workload_id, repeat)``, by default
   :func:`~repro.analysis.runner.run_seed`), so a cell's result does not
-  depend on which worker ran it, in what order, or how many times
-  supervision had to re-run it.  Results are yielded in submission
-  order, so downstream cache assembly is byte-identical to the serial
-  path.
+  depend on which worker ran it, in what order, or how many times it
+  had to be re-run.  Results are yielded in submission order, so
+  downstream cache assembly is byte-identical to the serial path.
 * **Fork-based context sharing** — optimiser factories are arbitrary
   closures and therefore not picklable.  The engine stores the cell
   context (trace, factory, objective, seed function) in a module global
-  *before* the pool forks; workers inherit it through copy-on-write
-  memory, and only the tiny ``(workload_id, repeat)`` tuples and the
-  picklable :class:`~repro.core.result.SearchResult` objects ever cross
-  the process boundary.  The trace's numpy buffers are never written,
-  so the inherited pages stay shared.  When fork is unavailable (or
-  ``workers <= 1``, or the grid has a single cell) the engine runs
-  serially in-process — same code path per cell, no pool.
+  *before* any worker forks; workers inherit it through copy-on-write
+  memory, and only ``(workload_id, repeat)`` rows and the canonical
+  JSON payloads of :class:`~repro.core.result.SearchResult` objects
+  ever cross the process boundary (through the queue file).  The
+  trace's numpy buffers are never written, so the inherited pages stay
+  shared.  When fork is unavailable (or ``workers <= 1``, or the grid
+  is small) the engine runs serially in-process — same code path per
+  cell, no workers.
+* **One process backend** — ``executor="auto"`` runs a grid the planner
+  gives more than one worker on a :class:`~repro.parallel.queue.
+  QueueExecutor` with that many local workers: in the runner's
+  ``<cache>.queue`` file when there is a cache, in a temporary
+  directory (removed afterwards) when there is not.
 * **Worker clamping** — a requested worker count is only a ceiling: the
   engine clamps it to ``min(workers, os.cpu_count(), n_cells)`` and
-  skips the pool entirely for grids under :data:`POOL_MIN_CELLS` cells
-  (:func:`plan_workers`), where fork + warm-up overhead exceeds the
-  work.  The decision is observable as a ``pool_planned`` event.
-* **Crash containment and self-healing** — an application error in a
-  worker is retried (``cell_retries`` pool attempts under
-  :class:`~repro.faults.retry.RetryPolicy` backoff, then one serial
-  attempt in the parent), so a deterministic failure surfaces exactly
-  as it would have serially.  A worker killed mid-cell costs only that
-  worker: the pool heals and the cell is re-submitted, up to
-  ``pool_restarts`` deaths per grid (``pool_restarted`` events), after
-  which the engine emits ``pool_degraded`` once, drains every finished
-  result, and completes only the result-less cells serially.  A cell
-  that kills its worker twice is a *poison cell* and is pinned to
-  serial execution rather than re-breaking a fresh worker.  A cell
-  exceeding ``cell_timeout`` seconds of execution is cancelled (its
-  worker alone is killed) and completed serially, so one straggler
-  never stalls the grid.
+  skips the workers entirely for grids under :data:`POOL_MIN_CELLS`
+  cells (:func:`plan_workers`), where fork + warm-up overhead exceeds
+  the work.  The decision is observable as a ``pool_planned`` event.
+* **Crash containment** — a worker that raises or dies costs only its
+  cell's attempt: the queue requeues the cell and respawns the worker,
+  up to its ``max_attempts``.  A cell the queue parks (``failed`` after
+  application errors, ``poisoned`` after worker deaths) is completed
+  serially in the parent, so a deterministic failure surfaces exactly
+  as it would have serially.  A cell exceeding ``cell_timeout`` seconds
+  of execution is cancelled (the local worker holding its lease alone
+  is terminated) and completed serially, so one straggler never stalls
+  the grid.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
+import shutil
+import tempfile
 from collections.abc import Callable, Iterable, Iterator
+from pathlib import Path
 
 from repro.analysis.runner import OptimizerFactory, run_seed
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult
-from repro.faults.retry import RetryPolicy
 from repro.parallel.events import CellEvent
-from repro.parallel.executors import (
-    Cell,
-    CellExecutor,
-    ForkPoolExecutor,
-    SerialExecutor,
-)
-from repro.parallel.queue import QueueConfig, QueueExecutor
+from repro.parallel.executors import Cell, CellExecutor, SerialExecutor
+from repro.parallel.queue import QUEUE_SUFFIX, QueueConfig, QueueExecutor
 from repro.parallel.supervisor import SupervisionConfig, Supervisor
 from repro.trace.dataset import BenchmarkTrace
 
-#: Executor backends selectable by name: ``auto`` picks serial or fork
-#: pool from the planned worker count (the historical behaviour);
-#: ``queue`` dispatches through the durable work queue
-#: (:mod:`repro.parallel.queue`); ``vector`` advances every cell's
-#: search in lock-step, batching per-round surrogate linear algebra
-#: across searches (:mod:`repro.parallel.vector`) — in-process, one
-#: worker, bit-identical results.
-EXECUTOR_CHOICES: tuple[str, ...] = ("auto", "serial", "pool", "queue", "vector")
+#: Executor backends selectable by name: ``auto`` runs serially or on
+#: the work queue's local workers, from the planned worker count;
+#: ``queue`` always dispatches through the durable work queue
+#: (:mod:`repro.parallel.queue`) and keeps its file; ``vector`` advances
+#: every cell's search in lock-step, batching per-round surrogate linear
+#: algebra across searches (:mod:`repro.parallel.vector`) — in-process,
+#: one worker, bit-identical results.
+EXECUTOR_CHOICES: tuple[str, ...] = ("auto", "serial", "queue", "vector")
 
 #: Maps a cell to its optimiser seed.
 SeedFn = Callable[[str, int], int]
@@ -86,13 +85,10 @@ SeedFn = Callable[[str, int], int]
 #: Optional progress-event sink.
 EventSink = Callable[[CellEvent], None] | None
 
-#: Below this many cells a pool never pays for itself: per-worker fork +
-#: interpreter warm-up costs hundreds of milliseconds, while a grid this
-#: small finishes in about that time serially.
+#: Below this many cells workers never pay for themselves: per-worker
+#: fork + interpreter warm-up costs hundreds of milliseconds, while a
+#: grid this small finishes in about that time serially.
 POOL_MIN_CELLS = 4
-
-#: Default worker-death budget per grid before serial degradation.
-DEFAULT_POOL_RESTARTS = 2
 
 
 def plan_workers(
@@ -103,7 +99,7 @@ def plan_workers(
     Clamps the request to the machine (``os.cpu_count()``) and to the
     work available (``n_cells`` — extra workers would only idle), and
     degrades to serial (1) for grids under :data:`POOL_MIN_CELLS`,
-    where pool spin-up exceeds the work itself.
+    where worker spin-up exceeds the work itself.
 
     This is also the single validation site for worker counts: every
     entry point (:func:`run_cells`, the runner, the CLI) funnels
@@ -138,8 +134,8 @@ class _CellContext:
         self.seed_fn = seed_fn
 
 
-# Set in the parent before the pool forks; workers inherit it.  This is
-# the only channel for the (unpicklable) factory and trace.
+# Set in the parent before any worker forks; workers inherit it.  This
+# is the only channel for the (unpicklable) factory and trace.
 _CELL_CONTEXT: _CellContext | None = None
 
 
@@ -180,11 +176,28 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def build_executor(workers: int) -> CellExecutor:
-    """The default executor for ``workers`` slots: serial or fork pool."""
-    if workers <= 1 or not _fork_available():
-        return SerialExecutor(_execute_cell)
-    return ForkPoolExecutor(workers=workers, run_cell=_execute_cell)
+def _scratch_root() -> str | None:
+    """Where a grid without a cache keeps its throwaway queue: the
+    memory-backed ``/dev/shm`` when the host has one, so the queue's
+    commits sync no disk (nothing in the file outlives the grid);
+    otherwise the default temporary directory."""
+    shm = "/dev/shm"
+    return shm if os.path.isdir(shm) and os.access(shm, os.W_OK) else None
+
+
+def queue_backed(executor: str, workers: int, n_cells: int) -> bool:
+    """Whether :func:`run_cells` runs a grid of ``n_cells`` cells on the
+    work queue: always under ``"queue"``, and under ``"auto"`` when
+    :func:`plan_workers` gives it more than one worker and the platform
+    can fork them.  The runner asks too, because queue workers record
+    each result in the file themselves."""
+    if executor == "queue":
+        return True
+    return (
+        executor == "auto"
+        and plan_workers(workers, n_cells) > 1
+        and _fork_available()
+    )
 
 
 def run_cells(
@@ -196,9 +209,6 @@ def run_cells(
     on_event: EventSink = None,
     seed_fn: SeedFn = run_seed,
     cell_timeout: float | None = None,
-    cell_retries: int = 0,
-    pool_restarts: int = DEFAULT_POOL_RESTARTS,
-    retry_policy: RetryPolicy | None = None,
     executor: str = "auto",
     queue: QueueConfig | None = None,
 ) -> Iterator[tuple[Cell, SearchResult]]:
@@ -209,7 +219,7 @@ def run_cells(
         factory: builds the optimiser for each cell.
         objective: what to minimise.
         cells: the ``(workload_id, repeat)`` pairs to run.
-        workers: requested pool size, reduced to what can help —
+        workers: requested worker count, reduced to what can help —
             ``min(workers, cpu_count, n_cells)``, serial for tiny grids
             (:func:`plan_workers`); the decision is reported via a
             ``pool_planned`` event.  ``<= 1`` runs serially in-process.
@@ -218,33 +228,25 @@ def run_cells(
         seed_fn: maps a cell to its optimiser seed (default
             :func:`~repro.analysis.runner.run_seed`).
         cell_timeout: wall-clock deadline in seconds per cell execution
-            on a pool; a straggler past it is cancelled and completed
-            serially.  ``None`` (default) disables deadlines.
-        cell_retries: extra *pool* attempts for a cell that raises an
-            application error in a worker, before the final serial
-            attempt in the parent (0 = straight to serial, the
-            historical behaviour).
-        pool_restarts: worker deaths survived (pool healed, cell
-            re-submitted, ``pool_restarted`` emitted) before the engine
-            degrades the rest of the grid to serial execution.
-        retry_policy: full backoff schedule for cell retries; defaults
-            to ``RetryPolicy.from_retries(cell_retries)``.  When given,
-            it overrides ``cell_retries``.
+            on local queue workers; a straggler past it is cancelled and
+            completed serially.  ``None`` (default) disables deadlines.
         executor: backend selection (:data:`EXECUTOR_CHOICES`).
-            ``"auto"`` (default) and ``"pool"`` pick serial or fork
-            pool from the planned worker count, so a grid the planner
-            serialises runs in-process under either; ``"serial"``
-            forces in-process execution; ``"queue"`` dispatches through
-            the durable :class:`~repro.parallel.queue.WorkQueue` (crash-surviving,
-            external workers welcome) and requires ``queue``;
-            ``"vector"`` runs every cell in-process via the lock-step
-            :class:`~repro.parallel.vector.VectorizedGridDriver`,
+            ``"auto"`` (default) runs serially, or on the work queue's
+            local workers when :func:`queue_backed` says so;
+            ``"serial"`` forces in-process execution; ``"queue"``
+            dispatches through the durable :class:`~repro.parallel.queue.WorkQueue`
+            (crash-surviving, external workers welcome) and requires
+            ``queue``; ``"vector"`` runs every cell in-process via the
+            lock-step :class:`~repro.parallel.vector.VectorizedGridDriver`,
             batching surrogate rounds across searches with results
-            bit-identical to ``"serial"`` (worker/pool knobs are
-            ignored — there is exactly one worker).
-        queue: the :class:`~repro.parallel.queue.QueueConfig` for
-            ``executor="queue"`` — must carry an explicit ``path`` and
-            is ignored by the other backends.
+            bit-identical to ``"serial"`` (worker knobs are ignored —
+            there is exactly one worker).
+        queue: the :class:`~repro.parallel.queue.QueueConfig` of the
+            grid's queue file — required, with an explicit ``path``, by
+            ``executor="queue"``.  An ``"auto"`` grid on the queue uses
+            its ``path``, ``cache_key`` and timings (never its
+            ``workers``: the planned count is), or a temporary file when
+            there is none.  Ignored by the other backends.
 
     Raises:
         ValueError: if ``workers`` is less than 1, if ``executor`` is
@@ -281,32 +283,23 @@ def run_cells(
                 f"cells={len(cells)} cpus={os.cpu_count() or 1}",
             )
         )
-    if retry_policy is None:
-        retry_policy = RetryPolicy.from_retries(cell_retries)
-    if executor == "queue":
-        # Queue crashes are final verdicts, not transient pool deaths: a
-        # poisoned row already burned max_attempts worker leases, and a
-        # stall takeover means the fleet is gone.  Pin such cells to the
-        # coordinator's serial path on the first report.
-        config = SupervisionConfig(
-            retry_policy=retry_policy,
-            pool_restarts=pool_restarts,
-            poison_threshold=1,
-        )
-    else:
-        config = SupervisionConfig(
-            cell_timeout_s=cell_timeout,
-            retry_policy=retry_policy,
-            pool_restarts=pool_restarts,
-        )
-
-    local_queue_workers = 0
-    if executor == "queue":
-        local_queue_workers = (
-            queue.workers if queue.workers is not None else effective
-        )
-        if not _fork_available():  # pragma: no cover - platform-dependent
-            local_queue_workers = 0  # external fleet (or stall takeover) only
+    on_queue = queue_backed(executor, workers, len(cells))
+    local_workers = 0
+    scratch: str | None = None
+    if on_queue:
+        if executor == "auto":
+            local_workers = effective
+            if queue is None or queue.path is None:
+                # No cache to sit next to: the queue lives only as long
+                # as the grid.
+                scratch = tempfile.mkdtemp(prefix="arrow-grid-", dir=_scratch_root())
+                queue = dataclasses.replace(
+                    queue if queue is not None else QueueConfig(),
+                    path=Path(scratch) / f"grid{QUEUE_SUFFIX}",
+                )
+        elif _fork_available():
+            local_workers = queue.workers if queue.workers is not None else effective
+        # else: an external fleet (or the stall takeover) does the work.
 
     global _CELL_CONTEXT
     previous = _CELL_CONTEXT
@@ -317,14 +310,14 @@ def run_cells(
         seed_fn=seed_fn,
     )
     try:
-        if executor == "queue":
+        if on_queue:
             backend: CellExecutor = QueueExecutor(
                 queue.path,
                 queue.cache_key if queue.cache_key is not None else "grid",
                 _execute_cell,
                 objective,
                 seed_fn,
-                workers=local_queue_workers,
+                workers=local_workers,
                 lease_duration_s=queue.lease_duration_s,
                 max_attempts=queue.max_attempts,
                 stall_timeout_s=queue.stall_timeout_s,
@@ -333,19 +326,19 @@ def run_cells(
                 on_event=on_event,
             )
         else:
-            backend = build_executor(
-                1 if executor == "serial" else min(effective, len(cells))
-            )
-        # Both backends fork lazily, on the first dispatch, so priming
-        # here still precedes every fork.
-        forks_workers = (
-            isinstance(backend, ForkPoolExecutor) or local_queue_workers > 0
-        )
-        if forks_workers and cells:
+            backend = SerialExecutor(_execute_cell)
+        # Local workers fork lazily, on the first poll, so priming here
+        # still precedes every fork.
+        if local_workers > 0 and cells:
             _prime_before_fork(_CELL_CONTEXT, cells[0])
         supervisor = Supervisor(
-            backend, _execute_cell, config=config, on_event=on_event
+            backend,
+            _execute_cell,
+            config=SupervisionConfig(cell_timeout_s=cell_timeout),
+            on_event=on_event,
         )
         yield from supervisor.run(cells)
     finally:
         _CELL_CONTEXT = previous
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)

@@ -8,8 +8,8 @@ it through the ``on_event`` callback; results never depend on it.
 Events come in two scopes: *cell-scoped* events carry the
 ``(workload_id, repeat)`` pair they describe (build them with
 :meth:`CellEvent.for_cell`), while *grid-scoped* events describe the
-execution plane itself — worker planning, pool restarts, degradation —
-and carry no cell (build them with :meth:`CellEvent.for_grid`).
+execution plane itself — worker planning, a stalled queue fleet, the
+vector driver's plan — and carry no cell (build them with :meth:`CellEvent.for_grid`).
 """
 
 from __future__ import annotations
@@ -21,21 +21,23 @@ from dataclasses import dataclass
 #: Cell-scoped kinds:
 #:
 #: * ``cell_scheduled`` / ``cell_finished`` — normal lifecycle;
-#: * ``cell_failed`` — the cell raised an application error in a worker;
+#: * ``cell_failed`` — the cell's worker attempts ended in an application
+#:   error (or the coordinator withdrew it), and the parent will complete
+#:   it serially;
 #: * ``cell_cached`` — the runner served the cell from its cache (the
 #:   engine never sees those cells);
 #: * ``cell_resumed`` — the runner recovered the cell from the grid's
 #:   work-queue file, where an interrupted run recorded it;
-#: * ``cell_retried`` — the supervisor re-attempted a failed cell
-#:   (resubmitted to the pool, or fell back to the parent's serial
-#:   path — ``detail`` says which);
+#: * ``cell_retried`` — the supervisor re-attempted a failed cell on the
+#:   parent's serial path (``detail``: "serial fallback after …");
 #: * ``cell_timeout`` — the cell exceeded its wall-clock deadline, was
 #:   cancelled, and will be completed serially;
-#: * ``cell_pinned`` — the cell killed the pool repeatedly (a *poison
-#:   cell*) and is quarantined to serial execution instead of
-#:   re-breaking a fresh pool.
+#: * ``cell_pinned`` — the cell was lost with its worker (a queue row
+#:   parked ``poisoned`` after its workers died, or a stalled fleet) and
+#:   is completed serially in the parent.
 #:
-#: Durable-queue cell-scoped kinds (``--executor queue``):
+#: Durable-queue cell-scoped kinds (every grid run on the work queue:
+#: ``auto`` with more than one planned worker, and ``queue``):
 #:
 #: * ``lease_claimed`` — a queue worker atomically leased the cell
 #:   (``detail`` carries the owner and attempt count);
@@ -50,10 +52,6 @@ from dataclasses import dataclass
 #:
 #: * ``pool_planned`` — the engine's worker-clamping decision (requested
 #:   vs effective workers) before any cell runs;
-#: * ``pool_restarted`` — a dead worker pool was healed within the
-#:   restart budget;
-#: * ``pool_degraded`` — the restart budget is exhausted; remaining
-#:   cells run serially in the parent;
 #: * ``queue_stalled`` — the queue coordinator saw outstanding work but
 #:   no live workers or queue activity for its stall timeout, and is
 #:   completing the remaining cells itself;
@@ -74,8 +72,6 @@ CELL_EVENT_KINDS: tuple[str, ...] = (
     "worker_lost",
     "cell_requeued",
     "pool_planned",
-    "pool_restarted",
-    "pool_degraded",
     "queue_stalled",
     "vector_planned",
 )
@@ -83,8 +79,6 @@ CELL_EVENT_KINDS: tuple[str, ...] = (
 #: Kinds that never name a cell.
 GRID_EVENT_KINDS: tuple[str, ...] = (
     "pool_planned",
-    "pool_restarted",
-    "pool_degraded",
     "queue_stalled",
     "vector_planned",
 )
@@ -98,7 +92,7 @@ class CellEvent:
         kind: one of :data:`CELL_EVENT_KINDS`.
         workload_id: the cell's workload (``None`` for grid-scoped events).
         repeat: the cell's repeat index (``None`` for grid-scoped events).
-        detail: free-form context — error text, degradation reason.
+        detail: free-form context — error text, lease owner, deadline.
     """
 
     kind: str

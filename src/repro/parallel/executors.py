@@ -7,43 +7,32 @@ a four-method protocol (``submit`` / ``poll`` / ``cancel`` /
 Supervisor` only ever talk to the protocol, so remote or async backends
 can plug in without touching supervision logic.
 
-Two implementations ship here:
+Two implementations ship:
 
-* :class:`SerialExecutor` — runs cells synchronously in the calling
-  process, one per :meth:`~SerialExecutor.poll`.  It is *transparent*:
-  application exceptions propagate to the caller, nothing can crash or
-  straggle, so supervision features (deadlines, retries, healing) are
-  structurally no-ops on top of it.
-* :class:`ForkPoolExecutor` — a fork-based process pool with one duplex
-  pipe per worker.  Unlike ``concurrent.futures.ProcessPoolExecutor``,
-  worker death is contained to the victim worker (reported as a
-  ``crashed`` :class:`CellOutcome`, not a broken pool), a *single*
-  running cell can be cancelled by terminating exactly its worker, and
-  results already sitting in other workers' pipes are always drained —
-  nothing finished is ever thrown away because a sibling died.
-
-A third lives in :mod:`repro.parallel.queue`:
-:class:`~repro.parallel.queue.QueueExecutor` dispatches through a
-durable SQLite-backed work queue with leased cells, surviving
-coordinator *and* worker crashes and admitting external worker
-processes (``arrow queue-worker``) — the proof that this protocol is
-the plug point the remote backends were promised.
+* :class:`SerialExecutor` (here) — runs cells synchronously in the
+  calling process, one per :meth:`~SerialExecutor.poll`.  It is
+  *transparent*: application exceptions propagate to the caller,
+  nothing can crash or straggle, so supervision (deadlines, serial
+  fallbacks) is structurally a no-op on top of it.
+* :class:`~repro.parallel.queue.QueueExecutor` — dispatches through a
+  durable SQLite-backed work queue with leased cells.  It forks local
+  pull-workers (the engine's process backend: ``executor="auto"`` at
+  more than one planned worker, and ``executor="queue"``), survives
+  coordinator *and* worker crashes, and admits external worker
+  processes (``arrow queue-worker``).
 
 Outcome semantics: ``poll`` never raises for worker-side problems.  A
 cell that completed returns ``result``; one that raised an application
 error returns ``error`` (the ``"ErrorType: message"`` string); one whose
-worker died mid-execution returns ``crashed=True``.  Policy — retry,
-restart, quarantine, degrade — belongs to the supervisor.
+worker died mid-execution returns ``crashed=True``.  What to do about
+it — pin, fall back, cancel — belongs to the supervisor.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from multiprocessing import connection
 from typing import Protocol, runtime_checkable
 
 from repro.core.result import SearchResult
@@ -84,17 +73,14 @@ class CellExecutor(Protocol):
     """The execution-plane dispatch protocol.
 
     Implementations may queue an unbounded backlog; ``submit`` never
-    blocks.  ``front=True`` queues the cell ahead of the existing
-    backlog — the supervisor uses it for retried/resubmitted cells,
-    which are by definition the *oldest* in flight: appending them
-    behind the whole backlog would head-of-line-block every completed
-    sibling (results are yielded in submission order) until the grid
-    ends.  ``poll`` returns every outcome that became available,
-    waiting up to ``timeout`` seconds for at least one (``None`` = wait
-    as long as the implementation needs; serial implementations may
-    ignore the timeout entirely).  ``cancel`` is best-effort and
-    returns whether the cell was actually withdrawn.  ``shutdown``
-    releases all resources; pending and running cells are dropped.
+    blocks and takes a whole batch, so a durable backend can record a
+    grid's cells in one transaction.  ``poll`` returns every outcome
+    that became available, waiting up to ``timeout`` seconds for at
+    least one (``None`` = wait as long as the implementation needs;
+    serial implementations may ignore the timeout entirely).
+    ``cancel`` is best-effort and returns whether the cell was actually
+    withdrawn.  ``shutdown`` releases all resources; pending and running
+    cells are dropped.
 
     Two optional introspection hooks refine supervision when present:
     ``supports_cancel`` (class attribute, default falsy) advertises that
@@ -105,7 +91,7 @@ class CellExecutor(Protocol):
     time.
     """
 
-    def submit(self, cell: Cell, front: bool = False) -> None: ...
+    def submit(self, cells: Sequence[Cell]) -> None: ...
 
     def poll(self, timeout: float | None = None) -> list[CellOutcome]: ...
 
@@ -130,11 +116,8 @@ class SerialExecutor:
         self._run_cell = run_cell
         self._backlog: deque[Cell] = deque()
 
-    def submit(self, cell: Cell, front: bool = False) -> None:
-        if front:
-            self._backlog.appendleft(cell)
-        else:
-            self._backlog.append(cell)
+    def submit(self, cells: Sequence[Cell]) -> None:
+        self._backlog.extend(cells)
 
     def poll(self, timeout: float | None = None) -> list[CellOutcome]:
         if not self._backlog:
@@ -154,213 +137,3 @@ class SerialExecutor:
 
     def shutdown(self) -> None:
         self._backlog.clear()
-
-
-def _worker_main(conn: connection.Connection, run_cell: CellFn) -> None:
-    """Worker loop: receive a cell, run it, send the outcome; repeat.
-
-    Runs in a forked child.  ``None`` is the shutdown sentinel.  An
-    application error is stringified and sent back — never raised — so
-    the worker survives to take the next cell.
-    """
-    while True:
-        try:
-            cell = conn.recv()
-        except (EOFError, OSError):
-            return
-        if cell is None:
-            return
-        try:
-            result = run_cell(cell)
-        except BaseException as error:  # noqa: BLE001 - report, don't die
-            payload = ("error", f"{type(error).__name__}: {error}")
-        else:
-            payload = ("ok", result)
-        try:
-            conn.send(payload)
-        except (BrokenPipeError, OSError):
-            return
-
-
-class _Worker:
-    """One forked worker process and its parent-side pipe end."""
-
-    __slots__ = ("conn", "process", "cell", "started")
-
-    def __init__(self, ctx, run_cell: CellFn) -> None:
-        parent_conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(
-            target=_worker_main, args=(child_conn, run_cell), daemon=True
-        )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
-        self.cell: Cell | None = None
-        self.started: float | None = None
-
-    def assign(self, cell: Cell) -> None:
-        self.conn.send(cell)
-        self.cell = cell
-        self.started = time.monotonic()
-
-    def release(self) -> None:
-        self.cell = None
-        self.started = None
-
-    def reap(self, terminate: bool = False) -> None:
-        """Close the pipe and collect the process (optionally killing it)."""
-        if terminate and self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - stuck after SIGTERM
-            self.process.kill()
-            self.process.join(timeout=5.0)
-        self.conn.close()
-        self.process.close()
-
-
-class ForkPoolExecutor:
-    """A fork-based process pool with per-worker pipes.
-
-    The cell context (trace, optimiser factory, objective) reaches
-    workers through fork-inherited memory — ``run_cell`` is typically
-    the engine's ``_execute_cell`` reading the module-global context —
-    and only cells and picklable results cross the pipes.
-
-    Capacity self-heals: a worker lost to a crash or a ``cancel`` is
-    replaced by a fresh fork the next time there is backlog to place.
-    Whether a crashed cell is *resubmitted* is the supervisor's call,
-    so restart budgets live in one place.
-
-    Args:
-        workers: pool capacity (fixed; respawns restore it).
-        run_cell: executes one cell inside a worker.
-
-    Raises:
-        RuntimeError: if the platform cannot fork.
-    """
-
-    supports_cancel = True
-
-    def __init__(self, workers: int, run_cell: CellFn) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError("ForkPoolExecutor requires the fork start method")
-        self._ctx = multiprocessing.get_context("fork")
-        self._target = workers
-        self._run_cell = run_cell
-        self._workers: list[_Worker] = []
-        self._backlog: deque[Cell] = deque()
-
-    # -- dispatch ---------------------------------------------------------
-
-    def _dispatch(self) -> None:
-        """Place backlog cells on idle workers, forking up to capacity."""
-        while self._backlog:
-            worker = next((w for w in self._workers if w.cell is None), None)
-            if worker is None:
-                if len(self._workers) >= self._target:
-                    return
-                worker = _Worker(self._ctx, self._run_cell)
-                self._workers.append(worker)
-            cell = self._backlog.popleft()
-            try:
-                worker.assign(cell)
-            except (BrokenPipeError, OSError):
-                # The idle worker died quietly; replace it and re-place
-                # the cell on the next iteration.
-                self._workers.remove(worker)
-                worker.reap()
-                self._backlog.appendleft(cell)
-
-    # -- protocol ---------------------------------------------------------
-
-    def submit(self, cell: Cell, front: bool = False) -> None:
-        if front:
-            self._backlog.appendleft(cell)
-        else:
-            self._backlog.append(cell)
-        self._dispatch()
-
-    def poll(self, timeout: float | None = None) -> list[CellOutcome]:
-        self._dispatch()
-        busy = [w for w in self._workers if w.cell is not None]
-        if not busy:
-            return []
-        # Wait on result pipes *and* process sentinels so a worker that
-        # dies without reporting wakes the poll immediately.
-        sentinels = {w.process.sentinel: w for w in busy}
-        ready = connection.wait(
-            [w.conn for w in busy] + list(sentinels), timeout
-        )
-        ready_set = set(ready)
-        outcomes: list[CellOutcome] = []
-        for worker in busy:
-            # Drain the pipe first: a worker that sent its result and
-            # then exited still counts as finished work.
-            if worker.conn in ready_set or worker.conn.poll(0):
-                try:
-                    kind, payload = worker.conn.recv()
-                except (EOFError, OSError):
-                    outcomes.append(self._crash(worker))
-                    continue
-                cell = worker.cell
-                worker.release()
-                if kind == "ok":
-                    outcomes.append(CellOutcome(cell=cell, result=payload))
-                else:
-                    outcomes.append(CellOutcome(cell=cell, error=payload))
-            elif worker.process.sentinel in ready_set:
-                outcomes.append(self._crash(worker))
-        self._dispatch()
-        return outcomes
-
-    def _crash(self, worker: _Worker) -> CellOutcome:
-        """Record a worker death: reap it and report the lost cell."""
-        cell = worker.cell
-        self._workers.remove(worker)
-        worker.reap()
-        return CellOutcome(cell=cell, crashed=True)
-
-    def cancel(self, cell: Cell) -> bool:
-        try:
-            self._backlog.remove(cell)
-        except ValueError:
-            pass
-        else:
-            return True
-        for worker in self._workers:
-            if worker.cell == cell:
-                # Killing exactly this worker withdraws the straggler
-                # without disturbing its siblings; capacity is restored
-                # by the next dispatch.
-                self._workers.remove(worker)
-                worker.reap(terminate=True)
-                return True
-        return False
-
-    def started_at(self, cell: Cell) -> float | None:
-        for worker in self._workers:
-            if worker.cell == cell:
-                return worker.started
-        return None
-
-    def shutdown(self) -> None:
-        self._backlog.clear()
-        for worker in self._workers:
-            if worker.cell is None and worker.process.is_alive():
-                # Idle workers get a graceful sentinel; busy ones are
-                # terminated (their cells are abandoned by definition).
-                try:
-                    worker.conn.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-        for worker in self._workers:
-            worker.reap(terminate=worker.cell is not None)
-        self._workers.clear()
-
-    @property
-    def capacity(self) -> int:
-        """The pool's target worker count."""
-        return self._target

@@ -1,11 +1,13 @@
-"""Durable work queue + leased ``QueueExecutor``: crash-surviving grids.
+"""Durable work queue + leased ``QueueExecutor``: the process backend.
 
-The fork pool keeps a grid alive across *worker* deaths, but the grid
-itself still lives inside one process tree: kill the coordinator, or
-want workers on other boxes, and the campaign is over.  This module
-moves grid state out of process memory into a single SQLite file next to
-the runner cache (WAL mode), so execution survives anything short of
-losing the disk:
+Every grid that runs in more than one process runs here: ``executor=
+"auto"`` at more than one planned worker forks local pull-workers
+against a queue file, and ``executor="queue"`` does the same and also
+admits workers on other boxes.  Grid state lives in a single SQLite
+file (WAL mode) — next to the runner cache, or in a temporary
+directory for a grid without one — instead of in process memory, so
+execution survives worker deaths, a coordinator restart, and anything
+short of losing the disk:
 
 * :class:`WorkQueue` — the durable queue itself.  One row per grid
   cell, with states ``pending → leased → done`` (or ``failed`` /
@@ -38,15 +40,16 @@ losing the disk:
   :class:`~repro.parallel.events.CellEvent`\\ s), forwards fleet
   activity from the events table, and returns terminal cells as
   outcomes.  A poll costs what changed since the last one: the
-  terminal events it reads (plus each cell submitted or cancelled
-  since) name the only rows it reads, and each stored payload is
-  decoded once per delivery.  It can fork local pull-workers
-  (``workers > 0``) and/or serve an external fleet started with
-  ``arrow queue-worker``.  A cell whose attempts exhaust
-  ``max_attempts`` through worker deaths is parked ``poisoned`` and
-  reported as a crash, which the engine's queue-mode supervision
-  config (``poison_threshold=1``) turns into exactly one serial
-  completion by the coordinator.
+  terminal events it reads (plus each cell submitted since) name the
+  only rows it reads, and each stored payload is decoded once per
+  delivery.  It can fork local pull-workers (``workers > 0``) and/or
+  serve an external fleet started with ``arrow queue-worker``.  A cell
+  whose attempts exhaust ``max_attempts`` through worker deaths is
+  parked ``poisoned`` and reported as a crash, which the supervisor
+  turns into exactly one serial completion by the coordinator.
+  Deadlines run on leases: a cell's execution starts when the
+  coordinator sees its ``lease_claimed`` event, and cancelling a cell a
+  local worker holds terminates that worker and withdraws the row.
 
 The file is also the grid's one durable per-cell record under every
 other executor (:class:`~repro.parallel.checkpoint.GridCheckpoint`), so
@@ -67,10 +70,11 @@ import json
 import multiprocessing
 import os
 import secrets
+import signal
 import sqlite3
 import threading
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -363,28 +367,22 @@ class WorkQueue:
 
     # -- producing --------------------------------------------------------
 
-    def enqueue(self, items: Iterable[tuple[Cell, int]], front: bool = False) -> int:
+    def enqueue(self, items: Iterable[tuple[Cell, int]]) -> int:
         """Insert (or revive) cells as ``pending``; returns rows touched.
 
         Each item is ``((workload_id, repeat), seed)`` — the seed is
         stored so any worker reproduces the cell deterministically.
-        Conflicting rows are reset to ``pending`` *except*:
+        All items go in one transaction, in claim order.  Conflicting
+        rows are reset to ``pending`` *except*:
 
         * ``done`` rows with a stored result — finished work survives a
           coordinator restart; ``poll`` serves it without recomputing;
         * live (unexpired) leases — a worker is actively computing the
           cell; its completion will land normally.
-
-        ``front=True`` queues ahead of the existing backlog (the
-        supervisor resubmits retried cells this way).
         """
         now = self._clock()
         touched = 0
         with self._tx():
-            priority = 0
-            if front:
-                row = self._con.execute("SELECT MIN(priority) FROM cells").fetchone()
-                priority = (row[0] if row[0] is not None else 0) - 1
             seq = self._con.execute("SELECT MAX(seq) FROM cells").fetchone()[0] or 0
             for (workload_id, repeat), seed in items:
                 seq += 1
@@ -392,16 +390,16 @@ class WorkQueue:
                     """
                     INSERT INTO cells (workload, repeat, seed, state, attempts,
                                        priority, seq, not_before)
-                    VALUES (?, ?, ?, 'pending', 0, ?, ?, 0.0)
+                    VALUES (?, ?, ?, 'pending', 0, 0, ?, 0.0)
                     ON CONFLICT(workload, repeat) DO UPDATE SET
                         state='pending', seed=excluded.seed, attempts=0,
-                        priority=excluded.priority, seq=excluded.seq,
+                        priority=0, seq=excluded.seq,
                         not_before=0.0, lease_owner=NULL, lease_expires=NULL,
                         heartbeat_at=NULL, error=NULL, result=NULL
                     WHERE NOT (cells.state = 'done' AND cells.result IS NOT NULL)
                       AND NOT (cells.state = 'leased' AND cells.lease_expires > ?)
                     """,
-                    (workload_id, repeat, seed, priority, seq, now),
+                    (workload_id, repeat, seed, seq, now),
                 )
                 touched += cursor.rowcount
         return touched
@@ -462,6 +460,7 @@ class WorkQueue:
             (now, now + self.lease_duration_s, cell[0], cell[1], owner),
         )
         return cursor.rowcount == 1
+
     def complete(self, cell: Cell, owner: str, payload: dict) -> bool:
         """Record ``cell``'s result and mark it ``done``, atomically.
 
@@ -529,6 +528,28 @@ class WorkQueue:
                     f"attempt {attempts}/{self.max_attempts} failed ({error}); "
                     f"backoff {max(0.0, requeue_delay_s):.2f}s",
                 )
+        return True
+
+    def withdraw(self, cell: Cell, owner: str | None = None) -> bool:
+        """Park ``cell`` ``failed`` ("cancelled by coordinator") if it is
+        ``pending``, or leased by ``owner``; False if it was neither.
+
+        The ``cell_failed`` event is written in the same transaction, so
+        a coordinator tailing the events table sees the withdrawal like
+        any other terminal transition.  A worker still running the cell
+        loses its lease: its ``complete()`` is refused.
+        """
+        with self._tx():
+            cursor = self._con.execute(
+                "UPDATE cells SET state='failed', error='cancelled by coordinator', "
+                "lease_owner=NULL, lease_expires=NULL, heartbeat_at=NULL "
+                "WHERE workload=? AND repeat=? "
+                "AND (state='pending' OR (state='leased' AND lease_owner=?))",
+                (cell[0], cell[1], owner),
+            )
+            if cursor.rowcount != 1:
+                return False
+            self._event("cell_failed", cell, "cancelled by coordinator")
         return True
 
     # -- lease expiry ------------------------------------------------------
@@ -636,6 +657,15 @@ class WorkQueue:
             cell,
         ).fetchone()
         return None if row is None else _decode_terminal(*row)
+
+    def lease_owner(self, cell: Cell) -> str | None:
+        """The owner of ``cell``'s lease, or ``None`` if it is not leased."""
+        row = self._con.execute(
+            "SELECT lease_owner FROM cells WHERE workload=? AND repeat=? "
+            "AND state='leased'",
+            cell,
+        ).fetchone()
+        return None if row is None else row[0]
 
     def stored_results(self, cells: Iterable[Cell]) -> Iterator[tuple[Cell, str]]:
         """``(cell, result text)`` for each ``done`` row among ``cells``
@@ -952,9 +982,15 @@ def _local_worker_main(
     """Entry point of a coordinator-forked local pull-worker.
 
     ``run_cell`` (the engine's ``_execute_cell``) arrives through fork
-    inheritance, exactly like fork-pool workers — the queue only ever
-    stores cells and JSON payloads, never closures.
+    inheritance — the queue only ever stores cells and JSON payloads,
+    never closures.  The coordinator's signal handlers are inherited
+    too (the runner's flush-on-signal among them), so they are reset:
+    SIGTERM (the coordinator's ``cancel`` and ``shutdown``) kills the
+    worker outright, and a terminal's SIGINT is left to the coordinator,
+    which shuts the fleet down.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     queue = WorkQueue.attach(path)
     try:
         queue_worker_loop(
@@ -1022,9 +1058,7 @@ class QueueExecutor:
     CellExecutor` protocol, so the :class:`~repro.parallel.supervisor.
     Supervisor` and everything above it (cache, resume) treat
     a crash-surviving multi-process fleet exactly like the in-process
-    backends.  ``supports_cancel`` is falsy — a remote worker cannot be
-    killed through a database file; stragglers are bounded by lease
-    expiry instead of coordinator deadlines.
+    backend.  ``submit`` enqueues a whole batch in one transaction.
 
     ``poll`` is the coordinator heartbeat: it respawns dead local
     workers (expiring their leases immediately rather than waiting out
@@ -1033,8 +1067,15 @@ class QueueExecutor:
     cells — ``done`` rows as results (deserialised from the stored
     canonical payload), ``failed`` rows as application errors,
     ``poisoned`` rows as crashes.  Only the rows of cells named by a
-    new terminal event, or submitted or cancelled since the last poll,
-    are read, so a poll's cost follows what changed, not the grid size.
+    new terminal event, or submitted since the last poll, are read, so
+    a poll's cost follows what changed, not the grid size.
+
+    Deadlines run on leases.  :meth:`started_at` is the coordinator's
+    monotonic time when it forwarded the cell's ``lease_claimed`` event,
+    and :meth:`cancel` withdraws a pending row, or a row one of its
+    *local* workers holds — terminating that worker, which the next
+    poll reaps and respawns.  A cell an external worker holds cannot be
+    cancelled through a database file; lease expiry bounds it instead.
 
     Args:
         path: the queue database file.
@@ -1050,7 +1091,7 @@ class QueueExecutor:
             see :class:`QueueConfig`.
     """
 
-    supports_cancel = False
+    supports_cancel = True
 
     def __init__(
         self,
@@ -1087,8 +1128,10 @@ class QueueExecutor:
         self._submitted: dict[Cell, int] = {}
         self._delivered: set[Cell] = set()
         # Cells whose rows may have turned terminal since the last poll:
-        # named by a terminal event, (re)submitted, or cancelled.
+        # named by a terminal event, or submitted.
         self._changed: set[Cell] = set()
+        # Monotonic time each leased cell's claim was forwarded.
+        self._started: dict[Cell, float] = {}
         self._workers: dict[str, multiprocessing.process.BaseProcess] = {}
         self._worker_serial = 0
         # Only *new* queue activity is forwarded; a resumed campaign's
@@ -1096,6 +1139,7 @@ class QueueExecutor:
         self._seen_event_id = self.queue.last_event_id()
         self._last_activity = time.monotonic()
         self._stalled = False
+        self._closed = False
         if workers > 0 and "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError("local queue workers require the fork start method")
         self._ctx = multiprocessing.get_context("fork") if workers > 0 else None
@@ -1146,6 +1190,10 @@ class QueueExecutor:
             self._seen_event_id = event_id
             if cell is None:
                 continue
+            if kind == "lease_claimed":
+                self._started[cell] = time.monotonic()
+            elif kind in _TERMINAL_EVENTS or kind == "cell_requeued":
+                self._started.pop(cell, None)
             if kind in _TERMINAL_EVENTS:
                 self._changed.add(cell)
             if self._on_event is None:
@@ -1156,18 +1204,15 @@ class QueueExecutor:
 
     # -- protocol ---------------------------------------------------------
 
-    def submit(self, cell: Cell, front: bool = False) -> None:
-        workload_id, repeat = cell
-        self.queue.enqueue(
-            [((workload_id, repeat), self._seed_fn(workload_id, repeat))],
-            front=front,
-        )
-        self._submitted.setdefault(cell, len(self._submitted))
-        # A resubmission expects a fresh outcome.  The row is checked
-        # once: one already terminal (a restarted coordinator's stored
-        # result) emits no event.
-        self._delivered.discard(cell)
-        self._changed.add(cell)
+    def submit(self, cells: Sequence[Cell]) -> None:
+        self.queue.enqueue((cell, self._seed_fn(*cell)) for cell in cells)
+        for cell in cells:
+            self._submitted.setdefault(cell, len(self._submitted))
+            # A resubmission expects a fresh outcome.  The row is checked
+            # once: one already terminal (a restarted coordinator's stored
+            # result) emits no event.
+            self._delivered.discard(cell)
+            self._changed.add(cell)
         self._note_activity()
 
     def _collect(self) -> list[CellOutcome]:
@@ -1242,6 +1287,8 @@ class QueueExecutor:
         return outcomes
 
     def poll(self, timeout: float | None = None) -> list[CellOutcome]:
+        if self._closed:
+            return []
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             self._tend_fleet()
@@ -1265,28 +1312,26 @@ class QueueExecutor:
             time.sleep(remaining)
 
     def cancel(self, cell: Cell) -> bool:
-        # Withdrawing a *pending* row is possible; a leased cell belongs
-        # to a worker no database write can interrupt.
-        cursor = self.queue._con.execute(
-            "UPDATE cells SET state='failed', error='cancelled by coordinator' "
-            "WHERE workload=? AND repeat=? AND state='pending'",
-            cell,
-        )
-        if cursor.rowcount != 1:
+        owner = self.queue.lease_owner(cell)
+        if owner is not None and owner not in self._workers:
+            return False  # an external worker's lease
+        if not self.queue.withdraw(cell, owner):
             return False
-        # No event marks this transition, so the next poll must look.
-        self._changed.add(cell)
+        if owner is not None:
+            # The row is withdrawn first, so the worker's complete() is
+            # refused whatever it finishes; _tend_fleet reaps and
+            # respawns it.
+            self._workers[owner].terminate()
+        self._started.pop(cell, None)
         return True
 
     def started_at(self, cell: Cell) -> float | None:
-        # Lease timestamps are wall-clock across machines; the
-        # coordinator's monotonic deadline math cannot use them.
-        return None
+        return self._started.get(cell)
 
     def resolve_serial(self, cell: Cell, result: SearchResult) -> None:
         """Supervision hook: the coordinator completed ``cell`` itself
-        (poisoned/parked path); persist that into the queue so its
-        durable record matches the cache."""
+        (a parked, stalled or cancelled cell); persist that into the
+        queue so its durable record matches the cache."""
         from repro.analysis.runner import result_to_payload
 
         self._delivered.add(cell)
@@ -1295,6 +1340,9 @@ class QueueExecutor:
         )
 
     def shutdown(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
         for process in self._workers.values():
             if process.is_alive():
                 process.terminate()

@@ -1,37 +1,31 @@
 """Supervised execution of grid cells over any :class:`CellExecutor`.
 
 The :class:`Supervisor` is the policy layer of the execution plane: it
-owns *what happens when things go wrong*, while executors own *how cells
-run*.  Wrapping any executor it provides, per submitted cell:
+owns *what happens when a cell does not come back cleanly*, while
+executors own *how cells run*.  Retrying and healing live in the
+executor — the work queue requeues a cell whose worker died or raised,
+up to its ``max_attempts``, and respawns its local workers — so the
+supervisor sees only final verdicts.  Each one is settled the same way:
+the cell is completed once, serially, in the supervisor's own process,
+so a deterministic failure surfaces exactly as the serial path would
+have raised it.  There are three transitions:
 
-* **Deadlines** — a cell that executes longer than
-  ``cell_timeout_s`` wall-clock seconds is cancelled (the fork pool
-  kills exactly that worker) and completed serially in the parent, so
-  one straggler never stalls the grid.  Deadlines measure *execution*
-  time (via the executor's ``started_at`` hook), not queue time, and
-  only apply to executors that can actually cancel
-  (``supports_cancel``).
-* **Bounded retries** — an application error in a worker re-submits the
-  cell up to ``retry_policy.max_attempts`` total pool attempts
-  (:class:`~repro.faults.retry.RetryPolicy`: exponential backoff with
-  seeded jitter — the one retry implementation in the codebase), then
-  falls back to one serial attempt in the parent.  A failure that is
-  deterministic therefore surfaces exactly as the serial path would
-  have raised it.  Every retry is emitted as a ``cell_retried``
-  :class:`~repro.parallel.events.CellEvent` *and* mirrored into the
-  resulting :class:`~repro.core.result.SearchResult.events` stream, so
-  the persisted record shows the cell was not a first-try success.
-* **Pool self-healing** — a worker death (crash, OOM-kill,
-  ``os._exit``) loses only its own cell; the supervisor re-submits the
-  cell to the healed pool up to ``pool_restarts`` times across the
-  grid, emitting ``pool_restarted`` each time.  When the budget is
-  exhausted it emits ``pool_degraded`` once, drains every outcome the
-  surviving workers already produced (finished work is never
-  recomputed), and runs the remaining cells serially.
-* **Poison-cell quarantine** — a cell whose execution has killed a
-  worker ``poison_threshold`` times is pinned to serial execution
-  (``cell_pinned``) instead of re-breaking a fresh worker, so one
-  poisonous cell cannot eat the whole restart budget.
+* **Crash** — the executor reports the cell lost (a queue row parked
+  ``poisoned`` after its workers died, or every cell of a stalled
+  fleet): ``cell_pinned``.
+* **Error** — the executor gave up on an application error (a queue row
+  parked ``failed``): ``cell_failed`` with the error, then
+  ``cell_retried`` ("serial fallback after …").  The retry is also
+  mirrored into the resulting :class:`~repro.core.result.SearchResult.
+  events` stream, so the persisted record shows the cell was not a
+  first-try success.
+* **Deadline** — a cell that executes longer than ``cell_timeout_s``
+  wall-clock seconds is cancelled (the queue terminates the local
+  worker holding its lease) and ``cell_timeout`` is emitted, so one
+  straggler never stalls the grid.  Deadlines measure *execution* time
+  (via the executor's ``started_at`` hook: for the queue, when the
+  coordinator saw the cell's lease claimed), not queue time, and only
+  apply to executors that can actually cancel (``supports_cancel``).
 
 Results are yielded in submission order regardless of completion order,
 which keeps downstream cache assembly byte-identical to serial runs.
@@ -42,15 +36,12 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.core.events import SearchEvent
 from repro.core.result import SearchResult
-from repro.faults.retry import RetryPolicy
 from repro.parallel.events import CellEvent
-from repro.parallel.executors import Cell, CellExecutor, CellFn, CellOutcome
+from repro.parallel.executors import Cell, CellExecutor, CellFn
 
 #: Optional progress-event sink.
 EventSink = Callable[[CellEvent], None] | None
@@ -64,42 +55,19 @@ class SupervisionConfig:
         cell_timeout_s: wall-clock deadline per cell execution; ``None``
             disables deadlines.  Only enforced on executors that
             support cancellation.
-        retry_policy: pool-attempt budget and backoff schedule for
-            cells that raise application errors in workers.  The
-            default (``max_attempts=1``) goes straight to the serial
-            fallback, preserving the engine's historical behaviour.
-        pool_restarts: total worker deaths survived (pool healed and
-            the lost cell re-submitted) before the supervisor degrades
-            the rest of the grid to serial execution.
-        poison_threshold: worker deaths attributable to one cell before
-            that cell is pinned to serial execution.
         poll_tick_s: supervision loop granularity while deadlines are
             armed; also bounds how stale a deadline check can be.
-        retry_seed: seed of the backoff-jitter stream (kept separate
-            from cell seeds so supervision never perturbs results).
     """
 
     cell_timeout_s: float | None = None
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    pool_restarts: int = 2
-    poison_threshold: int = 2
     poll_tick_s: float = 0.05
-    retry_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
+        if self.cell_timeout_s is not None and not self.cell_timeout_s > 0:
             raise ValueError(
                 f"cell_timeout_s must be positive, got {self.cell_timeout_s}"
             )
-        if self.pool_restarts < 0:
-            raise ValueError(
-                f"pool_restarts must be >= 0, got {self.pool_restarts}"
-            )
-        if self.poison_threshold < 1:
-            raise ValueError(
-                f"poison_threshold must be >= 1, got {self.poison_threshold}"
-            )
-        if self.poll_tick_s <= 0:
+        if not self.poll_tick_s > 0:
             raise ValueError(f"poll_tick_s must be positive, got {self.poll_tick_s}")
 
 
@@ -107,11 +75,10 @@ class Supervisor:
     """Drives one grid of cells through an executor under a policy.
 
     Args:
-        executor: the dispatch backend (serial, fork pool, or any other
+        executor: the dispatch backend (serial, work queue, or any other
             :class:`~repro.parallel.executors.CellExecutor`).
         serial_run: executes one cell in the supervisor's own process —
-            the fallback path for timeouts, exhausted retries, poison
-            cells, and degradation.
+            the completion path for crashed, failed and timed-out cells.
         config: the supervision policy.
         on_event: optional :class:`~repro.parallel.events.CellEvent`
             sink.
@@ -128,206 +95,84 @@ class Supervisor:
         self.serial_run = serial_run
         self.config = config if config is not None else SupervisionConfig()
         self.on_event = on_event
-        self.restarts_used = 0
-        self._rng = np.random.default_rng(self.config.retry_seed)
-
-    # -- event helpers ----------------------------------------------------
 
     def _emit(self, event: CellEvent) -> None:
         if self.on_event is not None:
             self.on_event(event)
-
-    # -- supervision ------------------------------------------------------
 
     def run(self, cells: Sequence[Cell]) -> Iterator[tuple[Cell, SearchResult]]:
         """Execute ``cells``, yielding ``(cell, result)`` in submission order."""
         order = list(cells)
         results: dict[Cell, SearchResult] = {}
         pending: set[Cell] = set(order)
-        in_pool: set[Cell] = set()
-        attempts: dict[Cell, int] = {}
-        crashes: dict[Cell, int] = {}
-        mirrors: dict[Cell, list[SearchEvent]] = {}
-        degraded = False
         emitted = 0
-
         deadline_armed = (
             self.config.cell_timeout_s is not None
             and getattr(self.executor, "supports_cancel", False)
         )
+        resolve_serial = getattr(self.executor, "resolve_serial", None)
 
         def finish(cell: Cell, result: SearchResult) -> None:
-            if mirrors.get(cell):
-                # The persisted record shows the cell's retries: mirror
-                # events precede the (re-run) search's own stream.
-                result = dataclasses.replace(
-                    result, events=tuple(mirrors[cell]) + result.events
-                )
             results[cell] = result
             pending.discard(cell)
             self._emit(CellEvent.for_cell("cell_finished", cell))
 
-        resolve_serial = getattr(self.executor, "resolve_serial", None)
-
-        def run_serially(cell: Cell) -> None:
-            in_pool.discard(cell)
+        def run_serially(cell: Cell, mirror: SearchEvent | None = None) -> None:
             result = self.serial_run(cell)
+            if mirror is not None:
+                # The mirror precedes the re-run search's own stream.
+                result = dataclasses.replace(result, events=(mirror, *result.events))
             if resolve_serial is not None:
                 # Durable executors persist results outside this process
-                # (e.g. the work queue's database); telling them about a
+                # (the work queue's database); telling them about a
                 # coordinator-side completion keeps that record matching
                 # the cache.
                 resolve_serial(cell, result)
             finish(cell, result)
 
-        def resubmit(cell: Cell) -> None:
-            # A resubmitted cell is by definition the oldest in flight;
-            # jumping the backlog keeps it from head-of-line-blocking
-            # the in-order yield of every completed sibling.
-            self.executor.submit(cell, front=True)
-            in_pool.add(cell)
-
         try:
             for cell in order:
                 self._emit(CellEvent.for_cell("cell_scheduled", cell))
-                attempts[cell] = 1
-                self.executor.submit(cell)
-                in_pool.add(cell)
-
-            while pending and not degraded:
+            self.executor.submit(order)
+            while pending:
                 tick = self.config.poll_tick_s if deadline_armed else None
-                outcomes = self.executor.poll(tick)
-                for outcome in outcomes:
-                    if outcome.cell not in pending:
+                for outcome in self.executor.poll(tick):
+                    cell = outcome.cell
+                    if cell not in pending:
                         continue  # late result for a cell already handled
-                    in_pool.discard(outcome.cell)
                     if outcome.ok:
-                        finish(outcome.cell, outcome.result)
+                        finish(cell, outcome.result)
                     elif outcome.crashed:
-                        # Keep processing the rest of the batch even when
-                        # this crash exhausts the budget: sibling results
-                        # in the same poll are finished work.
-                        if not degraded:
-                            degraded = self._handle_crash(
-                                outcome.cell, crashes, run_serially, resubmit
-                            )
-                    else:
-                        self._handle_error(
-                            outcome, attempts, mirrors, run_serially, resubmit
-                        )
-                if deadline_armed and not degraded:
-                    self._enforce_deadlines(pending, in_pool, run_serially)
-                if not degraded and pending and not in_pool:
-                    # Nothing is in flight yet cells remain (an executor
-                    # lost track of work): fail safe, run them serially.
-                    degraded = True
-                while emitted < len(order) and order[emitted] in results:
-                    yield order[emitted], results[order[emitted]]
-                    emitted += 1
-
-            if pending:
-                # Degraded: drain whatever the surviving workers already
-                # finished — completed work is never recomputed — then
-                # run only the result-less cells serially, in order.
-                for outcome in self.executor.poll(0):
-                    if outcome.ok and outcome.cell in pending:
-                        in_pool.discard(outcome.cell)
-                        finish(outcome.cell, outcome.result)
-                self.executor.shutdown()
-                for cell in order:
-                    if cell in pending:
+                        self._emit(CellEvent.for_cell(
+                            "cell_pinned", cell,
+                            "lost its worker; pinned to serial execution",
+                        ))
                         run_serially(cell)
-                while emitted < len(order):
+                    else:
+                        self._emit(
+                            CellEvent.for_cell("cell_failed", cell, outcome.error or "")
+                        )
+                        detail = f"serial fallback after {outcome.error}"
+                        self._emit(CellEvent.for_cell("cell_retried", cell, detail))
+                        run_serially(
+                            cell, SearchEvent(kind="cell_retried", step=1, detail=detail)
+                        )
+                if deadline_armed:
+                    self._enforce_deadlines(pending, run_serially)
+                while emitted < len(order) and order[emitted] in results:
                     yield order[emitted], results[order[emitted]]
                     emitted += 1
         finally:
             self.executor.shutdown()
 
-    # -- failure handling -------------------------------------------------
-
-    def _handle_error(
-        self,
-        outcome: CellOutcome,
-        attempts: dict[Cell, int],
-        mirrors: dict[Cell, list[SearchEvent]],
-        run_serially: Callable[[Cell], None],
-        resubmit: Callable[[Cell], None],
-    ) -> None:
-        """An application error in a worker: retry, then serial fallback."""
-        cell = outcome.cell
-        self._emit(CellEvent.for_cell("cell_failed", cell, outcome.error or ""))
-        used = attempts[cell]
-        policy = self.config.retry_policy
-        if used < policy.max_attempts:
-            attempts[cell] = used + 1
-            delay = policy.wait(used, self._rng)
-            detail = (
-                f"pool attempt {used + 1}/{policy.max_attempts} "
-                f"after {outcome.error} (backoff {delay:.2f}s)"
-            )
-            resubmit(cell)
-        else:
-            detail = f"serial fallback after {outcome.error}"
-        self._emit(CellEvent.for_cell("cell_retried", cell, detail))
-        mirrors.setdefault(cell, []).append(
-            SearchEvent(kind="cell_retried", step=1, detail=detail)
-        )
-        if used >= policy.max_attempts:
-            # The last resort runs in the parent; a deterministic
-            # failure raises here exactly as the serial path would.
-            run_serially(cell)
-
-    def _handle_crash(
-        self,
-        cell: Cell,
-        crashes: dict[Cell, int],
-        run_serially: Callable[[Cell], None],
-        resubmit: Callable[[Cell], None],
-    ) -> bool:
-        """A worker died running ``cell``; returns True to degrade."""
-        count = crashes.get(cell, 0) + 1
-        crashes[cell] = count
-        if count >= self.config.poison_threshold:
-            self._emit(
-                CellEvent.for_cell(
-                    "cell_pinned",
-                    cell,
-                    f"killed its worker {count}x; pinned to serial execution",
-                )
-            )
-            run_serially(cell)
-            return False
-        if self.restarts_used < self.config.pool_restarts:
-            self.restarts_used += 1
-            self._emit(
-                CellEvent.for_grid(
-                    "pool_restarted",
-                    f"worker died running {cell}; restart "
-                    f"{self.restarts_used}/{self.config.pool_restarts}",
-                )
-            )
-            resubmit(cell)
-            return False
-        self._emit(
-            CellEvent.for_grid(
-                "pool_degraded",
-                "pool restart budget exhausted; finishing remaining "
-                "cells serially",
-            )
-        )
-        return True
-
     def _enforce_deadlines(
-        self,
-        pending: set[Cell],
-        in_pool: set[Cell],
-        run_serially: Callable[[Cell], None],
+        self, pending: set[Cell], run_serially: Callable[[Cell], None]
     ) -> None:
         """Cancel and serially complete cells past their deadline."""
         timeout = self.config.cell_timeout_s
         now = time.monotonic()
         started_at = getattr(self.executor, "started_at", None)
-        for cell in sorted(in_pool & pending):
+        for cell in sorted(pending):
             started = started_at(cell) if started_at is not None else None
             if started is None or now - started < timeout:
                 continue

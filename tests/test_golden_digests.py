@@ -61,7 +61,8 @@ def test_cache_digests_unchanged(caches):
 
 @pytest.mark.parametrize("executor", ["pool", "queue"])
 def test_process_executor_caches_equal_serial(caches, executor):
-    """Two fork workers (or queue pull-workers) write the serial bytes."""
+    """Two local queue workers, under ``auto`` (the ``pool`` label) or
+    ``queue``, write the serial bytes."""
     grid = "cache/augmented-clean"
     assert caches[f"{grid}/{executor}"] == caches[f"{grid}/serial"]
 

@@ -145,8 +145,9 @@ print(json.dumps([before, ei, [reference(m, s) for m, s in zip(mean, std)]]))
 
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
 def test_pool_workers_inherit_scipy_from_the_parent():
-    """The parent builds the grid's first optimiser before forking, so a
-    NaiveBO worker finds scipy loaded before its first build."""
+    """The parent builds the grid's first optimiser before ``auto``
+    forks its local queue workers, so a NaiveBO worker finds scipy
+    loaded before its first build."""
     lines = _fresh_stdout(PRELUDE + f"""
 import os
 from repro.core.naive_bo import NaiveBO
@@ -162,7 +163,7 @@ def factory(environment, objective, seed):
 cells = [(w, 0) for w in ids]
 before = {SCIPY_LOADED}
 done = list(engine.run_cells(trace, factory, Objective.TIME, cells, workers=2,
-                             executor="pool"))
+                             executor="auto"))
 print(json.dumps([before, len(done)]))
 """)
     assert json.loads(lines[-1]) == [False, 4]

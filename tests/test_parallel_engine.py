@@ -42,7 +42,7 @@ def faulty_factory(environment, objective, seed):
 
 @pytest.fixture()
 def literal_workers(monkeypatch):
-    """Take the worker request literally, so a pool forms on any host."""
+    """Take the worker request literally, so workers fork on any host."""
     monkeypatch.setattr(engine, "plan_workers", lambda workers, n_cells: workers)
 
 
@@ -171,7 +171,7 @@ class TestEngine:
         )
         assert seeds == [0, 1, 2]
 
-    @pytest.mark.parametrize("executor", ["auto", "pool"])
+    @pytest.mark.parametrize("executor", ["auto"])
     def test_grid_planned_serial_builds_each_optimiser_once(self, trace, executor):
         """A grid the planner serialises forks nothing, so no optimiser
         is built beforehand to prime a fork: one build per cell."""
@@ -198,13 +198,68 @@ class TestEngine:
         assert "effective=1" in planned[0].detail
         assert len(built) == len(cells)
 
+    @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
+    @pytest.mark.usefixtures("literal_workers")
+    def test_auto_without_cache_dir_leaves_no_file(self, trace, tmp_path, monkeypatch):
+        """With no cache to sit next to, ``auto``'s queue lives in a
+        temporary directory that the engine removes afterwards."""
+        monkeypatch.setattr(engine, "_scratch_root", lambda: str(tmp_path))
+        cells = [(workload, repeat) for workload in WORKLOADS for repeat in (0, 1)]
+        events: list[CellEvent] = []
+        results = list(
+            run_cells(
+                trace=trace,
+                factory=random_factory,
+                objective=Objective.TIME,
+                cells=cells,
+                workers=2,
+                on_event=events.append,
+            )
+        )
+        assert [cell for cell, _ in results] == cells
+        # The grid ran on local queue workers ...
+        assert any(event.kind == "lease_claimed" for event in events)
+        # ... and left nothing behind.
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
+    @pytest.mark.usefixtures("literal_workers")
+    def test_initial_submit_is_one_enqueue_transaction(self, trace, monkeypatch):
+        enqueued: list[tuple[int, int]] = []
+        real_enqueue = WorkQueue.enqueue
+
+        def traced_enqueue(self, items):
+            items = list(items)
+            statements: list[str] = []
+            self._con.set_trace_callback(statements.append)
+            try:
+                return real_enqueue(self, items)
+            finally:
+                self._con.set_trace_callback(None)
+                begins = sum(s.startswith("BEGIN") for s in statements)
+                enqueued.append((len(items), begins))
+
+        monkeypatch.setattr(WorkQueue, "enqueue", traced_enqueue)
+        cells = [(workload, repeat) for workload in WORKLOADS for repeat in (0, 1)]
+        results = list(
+            run_cells(
+                trace=trace,
+                factory=random_factory,
+                objective=Objective.TIME,
+                cells=cells,
+                workers=2,
+            )
+        )
+        assert len(results) == len(cells)
+        assert enqueued == [(len(cells), 1)]
+
 
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
 @pytest.mark.usefixtures("literal_workers")
 class TestDegradation:
     def test_app_error_in_worker_is_retried_serially(self, trace):
-        """A cell whose first (worker) attempt raises succeeds on the
-        parent's serial retry — quarantine the cell, not the run."""
+        """A cell whose worker attempts raise succeeds on the parent's
+        serial retry — quarantine the cell, not the run."""
         main_pid = os.getpid()
 
         def flaky_factory(environment, objective, seed):
@@ -229,8 +284,9 @@ class TestDegradation:
         assert failed and all("worker-side failure" in e.detail for e in failed)
 
     def test_pool_death_degrades_to_serial(self, trace):
-        """Killing the worker process mid-cell breaks the pool; the
-        engine recomputes the remaining cells serially in the parent."""
+        """Every worker dies mid-cell: the queue requeues each cell until
+        its attempts are spent and parks it ``poisoned``, and the engine
+        completes it serially in the parent."""
         main_pid = os.getpid()
 
         def lethal_factory(environment, objective, seed):
@@ -251,7 +307,8 @@ class TestDegradation:
             )
         )
         assert [cell for cell, _ in results] == cells
-        assert any(event.kind == "pool_degraded" for event in events)
+        pinned = [e.cell for e in events if e.kind == "cell_pinned"]
+        assert sorted(pinned) == sorted(cells)
 
     def test_deterministic_failure_propagates(self, trace):
         """A cell that fails in the worker *and* on the serial retry
@@ -355,12 +412,14 @@ class TestPlanWorkers:
 
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
 class TestSelfHealing:
-    """Real-pool supervision: restarts, poison pinning, deadlines, chaos."""
+    """Real local-worker supervision: respawns, poison pinning,
+    deadlines, chaos."""
 
     @pytest.mark.usefixtures("literal_workers")
     def test_worker_death_restarts_pool_before_degrading(self, trace):
-        """One poison cell costs one restart and a pin — the rest of the
-        grid stays on the pool and ``pool_degraded`` never fires."""
+        """One poison cell costs its worker attempts and a pin: each
+        death requeues it to a respawned worker until the queue parks
+        it, and every other cell still finishes on the workers."""
         main_pid = os.getpid()
         target = run_seed(WORKLOADS[0], 0)
 
@@ -382,10 +441,11 @@ class TestSelfHealing:
             )
         )
         assert [cell for cell, _ in results] == cells
-        kinds = [event.kind for event in events]
-        assert kinds.count("pool_restarted") == 1
-        assert kinds.count("cell_pinned") == 1
-        assert "pool_degraded" not in kinds
+        poison = (WORKLOADS[0], 0)
+        assert [e.cell for e in events if e.kind == "cell_pinned"] == [poison]
+        lost = [e.cell for e in events if e.kind == "worker_lost"]
+        assert lost == [poison] * 3  # the queue's default max_attempts
+        assert [e.cell for e in events if e.kind == "cell_requeued"] == [poison] * 2
 
     @pytest.mark.usefixtures("literal_workers")
     def test_straggler_cancelled_without_stalling_the_grid(self, trace):
@@ -417,13 +477,66 @@ class TestSelfHealing:
         timeouts = [e for e in events if e.kind == "cell_timeout"]
         assert [(e.workload_id, e.repeat) for e in timeouts] == [(WORKLOADS[0], 0)]
 
+    def test_timed_out_local_worker_is_terminated_and_its_cell_completed_once(
+        self, trace, tmp_path, monkeypatch
+    ):
+        """A local worker stuck past ``cell_timeout`` loses its lease:
+        the row is withdrawn, the worker terminated, and the coordinator
+        writes the cell's only result — the serial bytes."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        main_pid = os.getpid()
+        target = run_seed(WORKLOADS[0], 0)
+
+        def straggler_factory(environment, objective, seed):
+            if os.getpid() != main_pid:
+                # Paced, so cells are still pending when the deadline
+                # cancels the first one.
+                time.sleep(60.0 if seed == target else 0.3)
+            return random_factory(environment, objective, seed)
+
+        ExperimentRunner(trace, cache_dir=tmp_path / "serial").run(
+            _grid("par-deadline", random_factory), workers=1
+        )
+        events: list[CellEvent] = []
+        start = time.monotonic()
+        ExperimentRunner(trace, cache_dir=tmp_path / "queue").run(
+            _grid("par-deadline", straggler_factory),
+            workers=2,
+            executor="queue",
+            cell_timeout=1.0,
+            on_event=events.append,
+        )
+        assert time.monotonic() - start < 30.0  # the 60 s sleep was cut
+        straggler = (WORKLOADS[0], 0)
+        assert [e.cell for e in events if e.kind == "cell_timeout"] == [straggler]
+        with WorkQueue.attach(
+            tmp_path / "queue" / "par-deadline__time.queue", readonly=True
+        ) as queue:
+            log = queue.events_since(0)
+            assert queue.counts()["done"] == 6
+        history = [(kind, detail) for _id, kind, cell, detail in log if cell == straggler]
+        [claim] = [d for k, d in history if k == "lease_claimed"]
+        # The terminated worker never claims again (SIGTERM kills it even
+        # under the runner's inherited flush-on-signal handler).
+        owner = claim.split()[0]
+        cancelled = next(i for i, k, c, d in log if k == "cell_failed" and c == straggler)
+        assert not [
+            d for i, k, _c, d in log
+            if i > cancelled and k == "lease_claimed" and d.split()[0] == owner
+        ]
+        assert ("cell_failed", "cancelled by coordinator") in history
+        assert [d for k, d in history if k == "cell_done"] == ["coordinator-serial"]
+        serial_bytes = (tmp_path / "serial" / "par-deadline__time.json").read_bytes()
+        queue_bytes = (tmp_path / "queue" / "par-deadline__time.json").read_bytes()
+        assert queue_bytes == serial_bytes
+
     def test_chaos_cache_byte_identical_to_clean_serial_run(
         self, trace, tmp_path, monkeypatch
     ):
         """Killing a worker mid-cell must not leave a trace in the cache:
         the healed/pinned run writes the same bytes as a clean serial one."""
         # The runner path auto-clamps to the machine; pretend we have
-        # cores so a single-CPU CI box still forms a pool.
+        # cores so a single-CPU CI box still forks workers.
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         main_pid = os.getpid()
         target = run_seed(WORKLOADS[1], 1)
@@ -455,13 +568,15 @@ class TestSelfHealing:
 
         runner = ExperimentRunner(trace, cache_dir=tmp_path)
         grid = _grid("par-mirror", flaky_factory)
-        first = runner.run(grid, workers=2, cell_retries=1)
+        first = runner.run(grid, workers=2)
         result = first[WORKLOADS[0]][0]
         mirror = [e for e in result.events if e.kind == "cell_retried"]
-        # One pool retry burned, then the serial fallback: two mirrors.
-        assert len(mirror) == 2
-        assert "pool attempt 2/2" in mirror[0].detail
-        assert "serial fallback" in mirror[1].detail
+        # The queue's worker attempts are spent, then the serial
+        # fallback: one mirror, ahead of the search's own events.
+        assert len(mirror) == 1 and result.events[0] == mirror[0]
+        assert mirror[0].detail == (
+            "serial fallback after RuntimeError: worker-side failure"
+        )
         # The cache round-trips them: a second run loads, not recomputes.
         events: list[CellEvent] = []
         second = runner.run(grid, workers=2, on_event=events.append)
@@ -549,6 +664,29 @@ class TestResume:
         assert cache_path.exists()
         assert not (tmp_path / "par-full__time.queue").exists()
 
+    def test_out_of_order_record_resumes_to_clean_bytes(self, trace, tmp_path):
+        """Queue workers finish cells out of order, so an interrupted
+        run can record a later repeat without an earlier one; the
+        resumed cache still lists repeats in order, byte for byte."""
+        grid = _grid("par-holes", random_factory)
+        runner = ExperimentRunner(trace, cache_dir=tmp_path)
+        runner.run(grid, workers=1)
+        cache_path = tmp_path / "par-holes__time.json"
+        clean_bytes = cache_path.read_bytes()
+        import json
+
+        cached = json.loads(clean_bytes)["results"]
+        with GridCheckpoint.for_cache(cache_path) as record:
+            for workload_id in WORKLOADS:
+                record.record((workload_id, 1), cached[workload_id]["1"])
+        cache_path.unlink()
+
+        events: list[CellEvent] = []
+        runner.run(grid, workers=1, resume=True, on_event=events.append)
+        kinds = [event.kind for event in events]
+        assert kinds.count("cell_resumed") == len(WORKLOADS)
+        assert cache_path.read_bytes() == clean_bytes
+
     def test_journal_payloads_tolerate_damage(self, trace, tmp_path):
         """A malformed stored payload is dropped and its cell recomputed."""
         grid = _grid("par-damage", random_factory, repeats=1)
@@ -614,6 +752,34 @@ class TestResume:
         bumpy_bytes = (tmp_path / "bumpy" / "par-cross__time.json").read_bytes()
         assert clean_bytes == bumpy_bytes
         assert queue_path.exists() == (then == "queue")
+
+
+    @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
+    def test_interrupted_auto_pool_resumes_serially(self, trace, tmp_path, monkeypatch):
+        """``auto``'s local queue workers write each result to the grid's
+        queue file, so an interrupted parallel run resumes under the
+        serial executor with every written cell recovered."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        grid = _grid("par-auto-resume", random_factory)
+        clean = ExperimentRunner(trace, cache_dir=tmp_path / "clean")
+        clean.run(grid, workers=1)
+
+        runner = ExperimentRunner(trace, cache_dir=tmp_path / "bumpy")
+        with pytest.raises(KeyboardInterrupt):
+            runner.run(grid, workers=2, on_event=_InterruptAfter(3))
+        queue_path = tmp_path / "bumpy" / "par-auto-resume__time.queue"
+        recorded = _recorded(queue_path)
+        assert recorded >= 3
+
+        events: list[CellEvent] = []
+        runner.run(grid, workers=1, resume=True, on_event=events.append)
+        kinds = [event.kind for event in events]
+        assert kinds.count("cell_resumed") == recorded
+        assert kinds.count("cell_scheduled") == 6 - recorded
+        clean_bytes = (tmp_path / "clean" / "par-auto-resume__time.json").read_bytes()
+        bumpy_bytes = (tmp_path / "bumpy" / "par-auto-resume__time.json").read_bytes()
+        assert clean_bytes == bumpy_bytes
+        assert not queue_path.exists()
 
 
 def _recorded(queue_path: Path) -> int:

@@ -3,19 +3,16 @@
 from __future__ import annotations
 
 import os
+import signal
 import time
 
 import pytest
 
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult, SearchStep
-from repro.parallel.executors import (
-    CellExecutor,
-    CellOutcome,
-    ForkPoolExecutor,
-    SerialExecutor,
-)
 from repro.parallel.engine import _fork_available
+from repro.parallel.executors import CellExecutor, CellOutcome, SerialExecutor
+from repro.parallel.queue import QueueExecutor
 
 
 def _result(tag: str) -> SearchResult:
@@ -58,8 +55,7 @@ def drain(executor, n, deadline_s=30.0):
 class TestSerialExecutor:
     def test_runs_cells_in_submission_order(self):
         executor = SerialExecutor(scripted_cell)
-        for index in range(3):
-            executor.submit(("ok", index))
+        executor.submit([("ok", index) for index in range(3)])
         outcomes = []
         while batch := executor.poll():
             outcomes.extend(batch)
@@ -71,27 +67,16 @@ class TestSerialExecutor:
 
     def test_exceptions_propagate(self):
         executor = SerialExecutor(scripted_cell)
-        executor.submit(("fail", 0))
+        executor.submit([("fail", 0)])
         with pytest.raises(RuntimeError, match="scripted failure"):
             executor.poll()
 
     def test_cancel_withdraws_queued_cell(self):
         executor = SerialExecutor(scripted_cell)
-        executor.submit(("ok", 0))
-        executor.submit(("ok", 1))
+        executor.submit([("ok", 0), ("ok", 1)])
         assert executor.cancel(("ok", 0))
         assert not executor.cancel(("ok", 0))
         assert [o.cell for o in executor.poll()] == [("ok", 1)]
-
-    def test_front_submission_jumps_the_backlog(self):
-        executor = SerialExecutor(scripted_cell)
-        executor.submit(("ok", 0))
-        executor.submit(("ok", 1))
-        executor.submit(("ok", 2), front=True)
-        outcomes = []
-        while batch := executor.poll():
-            outcomes.extend(batch)
-        assert [o.cell for o in outcomes] == [("ok", 2), ("ok", 0), ("ok", 1)]
 
     def test_protocol_conformance(self):
         assert isinstance(SerialExecutor(scripted_cell), CellExecutor)
@@ -100,47 +85,61 @@ class TestSerialExecutor:
 
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
 class TestForkPoolExecutor:
-    def test_protocol_conformance(self):
-        executor = ForkPoolExecutor(workers=1, run_cell=scripted_cell)
+    """``auto``'s fork pool: a :class:`QueueExecutor` whose pull-workers
+    the coordinator forks, the one process backend."""
+
+    @staticmethod
+    def pool(tmp_path, workers, **kwargs):
+        return QueueExecutor(
+            tmp_path / "pool.queue",
+            "pool",
+            scripted_cell,
+            Objective.TIME,
+            lambda _action, index: index,
+            workers=workers,
+            stall_timeout_s=None,
+            poll_tick_s=0.02,
+            **kwargs,
+        )
+
+    def test_protocol_conformance(self, tmp_path):
+        executor = self.pool(tmp_path, workers=1)
         try:
             assert isinstance(executor, CellExecutor)
-            assert ForkPoolExecutor.supports_cancel
+            assert QueueExecutor.supports_cancel
         finally:
             executor.shutdown()
 
-    def test_completes_all_cells(self):
-        executor = ForkPoolExecutor(workers=2, run_cell=scripted_cell)
+    def test_completes_all_cells(self, tmp_path):
+        executor = self.pool(tmp_path, workers=2)
         try:
             cells = [("ok", index) for index in range(5)]
-            for cell in cells:
-                executor.submit(cell)
+            executor.submit(cells)
             outcomes = drain(executor, len(cells))
             assert sorted(o.cell for o in outcomes) == cells
             assert all(o.ok for o in outcomes)
         finally:
             executor.shutdown()
 
-    def test_application_error_is_an_outcome_not_a_crash(self):
-        executor = ForkPoolExecutor(workers=1, run_cell=scripted_cell)
+    def test_application_error_is_an_outcome_not_a_crash(self, tmp_path):
+        executor = self.pool(tmp_path, workers=1, max_attempts=1)
         try:
-            executor.submit(("fail", 7))
+            executor.submit([("fail", 7)])
             [outcome] = drain(executor, 1)
             assert outcome.cell == ("fail", 7)
             assert not outcome.ok and not outcome.crashed
             assert "scripted failure 7" in outcome.error
             # The worker survived the error and takes the next cell.
-            executor.submit(("ok", 1))
+            executor.submit([("ok", 1)])
             [outcome] = drain(executor, 1)
             assert outcome.ok
         finally:
             executor.shutdown()
 
-    def test_worker_death_is_contained_to_its_cell(self):
-        executor = ForkPoolExecutor(workers=2, run_cell=scripted_cell)
+    def test_worker_death_is_contained_to_its_cell(self, tmp_path):
+        executor = self.pool(tmp_path, workers=2, max_attempts=1)
         try:
-            executor.submit(("exit", 0))
-            for index in range(3):
-                executor.submit(("ok", index))
+            executor.submit([("exit", 0)] + [("ok", index) for index in range(3)])
             outcomes = drain(executor, 4)
             crashed = [o for o in outcomes if o.crashed]
             finished = [o for o in outcomes if o.ok]
@@ -149,70 +148,63 @@ class TestForkPoolExecutor:
         finally:
             executor.shutdown()
 
-    def test_cancel_kills_only_the_straggler(self):
-        executor = ForkPoolExecutor(workers=2, run_cell=scripted_cell)
+    def test_cancel_kills_only_the_straggler(self, tmp_path):
+        executor = self.pool(tmp_path, workers=2)
         try:
-            executor.submit(("hang", 0))
-            executor.submit(("slow", 1))
+            executor.submit([("hang", 0), ("slow", 1)])
             deadline = time.monotonic() + 10.0
             while executor.started_at(("hang", 0)) is None:
                 executor.poll(0.05)
                 assert time.monotonic() < deadline
+            owner = executor.queue.lease_owner(("hang", 0))
+            straggler = executor._workers[owner]
             assert executor.cancel(("hang", 0))
-            # The sibling's result still arrives; nothing for the
-            # cancelled cell ever does.
-            outcomes = drain(executor, 1)
-            assert [o.cell for o in outcomes] == [("slow", 1)]
+            straggler.join(timeout=10.0)
+            assert straggler.exitcode == -signal.SIGTERM
             assert executor.started_at(("hang", 0)) is None
-        finally:
-            executor.shutdown()
-
-    def test_cancel_withdraws_backlog_without_killing(self):
-        executor = ForkPoolExecutor(workers=1, run_cell=scripted_cell)
-        try:
-            executor.submit(("slow", 0))
-            executor.submit(("ok", 99))  # queued behind the only worker
-            assert executor.cancel(("ok", 99))
-            outcomes = drain(executor, 1)
-            assert [o.cell for o in outcomes] == [("slow", 0)]
-        finally:
-            executor.shutdown()
-
-    def test_front_submission_jumps_the_backlog(self):
-        executor = ForkPoolExecutor(workers=1, run_cell=scripted_cell)
-        try:
-            executor.submit(("slow", 0))  # occupies the only worker
-            executor.submit(("ok", 1))
-            executor.submit(("ok", 2), front=True)
-            outcomes = drain(executor, 3)
-            assert [o.cell for o in outcomes] == [
-                ("slow", 0),
-                ("ok", 2),
-                ("ok", 1),
+            # The sibling's result still arrives; the cancelled cell
+            # only reports its withdrawal.
+            outcomes = drain(executor, 2)
+            assert [o.cell for o in outcomes if o.ok] == [("slow", 1)]
+            assert [(o.cell, o.error) for o in outcomes if not o.ok] == [
+                (("hang", 0), "cancelled by coordinator")
             ]
         finally:
             executor.shutdown()
 
-    def test_capacity_heals_after_crash(self):
-        executor = ForkPoolExecutor(workers=1, run_cell=scripted_cell)
+    def test_cancel_withdraws_backlog_without_killing(self, tmp_path):
+        executor = self.pool(tmp_path, workers=1)
         try:
-            executor.submit(("exit", 0))
+            # Queued behind the only worker, which forks on the first poll.
+            executor.submit([("slow", 0), ("ok", 99)])
+            assert executor.cancel(("ok", 99))
+            outcomes = drain(executor, 2)
+            assert [o.cell for o in outcomes if o.ok] == [("slow", 0)]
+            assert executor.queue.counts()["leased"] == 0
+        finally:
+            executor.shutdown()
+
+    def test_capacity_heals_after_crash(self, tmp_path):
+        executor = self.pool(tmp_path, workers=1, max_attempts=1)
+        try:
+            executor.submit([("exit", 0)])
             [outcome] = drain(executor, 1)
             assert outcome.crashed
-            # Resubmitting forks a fresh worker: the pool self-heals.
-            executor.submit(("ok", 1))
+            # The next cell runs on a freshly forked worker.
+            executor.submit([("ok", 1)])
             [outcome] = drain(executor, 1)
             assert outcome.ok and outcome.cell == ("ok", 1)
         finally:
             executor.shutdown()
 
-    def test_shutdown_is_idempotent(self):
-        executor = ForkPoolExecutor(workers=2, run_cell=scripted_cell)
-        executor.submit(("slow", 0))
+    def test_shutdown_is_idempotent(self, tmp_path):
+        executor = self.pool(tmp_path, workers=2)
+        executor.submit([("slow", 0)])
+        executor.poll(0)
         executor.shutdown()
         executor.shutdown()
         assert executor.poll(0) == []
 
-    def test_rejects_bad_worker_count(self):
+    def test_rejects_bad_worker_count(self, tmp_path):
         with pytest.raises(ValueError, match="workers"):
-            ForkPoolExecutor(workers=0, run_cell=scripted_cell)
+            self.pool(tmp_path, workers=-1)

@@ -94,11 +94,12 @@ class TestLeaseSemantics:
         assert {first.cell, second.cell} == {("a", 0), ("b", 0)}
         assert third is None
 
-    def test_claim_follows_enqueue_order_and_front_jumps(self, queue):
+    def test_claim_follows_enqueue_order(self, queue):
         queue.enqueue([(("a", 0), 1), (("b", 0), 2)])
-        queue.enqueue([(("c", 0), 3)], front=True)
-        assert queue.claim("w").cell == ("c", 0)
-        assert queue.claim("w").cell == ("a", 0)
+        queue.enqueue([(("c", 0), 3)])
+        assert [queue.claim("w").cell for _ in range(3)] == [
+            ("a", 0), ("b", 0), ("c", 0),
+        ]
 
     def test_lease_carries_stored_seed_and_attempt(self, queue):
         queue.enqueue([(("a", 0), 42)])
@@ -625,7 +626,7 @@ class TestQueueExecutor:
         executor = self._executor(tmp_path)
         try:
             assert isinstance(executor, CellExecutor)
-            assert not QueueExecutor.supports_cancel
+            assert QueueExecutor.supports_cancel
             assert executor.started_at(("a", 0)) is None
         finally:
             executor.shutdown()
@@ -634,8 +635,7 @@ class TestQueueExecutor:
         events = []
         executor = self._executor(tmp_path, on_event=events.append)
         try:
-            executor.submit(("a", 0))
-            executor.submit(("b", 1))
+            executor.submit([("a", 0), ("b", 1)])
 
             def serve():
                 queue = WorkQueue.attach(tmp_path / "g.queue")
@@ -668,8 +668,7 @@ class TestQueueExecutor:
             tmp_path, stall_timeout_s=0.2, on_event=events.append
         )
         try:
-            executor.submit(("a", 0))
-            executor.submit(("b", 0))
+            executor.submit([("a", 0), ("b", 0)])
             outcomes = executor.poll(10.0)
             assert sorted(o.cell for o in outcomes) == [("a", 0), ("b", 0)]
             assert all(o.crashed for o in outcomes)
@@ -681,7 +680,7 @@ class TestQueueExecutor:
     def test_resolve_serial_persists_coordinator_results(self, tmp_path):
         executor = self._executor(tmp_path)
         try:
-            executor.submit(("a", 0))
+            executor.submit([("a", 0)])
             executor.resolve_serial(("a", 0), _result("a"))
             [(cell, state, payload, _e, _a)] = executor.queue.terminal_cells()
             assert (cell, state) == (("a", 0), "done")
@@ -691,11 +690,17 @@ class TestQueueExecutor:
             executor.shutdown()
 
     def test_cancel_withdraws_pending_not_leased(self, tmp_path):
+        """A pending row can be withdrawn; a row an external worker
+        leased cannot — no database write interrupts that process."""
         executor = self._executor(tmp_path)
         try:
-            executor.submit(("a", 0))
-            assert executor.cancel(("a", 0))
-            assert not executor.cancel(("a", 0))
+            executor.submit([("a", 0), ("b", 0)])
+            with WorkQueue.attach(tmp_path / "g.queue") as worker:
+                assert worker.claim("external").cell == ("a", 0)
+                assert not executor.cancel(("a", 0))
+                assert worker.lease_owner(("a", 0)) == "external"
+            assert executor.cancel(("b", 0))
+            assert not executor.cancel(("b", 0))
         finally:
             executor.shutdown()
 
@@ -731,8 +736,7 @@ class TestQueueExecutor:
         executor = self._executor(tmp_path)
         try:
             cells = [(f"w{index}", 0) for index in range(6)]
-            for cell in cells:
-                executor.submit(cell)
+            executor.submit(cells)
             monkeypatch.setattr(json, "loads", counting_loads)
             monkeypatch.setattr(
                 runner_module, "result_from_payload", counting_from_payload
@@ -758,7 +762,7 @@ class TestQueueExecutor:
 
             # A resubmitted cell is a new delivery: its stored result is
             # decoded once more, and only once.
-            executor.submit(cells[0])
+            executor.submit(cells[:1])
             [again] = executor.poll(0)
             assert again.cell == cells[0] and again.result == _result("w0")
             assert executor.poll(0) == []
@@ -769,9 +773,8 @@ class TestQueueExecutor:
     def test_outcomes_follow_submission_order(self, tmp_path):
         executor = self._executor(tmp_path)
         try:
-            for cell in [("c", 0), ("a", 0), ("b", 0)]:
-                executor.submit(cell)
-            executor.submit(("c", 0))  # a repeat keeps its first position
+            executor.submit([("c", 0), ("a", 0), ("b", 0)])
+            executor.submit([("c", 0)])  # a repeat keeps its first position
             # Complete in claim order (c was revived to the back: a, b, c).
             self._finish(tmp_path / "g.queue", 3)
             assert [o.cell for o in executor.poll(0)] == [("c", 0), ("a", 0), ("b", 0)]
@@ -793,7 +796,7 @@ class TestQueueExecutor:
             workers=0, stall_timeout_s=None, poll_tick_s=0.01,
         )
         try:
-            executor.submit(("a", 0))
+            executor.submit([("a", 0)])
             [outcome] = executor.poll(0)
             assert outcome.cell == ("a", 0) and outcome.result == _result("a")
             assert "lease_claimed" not in _event_kinds(executor.queue)
@@ -804,8 +807,7 @@ class TestQueueExecutor:
     def test_corrupt_stored_payloads_give_one_error_each(self, tmp_path):
         executor = self._executor(tmp_path)
         try:
-            executor.submit(("garbled", 0))
-            executor.submit(("misshapen", 0))
+            executor.submit([("garbled", 0), ("misshapen", 0)])
             self._finish(tmp_path / "g.queue", 2)
             executor.queue._con.execute(
                 "UPDATE cells SET result='{not json' WHERE workload='garbled'"
@@ -824,7 +826,7 @@ class TestQueueExecutor:
     def test_done_row_without_payload_gives_one_error(self, tmp_path):
         executor = self._executor(tmp_path)
         try:
-            executor.submit(("a", 0))
+            executor.submit([("a", 0)])
             executor.queue.record_external(("a", 0), None, "no result kept")
             [outcome] = executor.poll(0)
             assert outcome.cell == ("a", 0)
@@ -836,8 +838,7 @@ class TestQueueExecutor:
     def test_cancelled_pending_cell_is_delivered_as_failed(self, tmp_path):
         executor = self._executor(tmp_path)
         try:
-            executor.submit(("a", 0))
-            executor.submit(("b", 0))
+            executor.submit([("a", 0), ("b", 0)])
             assert executor.poll(0) == []
             assert executor.cancel(("a", 0))
             [outcome] = executor.poll(0)
@@ -852,8 +853,7 @@ class TestQueueExecutor:
         executor = self._executor(tmp_path, workers=2, stall_timeout_s=30.0)
         try:
             cells = [("w", index) for index in range(6)]
-            for cell in cells:
-                executor.submit(cell)
+            executor.submit(cells)
             outcomes = []
             deadline = time.monotonic() + 60.0
             while len(outcomes) < 6 and time.monotonic() < deadline:

@@ -1,8 +1,8 @@
-"""Supervisor policy: deadlines, retries, self-healing, poison quarantine.
+"""Supervisor policy: crashes, errors and deadlines end in one serial run.
 
 These tests script a fake executor so every failure mode is exercised
 deterministically, without real processes or wall-clock races; the
-integration behaviour over a real fork pool is covered in
+integration behaviour over real local queue workers is covered in
 ``test_parallel_engine.py``.
 """
 
@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult, SearchStep
-from repro.faults.retry import RetryPolicy
 from repro.parallel.events import CellEvent
 from repro.parallel.executors import CellOutcome
 from repro.parallel.supervisor import SupervisionConfig, Supervisor
@@ -33,39 +32,37 @@ def _result(tag: str) -> SearchResult:
 class ScriptedExecutor:
     """A CellExecutor whose outcomes are scripted per submission.
 
-    ``script[cell]`` is a list of behaviours consumed one per submit:
-    ``"ok"`` (result), ``"fail"`` (application error), ``"crash"``
-    (worker death), ``"hang"`` (stays in flight until cancelled).
+    ``script[cell]`` is the cell's behaviour: ``"ok"`` (result),
+    ``"fail"`` (application error), ``"crash"`` (worker death),
+    ``"hang"`` (stays in flight until cancelled).
     """
 
     supports_cancel = True
 
     def __init__(self, script: dict[tuple, list[str]]) -> None:
-        self.script = {cell: deque(plan) for cell, plan in script.items()}
+        self.script = dict(script)
         self.queue: deque[CellOutcome] = deque()
         self.hanging: set = set()
         self.cancelled: list = []
         self.submissions: list = []
-        self.fronted: list = []
         self.shutdowns = 0
 
-    def submit(self, cell, front: bool = False) -> None:
-        self.submissions.append(cell)
-        if front:
-            self.fronted.append(cell)
-        behaviour = self.script[cell].popleft()
-        if behaviour == "ok":
-            self.queue.append(CellOutcome(cell=cell, result=_result(cell[0])))
-        elif behaviour == "fail":
-            self.queue.append(
-                CellOutcome(cell=cell, error=f"RuntimeError: scripted {cell}")
-            )
-        elif behaviour == "crash":
-            self.queue.append(CellOutcome(cell=cell, crashed=True))
-        elif behaviour == "hang":
-            self.hanging.add(cell)
-        else:  # pragma: no cover - test-author error
-            raise AssertionError(behaviour)
+    def submit(self, cells) -> None:
+        self.submissions.extend(cells)
+        for cell in cells:
+            behaviour = self.script[cell]
+            if behaviour == "ok":
+                self.queue.append(CellOutcome(cell=cell, result=_result(cell[0])))
+            elif behaviour == "fail":
+                self.queue.append(
+                    CellOutcome(cell=cell, error=f"RuntimeError: scripted {cell}")
+                )
+            elif behaviour == "crash":
+                self.queue.append(CellOutcome(cell=cell, crashed=True))
+            elif behaviour == "hang":
+                self.hanging.add(cell)
+            else:  # pragma: no cover - test-author error
+                raise AssertionError(behaviour)
 
     def poll(self, timeout=None):
         batch = list(self.queue)
@@ -106,44 +103,35 @@ def kinds(events: list[CellEvent]) -> list[str]:
 
 class TestHappyPath:
     def test_yields_in_submission_order(self):
-        script = {("a", 0): ["ok"], ("b", 0): ["ok"], ("c", 0): ["ok"]}
+        script = {("a", 0): "ok", ("b", 0): "ok", ("c", 0): "ok"}
         _, events, results = run_supervised(script)
         assert [cell for cell, _ in results] == [("a", 0), ("b", 0), ("c", 0)]
         assert kinds(events).count("cell_finished") == 3
 
     def test_executor_shut_down_after_run(self):
-        executor, _, _ = run_supervised({("a", 0): ["ok"]})
+        executor, _, _ = run_supervised({("a", 0): "ok"})
         assert executor.shutdowns >= 1
 
 
 class TestRetries:
-    def test_pool_retry_then_success(self):
-        config = SupervisionConfig(retry_policy=RetryPolicy(max_attempts=2))
-        script = {("a", 0): ["fail", "ok"], ("b", 0): ["ok"]}
-        executor, events, results = run_supervised(script, config)
-        assert executor.submissions.count(("a", 0)) == 2
-        # The retry jumps the backlog instead of queuing behind it.
-        assert executor.fronted == [("a", 0)]
-        assert kinds(events).count("cell_failed") == 1
-        assert kinds(events).count("cell_retried") == 1
-        retried = dict(results)[("a", 0)]
-        # The retry is mirrored into the persisted record.
-        assert retried.events[0].kind == "cell_retried"
-        assert "pool attempt 2/2" in retried.events[0].detail
-
     def test_retries_exhausted_fall_back_to_serial(self):
-        config = SupervisionConfig(retry_policy=RetryPolicy(max_attempts=2))
-        script = {("a", 0): ["fail", "fail"]}
-        executor, events, results = run_supervised(script, config)
+        """The executor gave up on an application error (a queue row
+        parked ``failed``): one serial attempt, mirrored into the result."""
+        executor, events, results = run_supervised({("a", 0): "fail"})
         result = dict(results)[("a", 0)]
         assert result.workload_id == "serial-a"
-        assert kinds(events).count("cell_retried") == 2
-        assert "serial fallback" in events[-2].detail
-        mirror_kinds = [e.kind for e in result.events[:2]]
-        assert mirror_kinds == ["cell_retried", "cell_retried"]
+        assert kinds(events) == [
+            "cell_scheduled", "cell_failed", "cell_retried", "cell_finished"
+        ]
+        assert "RuntimeError: scripted" in events[1].detail
+        assert events[2].detail == (
+            "serial fallback after RuntimeError: scripted ('a', 0)"
+        )
+        assert result.events[0].kind == "cell_retried"
+        assert result.events[0].detail == events[2].detail
 
     def test_default_policy_goes_straight_to_serial(self):
-        script = {("a", 0): ["fail"]}
+        script = {("a", 0): "fail"}
         executor, events, results = run_supervised(script)
         assert executor.submissions.count(("a", 0)) == 1
         assert dict(results)[("a", 0)].workload_id == "serial-a"
@@ -153,34 +141,14 @@ class TestRetries:
             raise RuntimeError("deterministic failure")
 
         with pytest.raises(RuntimeError, match="deterministic failure"):
-            run_supervised({("a", 0): ["fail"]}, serial=doomed)
+            run_supervised({("a", 0): "fail"}, serial=doomed)
 
 
 class TestSelfHealing:
-    def test_crash_restarts_within_budget(self):
-        config = SupervisionConfig(pool_restarts=2)
-        script = {("a", 0): ["crash", "ok"], ("b", 0): ["ok"]}
-        executor, events, results = run_supervised(script, config)
-        assert executor.fronted == [("a", 0)]  # resubmit jumps the queue
-        assert kinds(events).count("pool_restarted") == 1
-        assert "pool_degraded" not in kinds(events)
-        assert dict(results)[("a", 0)].workload_id == "a"
-
-    def test_budget_exhaustion_degrades_remaining_cells(self):
-        config = SupervisionConfig(pool_restarts=0)
-        script = {("a", 0): ["crash"], ("b", 0): ["hang"]}
-        executor, events, results = run_supervised(script, config)
-        assert kinds(events).count("pool_degraded") == 1
-        assert "pool_restarted" not in kinds(events)
-        by_cell = dict(results)
-        assert by_cell[("a", 0)].workload_id == "serial-a"
-        assert by_cell[("b", 0)].workload_id == "serial-b"
-
     def test_degradation_drains_finished_work_first(self):
-        """A sibling result in the same batch as the fatal crash is
-        kept, not recomputed serially."""
-        config = SupervisionConfig(pool_restarts=0)
-        script = {("a", 0): ["ok"], ("b", 0): ["crash"]}
+        """A sibling result in the same poll as a crash is kept, not
+        recomputed serially."""
+        script = {("a", 0): "ok", ("b", 0): "crash"}
         executor = ScriptedExecutor(script)
         events: list[CellEvent] = []
         serial_calls: list = []
@@ -189,28 +157,25 @@ class TestSelfHealing:
             serial_calls.append(cell)
             return serial_run(cell)
 
-        supervisor = Supervisor(
-            executor, counting_serial, config=config, on_event=events.append
-        )
+        supervisor = Supervisor(executor, counting_serial, on_event=events.append)
         results = dict(supervisor.run([("a", 0), ("b", 0)]))
-        assert results[("a", 0)].workload_id == "a"  # drained, not serial
+        assert results[("a", 0)].workload_id == "a"
         assert serial_calls == [("b", 0)]
 
     def test_poison_cell_is_pinned_not_resubmitted(self):
-        config = SupervisionConfig(pool_restarts=5, poison_threshold=2)
-        script = {("a", 0): ["crash", "crash"], ("b", 0): ["ok"]}
-        executor, events, results = run_supervised(script, config)
-        assert kinds(events).count("pool_restarted") == 1
+        script = {("a", 0): "crash", ("b", 0): "ok"}
+        executor, events, results = run_supervised(script)
         assert kinds(events).count("cell_pinned") == 1
-        assert executor.submissions.count(("a", 0)) == 2
+        assert executor.submissions.count(("a", 0)) == 1
         assert dict(results)[("a", 0)].workload_id == "serial-a"
-        assert "pool_degraded" not in kinds(events)
+        # A crash leaves no mirror: the result is the serial run's own.
+        assert not dict(results)[("a", 0)].events
 
 
 class TestDeadlines:
     def test_straggler_cancelled_and_completed_serially(self):
         config = SupervisionConfig(cell_timeout_s=5.0, poll_tick_s=0.01)
-        script = {("a", 0): ["hang"], ("b", 0): ["ok"]}
+        script = {("a", 0): "hang", ("b", 0): "ok"}
         executor, events, results = run_supervised(script, config)
         assert executor.cancelled == [("a", 0)]
         assert kinds(events).count("cell_timeout") == 1
@@ -222,11 +187,11 @@ class TestDeadlines:
         class NoCancel(ScriptedExecutor):
             supports_cancel = False
 
-            def submit(self, cell):
+            def submit(self, cells):
                 # Without cancel support the supervisor must not arm
                 # deadlines; hanging here would deadlock the test.
-                self.submissions.append(cell)
-                self.queue.append(CellOutcome(cell=cell, result=_result(cell[0])))
+                for cell in cells:
+                    self.queue.append(CellOutcome(cell=cell, result=_result(cell[0])))
 
         executor = NoCancel({})
         supervisor = Supervisor(
@@ -244,8 +209,8 @@ class TestConfigValidation:
         [
             {"cell_timeout_s": 0.0},
             {"cell_timeout_s": -1.0},
-            {"pool_restarts": -1},
-            {"poison_threshold": 0},
+            {"cell_timeout_s": float("nan")},
+            {"poll_tick_s": float("nan")},
             {"poll_tick_s": 0.0},
         ],
     )
