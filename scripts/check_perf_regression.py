@@ -20,7 +20,7 @@ candidates must stay >= 2x, the ``vector`` section's lock-step
 cross-search grid reduction must stay >= 2x, the ``spot`` section's
 cost-saving ratio of spot+fallback pricing over on-demand must stay
 >= 1.05x, the ``surrogate`` section's factored Extra-Trees fit speedup
-on a 36 x 36 pair set must stay >= 1.4x, the ``trace`` section's
+on a 36 x 36 pair set must stay >= 1.9x, the ``trace`` section's
 row-wise ``multicloud`` synthesis speedup over the cell-by-cell
 reference must stay >= 10x, the ``startup`` section's peak-RSS ratio of
 a NaiveBO process over an AugmentedBO one must stay >= 1.4x (scipy
@@ -73,7 +73,9 @@ FLOORS = (
     ("spot", "saving_ratio", 1.05, "spot+fallback cost saving vs on-demand"),
     # Single-threaded arithmetic: the factored destination x source
     # Extra-Trees growth vs the dense builder on a 36 x 36 pair set.
-    ("surrogate", "factored_fit_speedup", 1.4, "factored Extra-Trees fit speedup @36"),
+    # Re-records with the factored frontier read 2.46-3.14x on a 2-vCPU
+    # VM; the floor keeps a 25% margin below the lowest.
+    ("surrogate", "factored_fit_speedup", 1.9, "factored Extra-Trees fit speedup @36"),
     # Single-threaded arithmetic: row-wise multicloud trace synthesis vs
     # the cell-by-cell test reference.
     ("trace", "synthesis_speedup", 10.0, "row-wise trace synthesis speedup @390"),

@@ -11,7 +11,9 @@ Mechanics shared by both builders:
 
 * the samples of every (tree, node) pair live in one flat ``rows``
   array, grouped contiguously by frontier node, so per-node sums, mins
-  and maxima are single ``ufunc.reduceat`` calls over segment offsets;
+  and maxima are single ``ufunc.reduceat`` calls over segment offsets
+  (:class:`_RowFrontier`; a pair-set frontier holds member lists
+  instead, :class:`_PairFrontier`);
 * children are emitted in a deterministic node-major order, so parent
   child-pointers are assigned *before* the children exist and the whole
   forest materialises as flat node arrays in one pass;
@@ -25,11 +27,12 @@ Split search per level:
   (frontier node, candidate feature), drawn as a single matrix; the
   children's summed squared error comes from masked running sums
   (``sse = sum(y^2) - sum(y)^2 / n`` on each side).  Given the pair
-  set's factors (:class:`TrainingPairs`), levels of large nodes search
-  over destination x source factors instead (:func:`_factored_split`):
-  every node is a product ``D x S``, so a level costs ``|D| + |S|``
-  members per node instead of ``|D| |S|`` rows, and a proven rounding
-  bound plus a dense re-evaluation of ties keeps the trees bit-identical.
+  set's factors (:class:`TrainingPairs`), the frontier starts as
+  destination x source member sets: every node is a product ``D x S``,
+  so its split search (:func:`_factored_split`) and its partition cost
+  ``|D| + |S|`` members instead of ``|D| |S|`` rows, and a proven
+  rounding bound plus a dense re-evaluation of ties keeps the trees
+  bit-identical.  Rows are built once, at the hand-off to small nodes.
 * **CART** (:func:`build_cart_forest`): exact best-split search using
   cumulative-sum SSE over feature columns sorted *within each frontier
   node* (one ``lexsort`` per feature per level), evaluating every
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.tree import PackedTrees
+from repro.ml.tree import PackedTrees, _partition
 
 #: A level splitter: (rows, sizes, starts, tree ids) for the splittable
 #: frontier -> (found, best_feature, best_threshold, go_left) where
@@ -124,13 +127,17 @@ def _ragged_arange(counts: np.ndarray) -> np.ndarray:
 #: 18-type aws-2017 searches (m <= 18) stay dense.
 FACTORED_MIN_TRAIN_PAIRS = 400
 
-#: Mean rows per splittable node below which a level's split search
-#: runs dense even on a pair set: small nodes hold few rows per factor
-#: member, so the factors save little.  Measured as for
-#: :data:`FACTORED_MIN_TRAIN_PAIRS` over whole searches: hand-offs at 8
-#: and 16 rows ran within noise of each other, 32 rows 10% and 64 rows
-#: 30% slower.
-FACTORED_HANDOFF_ROWS = 16
+#: Mean rows per splittable node below which a pair-set frontier turns
+#: into rows for good: small nodes hold few rows per factor member, so
+#: the factors save less than a factored level's fixed cost.  Measured
+#: on the 60 pair-set fits (m = 20-39) of three multicloud HybridBO
+#: searches, 24 trees, ``min_samples_split=6``, 2-vCPU x86 VM (sum of
+#: per-fit best of 3, in-process alternation): against 16 rows, 8 rows
+#: took 1.01x, 10 rows 0.98x, 12 rows 0.97x, 14 rows 0.97x and 24 rows
+#: 1.11x; a level of ~1,000 nodes at ~16 rows each costs ~8.5 ms
+#: factored against ~11.5 ms dense, and below ~11 rows the dense level
+#: is cheaper.
+FACTORED_HANDOFF_ROWS = 12
 
 #: Unit roundoff of float64.
 _U = 2.0**-53
@@ -168,49 +175,242 @@ class TrainingPairs:
         return X.reshape(m * m, -1), y.reshape(-1)
 
 
+def _product_rows(
+    d_start: np.ndarray, n_dest: np.ndarray, s_start: np.ndarray, n_src: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where the factor members of every row of products ``D x S`` sit.
+
+    Node ``i``'s destination members are positions ``d_start[i]`` on
+    (``n_dest[i]`` of them) of a flat member array, its source members
+    positions ``s_start[i]`` on.  Returns ``(d_at, s_at)``, one entry per
+    row: nodes in turn, each node's rows source-major — its dense order.
+    """
+    s_at = np.repeat(s_start, n_src) + _ragged_arange(n_src)
+    # Each source member's run of rows pairs it with all of the node's
+    # destination members.
+    run = np.repeat(n_dest, n_src)
+    d_at = np.repeat(np.repeat(d_start, n_src) - _offsets(run), run) + np.arange(run.sum())
+    return d_at, np.repeat(s_at, run)
+
+
+class _RowFrontier:
+    """A level's nodes as one flat list of sample rows, grouped by node.
+
+    ``split_fn`` searches the splittable nodes' rows; children keep
+    their parent's row order (a stable partition).
+    """
+
+    def __init__(
+        self, y: np.ndarray, rows: np.ndarray, sizes: np.ndarray, split_fn: _SplitFn
+    ):
+        self.y, self.rows, self.sizes, self.split_fn = y, rows, sizes, split_fn
+        self.starts = _offsets(sizes)
+        self.yl = y[rows]
+
+    def y_range(self) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.minimum.reduceat(self.yl, self.starts),
+            np.maximum.reduceat(self.yl, self.starts),
+        )
+
+    def settle(self, splittable: np.ndarray) -> _RowFrontier:
+        return self
+
+    def node_sums(self) -> np.ndarray:
+        return np.add.reduceat(self.yl, self.starts)
+
+    def split(
+        self, splittable: np.ndarray, tree2: np.ndarray, sum_y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _RowFrontier | None]:
+        """``(found, feature, threshold)`` per splittable node, and the
+        children (left then right per split node) or ``None``."""
+        r2 = self.rows[np.repeat(splittable, self.sizes)]
+        sizes2 = self.sizes[splittable]
+        starts2 = np.zeros(sizes2.size + 1, dtype=np.int64)
+        np.cumsum(sizes2, out=starts2[1:])
+        found, best_feature, best_threshold, go_left = self.split_fn(
+            r2, sizes2, starts2, tree2
+        )
+        if not found.any():
+            return found, best_feature, best_threshold, None
+        node_of_row = np.repeat(np.arange(sizes2.size), sizes2)
+        left_n = np.add.reduceat(go_left.astype(np.int64), starts2[:-1])
+        keep = found[node_of_row]
+        # Stable sort by (node, side) groups each split node's rows into
+        # its left then right child, preserving order.
+        key = node_of_row[keep] * 2 + (1 - go_left[keep])
+        next_sizes = np.empty(2 * int(found.sum()), dtype=np.int64)
+        next_sizes[0::2] = left_n[found]
+        next_sizes[1::2] = sizes2[found] - left_n[found]
+        children = _RowFrontier(
+            self.y, r2[keep][np.argsort(key, kind="stable")], next_sizes, self.split_fn
+        )
+        return found, best_feature, best_threshold, children
+
+
+@dataclass(frozen=True)
+class _PairGrowth:
+    """What every level of one pair-set fit shares: the pair set, its
+    factor tables feature-major (``(width, m)``), the dense targets, the
+    candidate count, the generator, and the dense split for the hand-off."""
+
+    pairs: TrainingPairs
+    tables: tuple[np.ndarray, np.ndarray]
+    y: np.ndarray
+    k: int
+    rng: np.random.Generator
+    dense_split: _SplitFn
+
+
+class _PairFrontier:
+    """A level's nodes of a pair-set forest as products ``D x S``.
+
+    A destination split partitions a node's destination members and a
+    source split its source members, so from the roots (every tree:
+    all ``m`` of each) every node is the product of its two member
+    lists, held flat and grouped by node, each ascending — so the rows
+    ``s * m + t`` a node holds, source-major, are ascending too: the
+    dense builder's order.  Sizes and ``ymin``/``ymax`` come from the
+    factors; node sums from the rows generated in that order.  Once a
+    level's mean splittable node holds fewer than
+    :data:`FACTORED_HANDOFF_ROWS` rows, :meth:`settle` hands the level
+    to a :class:`_RowFrontier` over the same rows.
+    """
+
+    def __init__(
+        self,
+        growth: _PairGrowth,
+        d_items: np.ndarray,
+        n_dest: np.ndarray,
+        s_items: np.ndarray,
+        n_src: np.ndarray,
+    ):
+        self.growth = growth
+        self.d_items, self.n_dest = d_items, n_dest
+        self.s_items, self.n_src = s_items, n_src
+        self.sizes = n_dest * n_src
+        self.d_start, self.s_start = _offsets(n_dest), _offsets(n_src)
+        self.a_d, self.b_s = growth.pairs.a[d_items], growth.pairs.b[s_items]
+
+    def y_range(self) -> tuple[np.ndarray, np.ndarray]:
+        # Rounding is monotone, so the extreme fl(a_t - b_s) come from
+        # the extreme factor terms.
+        a_lo = np.minimum.reduceat(self.a_d, self.d_start)
+        a_hi = np.maximum.reduceat(self.a_d, self.d_start)
+        b_lo = np.minimum.reduceat(self.b_s, self.s_start)
+        b_hi = np.maximum.reduceat(self.b_s, self.s_start)
+        return a_lo - b_hi, a_hi - b_lo
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return _product_rows(self.d_start, self.n_dest, self.s_start, self.n_src)
+
+    def settle(self, splittable: np.ndarray) -> _PairFrontier | _RowFrontier:
+        n_split = np.count_nonzero(splittable)
+        if self.sizes[splittable].sum() >= FACTORED_HANDOFF_ROWS * n_split:
+            return self
+        d_at, s_at = self._rows()
+        growth = self.growth
+        rows = self.s_items[s_at] * growth.pairs.a.size + self.d_items[d_at]
+        return _RowFrontier(growth.y, rows, self.sizes, growth.dense_split)
+
+    def node_sums(self) -> np.ndarray:
+        d_at, s_at = self._rows()
+        return np.add.reduceat(self.a_d[d_at] - self.b_s[s_at], _offsets(self.sizes))
+
+    def split(
+        self, splittable: np.ndarray, tree2: np.ndarray, sum_y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _PairFrontier | None]:
+        F = self.sizes.size
+        keep_d = splittable[np.repeat(np.arange(F), self.n_dest)]
+        keep_s = splittable[np.repeat(np.arange(F), self.n_src)]
+        d_member, s_member = self.d_items[keep_d], self.s_items[keep_s]
+        n_dest, n_src = self.n_dest[splittable], self.n_src[splittable]
+        growth = self.growth
+        pairs = growth.pairs
+        found, best, best_threshold = _factored_split(
+            pairs, growth.tables, growth.k, growth.rng, d_member, n_dest, s_member, n_src,
+            sum_y[splittable],
+        )
+        n_found = int(found.sum())
+        if not n_found:
+            return found, best, best_threshold, None
+        S = n_dest.size
+        split = pairs.dest.shape[1]
+        rank = np.cumsum(found) - 1
+        on_dest = found & (best < split)
+        on_src = found & ~on_dest
+        d_items, d_child = _partition(
+            d_member, np.repeat(np.arange(S), n_dest), on_dest, on_src, rank, n_found,
+            pairs.dest, best, best_threshold,
+        )
+        s_items, s_child = _partition(
+            s_member, np.repeat(np.arange(S), n_src), on_src, on_dest, rank, n_found,
+            pairs.source, best - split, best_threshold,
+        )
+        children = _PairFrontier(
+            growth,
+            *_interleave(d_items, d_child, n_found),
+            *_interleave(s_items, s_child, n_found),
+        )
+        return found, best, best_threshold, children
+
+
+def _interleave(
+    items: np.ndarray, child: np.ndarray, n_found: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Members :func:`~repro.ml.tree._partition` grouped all left
+    children then all right ones, regrouped left, right per split node
+    (stable, so each child's members stay ascending), and their counts."""
+    child = 2 * child - np.where(child >= n_found, 2 * n_found - 1, 0)
+    order = np.argsort(child, kind="stable")
+    return items[order], np.bincount(child, minlength=2 * n_found)
+
+
 def _factored_split(
     pairs: TrainingPairs,
-    X: np.ndarray,
-    y: np.ndarray,
+    tables: tuple[np.ndarray, np.ndarray],
     k: int,
     rng: np.random.Generator,
-    r2: np.ndarray,
-    sizes2: np.ndarray,
-    starts2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    d_member: np.ndarray,
+    n_dest: np.ndarray,
+    s_member: np.ndarray,
+    n_src: np.ndarray,
+    total_sum: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Extra-Trees level split of ``build_extra_trees``, searched over
     pair factors and bit-identical to the dense one.
 
-    A destination split partitions a node's destination set and a source
-    split its source set, so every node holds a product ``D x S`` (rows
-    source-major).  Column ranges, thresholds (from the same draws),
+    Each node is a product ``D x S``: ``n_dest`` members of ``d_member``
+    and ``n_src`` of ``s_member``, grouped by node; ``total_sum`` is each
+    node's dense y sum.  Column ranges, thresholds (from the same draws),
     counts and validity are exact over the factors.  Candidates are
     ranked by the factored SSE (:func:`_factored_sse`); those within its
-    bound ``B`` of the minimum go to :func:`_resolve_ties`.
+    bound ``B`` of the minimum go to :func:`_resolve_ties`.  Returns
+    ``(found, best_feature, best_threshold)`` per node.
     """
-    S = sizes2.size
+    S = n_dest.size
     split = pairs.dest.shape[1]
-    first = starts2[:-1]
-    src, dst = np.divmod(r2, pairs.a.size)
-    # Rows are source-major, so |D| is the run of the node's first source.
-    n_dest = np.add.reduceat(src == np.repeat(src[first], sizes2), first)
-    n_src = sizes2 // n_dest
     d_node, s_node = np.repeat(np.arange(S), n_dest), np.repeat(np.arange(S), n_src)
-    d_member = dst[first[d_node] + _ragged_arange(n_dest)]
-    s_member = src[first[s_node] + _ragged_arange(n_src) * n_dest[s_node]]
-    Xd, Xs = pairs.dest[d_member], pairs.source[s_member]
+    # Feature-major (column, member) tables: per-member terms broadcast
+    # along the contiguous axis, and each column reduces on its own.
+    Xd, Xs = tables[0][:, d_member], tables[1][:, s_member]
     d_start, s_start = _offsets(n_dest), _offsets(n_src)
-    fmin = np.hstack([np.minimum.reduceat(Xd, d_start), np.minimum.reduceat(Xs, s_start)])
-    fmax = np.hstack([np.maximum.reduceat(Xd, d_start), np.maximum.reduceat(Xs, s_start)])
-    candidates = _candidate_mask(rng, S, X.shape[1], k)
-    thresholds = fmin + rng.uniform(size=fmin.shape) * (fmax - fmin)
-    go_d = Xd <= thresholds[d_node, :split]
-    go_s = Xs <= thresholds[s_node, split:]
+    fmin = np.vstack([
+        np.minimum.reduceat(Xd, d_start, axis=1), np.minimum.reduceat(Xs, s_start, axis=1)
+    ])
+    fmax = np.vstack([
+        np.maximum.reduceat(Xd, d_start, axis=1), np.maximum.reduceat(Xs, s_start, axis=1)
+    ])
+    d = fmin.shape[0]
+    candidates = _candidate_mask(rng, S, d, k)
+    # The node-major draws, transposed: the same values, elementwise.
+    thresholds = fmin + rng.uniform(size=(S, d)).T * (fmax - fmin)
+    go_d = Xd <= thresholds[:split, d_node]
+    go_s = Xs <= thresholds[split:, s_node]
 
-    sse, valid, bound = _factored_sse(
-        go_d, go_s, pairs.a[d_member], pairs.b[s_member], n_dest, n_src
-    )
-    valid &= fmin < fmax
+    a_d, b_s = pairs.a[d_member], pairs.b[s_member]
+    sse, valid, bound = _factored_sse(go_d, go_s, a_d, b_s, n_dest, n_src)
+    valid &= (fmin < fmax).T
     if candidates is not None:
         valid &= candidates
     sse = np.where(valid, sse, np.inf)
@@ -222,18 +422,15 @@ def _factored_split(
     if tied.size:
         # All members' go flags in one table, destinations then sources,
         # and where each node's members of either factor sit in it.
-        go = np.zeros((d_member.size + s_member.size, X.shape[1]), dtype=bool)
-        go[: d_member.size, :split] = go_d
-        go[d_member.size :, split:] = go_s
+        go = np.zeros((d, d_member.size + s_member.size), dtype=bool)
+        go[:split, : d_member.size] = go_d
+        go[split:, d_member.size :] = go_s
         at = np.stack([d_start, d_member.size + s_start], axis=1)
         count = np.stack([n_dest, n_src], axis=1)
         best[tied], found[tied] = _resolve_ties(
-            X, y, r2, sizes2, thresholds, go, at, count, tied, ambiguous[tied], split
+            a_d, b_s, go, at, count, tied, ambiguous[tied], split, total_sum
         )
-    best_threshold = thresholds[np.arange(S), best]
-    node_of_row = np.repeat(np.arange(S), sizes2)
-    go_left = X[r2, best[node_of_row]] <= best_threshold[node_of_row]
-    return found, best, best_threshold, go_left
+    return found, best, thresholds[best, np.arange(S)]
 
 
 def _factored_sse(
@@ -246,9 +443,10 @@ def _factored_sse(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Children's SSE of every (node, candidate) from the pair factors.
 
-    ``go_d``/``go_s`` hold the destination/source members' go-left flags
-    per candidate column and ``a``/``b`` their target terms, grouped by
-    node (``n_dest``/``n_src`` members each).  Returns the SSE from the
+    ``go_d``/``go_s`` hold the destination/source members' go-left flags,
+    one row per candidate column (feature-major), and ``a``/``b`` their
+    target terms, grouped by node (``n_dest``/``n_src`` members each).
+    Returns, node-major, the SSE from the
     product identity ``SSE(D x S) = |S| ss(a_D) + |D| ss(b_S)`` (``ss``
     the sum of squares about each factor's midpoint), whether each
     candidate sends rows both ways, and each node's rounding bound
@@ -270,21 +468,19 @@ def _factored_sse(
 
     def factor_sse(go, v, starts, count):
         go_f = go.astype(float)
-        left_n = np.add.reduceat(go_f, starts)
-        left_sum = np.add.reduceat(go_f * v[:, None], starts)
-        left_sq = np.add.reduceat(go_f * (v * v)[:, None], starts)
+        left_n = np.add.reduceat(go_f, starts, axis=1)
+        left_sum = np.add.reduceat(go_f * v, starts, axis=1)
+        left_sq = np.add.reduceat(go_f * (v * v), starts, axis=1)
         total_sum, total_sq = np.add.reduceat(v, starts), np.add.reduceat(v * v, starts)
-        n_f = count[:, None].astype(float)
-        children = _split_sse(
-            left_n, left_sum, left_sq, total_sum[:, None], total_sq[:, None], n_f
-        )
+        n_f = count.astype(float)
+        children = _split_sse(left_n, left_sum, left_sq, total_sum, total_sq, n_f)
         whole = total_sq - total_sum**2 / count
         return children, whole, (left_n > 0) & (left_n < n_f)
 
     ss_d, whole_a, valid_d = factor_sse(go_d, a - np.repeat(a_mid, n_dest), d_start, n_dest)
     ss_s, whole_b, valid_s = factor_sse(go_s, b - np.repeat(b_mid, n_src), s_start, n_src)
-    nd, ns = n_dest[:, None].astype(float), n_src[:, None].astype(float)
-    sse = np.hstack([ns * ss_d + nd * whole_b[:, None], nd * ss_s + ns * whole_a[:, None]])
+    nd, ns = n_dest.astype(float), n_src.astype(float)
+    sse = np.vstack([ns * ss_d + nd * whole_b, nd * ss_s + ns * whole_a]).T
 
     # Rounding is monotone, so the extreme fl(a_t - b_s) and centred
     # terms come from the extreme factor terms.
@@ -297,33 +493,35 @@ def _factored_sse(
     # candidates ambiguous) where the sums could overflow.
     scale = n * np.maximum(M * M, 2.0**-900)
     bound = np.where(n * scale < 2.0**1000, 256 * gamma * scale, np.inf)
-    return sse, np.hstack([valid_d, valid_s]), bound
+    return sse, np.vstack([valid_d, valid_s]).T, bound
 
 
 def _resolve_ties(
-    X: np.ndarray,
-    y: np.ndarray,
-    r2: np.ndarray,
-    sizes2: np.ndarray,
-    thresholds: np.ndarray,
+    a_d: np.ndarray,
+    b_s: np.ndarray,
     go: np.ndarray,
     at: np.ndarray,
     count: np.ndarray,
     tied: np.ndarray,
     ambiguous: np.ndarray,
     split: int,
+    total_sum: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The dense winner among each ``tied`` node's ambiguous candidates.
 
-    ``go`` holds every factor member's go flags; node ``i``'s members of
-    factor ``f`` (0 destination, 1 source) are rows ``at[i, f]`` on, and
-    ``count[i, f]`` of them.  Candidates on the same factor with the same
+    ``go`` holds every factor member's go flags, destinations then
+    sources; node ``i``'s members of factor ``f`` (0 destination, 1
+    source) are rows ``at[i, f]`` on, and ``count[i, f]`` of them.
+    ``a_d``/``b_s`` are the members' target terms and ``total_sum`` each
+    node's dense y sum.  Candidates on the same factor with the same
     go-mask over its members route the same dense rows, so their dense
-    SSE is the same float and the lowest feature index wins.  One
-    candidate per remaining mask class is re-evaluated with the dense
-    formula over the node's rows in dense order: ``reduceat`` reduces
-    each segment on its own, so these sums carry the dense split's bits.
-    Returns ``(best, found)`` per tied node.
+    SSE is the same float and the lowest feature index wins: masks are
+    packed into 64-bit words and sorted (stably) by node, factor and
+    words, and the first of each run of equal keys stands for its
+    class.  One candidate per remaining class is re-evaluated with the
+    dense formula over the node's rows, generated in dense order:
+    ``reduceat`` reduces each segment on its own, so these sums carry
+    the dense split's bits.  Returns ``(best, found)`` per tied node.
     """
     pair_node, feat = np.nonzero(ambiguous)  # node-major, features ascending
     node = tied[pair_node]
@@ -331,32 +529,53 @@ def _resolve_ties(
     length = count[node, factor]
     owner = np.repeat(np.arange(node.size), length)
     position = _ragged_arange(length)
-    masks = np.zeros((node.size, int(length.max()) + 2), dtype=np.int64)
-    masks[:, 0], masks[:, 1] = node, factor
-    masks[owner, position + 2] = go[at[node, factor][owner] + position, feat[owner]]
-    _, rep = np.unique(masks, axis=0, return_index=True)
-    rep = np.sort(rep)  # one candidate per mask class: its lowest index
+    masks = np.zeros((node.size, 64 * -(-int(length.max()) // 64)), dtype=bool)
+    masks[owner, position] = go[feat[owner], at[node, factor][owner] + position]
+    words = np.packbits(masks, axis=1).view(np.uint64)
+    order = np.lexsort((*words.T[::-1], factor, node))
+    first = np.ones(node.size, dtype=bool)
+    key_node, key_factor, key_words = node[order], factor[order], words[order]
+    first[1:] = (
+        (key_node[1:] != key_node[:-1])
+        | (key_factor[1:] != key_factor[:-1])
+        | (key_words[1:] != key_words[:-1]).any(axis=1)
+    )
+    rep = np.sort(order[first])  # one candidate per mask class: its lowest index
     n_classes = np.bincount(pair_node[rep], minlength=tied.size)
     best = feat[np.searchsorted(pair_node, np.arange(tied.size))]
     found = np.ones(tied.size, dtype=bool)
     rep = rep[n_classes[pair_node[rep]] > 1]
     if rep.size:
-        q, f = node[rep], feat[rep]
-        seg = sizes2[q]
-        owner = np.repeat(np.arange(q.size), seg)
-        rows = r2[_offsets(sizes2)[q][owner] + _ragged_arange(seg)]
-        yr = y[rows]
-        go_f = (X[rows, f[owner]] <= thresholds[q[owner], f[owner]]).astype(float)
-        starts = _offsets(seg)
-        sse = _split_sse(
-            np.add.reduceat(go_f, starts),
-            np.add.reduceat(go_f * yr, starts),
-            np.add.reduceat(go_f * (yr * yr), starts),
-            np.add.reduceat(yr, starts),
-            np.add.reduceat(yr * yr, starts),
-            seg.astype(float),
-        )
         redo, slot = np.unique(pair_node[rep], return_inverse=True)
+        q = tied[redo]
+        # The redone nodes' rows once each, and their dense sums of squares.
+        d_at, s_at = _product_rows(
+            at[q, 0], count[q, 0], at[q, 1] - a_d.size, count[q, 1]
+        )
+        yr = a_d[d_at] - b_s[s_at]
+        yy = yr * yr
+        seg = count[q, 0] * count[q, 1]
+        starts = _offsets(seg)
+        total_sq = np.add.reduceat(yy, starts)
+        # Each class representative over its node's rows: position
+        # ``pos`` reads the doubled node-row tables, destination members
+        # in the first half and source members in the second.
+        f = feat[rep]
+        rseg = seg[slot]
+        start = starts[slot] + (f >= split) * yr.size
+        pos = np.repeat(start - _offsets(rseg), rseg) + np.arange(rseg.sum())
+        member = np.concatenate([d_at, a_d.size + s_at])
+        go_f = go.ravel()[np.repeat(f * go.shape[1], rseg) + member[pos]].astype(float)
+        yv, yyv = np.tile(yr, 2)[pos], np.tile(yy, 2)[pos]
+        rstarts = _offsets(rseg)
+        sse = _split_sse(
+            np.add.reduceat(go_f, rstarts),
+            np.add.reduceat(go_f * yv, rstarts),
+            np.add.reduceat(go_f * yyv, rstarts),
+            total_sum[q][slot],
+            total_sq[slot],
+            rseg.astype(float),
+        )
         table = np.full((redo.size, ambiguous.shape[1]), np.inf)
         table[slot, f] = sse
         best[redo] = np.argmin(table, axis=1)
@@ -365,19 +584,13 @@ def _resolve_ties(
 
 
 def _grow(
-    y: np.ndarray,
-    rows: np.ndarray,
-    sizes: np.ndarray,
+    frontier: _RowFrontier | _PairFrontier,
     n_trees: int,
     min_samples_split: int,
     max_depth: int | None,
-    split_fn: _SplitFn,
 ) -> PackedTrees:
-    """Breadth-first forest growth over a pre-partitioned root frontier.
-
-    ``rows`` holds sample indices grouped contiguously per root (one
-    root per tree); ``sizes`` the per-root group lengths.
-    """
+    """Breadth-first forest growth from a root frontier of one node per
+    tree."""
     level_feature: list[np.ndarray] = []
     level_threshold: list[np.ndarray] = []
     level_left: list[np.ndarray] = []
@@ -388,35 +601,28 @@ def _grow(
     tree_ids = np.arange(n_trees, dtype=np.int64)
     total_nodes = 0
     depth = 0
-    while sizes.size:
+    while frontier is not None and frontier.sizes.size:
+        sizes = frontier.sizes
         F = sizes.size
-        starts = np.zeros(F + 1, dtype=np.int64)
-        np.cumsum(sizes, out=starts[1:])
-        yl = y[rows]
-        sum_y = np.add.reduceat(yl, starts[:-1])
-        values = sum_y / sizes
-        ymin = np.minimum.reduceat(yl, starts[:-1])
-        ymax = np.maximum.reduceat(yl, starts[:-1])
+        ymin, ymax = frontier.y_range()
         splittable = (sizes >= min_samples_split) & (ymin < ymax)
         if max_depth is not None and depth >= max_depth:
             splittable[:] = False
+        frontier = frontier.settle(splittable)
+        sum_y = frontier.node_sums()
+        values = sum_y / sizes
 
         feature = np.full(F, -1, dtype=np.int64)
         threshold = np.zeros(F)
         left = np.full(F, -1, dtype=np.int64)
         right = np.full(F, -1, dtype=np.int64)
-        next_rows = rows[:0]
-        next_sizes = sizes[:0]
+        children = None
         next_tree = tree_ids[:0]
 
         if splittable.any():
             sidx = np.flatnonzero(splittable)
-            r2 = rows[np.repeat(splittable, sizes)]
-            sizes2 = sizes[sidx]
-            starts2 = np.zeros(sizes2.size + 1, dtype=np.int64)
-            np.cumsum(sizes2, out=starts2[1:])
-            found, best_feature, best_threshold, go_left = split_fn(
-                r2, sizes2, starts2, tree_ids[sidx]
+            found, best_feature, best_threshold, children = frontier.split(
+                splittable, tree_ids[sidx], sum_y
             )
             fidx = sidx[found]
             n_found = fidx.size
@@ -428,17 +634,6 @@ def _grow(
                 child_base = total_nodes + F + 2 * np.arange(n_found, dtype=np.int64)
                 left[fidx] = child_base
                 right[fidx] = child_base + 1
-
-                node_of_row = np.repeat(np.arange(sizes2.size), sizes2)
-                left_n = np.add.reduceat(go_left.astype(np.int64), starts2[:-1])
-                keep = found[node_of_row]
-                # Stable sort by (node, side) groups each split node's
-                # rows into its left then right child, preserving order.
-                key = node_of_row[keep] * 2 + (1 - go_left[keep])
-                next_rows = r2[keep][np.argsort(key, kind="stable")]
-                next_sizes = np.empty(2 * n_found, dtype=np.int64)
-                next_sizes[0::2] = left_n[found]
-                next_sizes[1::2] = sizes2[found] - left_n[found]
                 next_tree = np.repeat(tree_ids[fidx], 2)
 
         level_feature.append(feature)
@@ -448,7 +643,7 @@ def _grow(
         level_value.append(values)
         level_tree.append(tree_ids)
         total_nodes += F
-        rows, sizes, tree_ids = next_rows, next_sizes, next_tree
+        frontier, tree_ids = children, next_tree
         depth += 1
 
     g_tree = np.concatenate(level_tree)
@@ -491,9 +686,10 @@ def build_extra_trees(
     node, candidate feature) and keeps the SSE-minimising split.
 
     ``pairs``, when given, must describe ``(X, y)`` as a pair set
-    (``X, y == pairs.materialize()``, bit for bit); levels whose mean
-    node holds at least :data:`FACTORED_HANDOFF_ROWS` rows then search
-    their splits over the factors (:func:`_factored_split`).  The trees
+    (``X, y == pairs.materialize()``, bit for bit); the frontier then
+    starts as destination x source member sets (:class:`_PairFrontier`)
+    and turns into rows once, at the first level whose mean splittable
+    node holds fewer than :data:`FACTORED_HANDOFF_ROWS` rows.  The trees
     are bit-identical either way.
 
     ``X``/``y`` must already be coerced
@@ -509,8 +705,6 @@ def build_extra_trees(
         if d == 0:
             none = np.zeros(S, dtype=bool)
             return none, np.full(S, -1), np.zeros(S), np.zeros(r2.size, dtype=bool)
-        if pairs is not None and r2.size >= FACTORED_HANDOFF_ROWS * S:
-            return _factored_split(pairs, X, y, k, rng, r2, sizes2, starts2)
         Xr = X[r2]
         yr = y[r2]
         node_of_row = np.repeat(np.arange(S), sizes2)
@@ -540,9 +734,17 @@ def build_extra_trees(
         go_left = go[np.arange(r2.size), best[node_of_row]]
         return found, best, best_threshold, go_left
 
-    rows = np.tile(np.arange(n, dtype=np.int64), n_trees)
-    sizes = np.full(n_trees, n, dtype=np.int64)
-    return _grow(y, rows, sizes, n_trees, min_samples_split, max_depth, split)
+    if pairs is not None and d > 0:
+        m = pairs.a.size
+        members = np.tile(np.arange(m, dtype=np.int64), n_trees)
+        counts = np.full(n_trees, m, dtype=np.int64)
+        tables = (np.ascontiguousarray(pairs.dest.T), np.ascontiguousarray(pairs.source.T))
+        growth = _PairGrowth(pairs, tables, y, k, rng, split)
+        frontier = _PairFrontier(growth, members, counts, members, counts)
+    else:
+        rows = np.tile(np.arange(n, dtype=np.int64), n_trees)
+        frontier = _RowFrontier(y, rows, np.full(n_trees, n, dtype=np.int64), split)
+    return _grow(frontier, n_trees, min_samples_split, max_depth)
 
 
 def build_cart_forest(
@@ -649,7 +851,7 @@ def build_cart_forest(
             )
         rows = sample_indices.reshape(-1)
         sizes = np.full(n_trees, sample_indices.shape[1], dtype=np.int64)
-    return _grow(y, rows, sizes, n_trees, min_samples_split, max_depth, split)
+    return _grow(_RowFrontier(y, rows, sizes, split), n_trees, min_samples_split, max_depth)
 
 
 @dataclass(frozen=True)
@@ -807,7 +1009,9 @@ def build_extra_trees_stacked(
         ]
     )
     sizes = np.repeat(n_rows, tree_counts)
-    built = _grow(y, rows, sizes, n_trees_total, min_samples_split, max_depth, split)
+    built = _grow(
+        _RowFrontier(y, rows, sizes, split), n_trees_total, min_samples_split, max_depth
+    )
 
     # Carve the global tree-major forest back into per-task forests.
     # Packed nodes are contiguous per task (task-major tree ids), so each

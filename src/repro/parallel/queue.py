@@ -40,20 +40,23 @@ short of losing the disk:
   :class:`~repro.parallel.events.CellEvent`\\ s), forwards fleet
   activity from the events table, and returns terminal cells as
   outcomes.  A poll costs what changed since the last one: the
-  terminal events it reads (plus each cell submitted since) name the
-  only rows it reads, and each stored payload is decoded once per
-  delivery.  It can fork local pull-workers (``workers > 0``) and/or
-  serve an external fleet started with ``arrow queue-worker``.  A cell
-  whose attempts exhaust ``max_attempts`` through worker deaths is
-  parked ``poisoned`` and reported as a crash, which the supervisor
-  turns into exactly one serial completion by the coordinator.
+  terminal events it reads (plus each submitted cell whose row was
+  already ``done``) name the only rows it reads, and each stored
+  payload is decoded once per delivery.  It can fork local
+  pull-workers (``workers > 0``) and/or serve an external fleet
+  started with ``arrow queue-worker``.  A cell whose attempts exhaust
+  ``max_attempts`` through worker deaths is parked ``poisoned`` and
+  reported as a crash, which the supervisor turns into exactly one
+  serial completion by the coordinator.
   Deadlines run on leases: a cell's execution starts when the
   coordinator sees its ``lease_claimed`` event, and cancelling a cell a
   local worker holds terminates that worker and withdraws the row.
 
 The file is also the grid's one durable per-cell record under every
 other executor (:class:`~repro.parallel.checkpoint.GridCheckpoint`), so
-every connection commits at SQLite's default ``synchronous=FULL``.
+every connection commits at SQLite's default ``synchronous=FULL``,
+except a claim: it commits at ``NORMAL`` (no WAL fsync), since a lease
+lost to an OS crash only returns its cell to ``pending``.
 
 Results cross the queue as the runner's canonical JSON payloads
 (:func:`~repro.analysis.runner.result_to_payload`), which round-trip
@@ -78,6 +81,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,6 +151,19 @@ CREATE TABLE IF NOT EXISTS meta (
     value TEXT NOT NULL
 );
 """
+
+
+class Enqueued(NamedTuple):
+    """What one :meth:`WorkQueue.enqueue` transaction did.
+
+    Attributes:
+        touched: rows inserted or revived as ``pending``.
+        finished: the submitted cells it left ``done`` with a stored
+            result — the only submitted rows already terminal.
+    """
+
+    touched: int
+    finished: list[Cell]
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,16 +363,23 @@ class WorkQueue:
     # -- transactions -----------------------------------------------------
 
     @contextmanager
-    def _tx(self):
+    def _tx(self, synchronous: str = "FULL"):
         """A short IMMEDIATE transaction (write lock up front, no
-        deferred-upgrade deadlocks between concurrent workers)."""
-        self._con.execute("BEGIN IMMEDIATE")
+        deferred-upgrade deadlocks between concurrent workers), committed
+        at ``synchronous`` (the connection returns to ``FULL`` after)."""
+        if synchronous != "FULL":
+            self._con.execute(f"PRAGMA synchronous={synchronous}")
         try:
-            yield
-        except BaseException:
-            self._con.execute("ROLLBACK")
-            raise
-        self._con.execute("COMMIT")
+            self._con.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+            except BaseException:
+                self._con.execute("ROLLBACK")
+                raise
+            self._con.execute("COMMIT")
+        finally:
+            if synchronous != "FULL":
+                self._con.execute("PRAGMA synchronous=FULL")
 
     def _event(self, kind: str, cell: Cell | None, detail: str = "") -> None:
         workload_id, repeat = cell if cell is not None else (None, None)
@@ -367,8 +391,9 @@ class WorkQueue:
 
     # -- producing --------------------------------------------------------
 
-    def enqueue(self, items: Iterable[tuple[Cell, int]]) -> int:
-        """Insert (or revive) cells as ``pending``; returns rows touched.
+    def enqueue(self, items: Iterable[tuple[Cell, int]]) -> Enqueued:
+        """Insert (or revive) cells as ``pending``; returns the rows
+        touched and the cells left ``done``.
 
         Each item is ``((workload_id, repeat), seed)`` — the seed is
         stored so any worker reproduces the cell deterministically.
@@ -382,6 +407,7 @@ class WorkQueue:
         """
         now = self._clock()
         touched = 0
+        finished: list[Cell] = []
         with self._tx():
             seq = self._con.execute("SELECT MAX(seq) FROM cells").fetchone()[0] or 0
             for (workload_id, repeat), seed in items:
@@ -402,7 +428,12 @@ class WorkQueue:
                     (workload_id, repeat, seed, seq, now),
                 )
                 touched += cursor.rowcount
-        return touched
+                if cursor.rowcount == 0 and self._con.execute(
+                    "SELECT state='done' FROM cells WHERE workload=? AND repeat=?",
+                    (workload_id, repeat),
+                ).fetchone()[0]:
+                    finished.append((workload_id, repeat))
+        return Enqueued(touched, finished)
 
     # -- claiming / worker side -------------------------------------------
 
@@ -419,7 +450,9 @@ class WorkQueue:
         self.sweep_expired()
         now = self._clock()
         deadline = now + self.lease_duration_s
-        with self._tx():
+        # A claim lost to an OS crash only returns its cell to pending,
+        # so it skips the WAL fsync every other commit pays.
+        with self._tx(synchronous="NORMAL"):
             row = self._con.execute(
                 """
                 UPDATE cells SET
@@ -1067,8 +1100,8 @@ class QueueExecutor:
     cells — ``done`` rows as results (deserialised from the stored
     canonical payload), ``failed`` rows as application errors,
     ``poisoned`` rows as crashes.  Only the rows of cells named by a
-    new terminal event, or submitted since the last poll, are read, so
-    a poll's cost follows what changed, not the grid size.
+    new terminal event, or submitted onto a row already ``done``, are
+    read, so a poll's cost follows what changed, not the grid size.
 
     Deadlines run on leases.  :meth:`started_at` is the coordinator's
     monotonic time when it forwarded the cell's ``lease_claimed`` event,
@@ -1128,7 +1161,7 @@ class QueueExecutor:
         self._submitted: dict[Cell, int] = {}
         self._delivered: set[Cell] = set()
         # Cells whose rows may have turned terminal since the last poll:
-        # named by a terminal event, or submitted.
+        # named by a terminal event, or left done by a submit.
         self._changed: set[Cell] = set()
         # Monotonic time each leased cell's claim was forwarded.
         self._started: dict[Cell, float] = {}
@@ -1205,14 +1238,15 @@ class QueueExecutor:
     # -- protocol ---------------------------------------------------------
 
     def submit(self, cells: Sequence[Cell]) -> None:
-        self.queue.enqueue((cell, self._seed_fn(*cell)) for cell in cells)
+        enqueued = self.queue.enqueue((cell, self._seed_fn(*cell)) for cell in cells)
         for cell in cells:
             self._submitted.setdefault(cell, len(self._submitted))
-            # A resubmission expects a fresh outcome.  The row is checked
-            # once: one already terminal (a restarted coordinator's stored
-            # result) emits no event.
+            # A resubmission expects a fresh outcome.
             self._delivered.discard(cell)
-            self._changed.add(cell)
+        # Every other submitted row is pending or leased, and its terminal
+        # event will name it; a row enqueue left done (a restarted
+        # coordinator's stored result) emits none, so it is read once.
+        self._changed.update(enqueued.finished)
         self._note_activity()
 
     def _collect(self) -> list[CellOutcome]:

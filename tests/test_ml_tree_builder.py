@@ -219,20 +219,28 @@ def _assert_same_forest(expected, actual):
         )
 
 
-def _factor_table(draw, rng, m, width):
+def _factor_table(draw, rng, m, width, earlier=()):
     """``(m, width)`` factor rows: few distinct levels per column, plus
-    constant and duplicated columns."""
-    columns = []
+    constant, duplicated and negated columns.  Copies and negated copies
+    may also take one of the ``earlier`` columns (the destination table's,
+    for the source table): a negated copy splits the members into the
+    complement of its original's split, the exact tie of a design column
+    against an anti-correlated metric column."""
+    pool, columns = list(earlier), []
     for _ in range(width):
-        kind = draw(st.sampled_from(["levels", "levels", "constant", "copy", "normal"]))
-        if kind == "copy" and columns:
-            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        kind = draw(st.sampled_from(
+            ["levels", "levels", "constant", "copy", "negated", "normal"]
+        ))
+        if kind in ("copy", "negated") and pool:
+            column = pool[draw(st.integers(0, len(pool) - 1))]
+            columns.append(column if kind == "copy" else -column)
         elif kind == "constant":
             columns.append(np.full(m, rng.normal()))
         elif kind == "normal":
             columns.append(rng.normal(size=m))
         else:
             columns.append(rng.integers(0, draw(st.integers(1, 3)) + 1, size=m) - 0.5)
+        pool.append(columns[-1])
     return np.column_stack(columns) if columns else np.empty((m, 0))
 
 
@@ -243,7 +251,7 @@ def pair_sets(draw, min_m=2, max_m=9):
     m = draw(st.integers(min_m, max_m))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dest = _factor_table(draw, rng, m, draw(st.integers(1, 3)))
-    source = np.hstack([dest, _factor_table(draw, rng, m, draw(st.integers(0, 3)))])
+    source = np.hstack([dest, _factor_table(draw, rng, m, draw(st.integers(0, 3)), dest.T)])
     pool = rng.normal(size=draw(st.integers(1, m)))
     a = pool[rng.integers(0, pool.size, size=m)] + draw(st.sampled_from([0.0, 1e6, -37.5]))
     b = {
@@ -336,6 +344,39 @@ class TestFactoredGrowth:
             _assert_same_forest(dense, factored)
         assert calls
 
+    @pytest.mark.parametrize("m", [24, 40])
+    def test_complementary_source_columns_at_the_default_constants(
+        self, m, monkeypatch
+    ):
+        """Source design columns against negated copies (anti-correlated
+        metric columns): their go masks over a node's source members are
+        complements with equal exact SSE, the common multi-class tie on
+        the source factor at multicloud scale.  Grown at the default
+        constants, the factored forest is the dense one."""
+        complementary = []
+        resolve = tree_builder._resolve_ties
+
+        def spy(*args):
+            complementary.append(_complementary_ties(*args))
+            return resolve(*args)
+
+        monkeypatch.setattr(tree_builder, "_resolve_ties", spy)
+        rng = np.random.default_rng(m)
+        design = rng.integers(0, 3, size=(m, 4)).astype(float)
+        metrics = np.column_stack([-design[:, 0], -design[:, 2], rng.normal(size=m)])
+        log_values = np.log(rng.uniform(1.0, 50.0, size=m))
+        pairs = TrainingPairs(design, np.hstack([design, metrics]), log_values, log_values)
+        X, y = pairs.materialize()
+        dense, factored = (
+            ExtraTreesRegressor(n_estimators=24, min_samples_split=6, seed=m)
+            for _ in range(2)
+        )
+        dense.fit(X, y)
+        factored.fit(X, y, pairs=pairs)
+        _assert_same_forest(dense._packed, factored._packed)
+        assert factored._rng.bit_generator.state == dense._rng.bit_generator.state
+        assert sum(complementary) > 0
+
     def test_fit_takes_the_factored_path_from_the_crossover(self, monkeypatch):
         calls = []
         split = tree_builder._factored_split
@@ -364,6 +405,20 @@ class TestFactoredGrowth:
         short = TrainingPairs(pairs.dest, pairs.source[:2], pairs.a, pairs.b)
         with pytest.raises(ValueError, match="does not match"):
             ExtraTreesRegressor(n_estimators=2).fit(X, y, pairs=short)
+
+
+def _complementary_ties(a_d, b_s, go, at, count, tied, ambiguous, split, total_sum):
+    """How many tied nodes hold two ambiguous source-column candidates
+    whose go masks over the node's source members are complements."""
+    found = 0
+    for node, candidates in zip(tied, ambiguous):
+        members = slice(at[node, 1], at[node, 1] + count[node, 1])
+        masks = [go[f, members] for f in np.flatnonzero(candidates) if f >= split]
+        found += any(
+            (first == ~second).all()
+            for i, first in enumerate(masks) for second in masks[i + 1 :]
+        )
+    return found
 
 
 def _exact_sse(values, go):
@@ -407,8 +462,9 @@ class TestRoundingBound:
     def test_dense_and_factored_sse_within_a_quarter_bound_of_exact(self, node):
         a, b, go_d, go_s = node
         n_dest, n_src = a.size, b.size
+        # The factored search holds go flags feature-major.
         sse, valid, bound = _factored_sse(
-            go_d, go_s, a, b, np.array([n_dest]), np.array([n_src])
+            go_d.T, go_s.T, a, b, np.array([n_dest]), np.array([n_src])
         )
         # Dense rows, source-major, as the builder holds them.
         y = (a[None, :] - b[:, None]).reshape(-1)

@@ -202,8 +202,9 @@ class TestLeaseSemantics:
             b = queue.claim("w")
         counts = queue.counts()
         assert counts["done"] == 1 and counts["failed"] == 1
-        touched = queue.enqueue([(("a", 0), 1), (("b", 0), 2)])
-        assert touched == 1  # only the failed row revived
+        enqueued = queue.enqueue([(("a", 0), 1), (("b", 0), 2)])
+        assert enqueued.touched == 1  # only the failed row revived
+        assert enqueued.finished == [("a", 0)]
         assert queue.counts() == {
             "pending": 1, "leased": 0, "done": 1, "failed": 0, "poisoned": 0,
         }
@@ -214,7 +215,7 @@ class TestLeaseSemantics:
     def test_enqueue_leaves_live_leases_alone(self, queue):
         queue.enqueue([(("a", 0), 1)])
         queue.claim("w")
-        assert queue.enqueue([(("a", 0), 9)]) == 0
+        assert queue.enqueue([(("a", 0), 9)]) == (0, [])
         assert queue.counts()["leased"] == 1
 
     def test_sweep_without_expired_lease_takes_no_write_lock(self, queue, clock):
@@ -327,10 +328,30 @@ class TestDurability:
         assert "cells_by_seq" in plan
 
     def test_connections_commit_at_full_synchronous(self, tmp_path, clock):
-        """Every commit is fsync-durable: the queue file is the only
-        record of a finished cell between cache flushes."""
+        """Every result commit is fsync-durable: the queue file is the
+        only record of a finished cell between cache flushes."""
         with WorkQueue(tmp_path / "g.queue", "key", clock=clock) as queue:
             # 2 = FULL, SQLite's default.
+            assert queue._con.execute("PRAGMA synchronous").fetchone()[0] == 2
+
+    def test_claim_commits_at_normal_and_leaves_the_connection_full(
+        self, tmp_path, clock
+    ):
+        """A claim skips the WAL fsync (a lost claim only returns its cell
+        to pending); the commits after it are FULL again."""
+        with WorkQueue(tmp_path / "g.queue", "key", clock=clock) as queue:
+            queue.enqueue([(("a", 0), 1)])
+            statements: list[str] = []
+            queue._con.set_trace_callback(statements.append)
+            lease = queue.claim("w")
+            claimed = statements[:]
+            assert claimed.index("PRAGMA synchronous=NORMAL") < claimed.index("COMMIT")
+            assert claimed[-1] == "PRAGMA synchronous=FULL"
+            # 2 = FULL.
+            assert queue._con.execute("PRAGMA synchronous").fetchone()[0] == 2
+            statements.clear()
+            assert queue.complete(lease.cell, "w", {"ok": True})
+            assert not any(s.startswith("PRAGMA synchronous") for s in statements)
             assert queue._con.execute("PRAGMA synchronous").fetchone()[0] == 2
 
     def test_readonly_attach_reads_while_writer_lives(self, tmp_path, clock):
@@ -767,6 +788,30 @@ class TestQueueExecutor:
             assert again.cell == cells[0] and again.result == _result("w0")
             assert executor.poll(0) == []
             assert (len(decodes), len(builds)) == (7, 7)
+        finally:
+            executor.shutdown()
+
+    def test_fresh_submit_reads_no_row_before_a_worker_finishes(
+        self, tmp_path, monkeypatch
+    ):
+        """Only a row already done at submit is read unprompted: a fresh
+        grid's pending rows wait for their terminal events."""
+        executor = self._executor(tmp_path)
+        reads: list = []
+        real_terminal_row = executor.queue.terminal_row
+        monkeypatch.setattr(
+            executor.queue, "terminal_row",
+            lambda cell: reads.append(cell) or real_terminal_row(cell),
+        )
+        try:
+            cells = [(f"w{index}", 0) for index in range(6)]
+            executor.submit(cells)
+            for _ in range(3):
+                assert executor.poll(0) == []
+            assert reads == []
+            self._finish(tmp_path / "g.queue", 1)
+            assert [o.cell for o in executor.poll(0)] == cells[:1]
+            assert reads == cells[:1]
         finally:
             executor.shutdown()
 
