@@ -25,7 +25,7 @@ from dataclasses import dataclass
 #: on, ``surrogate_fitted`` once per acquisition round, and
 #: ``stopping_rule_fired`` once, when an early-stopping criterion ends
 #: the search (detail carries the rule name and threshold), and
-#: ``cell_retried`` when the parallel engine's supervisor had to retry
+#: ``cell_retried`` when the work queue's coordinator had to retry
 #: the whole cell this result came from (a worker-side failure preceded
 #: it; the mirror makes the retry visible in the persisted record).
 #: Batched searches (``batch_size > 1``) additionally emit

@@ -3,12 +3,11 @@
 Shards :class:`~repro.analysis.runner.RunGrid` cells across worker
 processes with deterministic per-cell seeding, so grid results are
 identical (bit for bit, caches included) no matter how many workers ran
-them.  Cells are dispatched through the pluggable
-:class:`~repro.parallel.executors.CellExecutor` protocol
-(``submit/poll/cancel/shutdown``) and supervised by
-:class:`~repro.parallel.supervisor.Supervisor`, which completes every
-crashed, failed or timed-out cell serially in the parent.  Worker
-counts are clamped to what the machine and grid can use
+them.  :func:`~repro.parallel.engine.run_cells` runs a grid as a plain
+in-process loop or on the durable work queue, where
+:func:`~repro.parallel.queue.supervise` completes every crashed, failed
+or timed-out cell serially in the parent.  Worker counts are clamped
+to what the machine and grid can use
 (:func:`~repro.parallel.engine.plan_workers`).
 
 There is one process backend: the durable work queue
@@ -17,8 +16,7 @@ There is one process backend: the durable work queue
 on its fork-local pull-workers, and ``executor="queue"`` also admits an
 external fleet via ``arrow queue-worker``: leased cells, heartbeats,
 at-least-once requeue of cells whose worker died, lease-based
-deadlines — all behind the same executor protocol
-(:class:`~repro.parallel.queue.QueueExecutor`).  Forked workers read
+deadlines (:class:`~repro.parallel.queue.QueueExecutor`).  Forked workers read
 the trace they inherit from the parent.  The same file is the grid's
 one durable per-cell record for every executor
 (:class:`~repro.parallel.checkpoint.GridCheckpoint`), so interrupted
@@ -40,22 +38,19 @@ from repro.parallel.engine import (
     run_cells,
 )
 from repro.parallel.events import CELL_EVENT_KINDS, GRID_EVENT_KINDS, CellEvent
-from repro.parallel.executors import CellExecutor, CellOutcome, SerialExecutor
 from repro.parallel.queue import (
     Lease,
     QueueConfig,
     QueueExecutor,
     WorkQueue,
     queue_worker_loop,
+    supervise,
 )
-from repro.parallel.supervisor import SupervisionConfig, Supervisor
 from repro.parallel.vector import VectorizedGridDriver
 
 __all__ = [
     "CELL_EVENT_KINDS",
     "CellEvent",
-    "CellExecutor",
-    "CellOutcome",
     "EXECUTOR_CHOICES",
     "GRID_EVENT_KINDS",
     "GridCheckpoint",
@@ -63,13 +58,11 @@ __all__ = [
     "POOL_MIN_CELLS",
     "QueueConfig",
     "QueueExecutor",
-    "SerialExecutor",
-    "SupervisionConfig",
-    "Supervisor",
     "VectorizedGridDriver",
     "WorkQueue",
     "flush_on_signal",
     "plan_workers",
     "queue_worker_loop",
     "run_cells",
+    "supervise",
 ]

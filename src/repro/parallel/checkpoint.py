@@ -31,8 +31,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.parallel.executors import Cell
-from repro.parallel.queue import QUEUE_SUFFIX, WorkQueue
+from repro.parallel.queue import QUEUE_SUFFIX, Cell, WorkQueue
 
 logger = logging.getLogger(__name__)
 

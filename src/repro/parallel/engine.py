@@ -1,15 +1,13 @@
 """Supervised execution of experiment grid cells.
 
 The engine runs ``(workload, repeat)`` cells of a
-:class:`~repro.analysis.runner.RunGrid` through the execution plane:
-cells are dispatched via the :class:`~repro.parallel.executors.
-CellExecutor` protocol — :class:`~repro.parallel.executors.
-SerialExecutor` in-process, :class:`~repro.parallel.queue.
-QueueExecutor` across forked local pull-workers (and any external
-ones); remote or async backends can plug in behind the same four
-methods — and supervised by :class:`~repro.parallel.supervisor.
-Supervisor`, which completes every cell that does not come back cleanly
-serially in the parent.
+:class:`~repro.analysis.runner.RunGrid` one of three ways: a plain
+in-process loop, the durable work queue — a
+:class:`~repro.parallel.queue.QueueExecutor` across forked local
+pull-workers (and any external ones), driven by
+:func:`~repro.parallel.queue.supervise`, which completes every cell
+that does not come back cleanly serially in the parent — or the
+lock-step :class:`~repro.parallel.vector.VectorizedGridDriver`.
 
 Properties that make this a drop-in for the serial loop:
 
@@ -65,9 +63,13 @@ from repro.analysis.runner import OptimizerFactory, run_seed
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult
 from repro.parallel.events import CellEvent
-from repro.parallel.executors import Cell, CellExecutor, SerialExecutor
-from repro.parallel.queue import QUEUE_SUFFIX, QueueConfig, QueueExecutor
-from repro.parallel.supervisor import SupervisionConfig, Supervisor
+from repro.parallel.queue import (
+    QUEUE_SUFFIX,
+    Cell,
+    QueueConfig,
+    QueueExecutor,
+    supervise,
+)
 from repro.trace.dataset import BenchmarkTrace
 
 #: Executor backends selectable by name: ``auto`` runs serially or on
@@ -230,6 +232,8 @@ def run_cells(
         cell_timeout: wall-clock deadline in seconds per cell execution
             on local queue workers; a straggler past it is cancelled and
             completed serially.  ``None`` (default) disables deadlines.
+            Validated for every executor; only the work queue enforces
+            it.
         executor: backend selection (:data:`EXECUTOR_CHOICES`).
             ``"auto"`` (default) runs serially, or on the work queue's
             local workers when :func:`queue_backed` says so;
@@ -249,10 +253,12 @@ def run_cells(
             there is none.  Ignored by the other backends.
 
     Raises:
-        ValueError: if ``workers`` is less than 1, if ``executor`` is
-            unknown, or if ``executor="queue"`` lacks a usable
-            ``queue`` config.
+        ValueError: if ``workers`` is less than 1, if ``cell_timeout``
+            is not a positive number, if ``executor`` is unknown, or if
+            ``executor="queue"`` lacks a usable ``queue`` config.
     """
+    if cell_timeout is not None and not cell_timeout > 0:
+        raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
     if executor not in EXECUTOR_CHOICES:
         raise ValueError(
             f"unknown executor {executor!r}; choose from {EXECUTOR_CHOICES}"
@@ -262,7 +268,7 @@ def run_cells(
     cells = list(cells)
     if executor == "vector":
         # The vectorized driver is its own execution plane: in-process,
-        # single-worker, no supervisor (an application error propagates
+        # single-worker, unsupervised (an application error propagates
         # exactly as the serial path's final attempt would).  It yields
         # in submission order, so downstream cache assembly stays
         # byte-identical to the serial executor.
@@ -311,33 +317,29 @@ def run_cells(
     )
     try:
         if on_queue:
-            backend: CellExecutor = QueueExecutor(
-                queue.path,
-                queue.cache_key if queue.cache_key is not None else "grid",
+            backend = QueueExecutor(
+                dataclasses.replace(queue, workers=local_workers),
                 _execute_cell,
                 objective,
                 seed_fn,
-                workers=local_workers,
-                lease_duration_s=queue.lease_duration_s,
-                max_attempts=queue.max_attempts,
-                stall_timeout_s=queue.stall_timeout_s,
-                poll_tick_s=queue.poll_tick_s,
-                pricing=queue.pricing,
                 on_event=on_event,
             )
+            # Local workers fork lazily, on the first poll, so priming
+            # here still precedes every fork.
+            if local_workers > 0 and cells:
+                _prime_before_fork(_CELL_CONTEXT, cells[0])
+            yield from supervise(backend, cells, cell_timeout, on_event)
         else:
-            backend = SerialExecutor(_execute_cell)
-        # Local workers fork lazily, on the first poll, so priming here
-        # still precedes every fork.
-        if local_workers > 0 and cells:
-            _prime_before_fork(_CELL_CONTEXT, cells[0])
-        supervisor = Supervisor(
-            backend,
-            _execute_cell,
-            config=SupervisionConfig(cell_timeout_s=cell_timeout),
-            on_event=on_event,
-        )
-        yield from supervisor.run(cells)
+            # In-process: nothing can crash or straggle, and a cell's
+            # exception propagates unchanged.
+            if on_event is not None:
+                for cell in cells:
+                    on_event(CellEvent.for_cell("cell_scheduled", cell))
+            for cell in cells:
+                result = _execute_cell(cell)
+                if on_event is not None:
+                    on_event(CellEvent.for_cell("cell_finished", cell))
+                yield cell, result
     finally:
         _CELL_CONTEXT = previous
         if scratch is not None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 #:   engine never sees those cells);
 #: * ``cell_resumed`` — the runner recovered the cell from the grid's
 #:   work-queue file, where an interrupted run recorded it;
-#: * ``cell_retried`` — the supervisor re-attempted a failed cell on the
+#: * ``cell_retried`` — the coordinator re-attempted a failed cell on the
 #:   parent's serial path (``detail``: "serial fallback after …");
 #: * ``cell_timeout`` — the cell exceeded its wall-clock deadline, was
 #:   cancelled, and will be completed serially;

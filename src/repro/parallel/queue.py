@@ -31,11 +31,8 @@ short of losing the disk:
   The completion guard (``state='leased' AND lease_owner=me``) makes
   result *recording* effectively once: a worker that lost its lease
   cannot overwrite the rightful result.
-* :class:`QueueExecutor` — the coordinator side, implementing the
-  four-method :class:`~repro.parallel.executors.CellExecutor` protocol,
-  so :class:`~repro.parallel.supervisor.Supervisor` policy and the
-  runner's cache/resume machinery apply unchanged.  ``submit``
-  enqueues durable rows; ``poll`` sweeps expired leases (emitting
+* :class:`QueueExecutor` — the coordinator side.  ``submit`` enqueues
+  durable rows; ``poll`` sweeps expired leases (emitting
   ``lease_expired`` / ``worker_lost`` / ``cell_requeued``
   :class:`~repro.parallel.events.CellEvent`\\ s), forwards fleet
   activity from the events table, and returns terminal cells as
@@ -44,13 +41,14 @@ short of losing the disk:
   already ``done``) name the only rows it reads, and each stored
   payload is decoded once per delivery.  It can fork local
   pull-workers (``workers > 0``) and/or serve an external fleet
-  started with ``arrow queue-worker``.  A cell whose attempts exhaust
-  ``max_attempts`` through worker deaths is parked ``poisoned`` and
-  reported as a crash, which the supervisor turns into exactly one
-  serial completion by the coordinator.
+  started with ``arrow queue-worker``.
   Deadlines run on leases: a cell's execution starts when the
   coordinator sees its ``lease_claimed`` event, and cancelling a cell a
   local worker holds terminates that worker and withdraws the row.
+* :func:`supervise` — drives one grid through a :class:`QueueExecutor`
+  and settles every cell the queue gives up on (``poisoned`` after
+  worker deaths, ``failed`` after application errors, or past its
+  deadline) with exactly one serial completion in the coordinator.
 
 The file is also the grid's one durable per-cell record under every
 other executor (:class:`~repro.parallel.checkpoint.GridCheckpoint`), so
@@ -69,6 +67,7 @@ implementation in the codebase, :class:`~repro.faults.retry.RetryPolicy`
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -85,11 +84,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core.events import SearchEvent
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult
 from repro.faults.retry import RetryPolicy
 from repro.parallel.events import CellEvent
-from repro.parallel.executors import Cell, CellFn, CellOutcome
+
+#: One grid cell: (workload_id, repeat).
+Cell = tuple[str, int]
+
+#: Executes one cell to a result (the engine's ``_execute_cell``).
+CellFn = Callable[[Cell], SearchResult]
 
 #: Queue DB files live next to the cache file they feed.
 QUEUE_SUFFIX = ".queue"
@@ -920,10 +925,7 @@ def queue_worker_loop(
     poll_interval_s: float = 0.2,
     exit_when_drained: bool = True,
     heartbeat_interval_s: float | None = None,
-    requeue_policy: RetryPolicy | None = None,
-    requeue_seed: int = 0,
     max_cells: int | None = None,
-    should_stop: Callable[[], bool] | None = None,
 ) -> int:
     """The pull-loop a queue worker runs; returns cells completed.
 
@@ -931,7 +933,7 @@ def queue_worker_loop(
     (deterministically, from the lease's stored seed) → record the
     result and mark ``done`` in one guarded transaction.  An
     application error requeues the cell with
-    :class:`~repro.faults.retry.RetryPolicy` backoff+jitter (seeded —
+    :data:`DEFAULT_REQUEUE_POLICY` backoff+jitter (from a fixed seed —
     schedules are reproducible) until the queue's ``max_attempts``.
     The loop never dies for cell-side reasons; only ``SIGKILL``-class
     events stop it, and those are exactly what lease expiry recovers.
@@ -943,23 +945,19 @@ def queue_worker_loop(
         owner: worker identity (default: host-pid-token).
         poll_interval_s: idle sleep between claim attempts.
         exit_when_drained: return once no cell is pending or leased
-            (False = keep polling until ``should_stop`` or killed).
+            (False = keep polling until ``max_cells`` or killed).
         heartbeat_interval_s: lease-refresh period (default: a quarter
             of the lease duration).
-        requeue_policy: backoff schedule for application-error requeues
-            (default: :data:`DEFAULT_REQUEUE_POLICY`).
-        requeue_seed: seed of the backoff-jitter stream.
         max_cells: stop after completing/failing this many cells
             (``None`` = unbounded); tests and drain scripts use it.
-        should_stop: optional callable polled between cells.
     """
     # Imported here: runner imports the parallel package lazily, and the
     # payload helpers live beside the cache code they must match.
     from repro.analysis.runner import result_to_payload
 
     owner = owner if owner is not None else default_owner()
-    policy = requeue_policy if requeue_policy is not None else DEFAULT_REQUEUE_POLICY
-    rng = np.random.default_rng(requeue_seed)
+    policy = DEFAULT_REQUEUE_POLICY
+    rng = np.random.default_rng(0)  # the backoff-jitter stream
     interval = (
         heartbeat_interval_s
         if heartbeat_interval_s is not None
@@ -971,8 +969,6 @@ def queue_worker_loop(
     pump: _HeartbeatPump | None = None
     try:
         while max_cells is None or processed < max_cells:
-            if should_stop is not None and should_stop():
-                break
             lease = queue.claim(owner)
             if lease is None:
                 if exit_when_drained and queue.drained():
@@ -1040,6 +1036,30 @@ def _local_worker_main(
 # -- coordinator side ------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
+class CellOutcome:
+    """What became of one submitted cell.
+
+    Exactly one of three states holds:
+
+    * ``result is not None`` — the cell completed;
+    * ``error is not None`` — the cell raised an application error
+      (``"ErrorType: message"``), or its row was withdrawn;
+    * ``crashed`` — its workers died without reporting (killed, OOM,
+      ``os._exit``) until the queue parked it, or the fleet stalled.
+    """
+
+    cell: Cell
+    result: SearchResult | None = None
+    error: str | None = None
+    crashed: bool = False
+
+    @property
+    def ok(self) -> bool:
+        """Whether the cell completed with a result."""
+        return self.result is not None
+
+
 @dataclass(frozen=True)
 class QueueConfig:
     """Where and how a grid's durable queue runs.
@@ -1082,26 +1102,25 @@ class QueueConfig:
             raise ValueError(
                 f"stall_timeout_s must be positive, got {self.stall_timeout_s}"
             )
+        if not self.poll_tick_s > 0:
+            raise ValueError(f"poll_tick_s must be positive, got {self.poll_tick_s}")
 
 
 class QueueExecutor:
     """Grid dispatch over a durable :class:`WorkQueue`.
 
-    Implements the four-method :class:`~repro.parallel.executors.
-    CellExecutor` protocol, so the :class:`~repro.parallel.supervisor.
-    Supervisor` and everything above it (cache, resume) treat
-    a crash-surviving multi-process fleet exactly like the in-process
-    backend.  ``submit`` enqueues a whole batch in one transaction.
-
-    ``poll`` is the coordinator heartbeat: it respawns dead local
-    workers (expiring their leases immediately rather than waiting out
-    the deadline), sweeps expired leases, forwards fleet transitions
-    from the durable events table to ``on_event``, and returns terminal
-    cells — ``done`` rows as results (deserialised from the stored
-    canonical payload), ``failed`` rows as application errors,
-    ``poisoned`` rows as crashes.  Only the rows of cells named by a
-    new terminal event, or submitted onto a row already ``done``, are
-    read, so a poll's cost follows what changed, not the grid size.
+    ``submit`` enqueues a whole batch in one transaction.  ``poll`` is
+    the coordinator heartbeat: it respawns dead local workers (expiring
+    their leases immediately rather than waiting out the deadline),
+    sweeps expired leases, forwards fleet transitions from the durable
+    events table to ``on_event``, and returns terminal cells as
+    :class:`CellOutcome`\\ s — ``done`` rows as results (deserialised
+    from the stored canonical payload), ``failed`` rows as application
+    errors, ``poisoned`` rows as crashes.  Only the rows of cells named
+    by a new terminal event, or submitted onto a row already ``done``,
+    are read, so a poll's cost follows what changed, not the grid size.
+    ``poll`` never raises for worker-side problems; what to do about an
+    outcome belongs to :func:`supervise`.
 
     Deadlines run on leases.  :meth:`started_at` is the coordinator's
     monotonic time when it forwarded the cell's ``lease_claimed`` event,
@@ -1111,50 +1130,43 @@ class QueueExecutor:
     cancelled through a database file; lease expiry bounds it instead.
 
     Args:
-        path: the queue database file.
-        cache_key: grid identity recorded in the queue.
-        run_cell: executes one cell (forked local workers inherit it).
+        config: the queue file (``config.path``, required), its grid
+            identity (``config.cache_key``; ``"grid"`` when ``None``),
+            the local pull-workers to fork (``config.workers``; ``None``
+            or 0 = external fleet only) and the lease, attempt, stall
+            and tick timings.
+        run_cell: executes one cell — in forked local workers, which
+            inherit it, and in the coordinator for the cells
+            :func:`supervise` completes serially.
         objective: deserialisation context for stored result payloads.
         seed_fn: maps a cell to the deterministic seed stored at
             enqueue time.
-        workers: local pull-workers to fork (0 = external fleet only).
         on_event: optional :class:`~repro.parallel.events.CellEvent`
             sink for queue transitions.
-        lease_duration_s / max_attempts / stall_timeout_s / poll_tick_s:
-            see :class:`QueueConfig`.
     """
-
-    supports_cancel = True
 
     def __init__(
         self,
-        path: str | Path,
-        cache_key: str,
+        config: QueueConfig,
         run_cell: CellFn,
         objective: Objective,
         seed_fn: Callable[[str, int], int],
-        *,
-        workers: int = 0,
-        lease_duration_s: float = DEFAULT_LEASE_S,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        stall_timeout_s: float | None = 60.0,
-        poll_tick_s: float = 0.05,
-        pricing: str = "on-demand",
         on_event: Callable[[CellEvent], None] | None = None,
     ) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
+        if config.path is None:
+            raise ValueError("QueueExecutor requires a QueueConfig with a path")
+        self.config = config
         self.queue = WorkQueue(
-            path, cache_key,
-            max_attempts=max_attempts, lease_duration_s=lease_duration_s,
-            pricing=pricing,
+            config.path,
+            config.cache_key if config.cache_key is not None else "grid",
+            max_attempts=config.max_attempts,
+            lease_duration_s=config.lease_duration_s,
+            pricing=config.pricing,
         )
-        self._run_cell = run_cell
+        self.run_cell = run_cell
         self._objective = objective
         self._seed_fn = seed_fn
-        self._target = workers
-        self._poll_tick_s = poll_tick_s
-        self._stall_timeout_s = stall_timeout_s
+        self._target = config.workers or 0
         self._on_event = on_event
         # Submission position of every cell ever submitted: outcomes
         # are returned in this order.
@@ -1173,9 +1185,9 @@ class QueueExecutor:
         self._last_activity = time.monotonic()
         self._stalled = False
         self._closed = False
-        if workers > 0 and "fork" not in multiprocessing.get_all_start_methods():
+        if self._target > 0 and "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError("local queue workers require the fork start method")
-        self._ctx = multiprocessing.get_context("fork") if workers > 0 else None
+        self._ctx = multiprocessing.get_context("fork") if self._target > 0 else None
 
     # -- local fleet ------------------------------------------------------
 
@@ -1184,7 +1196,7 @@ class QueueExecutor:
         owner = f"local-{os.getpid()}-{self._worker_serial}"
         process = self._ctx.Process(
             target=_local_worker_main,
-            args=(str(self.queue.path), self._run_cell, owner, self._poll_tick_s),
+            args=(str(self.queue.path), self.run_cell, owner, self.config.poll_tick_s),
             daemon=True,
         )
         process.start()
@@ -1235,7 +1247,7 @@ class QueueExecutor:
                         "cell_requeued"):
                 self._on_event(CellEvent.for_cell(kind, cell, detail))
 
-    # -- protocol ---------------------------------------------------------
+    # -- dispatch ---------------------------------------------------------
 
     def submit(self, cells: Sequence[Cell]) -> None:
         enqueued = self.queue.enqueue((cell, self._seed_fn(*cell)) for cell in cells)
@@ -1294,23 +1306,24 @@ class QueueExecutor:
     def _stall_check(self) -> list[CellOutcome]:
         """The fleet-vanished watchdog: with work outstanding but no
         sign of life for ``stall_timeout_s``, report every undelivered
-        cell as crashed so supervision can finish the grid serially.
+        cell as crashed so :func:`supervise` finishes the grid serially.
         The durable rows stay put — ``resolve_serial`` marks them done
         as the coordinator completes each one."""
-        if self._stall_timeout_s is None or self._stalled:
+        stall_timeout_s = self.config.stall_timeout_s
+        if stall_timeout_s is None or self._stalled:
             return []
         if any(p.is_alive() for p in self._workers.values()):
             return []
         if self.queue.leases():
             self._note_activity()
             return []
-        if time.monotonic() - self._last_activity < self._stall_timeout_s:
+        if time.monotonic() - self._last_activity < stall_timeout_s:
             return []
         self._stalled = True
         if self._on_event is not None:
             self._on_event(CellEvent.for_grid(
                 "queue_stalled",
-                f"no queue activity for {self._stall_timeout_s:.0f}s and no "
+                f"no queue activity for {stall_timeout_s:.0f}s and no "
                 "live workers; completing remaining cells in the coordinator",
             ))
         outcomes = []
@@ -1321,6 +1334,9 @@ class QueueExecutor:
         return outcomes
 
     def poll(self, timeout: float | None = None) -> list[CellOutcome]:
+        """Every outcome that became available, waiting up to
+        ``timeout`` seconds for at least one (``None`` = until one
+        arrives)."""
         if self._closed:
             return []
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -1338,14 +1354,14 @@ class QueueExecutor:
                 return outcomes
             if deadline is not None and time.monotonic() >= deadline:
                 return []
-            remaining = (
-                self._poll_tick_s
-                if deadline is None
-                else min(self._poll_tick_s, max(0.0, deadline - time.monotonic()))
-            )
+            remaining = self.config.poll_tick_s
+            if deadline is not None:
+                remaining = min(remaining, max(0.0, deadline - time.monotonic()))
             time.sleep(remaining)
 
     def cancel(self, cell: Cell) -> bool:
+        """Withdraw ``cell`` if it is pending or a local worker holds
+        it; False for a cell an external worker leases."""
         owner = self.queue.lease_owner(cell)
         if owner is not None and owner not in self._workers:
             return False  # an external worker's lease
@@ -1360,10 +1376,12 @@ class QueueExecutor:
         return True
 
     def started_at(self, cell: Cell) -> float | None:
+        """When the coordinator saw ``cell``'s lease claimed (monotonic
+        clock), or ``None`` while it is not running."""
         return self._started.get(cell)
 
     def resolve_serial(self, cell: Cell, result: SearchResult) -> None:
-        """Supervision hook: the coordinator completed ``cell`` itself
+        """The coordinator completed ``cell`` itself
         (a parked, stalled or cancelled cell); persist that into the
         queue so its durable record matches the cache."""
         from repro.analysis.runner import result_to_payload
@@ -1374,6 +1392,8 @@ class QueueExecutor:
         )
 
     def shutdown(self) -> None:
+        """Terminate the local workers and close the queue; the file
+        and its rows stay."""
         if self._closed:
             return
         self._closed = True
@@ -1389,7 +1409,98 @@ class QueueExecutor:
         self._workers.clear()
         self.queue.close()
 
-    @property
-    def capacity(self) -> int:
-        """The local pull-worker target (external workers add to it)."""
-        return self._target
+
+def supervise(
+    executor: QueueExecutor,
+    cells: Sequence[Cell],
+    cell_timeout_s: float | None = None,
+    on_event: Callable[[CellEvent], None] | None = None,
+) -> Iterator[tuple[Cell, SearchResult]]:
+    """Run ``cells`` through ``executor``, yielding ``(cell, result)`` in
+    submission order, then shut the executor down.
+
+    Retrying and healing happen in the queue, so only final verdicts
+    reach this loop.  Each is settled by completing the cell once,
+    serially, through ``executor.run_cell`` in this process — so a
+    deterministic failure raises exactly as a serial run would — and
+    recording that result in the queue (``resolve_serial``):
+
+    * **Crash** — a row parked ``poisoned``, or every undelivered cell
+      of a stalled fleet: ``cell_pinned``.
+    * **Error** — a row parked ``failed``: ``cell_failed`` with the
+      error, then ``cell_retried`` ("serial fallback after …"), which
+      is also mirrored into the result's
+      :class:`~repro.core.result.SearchResult.events`, so the persisted
+      record shows the cell was not a first-try success.
+    * **Deadline** — with ``cell_timeout_s`` set, a cell executing
+      longer than that (measured from ``started_at``, so queue time is
+      not counted) is cancelled and ``cell_timeout`` is emitted; the
+      poll then ticks at ``executor.config.poll_tick_s``.  A
+      ``cancel`` that returns False (an external worker's lease)
+      leaves the cell running.
+    """
+    order = list(cells)
+    results: dict[Cell, SearchResult] = {}
+    pending: set[Cell] = set(order)
+    emitted = 0
+    tick = executor.config.poll_tick_s if cell_timeout_s is not None else None
+
+    def emit(kind: str, cell: Cell, detail: str = "") -> None:
+        if on_event is not None:
+            on_event(CellEvent.for_cell(kind, cell, detail))
+
+    def finish(cell: Cell, result: SearchResult) -> None:
+        results[cell] = result
+        pending.discard(cell)
+        emit("cell_finished", cell)
+
+    def run_serially(cell: Cell, mirror: SearchEvent | None = None) -> None:
+        result = executor.run_cell(cell)
+        if mirror is not None:
+            # The mirror precedes the re-run search's own stream.
+            result = dataclasses.replace(result, events=(mirror, *result.events))
+        executor.resolve_serial(cell, result)
+        finish(cell, result)
+
+    try:
+        for cell in order:
+            emit("cell_scheduled", cell)
+        executor.submit(order)
+        while pending:
+            for outcome in executor.poll(tick):
+                cell = outcome.cell
+                if cell not in pending:
+                    continue  # late result for a cell already handled
+                if outcome.ok:
+                    finish(cell, outcome.result)
+                elif outcome.crashed:
+                    emit(
+                        "cell_pinned", cell,
+                        "lost its worker; pinned to serial execution",
+                    )
+                    run_serially(cell)
+                else:
+                    emit("cell_failed", cell, outcome.error or "")
+                    detail = f"serial fallback after {outcome.error}"
+                    emit("cell_retried", cell, detail)
+                    run_serially(
+                        cell, SearchEvent(kind="cell_retried", step=1, detail=detail)
+                    )
+            if cell_timeout_s is not None:
+                now = time.monotonic()
+                for cell in sorted(pending):
+                    started = executor.started_at(cell)
+                    if started is None or now - started < cell_timeout_s:
+                        continue
+                    if executor.cancel(cell):
+                        emit(
+                            "cell_timeout", cell,
+                            f"exceeded {cell_timeout_s:.1f}s deadline; cancelled, "
+                            "completing serially",
+                        )
+                        run_serially(cell)
+            while emitted < len(order) and order[emitted] in results:
+                yield order[emitted], results[order[emitted]]
+                emitted += 1
+    finally:
+        executor.shutdown()

@@ -97,8 +97,8 @@ class VectorizedGridDriver:
 
     :meth:`run` yields ``(cell, result)`` in submission order with
     results bit-identical to the serial executor's; an exception in any
-    cell's search propagates (there is no in-process retry — the
-    supervisor machinery belongs to the process-isolating backends).
+    cell's search propagates (there is no in-process retry — supervision
+    belongs to the work queue's process-isolating workers).
     """
 
     def __init__(

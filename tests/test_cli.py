@@ -107,6 +107,15 @@ class TestSearch:
         assert serial_out == parallel_out
         assert "4 repeats" in serial_out
 
+    def test_bad_cell_timeout_fails_cleanly_under_vector(self, capsys):
+        assert main(
+            [
+                "search", "kmeans/Spark 2.1/small", "--method", "random",
+                "--repeats", "2", "--executor", "vector", "--cell-timeout", "-5",
+            ]
+        ) == 1
+        assert "cell_timeout must be positive" in capsys.readouterr().err
+
     def test_refit_fraction_flag(self, capsys):
         assert main(
             [

@@ -12,7 +12,14 @@ from repro.analysis.runner import ExperimentRunner, RunGrid, run_seed
 from repro.core.baselines import RandomSearch
 from repro.core.objectives import Objective
 from repro.faults import FaultInjector, parse_fault_plan, RetryPolicy
-from repro.parallel import CellEvent, GridCheckpoint, WorkQueue, plan_workers, run_cells
+from repro.parallel import (
+    CellEvent,
+    GridCheckpoint,
+    QueueConfig,
+    WorkQueue,
+    plan_workers,
+    run_cells,
+)
 from repro.parallel import engine
 from repro.parallel.engine import POOL_MIN_CELLS, _fork_available
 
@@ -138,6 +145,79 @@ class TestEngine:
         finished = [e for e in events if e.kind == "cell_finished"]
         assert {(e.workload_id, e.repeat) for e in scheduled} == set(cells)
         assert {(e.workload_id, e.repeat) for e in finished} == set(cells)
+
+    @pytest.mark.parametrize("executor", ["serial", "auto"])
+    def test_serial_event_stream_is_pinned(self, trace, executor):
+        """The in-process loop's exact stream: ``pool_planned``, one
+        ``cell_scheduled`` per cell in submission order, then one
+        ``cell_finished`` per cell just before it is yielded; a raising
+        factory propagates out of the loop unchanged."""
+        cells = [(WORKLOADS[0], 0), (WORKLOADS[1], 0), (WORKLOADS[0], 1)]
+        stream: list[tuple] = []
+
+        def record(event):
+            stream.append((event.kind, event.workload_id, event.repeat))
+
+        for cell, _ in run_cells(
+            trace=trace,
+            factory=random_factory,
+            objective=Objective.TIME,
+            cells=cells,
+            workers=1,
+            on_event=record,
+            executor=executor,
+        ):
+            stream.append(("yielded", *cell))
+        assert stream == (
+            [("pool_planned", None, None)]
+            + [("cell_scheduled", *cell) for cell in cells]
+            + [entry for cell in cells
+               for entry in (("cell_finished", *cell), ("yielded", *cell))]
+        )
+
+        def doomed_factory(environment, objective, seed):
+            raise RuntimeError("deterministic failure")
+
+        kinds: list[str] = []
+        with pytest.raises(RuntimeError, match="deterministic failure"):
+            list(
+                run_cells(
+                    trace=trace,
+                    factory=doomed_factory,
+                    objective=Objective.TIME,
+                    cells=cells,
+                    workers=1,
+                    on_event=lambda event: kinds.append(event.kind),
+                    executor=executor,
+                )
+            )
+        assert kinds == ["pool_planned"] + ["cell_scheduled"] * len(cells)
+
+    @pytest.mark.parametrize("executor", ["auto", "serial", "queue", "vector"])
+    def test_rejects_bad_cell_timeout(self, trace, tmp_path, executor):
+        """Every executor refuses a deadline that is not positive before
+        running anything — not only the ones that enforce it (the NaN
+        and zero cases are in ``test_parallel_supervisor.py``)."""
+        built: list[int] = []
+
+        def counting_factory(environment, objective, seed):
+            built.append(seed)
+            return random_factory(environment, objective, seed)
+
+        with pytest.raises(ValueError, match="cell_timeout"):
+            list(
+                run_cells(
+                    trace=trace,
+                    factory=counting_factory,
+                    objective=Objective.TIME,
+                    cells=[(WORKLOADS[0], 0), (WORKLOADS[1], 0)],
+                    cell_timeout=-5.0,
+                    executor=executor,
+                    queue=QueueConfig(path=tmp_path / "g.queue"),
+                )
+            )
+        assert built == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_bad_worker_count(self, trace):
         with pytest.raises(ValueError, match="workers"):

@@ -1,4 +1,4 @@
-"""Cell executors: protocol conformance, crash containment, cancellation."""
+"""The queue executor's local fork pool: crash containment, cancellation."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ import pytest
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult, SearchStep
 from repro.parallel.engine import _fork_available
-from repro.parallel.executors import CellExecutor, CellOutcome, SerialExecutor
-from repro.parallel.queue import QueueExecutor
+from repro.parallel.queue import CellOutcome, QueueConfig, QueueExecutor
 
 
 def _result(tag: str) -> SearchResult:
@@ -52,37 +51,6 @@ def drain(executor, n, deadline_s=30.0):
     return outcomes
 
 
-class TestSerialExecutor:
-    def test_runs_cells_in_submission_order(self):
-        executor = SerialExecutor(scripted_cell)
-        executor.submit([("ok", index) for index in range(3)])
-        outcomes = []
-        while batch := executor.poll():
-            outcomes.extend(batch)
-        assert [o.cell for o in outcomes] == [("ok", 0), ("ok", 1), ("ok", 2)]
-        assert all(o.ok for o in outcomes)
-
-    def test_poll_empty_backlog_returns_nothing(self):
-        assert SerialExecutor(scripted_cell).poll() == []
-
-    def test_exceptions_propagate(self):
-        executor = SerialExecutor(scripted_cell)
-        executor.submit([("fail", 0)])
-        with pytest.raises(RuntimeError, match="scripted failure"):
-            executor.poll()
-
-    def test_cancel_withdraws_queued_cell(self):
-        executor = SerialExecutor(scripted_cell)
-        executor.submit([("ok", 0), ("ok", 1)])
-        assert executor.cancel(("ok", 0))
-        assert not executor.cancel(("ok", 0))
-        assert [o.cell for o in executor.poll()] == [("ok", 1)]
-
-    def test_protocol_conformance(self):
-        assert isinstance(SerialExecutor(scripted_cell), CellExecutor)
-        assert not SerialExecutor.supports_cancel
-
-
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
 class TestForkPoolExecutor:
     """``auto``'s fork pool: a :class:`QueueExecutor` whose pull-workers
@@ -91,24 +59,18 @@ class TestForkPoolExecutor:
     @staticmethod
     def pool(tmp_path, workers, **kwargs):
         return QueueExecutor(
-            tmp_path / "pool.queue",
-            "pool",
+            QueueConfig(
+                path=tmp_path / "pool.queue",
+                cache_key="pool",
+                workers=workers,
+                stall_timeout_s=None,
+                poll_tick_s=0.02,
+                **kwargs,
+            ),
             scripted_cell,
             Objective.TIME,
             lambda _action, index: index,
-            workers=workers,
-            stall_timeout_s=None,
-            poll_tick_s=0.02,
-            **kwargs,
         )
-
-    def test_protocol_conformance(self, tmp_path):
-        executor = self.pool(tmp_path, workers=1)
-        try:
-            assert isinstance(executor, CellExecutor)
-            assert QueueExecutor.supports_cancel
-        finally:
-            executor.shutdown()
 
     def test_completes_all_cells(self, tmp_path):
         executor = self.pool(tmp_path, workers=2)

@@ -27,11 +27,10 @@ from repro.analysis.runner import (
 from repro.core.baselines import RandomSearch
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult, SearchStep
-from repro.faults import RetryPolicy
 from repro.parallel import queue as queue_module
 from repro.parallel.engine import _fork_available
-from repro.parallel.executors import CellExecutor
 from repro.parallel.queue import (
+    QueueConfig,
     QueueExecutor,
     WorkQueue,
     queue_worker_loop,
@@ -463,10 +462,7 @@ class TestWorkerLoop:
             def explode(lease):
                 raise RuntimeError(f"attempt {lease.attempts}")
 
-            done = queue_worker_loop(
-                queue, explode, owner="w",
-                requeue_policy=RetryPolicy(max_attempts=2),
-            )
+            done = queue_worker_loop(queue, explode, owner="w")
             assert done == 2  # both attempts processed by this worker
             [(cell, state, _p, error, attempts)] = queue.terminal_cells()
             assert state == "failed" and attempts == 2
@@ -560,16 +556,6 @@ class TestWorkerLoop:
             [(cell, owner, *_)] = queue.leases()
             assert (cell, owner) == (("lost", 0), "thief")
 
-    def test_should_stop_halts_before_claiming(self, tmp_path):
-        with WorkQueue(tmp_path / "g.queue", "key") as queue:
-            queue.enqueue([(("a", 0), 1)])
-            done = queue_worker_loop(
-                queue, lambda lease: _result("x"), owner="w",
-                should_stop=lambda: True,
-            )
-            assert done == 0
-            assert queue.counts()["pending"] == 1
-
 
 def _suicidal_worker_main(path: str) -> None:
     """A real worker that SIGKILLs itself mid-cell on the first attempt."""
@@ -630,27 +616,18 @@ class TestSigkillRecovery:
 
 
 class TestQueueExecutor:
-    def _executor(self, tmp_path, **kwargs):
+    def _executor(self, tmp_path, on_event=None, **kwargs):
         kwargs.setdefault("workers", 0)
         kwargs.setdefault("stall_timeout_s", None)
         return QueueExecutor(
-            tmp_path / "g.queue",
-            "key",
+            QueueConfig(
+                path=tmp_path / "g.queue", cache_key="key", poll_tick_s=0.01, **kwargs
+            ),
             lambda cell: _result(cell[0]),
             Objective.TIME,
             lambda workload_id, repeat: repeat,
-            poll_tick_s=0.01,
-            **kwargs,
+            on_event=on_event,
         )
-
-    def test_protocol_conformance(self, tmp_path):
-        executor = self._executor(tmp_path)
-        try:
-            assert isinstance(executor, CellExecutor)
-            assert QueueExecutor.supports_cancel
-            assert executor.started_at(("a", 0)) is None
-        finally:
-            executor.shutdown()
 
     def test_external_worker_feeds_ok_outcomes(self, tmp_path):
         events = []
@@ -680,6 +657,8 @@ class TestQueueExecutor:
             assert by_cell[("a", 0)].result == _result("a")
             assert by_cell[("b", 1)].result == _result("b")
             assert "lease_claimed" in [e.kind for e in events]
+            # A finished cell is no longer running.
+            assert executor.started_at(("a", 0)) is None
         finally:
             executor.shutdown()
 
@@ -836,9 +815,11 @@ class TestQueueExecutor:
             raise AssertionError(f"{cell} recomputed")
 
         executor = QueueExecutor(
-            tmp_path / "g.queue", "key", never_run, Objective.TIME,
-            lambda workload_id, repeat: repeat,
-            workers=0, stall_timeout_s=None, poll_tick_s=0.01,
+            QueueConfig(
+                path=tmp_path / "g.queue", cache_key="key", workers=0,
+                stall_timeout_s=None, poll_tick_s=0.01,
+            ),
+            never_run, Objective.TIME, lambda workload_id, repeat: repeat,
         )
         try:
             executor.submit([("a", 0)])

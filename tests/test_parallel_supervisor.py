@@ -1,9 +1,10 @@
-"""Supervisor policy: crashes, errors and deadlines end in one serial run.
+"""Queue supervision: crashes, errors and deadlines end in one serial run.
 
-These tests script a fake executor so every failure mode is exercised
-deterministically, without real processes or wall-clock races; the
-integration behaviour over real local queue workers is covered in
-``test_parallel_engine.py``.
+These tests drive :func:`~repro.parallel.queue.supervise` over a
+scripted stand-in for the queue executor, so every failure mode is
+exercised deterministically, without real processes or wall-clock
+races; the integration behaviour over real local queue workers is
+covered in ``test_parallel_engine.py``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import pytest
 
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult, SearchStep
+from repro.parallel.engine import run_cells
 from repro.parallel.events import CellEvent
-from repro.parallel.executors import CellOutcome
-from repro.parallel.supervisor import SupervisionConfig, Supervisor
+from repro.parallel.queue import CellOutcome, QueueConfig, supervise
 
 
 def _result(tag: str) -> SearchResult:
@@ -29,22 +30,33 @@ def _result(tag: str) -> SearchResult:
     )
 
 
+def serial_run(cell) -> SearchResult:
+    return _result(f"serial-{cell[0]}")
+
+
+def _never_built(environment, objective, seed):
+    raise AssertionError("validation must precede any search")
+
+
 class ScriptedExecutor:
-    """A CellExecutor whose outcomes are scripted per submission.
+    """Stands in for a ``QueueExecutor``, outcomes scripted per submission.
 
     ``script[cell]`` is the cell's behaviour: ``"ok"`` (result),
     ``"fail"`` (application error), ``"crash"`` (worker death),
-    ``"hang"`` (stays in flight until cancelled).
+    ``"hang"`` (stays in flight until cancelled).  ``run_cell`` is the
+    serial completion path.
     """
 
-    supports_cancel = True
+    config = QueueConfig(poll_tick_s=0.01)
 
-    def __init__(self, script: dict[tuple, list[str]]) -> None:
+    def __init__(self, script: dict[tuple, list[str]], run_cell=serial_run) -> None:
         self.script = dict(script)
+        self.run_cell = run_cell
         self.queue: deque[CellOutcome] = deque()
         self.hanging: set = set()
         self.cancelled: list = []
         self.submissions: list = []
+        self.resolved: list = []
         self.shutdowns = 0
 
     def submit(self, cells) -> None:
@@ -80,20 +92,18 @@ class ScriptedExecutor:
         # Far in the past: any armed deadline has already expired.
         return 0.0 if cell in self.hanging else None
 
+    def resolve_serial(self, cell, result) -> None:
+        self.resolved.append((cell, result))
+
     def shutdown(self) -> None:
         self.shutdowns += 1
 
 
-def serial_run(cell) -> SearchResult:
-    return _result(f"serial-{cell[0]}")
-
-
-def run_supervised(script, config=None, order=None, serial=serial_run):
-    executor = ScriptedExecutor(script)
+def run_supervised(script, cell_timeout_s=None, order=None, serial=serial_run):
+    executor = ScriptedExecutor(script, serial)
     events: list[CellEvent] = []
-    supervisor = Supervisor(executor, serial, config=config, on_event=events.append)
     cells = order if order is not None else list(script)
-    results = list(supervisor.run(cells))
+    results = list(supervise(executor, cells, cell_timeout_s, events.append))
     return executor, events, results
 
 
@@ -129,6 +139,8 @@ class TestRetries:
         )
         assert result.events[0].kind == "cell_retried"
         assert result.events[0].detail == events[2].detail
+        # The queue's durable record gets the mirrored serial result.
+        assert executor.resolved == [(("a", 0), result)]
 
     def test_default_policy_goes_straight_to_serial(self):
         script = {("a", 0): "fail"}
@@ -149,17 +161,14 @@ class TestSelfHealing:
         """A sibling result in the same poll as a crash is kept, not
         recomputed serially."""
         script = {("a", 0): "ok", ("b", 0): "crash"}
-        executor = ScriptedExecutor(script)
-        events: list[CellEvent] = []
         serial_calls: list = []
 
         def counting_serial(cell):
             serial_calls.append(cell)
             return serial_run(cell)
 
-        supervisor = Supervisor(executor, counting_serial, on_event=events.append)
-        results = dict(supervisor.run([("a", 0), ("b", 0)]))
-        assert results[("a", 0)].workload_id == "a"
+        _, _, results = run_supervised(script, serial=counting_serial)
+        assert dict(results)[("a", 0)].workload_id == "a"
         assert serial_calls == [("b", 0)]
 
     def test_poison_cell_is_pinned_not_resubmitted(self):
@@ -174,46 +183,59 @@ class TestSelfHealing:
 
 class TestDeadlines:
     def test_straggler_cancelled_and_completed_serially(self):
-        config = SupervisionConfig(cell_timeout_s=5.0, poll_tick_s=0.01)
         script = {("a", 0): "hang", ("b", 0): "ok"}
-        executor, events, results = run_supervised(script, config)
+        executor, events, results = run_supervised(script, cell_timeout_s=5.0)
         assert executor.cancelled == [("a", 0)]
         assert kinds(events).count("cell_timeout") == 1
         by_cell = dict(results)
         assert by_cell[("a", 0)].workload_id == "serial-a"
         assert by_cell[("b", 0)].workload_id == "b"
 
-    def test_no_deadline_without_cancel_support(self):
-        class NoCancel(ScriptedExecutor):
-            supports_cancel = False
+    def test_refused_cancel_leaves_the_cell_running(self):
+        """An external worker's lease cannot be withdrawn: ``cancel()``
+        returns False, so the overdue cell runs on to its own result."""
 
-            def submit(self, cells):
-                # Without cancel support the supervisor must not arm
-                # deadlines; hanging here would deadlock the test.
-                for cell in cells:
-                    self.queue.append(CellOutcome(cell=cell, result=_result(cell[0])))
+        class ExternalLease(ScriptedExecutor):
+            def __init__(self, script) -> None:
+                super().__init__(script)
+                self.polls = 0
+                self.refused: list = []
 
-        executor = NoCancel({})
-        supervisor = Supervisor(
-            executor,
-            serial_run,
-            config=SupervisionConfig(cell_timeout_s=0.01, poll_tick_s=0.01),
-        )
-        results = list(supervisor.run([("a", 0)]))
+            def poll(self, timeout=None):
+                self.polls += 1
+                if self.polls == 3:  # the external worker finishes
+                    return [CellOutcome(cell=("a", 0), result=_result("a"))]
+                return []
+
+            def cancel(self, cell) -> bool:
+                self.refused.append(cell)
+                return False
+
+        executor = ExternalLease({("a", 0): "hang"})
+        events: list[CellEvent] = []
+        results = list(supervise(executor, [("a", 0)], 0.01, events.append))
         assert results[0][1].workload_id == "a"
+        assert executor.refused == [("a", 0), ("a", 0)]
+        assert "cell_timeout" not in kinds(events)
+        assert executor.resolved == []
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"cell_timeout_s": 0.0},
-            {"cell_timeout_s": -1.0},
-            {"cell_timeout_s": float("nan")},
+            {"cell_timeout": 0.0},
+            {"cell_timeout": -1.0},
+            {"cell_timeout": float("nan")},
             {"poll_tick_s": float("nan")},
             {"poll_tick_s": 0.0},
         ],
     )
-    def test_rejects_bad_config(self, kwargs):
+    def test_rejects_bad_config(self, kwargs, trace):
+        """A bad deadline is refused as ``run_cells`` starts; a bad tick
+        by the queue's config."""
         with pytest.raises(ValueError):
-            SupervisionConfig(**kwargs)
+            if "poll_tick_s" in kwargs:
+                QueueConfig(**kwargs)
+            else:
+                next(run_cells(trace, _never_built, Objective.TIME, [], **kwargs))
