@@ -32,6 +32,14 @@ where they are needed: a non-finite matrix is rejected once before its
 jitter ladder, the targets once per fit, the cross-covariance once per
 predict.
 
+The optimiser gets the same treatment.  ``scipy.optimize.minimize``
+spends more on its per-start set-up and per-evaluation wrappers than
+L-BFGS-B spends iterating, so each start drives the ``setulb`` handle
+(fetched once with the LAPACK ones) through the loop ``minimize`` runs,
+evaluation for evaluation: the fitted hyperparameters are
+bit-identical.  ``setulb`` is private scipy API, so the package needs
+scipy >= 1.17, and a test pins the loop against ``minimize``.
+
 scipy is imported when the first :class:`GaussianProcessRegressor` is
 built, never when this module is: Arrow's own searches fit no GP, and
 loading ``scipy.linalg`` / ``optimize`` / ``special`` costs a process
@@ -41,6 +49,8 @@ import out of every timed search step.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.ml.kernels import Geometry, Kernel, Matern52, stacked_stationary_value
@@ -48,10 +58,19 @@ from repro.ml.kernels import Geometry, Kernel, Matern52, stacked_stationary_valu
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
 # The double-precision LAPACK routines scipy.linalg resolves on every
-# cholesky / cho_solve / solve_triangular call, and scipy.optimize:
-# bound once per process by _load_scipy().
-_potrf = _potrs = _trtrs = None
-optimize = None
+# cholesky / cho_solve / solve_triangular call, and the L-BFGS-B
+# iteration scipy.optimize.minimize drives: bound once per process by
+# _load_scipy().
+_potrf = _potrs = _trtrs = _setulb = None
+
+# scipy.optimize.minimize(method="L-BFGS-B")'s defaults, as its
+# _minimize_lbfgsb hands them to setulb.
+_LBFGSB_M = 10
+_LBFGSB_MAXLS = 20
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXITER = _LBFGSB_MAXFUN = 15000
+_TASK_NEW_X, _TASK_FG, _TASK_STOP = 1, 3, 5
 
 
 def _load_scipy() -> None:
@@ -61,17 +80,82 @@ def _load_scipy() -> None:
     expected improvement (:mod:`repro.core.acquisition` then finds it
     loaded).  A forked worker inherits whatever its parent loaded.
     """
-    global _potrf, _potrs, _trtrs, optimize
-    if optimize is not None:
+    global _potrf, _potrs, _trtrs, _setulb
+    if _setulb is not None:
         return
     import scipy.special  # noqa: F401
-    from scipy import optimize as scipy_optimize
     from scipy.linalg import get_lapack_funcs
+    from scipy.optimize._lbfgsb import setulb
 
     _potrf, _potrs, _trtrs = get_lapack_funcs(
         ("potrf", "potrs", "trtrs"), dtype=np.float64
     )
-    optimize = scipy_optimize
+    _setulb = setulb
+
+
+def _minimize_lbfgsb(
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    start: np.ndarray,
+    bounds: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Minimise ``objective`` (value and gradient) within ``bounds``.
+
+    Evaluation for evaluation what ``scipy.optimize.minimize(objective,
+    start, method="L-BFGS-B", jac=True, bounds=bounds)`` does under
+    scipy 1.17, minus its per-call set-up and per-evaluation wrappers:
+    the start is clipped into the bounds and evaluated once, and every
+    later ``setulb`` request for ``f`` and ``g`` re-evaluates only when
+    ``x`` moved.  Each evaluation gets its own copy of ``x``.
+
+    Args:
+        objective: maps a point to ``(f, grad)``.
+        start: the starting point.
+        bounds: ``(n, 2)`` finite ``[low, high]`` rows.
+
+    Returns:
+        ``(x, f)`` — what ``result.x`` and ``result.fun`` would hold.
+
+    Raises:
+        ValueError: on non-finite bounds or a low bound above its high.
+    """
+    low, high = np.ascontiguousarray(bounds.T, dtype=np.float64)
+    if not (np.isfinite(bounds).all() and (low <= high).all()):
+        raise ValueError("L-BFGS-B bounds must be finite with low <= high")
+    m, n = _LBFGSB_M, low.size
+    x = np.clip(start, low, high)
+    x_seen = x.copy()
+    f_seen, g_seen = objective(x_seen)
+    n_evals, n_iterations = 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    nbd = np.full(n, 2, dtype=np.int32)  # both bounds active
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    while True:
+        g = g.astype(np.float64)
+        _setulb(
+            m, x, low, high, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
+            wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task,
+        )
+        if task[0] == _TASK_FG:
+            if not np.array_equal(x, x_seen):
+                x_seen = x.copy()
+                f_seen, g_seen = objective(x_seen)
+                n_evals += 1
+            f, g = f_seen, g_seen
+        elif task[0] == _TASK_NEW_X:
+            # 504 and 502: scipy's iteration- and evaluation-limit stops.
+            n_iterations += 1
+            if n_iterations >= _LBFGSB_MAXITER:
+                task[:] = _TASK_STOP, 504
+            elif n_evals > _LBFGSB_MAXFUN:
+                task[:] = _TASK_STOP, 502
+        else:
+            return x, f
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -364,15 +448,9 @@ class GaussianProcessRegressor:
 
         best_theta, best_value = starts[0], np.inf
         for start in starts:
-            result = optimize.minimize(
-                negative_lml_and_grad,
-                start,
-                method="L-BFGS-B",
-                jac=True,
-                bounds=bounds,
-            )
-            if result.fun < best_value:
-                best_theta, best_value = result.x, float(result.fun)
+            theta, value = _minimize_lbfgsb(negative_lml_and_grad, start, bounds)
+            if value < best_value:
+                best_theta, best_value = theta, float(value)
         self._set_packed_theta(best_theta)
 
     # -- prediction --------------------------------------------------------

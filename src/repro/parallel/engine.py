@@ -202,6 +202,12 @@ def queue_backed(executor: str, workers: int, n_cells: int) -> bool:
     )
 
 
+def check_cell_timeout(cell_timeout: float | None) -> None:
+    """Reject a ``cell_timeout`` that is set but not a positive number."""
+    if cell_timeout is not None and not cell_timeout > 0:
+        raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
+
+
 def run_cells(
     trace: BenchmarkTrace,
     factory: OptimizerFactory,
@@ -257,8 +263,7 @@ def run_cells(
             is not a positive number, if ``executor`` is unknown, or if
             ``executor="queue"`` lacks a usable ``queue`` config.
     """
-    if cell_timeout is not None and not cell_timeout > 0:
-        raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
+    check_cell_timeout(cell_timeout)
     if executor not in EXECUTOR_CHOICES:
         raise ValueError(
             f"unknown executor {executor!r}; choose from {EXECUTOR_CHOICES}"

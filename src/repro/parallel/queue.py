@@ -1002,6 +1002,50 @@ def queue_worker_loop(
     return processed
 
 
+#: The thread-count setters OpenBLAS builds export: upstream's, and the
+#: prefixed LP64 and ILP64 builds bundled with scipy and numpy wheels.
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _pin_openblas_to_one_thread() -> None:
+    """Set every OpenBLAS mapped into this process to one thread.
+
+    A forked worker inherits each OpenBLAS its parent loaded (numpy and
+    scipy bundle one each) with their thread pools sized to the machine,
+    so local workers on an n-core box would each run n BLAS threads and
+    contend for the cores.  OpenBLAS reads its thread variables only
+    when it loads, so each library's exported setter is called through
+    :mod:`ctypes`.  Where ``/proc/self/maps`` or an OpenBLAS is missing,
+    nothing happens.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return
+    paths = {
+        parts[5].strip()
+        for parts in fields
+        if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower()
+    }
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 def _local_worker_main(
     path: str,
     run_cell: CellFn,
@@ -1016,10 +1060,12 @@ def _local_worker_main(
     too (the runner's flush-on-signal among them), so they are reset:
     SIGTERM (the coordinator's ``cancel`` and ``shutdown``) kills the
     worker outright, and a terminal's SIGINT is left to the coordinator,
-    which shuts the fleet down.
+    which shuts the fleet down.  The local workers share the box, so
+    each runs its BLAS on one thread.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _pin_openblas_to_one_thread()
     queue = WorkQueue.attach(path)
     try:
         queue_worker_loop(

@@ -116,6 +116,20 @@ class TestSearch:
         ) == 1
         assert "cell_timeout must be positive" in capsys.readouterr().err
 
+    def test_bad_cell_timeout_fails_cleanly_on_a_cached_grid(self, tmp_path, capsys):
+        argv = [
+            "search", "kmeans/Spark 2.1/small", "--method", "random",
+            "--repeats", "2", "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # Every cell is served from the cache, so nothing reaches the
+        # engine: the runner itself must reject the deadline.
+        assert main(argv + ["--cell-timeout", "-5"]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: cell_timeout must be positive, got -5.0"
+        )
+
     def test_refit_fraction_flag(self, capsys):
         assert main(
             [

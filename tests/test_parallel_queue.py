@@ -7,11 +7,14 @@ workers and real ``SIGKILL`` — the scenario the queue exists for.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
 import signal
 import sqlite3
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -613,6 +616,92 @@ class TestSigkillRecovery:
                 if kind == "cell_done"
             ]
             assert sorted(done_cells) == [("die", 0), ("ok", 0)]
+
+
+def _openblas_thread_counts() -> dict[str, int]:
+    """Thread count of each OpenBLAS mapped into this process, by file."""
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        fields = [line.split(maxsplit=5) for line in maps]
+    paths = {
+        parts[5].strip()
+        for parts in fields
+        if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower()
+    }
+    counts = {}
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for setter in queue_module._OPENBLAS_SETTERS:
+            getter = getattr(library, setter.replace("_set_", "_get_"), None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts[os.path.basename(path)] = getter()
+    return counts
+
+
+def _report_openblas_threads(cell) -> SearchResult:
+    """A cell that reports its worker's OpenBLAS thread counts."""
+    counts = json.dumps(_openblas_thread_counts())
+    return dataclasses.replace(_result("probe"), optimizer=counts)
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+)
+class TestOpenblasPin:
+    def test_every_loaded_openblas_reports_one_thread(self):
+        # A fresh interpreter, so this process's BLAS is left alone; two
+        # threads requested at load, so the pin has something to undo.
+        env = dict(os.environ)
+        root = Path(__file__).resolve().parents[1]
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        code = (
+            "import json, numpy, scipy.linalg\n"
+            "from repro.parallel.queue import _pin_openblas_to_one_thread\n"
+            "from tests.test_parallel_queue import _openblas_thread_counts\n"
+            "before = _openblas_thread_counts()\n"
+            "_pin_openblas_to_one_thread()\n"
+            "print(json.dumps([before, _openblas_thread_counts()]))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        before, after = json.loads(completed.stdout)
+        if not after:
+            pytest.skip("no OpenBLAS loaded")
+        # numpy's and scipy's wheels each bundle one.
+        assert after.keys() == before.keys()
+        assert set(after.values()) == {1}
+        if (os.cpu_count() or 1) > 1:
+            assert max(before.values()) == 2
+
+    @needs_fork
+    def test_local_workers_run_on_one_blas_thread(self, tmp_path):
+        pytest.importorskip("scipy.linalg")
+        path = tmp_path / "g.queue"
+        with WorkQueue(path, "key") as queue:
+            queue.enqueue([(("probe", 0), 1)])
+            ctx = multiprocessing.get_context("fork")
+            worker = ctx.Process(
+                target=queue_module._local_worker_main,
+                args=(
+                    str(path),
+                    _report_openblas_threads,
+                    "w",
+                    0.01,
+                ),
+            )
+            worker.start()
+            worker.join(timeout=60.0)
+            assert worker.exitcode == 0
+            [(_cell, state, payload, *_)] = queue.terminal_cells()
+        assert state == "done"
+        counts = json.loads(payload["optimizer"])
+        assert counts and set(counts.values()) == {1}
 
 
 class TestQueueExecutor:
