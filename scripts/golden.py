@@ -35,6 +35,9 @@ pipeline produces:
   a 2-workload x 2-repeat grid run under the ``serial`` and ``vector``
   executors (the ``aws-large`` grid under ``vector`` only, which stacks
   its searches' large query sets through ``predict_packed_many``).  The
+  ``naive-clean`` grid runs q=1 Naive BO with CherryPick's EI-10% stop,
+  the configuration the vectorized driver steps in lock-step GP groups
+  (``fit_gps_stacked`` + ``expected_improvement_stacked``).  The
   clean Augmented BO grid also runs as ``pool`` (``auto`` at two
   workers: two local queue workers) and ``queue`` (two workers); their
   digests must equal the serial one.
@@ -85,7 +88,7 @@ from repro.core.history_bo import (  # noqa: E402
 from repro.core.hybrid_bo import HybridBO  # noqa: E402
 from repro.core.naive_bo import NaiveBO  # noqa: E402
 from repro.core.objectives import Objective  # noqa: E402
-from repro.core.stopping import PredictionDeltaThreshold  # noqa: E402
+from repro.core.stopping import EIThreshold, PredictionDeltaThreshold  # noqa: E402
 from repro.faults import FaultInjector, RetryPolicy, parse_fault_plan  # noqa: E402
 from repro.ml.kernels import kernel_by_name  # noqa: E402
 from repro.trace.generate import canonical_trace, default_trace  # noqa: E402
@@ -313,6 +316,13 @@ def _spot_q4_factory(environment, objective, seed):
     )
 
 
+def _naive_clean_factory(environment, objective, seed):
+    return NaiveBO(
+        environment, objective=objective, seed=seed,
+        stopping=EIThreshold(fraction=0.1),
+    )
+
+
 def _large_factory(environment, objective, seed):
     return AugmentedBO(
         environment, objective=objective, seed=seed, max_measurements=LARGE_BUDGET,
@@ -324,6 +334,7 @@ def _large_factory(environment, objective, seed):
 CACHE_GRIDS = {
     "augmented-clean": (_clean_factory, None, ("serial", "vector", "pool", "queue")),
     "augmented-faulty": (_faulty_factory, None, ("serial", "vector")),
+    "naive-clean": (_naive_clean_factory, None, ("serial", "vector")),
     "naive-spot-q4": (_spot_q4_factory, None, ("serial", "vector")),
     "augmented-large": (_large_factory, LARGE_CATALOG, ("vector",)),
 }
