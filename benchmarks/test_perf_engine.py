@@ -36,9 +36,12 @@ Every section records the ``cpu_count`` it ran under and whether its
 parallelism-dependent numbers were ``clamped`` by the machine, so the
 regression gate can judge (or skip) each in context.
 
-Before the first write of a session the previous ``BENCH_perf.json`` is
-preserved as ``BENCH_perf.prev.json`` and each section prints a
+Before the first write of a session the committed ``BENCH_perf.json``
+is preserved as ``BENCH_perf.prev.json`` and each section prints a
 previous-vs-current delta table, so regressions are visible in CI logs.
+A later session in the same checkout (the file no longer matches git
+``HEAD``) keeps that baseline instead of snapshotting its predecessor's
+fresh numbers.
 
 The grid size is environment-tunable so CI can run a tiny smoke grid::
 
@@ -103,8 +106,9 @@ AT_MEASUREMENTS = 15
 #: and the factored Extra-Trees growth are compared (36 x 36 pairs).
 FACTORED_AT_MEASUREMENTS = 36
 
-# Snapshot of the committed BENCH_perf.json, taken once per session
-# before the first overwrite; None when there was nothing to preserve.
+# The session's baseline, taken once before its first overwrite: the
+# committed BENCH_perf.json (preserved as BENCH_perf.prev.json); None
+# when there was nothing to preserve.
 _previous_bench: dict | None = None
 _previous_recorded = False
 
@@ -118,15 +122,50 @@ def _load_bench(path: Path) -> dict:
         return {}
 
 
+def _committed_bytes(path: Path) -> bytes | None:
+    """``path`` as committed at git ``HEAD``; None where git cannot say
+    (no git, not a checkout, or the file is not committed)."""
+    try:
+        completed = subprocess.run(
+            ["git", "show", f"HEAD:./{path.name}"],
+            cwd=path.parent, capture_output=True, timeout=30,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return completed.stdout if completed.returncode == 0 else None
+
+
+def _preserve_baseline(bench_path: Path, prev_path: Path) -> dict | None:
+    """Copy ``bench_path`` to ``prev_path`` while it is the committed file.
+
+    Once a session has written fresh numbers, ``bench_path`` differs
+    from ``HEAD``; a later session (say, one re-recording a section
+    with ``-k``) must not make those numbers the baseline the
+    regression gate compares against, so it leaves ``prev_path`` alone.
+    Where git cannot tell, the file is copied as it is.
+
+    Returns:
+        The baseline the session's delta tables compare against: the
+        copied numbers, else whatever ``prev_path`` already holds; None
+        when there is neither.
+    """
+    existing = _load_bench(bench_path)
+    if not existing:
+        return _load_bench(prev_path) or None
+    committed = _committed_bytes(bench_path)
+    data = bench_path.read_bytes()
+    if committed is not None and committed != data:
+        return _load_bench(prev_path) or None
+    prev_path.write_bytes(data)
+    return existing
+
+
 def _snapshot_previous() -> None:
     global _previous_bench, _previous_recorded
     if _previous_recorded:
         return
     _previous_recorded = True
-    existing = _load_bench(BENCH_PATH)
-    if existing:
-        _previous_bench = existing
-        BENCH_PREV_PATH.write_text(json.dumps(existing, indent=2) + "\n")
+    _previous_bench = _preserve_baseline(BENCH_PATH, BENCH_PREV_PATH)
 
 
 def _merge_bench(section: str, payload: dict) -> None:
@@ -159,6 +198,31 @@ def _show_delta(section: str, payload: dict) -> None:
         else:
             rows.append((key, "-", f"{current:g}"))
     show(f"{section}: previous vs current (BENCH_perf.prev.json)", rows)
+
+
+def test_second_session_keeps_the_committed_baseline(tmp_path, monkeypatch):
+    """Two sessions in one checkout: the baseline stays the committed file."""
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    bench, prev = tmp_path / "BENCH_perf.json", tmp_path / "BENCH_perf.prev.json"
+    committed = json.dumps({"gp": {"fit_ms": 1.0}}, indent=2) + "\n"
+    bench.write_text(committed)
+    subprocess.run([*git, "init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run([*git, "add", bench.name], cwd=tmp_path, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "bench"], cwd=tmp_path, check=True)
+
+    for fresh in (2.0, 3.0):
+        baseline = _preserve_baseline(bench, prev)
+        assert prev.read_text() == committed
+        assert baseline == json.loads(committed)
+        bench.write_text(json.dumps({"gp": {"fit_ms": fresh}}, indent=2) + "\n")
+
+    # Without git the session snapshots whatever it finds, as before.
+    def no_git(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr(subprocess, "run", no_git)
+    _preserve_baseline(bench, prev)
+    assert prev.read_text() == bench.read_text()
 
 
 def _grid_factory(environment, objective, seed):

@@ -4,14 +4,16 @@
 Runs the same small experiment grid twice through
 :class:`~repro.analysis.runner.ExperimentRunner` — once with the serial
 executor, once with the lock-step vectorized driver — and fails unless
-the cache files that land on disk are **byte**-identical.  Two grids are
+the cache files that land on disk are **byte**-identical.  Four grids are
 checked: a clean stopping-rule Augmented-BO grid (the configuration the
-vectorized driver batches most aggressively) and a fault-injected one
-(transient faults + retries, exercising the driver's interplay with the
-failure machinery and the desync fallback when searches stop at
-different steps).
+vectorized driver batches most aggressively, through its tree groups)
+and a fault-injected one (transient faults + retries, exercising the
+driver's interplay with the failure machinery and the desync fallback
+when searches stop at different steps), then the same pair for Naive
+BO with CherryPick's EI-10% stop, which the driver steps in lock-step
+GP groups.
 
-Exit status: 0 when both comparisons match, 1 otherwise.
+Exit status: 0 when every comparison matches, 1 otherwise.
 
 Usage::
 
@@ -31,8 +33,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis.experiments import all_workload_ids  # noqa: E402
 from repro.analysis.runner import ExperimentRunner, RunGrid  # noqa: E402
 from repro.core.augmented_bo import AugmentedBO  # noqa: E402
+from repro.core.naive_bo import NaiveBO  # noqa: E402
 from repro.core.objectives import Objective  # noqa: E402
-from repro.core.stopping import PredictionDeltaThreshold  # noqa: E402
+from repro.core.stopping import EIThreshold, PredictionDeltaThreshold  # noqa: E402
 from repro.faults import FaultInjector, RetryPolicy, parse_fault_plan  # noqa: E402
 from repro.trace.generate import default_trace  # noqa: E402
 
@@ -55,6 +58,34 @@ def faulty_factory(environment, objective, seed):
         stopping=PredictionDeltaThreshold(),
         retry_policy=RetryPolicy(max_attempts=3),
     )
+
+
+def naive_clean_factory(environment, objective, seed):
+    return NaiveBO(
+        environment,
+        objective=objective,
+        seed=seed,
+        stopping=EIThreshold(fraction=0.1),
+    )
+
+
+def naive_faulty_factory(environment, objective, seed):
+    plan = parse_fault_plan("transient:rate=0.3", seed=seed)
+    return NaiveBO(
+        FaultInjector(environment, plan),
+        objective=objective,
+        seed=seed,
+        stopping=EIThreshold(fraction=0.1),
+        retry_policy=RetryPolicy(max_attempts=3),
+    )
+
+
+GRIDS = {
+    "clean": clean_factory,
+    "faulty": faulty_factory,
+    "naive-clean": naive_clean_factory,
+    "naive-faulty": naive_faulty_factory,
+}
 
 
 def compare(trace, name: str, factory, workloads: int, repeats: int) -> bool:
@@ -91,8 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     trace = default_trace()
-    ok = compare(trace, "clean", clean_factory, args.workloads, args.repeats)
-    ok = compare(trace, "faulty", faulty_factory, args.workloads, args.repeats) and ok
+    ok = True
+    for name, factory in GRIDS.items():
+        ok = compare(trace, name, factory, args.workloads, args.repeats) and ok
     if not ok:
         print("vector smoke: FAILED — vectorized executor diverged from serial")
         return 1

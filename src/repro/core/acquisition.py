@@ -73,6 +73,19 @@ def _validate(mean: np.ndarray, std: np.ndarray | None = None) -> tuple[np.ndarr
     return mean, std
 
 
+def _improvement_to_ei(improvement: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """EI from ``best - mean`` and ``std`` of the same shape, elementwise.
+
+    The one EI formula behind :func:`expected_improvement` and
+    :func:`expected_improvement_stacked`.
+    """
+    ei = np.maximum(improvement, 0.0)
+    positive = std > _EPS
+    z = improvement[positive] / std[positive]
+    ei[positive] = improvement[positive] * _norm_cdf(z) + std[positive] * _norm_pdf(z)
+    return np.maximum(ei, 0.0)
+
+
 def expected_improvement(
     mean: np.ndarray, std: np.ndarray, best_observed: float
 ) -> np.ndarray:
@@ -83,12 +96,7 @@ def expected_improvement(
     """
     mean, std = _validate(mean, std)
     assert std is not None
-    improvement = best_observed - mean
-    ei = np.maximum(improvement, 0.0)
-    positive = std > _EPS
-    z = improvement[positive] / std[positive]
-    ei[positive] = improvement[positive] * _norm_cdf(z) + std[positive] * _norm_pdf(z)
-    return np.maximum(ei, 0.0)
+    return _improvement_to_ei(best_observed - mean, std)
 
 
 def expected_improvement_stacked(
@@ -102,10 +110,10 @@ def expected_improvement_stacked(
         best_observed: ``S`` incumbents, one per search.
 
     Row ``s`` of the result is bit-identical to
-    ``expected_improvement(mean[s], std[s], best_observed[s])``: the
-    boolean ``std > _EPS`` mask flattens both layouts into the same
-    per-element operands, and the normal cdf/pdf are evaluated in one
-    dispatch instead of ``S``.
+    ``expected_improvement(mean[s], std[s], best_observed[s])``: both
+    run the same elementwise formula, and the boolean ``std > _EPS``
+    mask flattens both layouts into the same per-element operands, so
+    the normal cdf/pdf are evaluated in one dispatch instead of ``S``.
     """
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
@@ -120,12 +128,7 @@ def expected_improvement_stacked(
         )
     if np.any(std < 0):
         raise ValueError("std must be non-negative")
-    improvement = best[:, None] - mean
-    ei = np.maximum(improvement, 0.0)
-    positive = std > _EPS
-    z = improvement[positive] / std[positive]
-    ei[positive] = improvement[positive] * _norm_cdf(z) + std[positive] * _norm_pdf(z)
-    return np.maximum(ei, 0.0)
+    return _improvement_to_ei(best[:, None] - mean, std)
 
 
 def probability_of_improvement(

@@ -97,12 +97,13 @@ class GPScorer:
     def stackable(self) -> bool:
         """Whether a cross-search driver can batch this scorer's round.
 
-        The stacked GP path (:func:`repro.ml.gp.fit_gps_stacked`) and
-        the stacked acquisition
-        (:func:`repro.core.acquisition.expected_improvement_stacked`)
-        reproduce the EI round bit for bit; the other acquisitions
-        (PI/LCB/MES — MES draws from the scorer RNG) fall back to the
-        per-search loop.
+        A driver fits the group's GPs with
+        :func:`repro.ml.gp.fit_gps_stacked` (each through the body its
+        own ``fit`` runs) and scores them with the row-stacked
+        :func:`repro.core.acquisition.expected_improvement_stacked`,
+        which reproduces the EI round bit for bit; the other
+        acquisitions (PI/LCB/MES — MES draws from the scorer RNG) fall
+        back to the per-search loop.
         """
         return self.acquisition == "ei"
 
@@ -113,7 +114,7 @@ class GPScorer:
 
         What :meth:`score` hands to ``gp.fit`` —
         exposed so a cross-search driver can fit many scorers' GPs in
-        one stacked call (:func:`repro.ml.gp.fit_gps_stacked`).
+        one call (:func:`repro.ml.gp.fit_gps_stacked`).
         """
         return (
             self._scaled_design[measured],

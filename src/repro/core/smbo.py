@@ -349,11 +349,6 @@ class SequentialOptimizer(abc.ABC):
         return self._obs_measurements
 
     @property
-    def quarantined_vm_names(self) -> frozenset[str]:
-        """VM types quarantined by the circuit breaker so far."""
-        return self._breaker.quarantined
-
-    @property
     def best_observed(self) -> float:
         """Incumbent objective value.
 
@@ -822,11 +817,6 @@ class SearchState:
     search), the driver computes the acquisition however it likes (for
     the vectorized grid executor: stacked across searches, bit-identical
     per search), and :meth:`complete_round` applies it.
-
-    The state (optimiser included) is plain-picklable as long as the
-    environment is, so a search can be serialized mid-flight with
-    :meth:`to_bytes` and resumed in another process with
-    :meth:`from_bytes`.
     """
 
     def __init__(
@@ -1021,21 +1011,3 @@ class SearchState:
         if self._result is None:
             raise RuntimeError("search not finished; keep calling step()")
         return self._result
-
-    # -- serialization -------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Pickle this mid-flight search (optimiser and all)."""
-        import pickle
-
-        return pickle.dumps(self)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> SearchState:
-        """Resume a search serialized with :meth:`to_bytes`."""
-        import pickle
-
-        state = pickle.loads(payload)
-        if not isinstance(state, cls):
-            raise TypeError(f"payload is not a {cls.__name__}")
-        return state

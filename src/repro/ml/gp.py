@@ -40,6 +40,11 @@ evaluation for evaluation: the fitted hyperparameters are
 bit-identical.  ``setulb`` is private scipy API, so the package needs
 scipy >= 1.17, and a test pins the loop against ``minimize``.
 
+:func:`fit_gps_stacked` fits a group of GPs for the vectorized grid
+driver.  It runs each GP through the one private body :meth:`fit` runs,
+one GP after another: there is a single covariance and conditioning
+path, and a lock-step group ends bit-identical to per-GP fits.
+
 scipy is imported when the first :class:`GaussianProcessRegressor` is
 built, never when this module is: Arrow's own searches fit no GP, and
 loading ``scipy.linalg`` / ``optimize`` / ``special`` costs a process
@@ -53,7 +58,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.ml.kernels import Geometry, Kernel, Matern52, stacked_stationary_value
+from repro.ml.kernels import Geometry, Kernel, Matern52
 
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
@@ -292,21 +297,14 @@ class GaussianProcessRegressor:
             ValueError: on empty, mismatched or non-finite inputs, or a
                 geometry whose shape disagrees with ``X``.
         """
-        y_scaled, fit_geometry = self._prepare_fit(X, y, geometry)
-        self._condition(self._conditioning_kernel(fit_geometry), y_scaled)
+        self._fit(X, y, geometry)
         return self
 
-    def _prepare_fit(
-        self, X: np.ndarray, y: np.ndarray, geometry: Geometry | None
-    ) -> tuple[np.ndarray, Geometry]:
-        """Everything in a fit before the conditioning kernel build.
+    def _fit(self, X: np.ndarray, y: np.ndarray, geometry: Geometry | None) -> None:
+        """The body of :meth:`fit`, which :func:`fit_gps_stacked` runs too.
 
-        Validates and stores the design, standardises the targets and
-        fits the hyperparameters.  Shared by :meth:`fit` and
-        :func:`fit_gps_stacked`.
-
-        Returns:
-            ``(y_scaled, fit_geometry)``.
+        Validates and stores the design, standardises the targets, fits
+        the hyperparameters, then factors the kernel matrix at them.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
@@ -334,24 +332,12 @@ class GaussianProcessRegressor:
         fit_geometry = geometry if geometry is not None else Geometry(X)
         if self.optimise and n >= 2:
             self._optimise_hyperparameters(y_scaled, fit_geometry)
-        return y_scaled, fit_geometry
-
-    def _conditioning_kernel(self, geometry: Geometry) -> np.ndarray:
-        try:
-            return self.kernel.value(geometry)
-        except NotImplementedError:
-            assert self._X is not None
-            return self.kernel(self._X)
-
-    def _condition(self, K: np.ndarray, y_scaled: np.ndarray) -> None:
-        """Factor ``K + noise I`` (in place) and solve for ``alpha``.
-
-        The one conditioning site of :meth:`fit` and
-        :func:`fit_gps_stacked`; ``K`` is the freshly built kernel
-        matrix at the fitted hyperparameters.
-        """
         self.n_kernel_builds += 1
-        K.flat[:: K.shape[0] + 1] += self.noise
+        try:
+            K = self.kernel.value(fit_geometry)
+        except NotImplementedError:
+            K = self.kernel(X)
+        K.flat[:: n + 1] += self.noise
         self._L = _cholesky_with_jitter(K)[0]
         self._alpha = _cho_solve(self._L, y_scaled)
 
@@ -510,29 +496,21 @@ def fit_gps_stacked(
     ys: list[np.ndarray],
     geometries: list[Geometry | None] | None = None,
 ) -> list[GaussianProcessRegressor]:
-    """Fit many GPs, batching the conditioning kernel build across them.
+    """Fit ``gps[i]`` to ``(Xs[i], ys[i])``, one GP after another.
 
-    Each ``gps[i]`` ends in exactly the state its own
-    ``fit(Xs[i], ys[i], geometry=geometries[i])`` would produce — same
-    hyperparameters, same factor, same counters.  The marginal-likelihood
-    optimisation stays per-GP (L-BFGS-B is iterative with data-dependent
-    step counts, so there is nothing to lock-step); what batches is the
-    post-optimisation conditioning: when every GP in the group shares the
-    same concrete isotropic stationary kernel class and design size, the
-    ``S`` conditioning matrices are evaluated in one fused
-    :func:`repro.ml.kernels.stacked_stationary_value` call over an
-    ``(S, n, n)`` distance stack.  The Cholesky factorisations and solves
-    remain per-slice — batched ``np.linalg.cholesky`` is not bit-identical
-    to the per-matrix ``potrf`` path, and the jitter ladder is
-    per-matrix anyway.  Groups that don't qualify (ARD or composite
-    kernels, ragged designs) silently fall back to per-GP kernel builds;
-    the result is identical either way, batching only changes how many
-    numpy dispatches it took.
+    Each GP runs the same body as its own
+    ``fit(Xs[i], ys[i], geometry=geometries[i])`` and ends in exactly
+    that state: same hyperparameters, same factor, same counters.  The
+    vectorized driver's GP groups call this once per round; nothing in
+    the fit is batched.  L-BFGS-B is iterative with data-dependent step
+    counts, so there is nothing to lock-step, and the conditioning
+    kernel build it follows was measured to gain nothing from a stacked
+    ``(S, n, n)`` evaluation.  What the group batches is the expected
+    improvement (:func:`repro.core.acquisition.expected_improvement_stacked`).
 
-    In practice the win here is modest: hyperparameter optimisation
-    dominates GP fit time, and it is inherently sequential per GP.  The
-    batched conditioning mainly keeps the vectorized driver's GP rounds
-    from paying ``S`` separate kernel dispatches on top of that.
+    Raises:
+        ValueError: if the four lists disagree in length, or as
+            :meth:`GaussianProcessRegressor.fit` does on bad inputs.
     """
     if geometries is None:
         geometries = [None] * len(gps)
@@ -541,29 +519,6 @@ def fit_gps_stacked(
             f"got {len(gps)} GPs, {len(Xs)} designs, {len(ys)} targets, "
             f"{len(geometries)} geometries"
         )
-
-    # Per-GP prologue, exactly as fit(): validation, target scaling and
-    # the (inherently sequential) hyperparameter optimisation.
-    prepped = [
-        (gp, *gp._prepare_fit(X, y, geometry))
-        for gp, X, y, geometry in zip(gps, Xs, ys, geometries)
-    ]
-
-    # Batched conditioning: one stacked kernel evaluation if the group
-    # is homogeneous, else per-GP builds (identical output either way).
-    stacked_K: np.ndarray | None = None
-    try:
-        stacked_K = stacked_stationary_value(
-            [gp.kernel for gp, _, _ in prepped],
-            [fit_geometry for _, _, fit_geometry in prepped],
-        )
-    except (NotImplementedError, ValueError):
-        pass
-
-    for index, (gp, y_scaled, fit_geometry) in enumerate(prepped):
-        if stacked_K is not None:
-            K = stacked_K[index]
-        else:
-            K = gp._conditioning_kernel(fit_geometry)
-        gp._condition(K, y_scaled)
+    for gp, X, y, geometry in zip(gps, Xs, ys, geometries):
+        gp._fit(X, y, geometry)
     return gps

@@ -12,11 +12,13 @@ batches the per-round linear algebra across them:
   prediction call across all ensembles
   (:func:`repro.ml.tree.predict_packed_many`, which walks large
   factored queries over destination x source sets and small ones flat);
-* GP searches (Naive BO, the early phase of Hybrid BO) have their
-  conditioning matrices built in one stacked kernel evaluation
-  (:func:`repro.ml.gp.fit_gps_stacked`) and their EI computed in one
-  row-wise pass (:func:`repro.core.acquisition.
-  expected_improvement_stacked`).
+* GP searches (Naive BO, the early phase of Hybrid BO) are fitted one
+  GP after another, each through the body its own ``fit`` runs
+  (:func:`repro.ml.gp.fit_gps_stacked`), and have their EI computed in
+  one row-wise pass (:func:`repro.core.acquisition.
+  expected_improvement_stacked`).  Only EI is stacked: the likelihood
+  optimisation is iterative per GP, and a stacked conditioning kernel
+  build was measured to gain nothing on paper-grid.
 
 Each search is still driven through its own
 :class:`~repro.core.smbo.SearchState` round split (``begin_round`` /
@@ -174,7 +176,7 @@ class VectorizedGridDriver:
         )
 
     def _run_gp_group(self, group: list[_LiveCell]) -> None:
-        """One stacked conditioning + one stacked EI for the group."""
+        """Per-GP fits + one stacked EI for the group."""
         fit_args = []
         for live in group:
             opt = live.optimizer

@@ -14,7 +14,7 @@ from repro.ml.gp import (
     _solve_lower,
     fit_gps_stacked,
 )
-from repro.ml.kernels import RBF, Geometry, Matern12, Matern32, Matern52
+from repro.ml.kernels import RBF, Geometry, Matern12, Matern32, Matern52, White
 
 
 @pytest.fixture(scope="module")
@@ -399,3 +399,58 @@ class TestNonFiniteInputs:
         y[0] = np.nan
         with pytest.raises(ValueError):
             fit_gps_stacked([GaussianProcessRegressor(Matern52(), seed=0)], [X], [y])
+
+
+def _mixed_kernels():
+    """An ARD, a composite and two isotropic kernels, for one group."""
+    return [
+        Matern52(lengthscale=np.ones(3)),
+        Matern32() + White(),
+        RBF(),
+        Matern12(),
+    ]
+
+
+class TestFitGpsStackedOneBody:
+    """``fit_gps_stacked`` runs the private fit body, never ``fit``."""
+
+    def test_fits_without_the_public_fit(self, monkeypatch):
+        designs = [_design(8, 3, seed) for seed in range(2)]
+        gps = [GaussianProcessRegressor(Matern52(), seed=s) for s in range(2)]
+
+        def no_public_fit(self, *args, **kwargs):
+            raise AssertionError("fit_gps_stacked called the public fit")
+
+        monkeypatch.setattr(GaussianProcessRegressor, "fit", no_public_fit)
+        fit_gps_stacked(gps, [X for X, _ in designs], [y for _, y in designs])
+        for gp, (X, _) in zip(gps, designs):
+            assert gp.n_fits == 1
+            assert gp._L is not None and gp._alpha is not None
+            gp.predict(X, return_std=True)
+
+    @pytest.mark.parametrize("with_geometry", [False, True])
+    def test_mixed_group_matches_per_gp_fit(self, with_geometry):
+        kernels = _mixed_kernels()
+        designs = [_design(6 + i, 3, 40 + i) for i in range(len(kernels))]
+        geometries = [Geometry(X) if with_geometry else None for X, _ in designs]
+        serial = [
+            GaussianProcessRegressor(k.clone(), seed=i) for i, k in enumerate(kernels)
+        ]
+        grouped = [
+            GaussianProcessRegressor(k.clone(), seed=i) for i, k in enumerate(kernels)
+        ]
+        for gp, (X, y), geometry in zip(serial, designs, geometries):
+            gp.fit(X, y, geometry=geometry)
+        fit_gps_stacked(
+            grouped, [X for X, _ in designs], [y for _, y in designs], geometries
+        )
+        queries = np.random.default_rng(5).uniform(-2, 2, size=(4, 3))
+        for gp_a, gp_b in zip(serial, grouped):
+            assert gp_a.n_fits == gp_b.n_fits == 1
+            assert gp_a.n_lml_evals == gp_b.n_lml_evals > 0
+            assert gp_a.n_kernel_builds == gp_b.n_kernel_builds
+            assert np.array_equal(gp_a._packed_theta(), gp_b._packed_theta())
+            mean_a, std_a = gp_a.predict(queries, return_std=True)
+            mean_b, std_b = gp_b.predict(queries, return_std=True)
+            assert np.array_equal(mean_a, mean_b)
+            assert np.array_equal(std_a, std_b)

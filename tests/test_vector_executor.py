@@ -1,15 +1,16 @@
-"""Vectorized lock-step executor, stacked kernels, and ask/tell resume.
+"""Vectorized lock-step executor, stacked primitives, and ask/tell stepping.
 
 Three layers of bit-identity guarantees:
 
-* the stacked surrogate primitives (``fit_ensembles_stacked``,
+* the group primitives (``fit_ensembles_stacked``,
   ``predict_packed_many``, ``fit_gps_stacked``,
-  ``stacked_stationary_value``, ``expected_improvement_stacked``) must
-  reproduce their per-model serial counterparts exactly;
-* a mid-flight :class:`~repro.core.smbo.SearchState` serialized with
-  ``to_bytes`` and resumed with ``from_bytes`` must finish with the
-  same :class:`~repro.core.result.SearchResult` as an uninterrupted
-  run, on both the GP and the tree surrogate path, clean and faulty;
+  ``expected_improvement_stacked``) must reproduce their per-model
+  serial counterparts exactly;
+* a :class:`~repro.core.smbo.SearchState` stepped part way and then
+  finished through the ``begin_round`` / ``complete_round`` split must
+  finish with the same :class:`~repro.core.result.SearchResult` as an
+  uninterrupted run, on both the GP and the tree surrogate path, clean
+  and faulty;
 * ``run_cells(executor="vector")`` must yield the same results in the
   same order as the serial executor, for every optimiser family it can
   batch and for the fallback paths it cannot.
@@ -29,19 +30,11 @@ from repro.core.baselines import RandomSearch
 from repro.core.hybrid_bo import HybridBO
 from repro.core.naive_bo import NaiveBO
 from repro.core.objectives import Objective
-from repro.core.smbo import SearchState
 from repro.core.stopping import PredictionDeltaThreshold
 from repro.faults import FaultInjector, RetryPolicy, parse_fault_plan
 from repro.ml.extra_trees import ExtraTreesRegressor, fit_ensembles_stacked
 from repro.ml.gp import GaussianProcessRegressor, fit_gps_stacked
-from repro.ml.kernels import (
-    RBF,
-    Geometry,
-    Matern12,
-    Matern32,
-    Matern52,
-    stacked_stationary_value,
-)
+from repro.ml.kernels import RBF, Geometry, Matern52
 from repro.ml.tree import predict_packed, predict_packed_many
 from repro.parallel import run_cells
 
@@ -102,7 +95,7 @@ def faulty_gp_factory(environment, objective, seed):
 
 
 # ---------------------------------------------------------------------------
-# Ask/tell: serialize mid-flight, resume, finish bit-identical.
+# Ask/tell: step part way, finish through the round split, bit-identical.
 # ---------------------------------------------------------------------------
 
 
@@ -117,6 +110,10 @@ class TestAskTellResume:
     @pytest.mark.parametrize("kind", sorted(FACTORIES))
     @pytest.mark.parametrize("steps_before", [1, 4])
     def test_resume_matches_uninterrupted(self, trace, kind, steps_before):
+        """Pause after ``steps_before`` steps, then resume the live state
+        the way the vectorized driver does: init observations through
+        ``step()``, acquisition rounds through ``begin_round`` /
+        ``complete_round`` with the optimiser's own scores."""
         factory = self.FACTORIES[kind]
         environment = trace.environment(WORKLOADS[0])
         baseline = factory(environment, Objective.TIME, seed=3).run()
@@ -127,13 +124,17 @@ class TestAskTellResume:
         for _ in range(steps_before):
             if not state.step():
                 break
-        payload = state.to_bytes()
-
-        resumed = SearchState.from_bytes(payload)
-        assert resumed.phase == state.phase
-        while resumed.step():
-            pass
-        assert resumed.result() == baseline
+        while not state.done:
+            if state.phase == "init":
+                state.step()
+                continue
+            candidates = state.begin_round()
+            if candidates is None:
+                break
+            state.complete_round(
+                candidates, state.optimizer._score_candidates(candidates)
+            )
+        assert state.result() == baseline
 
     def test_stepping_matches_run(self, trace):
         baseline = tree_factory(
@@ -145,26 +146,6 @@ class TestAskTellResume:
         while state.step():
             pass
         assert state.result() == baseline
-
-    def test_serialized_copy_is_independent(self, trace):
-        state = gp_factory(
-            trace.environment(WORKLOADS[2]), Objective.TIME, seed=5
-        ).start()
-        state.step()
-        payload = state.to_bytes()
-        # Driving the original further must not leak into the snapshot.
-        while state.step():
-            pass
-        resumed = SearchState.from_bytes(payload)
-        while resumed.step():
-            pass
-        assert resumed.result() == state.result()
-
-    def test_from_bytes_rejects_foreign_payloads(self):
-        import pickle
-
-        with pytest.raises(TypeError):
-            SearchState.from_bytes(pickle.dumps({"not": "a search"}))
 
     def test_result_unavailable_while_live(self, trace):
         state = tree_factory(
@@ -187,45 +168,6 @@ def _datasets(seed, count, n, d):
         y = rng.normal(size=n)
         out.append((X, y))
     return out
-
-
-class TestStackedKernelValue:
-    @pytest.mark.parametrize("cls", [RBF, Matern12, Matern32, Matern52])
-    def test_matches_per_kernel_value(self, cls):
-        datasets = _datasets(11, 4, 6, 3)
-        kernels = [
-            cls(lengthscale=0.5 + 0.3 * i, variance=1.0 + 0.1 * i)
-            for i in range(len(datasets))
-        ]
-        geometries = [Geometry(X) for X, _ in datasets]
-        stacked = stacked_stationary_value(kernels, geometries)
-        for index, (kernel, geometry) in enumerate(zip(kernels, geometries)):
-            np.testing.assert_array_equal(
-                stacked[index], kernel.value(geometry)
-            )
-
-    def test_rejects_mixed_kernel_classes(self):
-        datasets = _datasets(2, 2, 5, 2)
-        geometries = [Geometry(X) for X, _ in datasets]
-        with pytest.raises(NotImplementedError):
-            stacked_stationary_value([RBF(), Matern52()], geometries)
-
-    def test_rejects_ard_kernels(self):
-        datasets = _datasets(3, 2, 5, 2)
-        geometries = [Geometry(X) for X, _ in datasets]
-        kernels = [Matern52(lengthscale=np.ones(2)) for _ in datasets]
-        with pytest.raises(NotImplementedError):
-            stacked_stationary_value(kernels, geometries)
-
-    def test_rejects_empty_and_ragged_groups(self):
-        with pytest.raises(ValueError):
-            stacked_stationary_value([], [])
-        small, large = _datasets(4, 1, 4, 2)[0], _datasets(5, 1, 6, 2)[0]
-        with pytest.raises(ValueError):
-            stacked_stationary_value(
-                [Matern52(), Matern52()],
-                [Geometry(small[0]), Geometry(large[0])],
-            )
 
 
 class TestFitGpsStacked:
@@ -280,7 +222,7 @@ class TestFitGpsStacked:
         )
         self._assert_same_state(serial, stacked, datasets)
 
-    def test_mixed_kernel_group_falls_back_identically(self):
+    def test_mixed_kernel_group_matches_per_gp_fit(self):
         datasets = _datasets(23, 2, 7, 3)
         serial = [
             GaussianProcessRegressor(kernel=RBF(), seed=0),
