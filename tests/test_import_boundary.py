@@ -158,7 +158,9 @@ engine.plan_workers = lambda workers, n_cells: workers
 parent = os.getpid()
 def factory(environment, objective, seed):
     if os.getpid() != parent:
-        print("worker", json.dumps({SCIPY_LOADED}), flush=True)
+        # One write per line: two workers share the pipe, and print()
+        # writes each piece separately when stdout is unbuffered.
+        os.write(1, ("worker " + json.dumps({SCIPY_LOADED}) + "\\n").encode())
     return NaiveBO(environment, objective=objective, seed=seed, max_measurements=6)
 cells = [(w, 0) for w in ids]
 before = {SCIPY_LOADED}
