@@ -1,8 +1,9 @@
 """Shared fixtures for the reproduction benchmark suite.
 
-Every ``test_fig*`` / ``test_table*`` benchmark regenerates one table or
-figure of the paper through :mod:`repro.analysis.experiments` and prints
-a paper-vs-measured comparison.  Results are cached under
+Every ``test_fig*`` / ``test_table*`` / ``test_sec3c*`` benchmark
+regenerates one table or figure of the paper through its entry in
+:mod:`repro.analysis.figures` and prints that entry's paper-vs-measured
+rows.  Results are cached under
 ``results/cache`` (shared with ``scripts/build_cache.py``), so a
 populated cache makes the whole suite fast; a cold cache computes
 everything from scratch.

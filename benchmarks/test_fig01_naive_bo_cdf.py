@@ -7,23 +7,16 @@ fragile.
 
 from conftest import show
 
-from repro.analysis.experiments import fig1_naive_cdf
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig1"]
 
 
 def test_fig1_naive_bo_cdf(benchmark, runner):
-    result = benchmark.pedantic(fig1_naive_cdf, args=(runner,), rounds=1, iterations=1)
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
     regions = result["regions"]
-    show(
-        "Figure 1 — Naive BO search-cost CDF (time objective)",
-        [
-            ("workloads solved within 6 measurements", "~50%", f"{result['solved_at_6']:.0%}"),
-            ("workloads solved within 12 measurements", "~85%", f"{result['solved_at_12']:.0%}"),
-            ("Region I workloads", "~54", str(regions["Region I"])),
-            ("Region II workloads", "~37", str(regions["Region II"])),
-            ("Region III workloads", "~16", str(regions["Region III"])),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
     print("CDF curve:", " ".join(f"{v:.2f}" for v in result["curve"]))
 
     curve = result["curve"]

@@ -10,23 +10,15 @@ design, optimum only found deep into the search — is the claim.
 
 from conftest import show
 
-from repro.analysis.experiments import fig2_als_trace
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig2"]
 
 
 def test_fig2_fragile_trace(benchmark, runner):
-    result = benchmark.pedantic(fig2_als_trace, args=(runner,), rounds=1, iterations=1)
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
-    show(
-        f"Figure 2 — Naive BO trace on {result['workload']} (time objective)",
-        [
-            ("normalised time after 5 measurements", "~1.75x", f"{result['median_at_5']:.3f}x"),
-            (
-                "median measurements to optimum",
-                "~13",
-                f"{result['steps_to_optimum_median']:.0f}",
-            ),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
     print("median curve:", " ".join(f"{v:.2f}" for v in result["median_curve"]))
 
     median = result["median_curve"]

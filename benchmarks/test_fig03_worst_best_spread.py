@@ -6,25 +6,15 @@ Paper: a wrong VM choice can cost up to 20x in execution time and up to
 
 from conftest import show
 
-from repro.analysis.experiments import fig3_worst_best_spread
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig3"]
 
 
 def test_fig3_worst_best_spread(benchmark, runner):
-    result = benchmark.pedantic(
-        fig3_worst_best_spread, args=(runner,), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
-    show(
-        "Figure 3 — worst/best VM ratios",
-        [
-            ("max time spread", "~20x", f"{result['max_time_spread']:.1f}x"),
-            ("max cost spread", "~10x", f"{result['max_cost_spread']:.1f}x"),
-            ("median time spread", "(not reported)", f"{result['median_time_spread']:.1f}x"),
-            ("median cost spread", "(not reported)", f"{result['median_cost_spread']:.1f}x"),
-            ("worst time workload", "classification/Spark 1.5", result["max_time_workload"]),
-            ("worst cost workload", "lr (linear regression)", result["max_cost_workload"]),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
 
     # Shape: order-of-magnitude spreads exist, and time spreads exceed
     # cost spreads (price partially compensates slowness).

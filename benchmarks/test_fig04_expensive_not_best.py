@@ -7,25 +7,17 @@ is the cheapest-to-run for only ~50%.
 
 from conftest import show
 
-from repro.analysis.experiments import fig4_extreme_vms
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig4"]
 
 
 def test_fig4_extreme_vms(benchmark, runner):
-    result = benchmark.pedantic(fig4_extreme_vms, args=(runner,), rounds=1, iterations=1)
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
     expensive = result["expensive_optimal_time_fraction"]
     cheap = result["cheap_optimal_cost_fraction"]
-    show(
-        "Figure 4 — extreme VMs vs actual optima",
-        [
-            ("c4.2xlarge fastest", "~50%", f"{expensive['c4.2xlarge']:.0%}"),
-            ("m4.2xlarge fastest", "<50%", f"{expensive['m4.2xlarge']:.0%}"),
-            ("r4.2xlarge fastest", "<50%", f"{expensive['r4.2xlarge']:.0%}"),
-            ("c4.large cheapest to run", "~50%", f"{cheap['c4.large']:.0%}"),
-            ("m4.large cheapest to run", "<50%", f"{cheap['m4.large']:.0%}"),
-            ("r4.large cheapest to run", "<50%", f"{cheap['r4.large']:.0%}"),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
 
     # Shape: none of the rule-of-thumb extremes is optimal for even 60%
     # of workloads — "no VM rules all".

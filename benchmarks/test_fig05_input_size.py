@@ -7,28 +7,15 @@ small input but loses its optimality at the large input.
 
 from conftest import show
 
-from repro.analysis.experiments import fig5_input_size
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig5"]
 
 
 def test_fig5_input_size(benchmark, runner):
-    result = benchmark.pedantic(fig5_input_size, args=(runner,), rounds=1, iterations=1)
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
-    show(
-        "Figure 5 — optimal VM moves with input size",
-        [
-            ("(application, framework) pairs", "38", str(result["n_app_framework_pairs"])),
-            (
-                "pairs whose best-cost VM changes with size",
-                "many",
-                str(result["changed_best_cost"]),
-            ),
-            (
-                "pairs whose best-time VM changes with size",
-                "many",
-                str(result["changed_best_time"]),
-            ),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
     for example in result["examples"]:
         print(
             f"  {example['application']}/{example['framework']}: "

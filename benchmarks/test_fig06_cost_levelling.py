@@ -8,29 +8,15 @@ harder.
 
 from conftest import show
 
-from repro.analysis.experiments import fig6_cost_levelling
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig6"]
 
 
 def test_fig6_cost_levelling(benchmark, runner):
-    result = benchmark.pedantic(fig6_cost_levelling, args=(runner,), rounds=1, iterations=1)
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
-    show(
-        f"Figure 6 — time vs cost spread for {result['workload']}",
-        [
-            ("time worst/best", "~4x", f"{result['time_spread']:.1f}x"),
-            ("cost worst/best", "~1.5x", f"{result['cost_spread']:.1f}x"),
-            (
-                "VMs within 25% of best (time)",
-                "few",
-                str(result["time_competitive"]),
-            ),
-            (
-                "VMs within 25% of best (cost)",
-                "several",
-                str(result["cost_competitive"]),
-            ),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
     print(f"{'VM':<12} {'time':>6} {'cost':>6}   (normalised, sorted by cost)")
     for row in result["rows"]:
         print(f"{row['vm']:<12} {row['time']:>6.2f} {row['cost']:>6.2f}")

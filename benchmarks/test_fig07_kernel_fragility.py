@@ -7,22 +7,15 @@ a safe choice.
 
 from conftest import show
 
-from repro.analysis.experiments import fig7_kernel_fragility
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig7"]
 
 
 def test_fig7_kernel_fragility(benchmark, runner):
-    result = benchmark.pedantic(
-        fig7_kernel_fragility, args=(runner,), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
-    rows = []
-    for case in result["cases"]:
-        label = f"{case['workload']} ({case['objective']})"
-        for kernel, median in case["median_cost_by_kernel"].items():
-            rows.append((f"{label}: {kernel}", "(varies)", f"{median:.1f} meas"))
-        rows.append((f"{label}: best/worst kernel", "differ by case",
-                     f"{case['best_kernel']}/{case['worst_kernel']}"))
-    show("Figure 7 — kernel sensitivity of Naive BO", rows)
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
 
     # Shape claims: kernels genuinely differ within each case, and the
     # ranking is not constant across the two cases (fragility).

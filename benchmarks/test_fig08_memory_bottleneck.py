@@ -7,26 +7,18 @@ the kind of signal the published instance features cannot carry.
 
 from conftest import show
 
-from repro.analysis.experiments import fig8_memory_bottleneck
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig8"]
 
 
 def test_fig8_memory_bottleneck(benchmark, runner):
-    result = benchmark.pedantic(
-        fig8_memory_bottleneck, args=(runner,), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
     rows = result["rows"]
     slowest = rows[0]
     fastest = rows[-1]
 
-    show(
-        f"Figure 8 — memory bottleneck for {result['workload']}",
-        [
-            ("slowest VM", "c3.large (14.8x)", f"{slowest['vm']} ({slowest['normalised_time']:.1f}x)"),
-            ("slowest VM memory commit", ">100%", f"{slowest['mem_commit_pct']:.0f}%"),
-            ("fastest VM", "c4.2xlarge (1.0x)", f"{fastest['vm']} ({fastest['normalised_time']:.1f}x)"),
-            ("fastest VM memory commit", "<100%", f"{fastest['mem_commit_pct']:.0f}%"),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
     print(f"{'VM':<12} {'norm time':>9} {'mem%':>6} {'iowait%':>8} {'cpu%':>6}")
     for row in rows:
         print(

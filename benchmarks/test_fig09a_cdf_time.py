@@ -7,29 +7,18 @@ start in the first ~4 steps; Hybrid dominates Naive throughout.
 
 from conftest import show
 
-from repro.analysis.experiments import fig9_cdf
-from repro.core.objectives import Objective
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig9a"]
 
 
 def test_fig9a_cdf_time(benchmark, runner):
-    result = benchmark.pedantic(
-        fig9_cdf, args=(runner, Objective.TIME), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
     naive = result["solved_at"]["naive"]
     augmented = result["solved_at"]["augmented"]
     hybrid = result["solved_at"]["hybrid"]
-    show(
-        "Figure 9(a) — solved-fraction CDFs (time objective)",
-        [
-            ("naive solved at 6", "~60%", f"{naive['6']:.0%}"),
-            ("augmented solved at 6", ">= naive", f"{augmented['6']:.0%}"),
-            ("naive solved at 10", "~80%", f"{naive['10']:.0%}"),
-            ("augmented solved at 10", "~96%", f"{augmented['10']:.0%}"),
-            ("hybrid solved at 6", ">= naive", f"{hybrid['6']:.0%}"),
-            ("hybrid solved at 10", ">= naive", f"{hybrid['10']:.0%}"),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
     for label, curve in result["curves"].items():
         print(f"{label:<10}", " ".join(f"{v:.2f}" for v in curve))
 

@@ -15,33 +15,18 @@ easy wins are gone.  DESIGN.md section 7 records this divergence.
 
 from conftest import show
 
-from repro.analysis.experiments import fig9_cdf
-from repro.core.objectives import Objective
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig9b"]
 
 
 def test_fig9b_cdf_cost(benchmark, runner):
-    result = benchmark.pedantic(
-        fig9_cdf,
-        args=(runner, Objective.COST),
-        kwargs={"include_hybrid": False},
-        rounds=1,
-        iterations=1,
-    )
-    time_result = fig9_cdf(runner, Objective.TIME)  # cached by fig9a
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
+    time_result = FIGURES["fig9a"].build(runner)  # cached by fig9a
 
     naive = result["curves"]["naive"]
     augmented = result["curves"]["augmented"]
-    show(
-        "Figure 9(b) — solved-fraction CDFs (cost objective)",
-        [
-            ("naive solved at 6", "~50%", f"{naive[5]:.0%}"),
-            ("augmented solved at 6", "~60%", f"{augmented[5]:.0%}"),
-            ("augmented lead at 4 measurements", "augmented ahead", f"{augmented[3] - naive[3]:+.0%}"),
-            ("augmented lead at 5 measurements", "augmented ahead", f"{augmented[4] - naive[4]:+.0%}"),
-            ("naive solved at 10", "(lower than time case)", f"{naive[9]:.0%}"),
-            ("augmented solved at 10", "~paper: >= naive; here: tail reverses", f"{augmented[9]:.0%}"),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
     for label, curve in result["curves"].items():
         print(f"{label:<10}", " ".join(f"{v:.2f}" for v in curve))
 

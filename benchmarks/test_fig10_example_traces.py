@@ -7,38 +7,21 @@ across-repeat variance (IQR) than Naive BO.
 
 from conftest import show
 
-from repro.analysis.experiments import fig10_example_traces
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig10"]
 
 
 def test_fig10_example_traces(benchmark, runner):
-    result = benchmark.pedantic(
-        fig10_example_traces, args=(runner,), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
-    rows = []
     wins = 0
     for case in result["cases"]:
-        label = f"{case['workload']} ({case['objective']})"
         naive = case["methods"]["naive"]
         augmented = case["methods"]["augmented"]
-        rows.append(
-            (
-                f"{label}: median cost naive/augmented",
-                "augmented lower",
-                f"{naive['median_cost_to_optimum']:.0f}/"
-                f"{augmented['median_cost_to_optimum']:.0f}",
-            )
-        )
-        rows.append(
-            (
-                f"{label}: IQR naive/augmented",
-                "augmented tighter",
-                f"{naive['iqr_cost_to_optimum']:.0f}/{augmented['iqr_cost_to_optimum']:.0f}",
-            )
-        )
         if augmented["median_cost_to_optimum"] <= naive["median_cost_to_optimum"]:
             wins += 1
-    show("Figure 10 — example search traces", rows)
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
 
     # Shape: Augmented matches or beats Naive's median search cost on at
     # least two of the three showcase workloads.

@@ -9,36 +9,15 @@ search.
 
 from conftest import show
 
-from repro.analysis.experiments import fig11_stopping_tradeoff
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig11"]
 
 
 def test_fig11_stopping_tradeoff(benchmark, runner):
-    result = benchmark.pedantic(
-        fig11_stopping_tradeoff, args=(runner,), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
-    rows = []
-    for threshold, per_region in result["augmented_delta"].items():
-        for region, point in sorted(per_region.items()):
-            rows.append(
-                (
-                    f"augmented delta={threshold} {region}",
-                    "(trade-off curve)",
-                    f"{point['mean_search_cost']:.1f} meas / "
-                    f"{point['mean_normalised_cost']:.2f}x",
-                )
-            )
-    for fraction, per_region in result["naive_ei"].items():
-        for region, point in sorted(per_region.items()):
-            rows.append(
-                (
-                    f"naive ei={fraction} {region}",
-                    "(reference)",
-                    f"{point['mean_search_cost']:.1f} meas / "
-                    f"{point['mean_normalised_cost']:.2f}x",
-                )
-            )
-    show("Figure 11 — stopping criteria trade-off (cost objective)", rows)
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
 
     delta = result["augmented_delta"]
     # Shape 1: the trade-off exists — patient thresholds search longer...

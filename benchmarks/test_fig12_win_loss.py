@@ -9,24 +9,16 @@ cost on only 5; on average it cuts search cost ~20% and deployment cost
 
 from conftest import show
 
-from repro.analysis.experiments import fig12_win_loss
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig12"]
 
 
 def test_fig12_win_loss(benchmark, runner):
-    result = benchmark.pedantic(fig12_win_loss, args=(runner,), rounds=1, iterations=1)
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
     counts = result["counts"]
-    show(
-        "Figure 12 — Augmented vs Naive with stopping rules (cost)",
-        [
-            ("win (both axes better)", "46", str(counts["win"])),
-            ("same", "39", str(counts["same"])),
-            ("draw (trade-off)", "17", str(counts["draw"])),
-            ("loss (higher search cost)", "5", str(counts["loss"])),
-            ("mean search-cost reduction", "~20%", f"{result['mean_search_reduction']:.0%}"),
-            ("mean deployment-cost improvement", "~5%", f"{result['mean_value_improvement']:.0%}"),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
 
     total = sum(counts.values())
     assert total == 107

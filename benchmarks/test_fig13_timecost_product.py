@@ -7,35 +7,16 @@ needs more than six actual evaluations across all 107 workloads.
 
 from conftest import show
 
-from repro.analysis.experiments import fig13_timecost_product
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["fig13"]
 
 
 def test_fig13_timecost_product(benchmark, runner):
-    result = benchmark.pedantic(
-        fig13_timecost_product, args=(runner,), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
     counts = result["counts"]
-    show(
-        "Figure 13 — time-cost product with stopping rules",
-        [
-            ("naive long searches (>6)", "~24%", f"{result['naive_long_search_fraction']:.0%}"),
-            (
-                "naive very long searches (>=10)",
-                "~13%",
-                f"{result['naive_very_long_search_fraction']:.0%}",
-            ),
-            (
-                "augmented max search cost",
-                "<= 6",
-                f"{result['augmented_max_search_cost']:.0f}",
-            ),
-            ("win", "53", str(counts["win"])),
-            ("same", "14", str(counts["same"])),
-            ("draw", "32+2", str(counts["draw"])),
-            ("loss", "6", str(counts["loss"])),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
 
     # Shape claims: Naive runs long searches on a material share of
     # workloads; Augmented's searches stay short and bounded.

@@ -7,29 +7,15 @@ succeeds — so the initial points dramatically affect BO.
 
 from conftest import show
 
-from repro.analysis.experiments import sec3c_initial_points
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["sec3c"]
 
 
 def test_sec3c_initial_points(benchmark, runner):
-    result = benchmark.pedantic(
-        sec3c_initial_points, args=(runner,), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(FIGURE.build, args=(runner,), rounds=1, iterations=1)
 
-    show(
-        "Section III-C — initial-point sensitivity (time objective)",
-        [
-            (
-                f"unsolved at 6 with clustered init {result['bad_initial']}",
-                "~15%",
-                f"{result['bad_unsolved_at_6']:.0%}",
-            ),
-            (
-                f"unsolved at 6 with distinct init {result['good_initial']}",
-                "much lower",
-                f"{result['good_unsolved_at_6']:.0%}",
-            ),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
 
     # Shape: the clustered design leaves notably more workloads unsolved.
     assert result["bad_unsolved_at_6"] > result["good_unsolved_at_6"]

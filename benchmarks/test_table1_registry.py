@@ -2,25 +2,15 @@
 
 from conftest import show
 
-from repro.analysis.experiments import table1_registry
+from repro.analysis.figures import FIGURES
+
+FIGURE = FIGURES["table1"]
 
 
 def test_table1_registry(benchmark):
-    result = benchmark.pedantic(table1_registry, rounds=1, iterations=1)
+    result = benchmark.pedantic(FIGURE.build, rounds=1, iterations=1)
 
-    by_category = result["applications_by_category"]
-    show(
-        "Table I — applications and workloads",
-        [
-            ("workloads measured", "107", str(result["n_workloads"])),
-            ("applications", "30", str(result["n_applications"])),
-            ("frameworks", "3", str(len(result["frameworks"]))),
-            ("micro benchmarks", "4", str(len(by_category["Micro Benchmark"]))),
-            ("OLAP queries", "3", str(len(by_category["OLAP"]))),
-            ("statistics functions", "9", str(len(by_category["Statistics Function"]))),
-            ("machine learning", "14", str(len(by_category["Machine Learning"]))),
-        ],
-    )
+    show(FIGURE.heading_for(result), FIGURE.rows(result))
 
     assert result["n_workloads"] == 107
     assert result["n_applications"] == 30

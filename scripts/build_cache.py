@@ -6,6 +6,8 @@ Usage::
     python scripts/build_cache.py [--fast]
 
 ``--fast`` uses tiny repeat counts (for smoke-testing the pipeline).
+Every figure of the registry (:mod:`repro.analysis.figures`) is built
+in experiment-index order with its own repeat profile.
 Each figure's output lands in ``results/figures/<name>.json``; the raw
 per-run cache lives in ``results/cache/`` and makes re-runs incremental.
 """
@@ -17,9 +19,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis import experiments as exp
+from repro.analysis.figures import FIGURES as REGISTRY
 from repro.analysis.runner import ExperimentRunner
-from repro.core.objectives import Objective
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
@@ -28,35 +29,12 @@ FIGURES = RESULTS / "figures"
 
 def main() -> None:
     fast = "--fast" in sys.argv
-    full = 3 if fast else exp.FULL_REPEATS
-    single = 5 if fast else exp.SINGLE_REPEATS
-    sweep = 2 if fast else exp.SWEEP_REPEATS
-
     FIGURES.mkdir(parents=True, exist_ok=True)
     runner = ExperimentRunner(cache_dir=RESULTS / "cache")
 
-    jobs = [
-        ("table1", lambda: exp.table1_registry()),
-        ("fig3", lambda: exp.fig3_worst_best_spread(runner)),
-        ("fig4", lambda: exp.fig4_extreme_vms(runner)),
-        ("fig5", lambda: exp.fig5_input_size(runner)),
-        ("fig6", lambda: exp.fig6_cost_levelling(runner)),
-        ("fig8", lambda: exp.fig8_memory_bottleneck(runner)),
-        ("fig1", lambda: exp.fig1_naive_cdf(runner, repeats=full)),
-        ("fig9a", lambda: exp.fig9_cdf(runner, Objective.TIME, repeats=full)),
-        ("fig2", lambda: exp.fig2_als_trace(runner, repeats=single)),
-        ("fig7", lambda: exp.fig7_kernel_fragility(runner, repeats=single)),
-        ("fig9b", lambda: exp.fig9_cdf(runner, Objective.COST, repeats=full, include_hybrid=False)),
-        ("fig10", lambda: exp.fig10_example_traces(runner, repeats=single)),
-        ("sec3c", lambda: exp.sec3c_initial_points(runner, repeats=5 if not fast else 2)),
-        ("fig12", lambda: exp.fig12_win_loss(runner, repeats=full)),
-        ("fig13", lambda: exp.fig13_timecost_product(runner, repeats=full)),
-        ("fig11", lambda: exp.fig11_stopping_tradeoff(runner, repeats=sweep)),
-    ]
-
-    for name, job in jobs:
+    for name, figure in REGISTRY.items():
         start = time.time()
-        result = job()
+        result = figure.build(runner, fast=fast)
         (FIGURES / f"{name}.json").write_text(json.dumps(result, indent=1))
         print(f"[{time.strftime('%H:%M:%S')}] {name} done in {time.time() - start:.0f}s", flush=True)
 

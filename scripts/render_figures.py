@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Render every cached figure JSON under results/figures/ as SVG.
 
+Each figure with a chart in the registry (:mod:`repro.analysis.figures`)
+is drawn from its spec; the others have no SVG.
+
 Run ``scripts/build_cache.py`` first.  Outputs land next to the JSONs:
 ``results/figures/<name>.svg``.
 """
@@ -10,69 +13,23 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis.svg_plots import bar_chart_svg, line_chart_svg
+from repro.analysis.figures import FIGURES as REGISTRY
+from repro.analysis.svg_plots import render_chart_svg
 
 ROOT = Path(__file__).resolve().parent.parent
 FIGURES = ROOT / "results" / "figures"
 
 
-def render(name: str, payload: dict) -> str | None:
-    if name in {"fig9a", "fig9b"}:
-        objective = payload.get("objective", "")
-        return line_chart_svg(
-            payload["curves"],
-            title=f"Figure 9 — solved fraction vs search cost ({objective})",
-            x_label="search cost (# of measurements)",
-            y_label="fraction of workloads",
-            y_min=0.0,
-            y_max=1.0,
-        )
-    if name == "fig1":
-        return line_chart_svg(
-            {"naive-bo": payload["curve"]},
-            title="Figure 1 — Naive BO search-cost CDF (time)",
-            x_label="search cost (# of measurements)",
-            y_label="fraction of workloads",
-            y_min=0.0,
-            y_max=1.0,
-        )
-    if name == "fig2":
-        return line_chart_svg(
-            {
-                "median": payload["median_curve"],
-                "q1": payload["q1_curve"],
-                "q3": payload["q3_curve"],
-            },
-            title=f"Figure 2 — Naive BO on {payload['workload']}",
-            x_label="search cost (# of measurements)",
-            y_label="normalised execution time",
-        )
-    if name == "fig8":
-        return bar_chart_svg(
-            {row["vm"]: row["normalised_time"] for row in payload["rows"]},
-            title=f"Figure 8 — normalised time of {payload['workload']}",
-            unit="x",
-        )
-    if name == "fig6":
-        times = {row["vm"]: row["time"] for row in payload["rows"]}
-        return bar_chart_svg(
-            times,
-            title=f"Figure 6 — normalised time (sorted by cost) of {payload['workload']}",
-            unit="x",
-        )
-    return None
-
-
 def main() -> None:
     rendered = 0
-    for json_path in sorted(FIGURES.glob("*.json")):
-        payload = json.loads(json_path.read_text())
-        svg = render(json_path.stem, payload)
-        if svg is None:
+    for figure in REGISTRY.values():
+        json_path = FIGURES / f"{figure.name}.json"
+        if figure.chart is None or not json_path.exists():
             continue
-        json_path.with_suffix(".svg").write_text(svg)
+        payload = json.loads(json_path.read_text())
+        json_path.with_suffix(".svg").write_text(render_chart_svg(figure.chart, payload))
         rendered += 1
-        print(f"rendered {json_path.stem}.svg")
+        print(f"rendered {figure.name}.svg")
     print(f"{rendered} figures rendered")
 
 

@@ -2,13 +2,18 @@
 """Generate EXPERIMENTS.md from the cached figure results.
 
 Run ``scripts/build_cache.py`` first; this script renders
-``results/figures/*.json`` into the paper-vs-measured record.
+``results/figures/*.json`` into the paper-vs-measured record.  Each
+figure's heading, rows and note come from the figure registry
+(:mod:`repro.analysis.figures`); this script adds the header and the
+fidelity notes.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+from repro.analysis.figures import FIGURES as REGISTRY
 
 ROOT = Path(__file__).resolve().parent.parent
 FIGURES = ROOT / "results" / "figures"
@@ -17,10 +22,6 @@ FIGURES = ROOT / "results" / "figures"
 def load(name: str) -> dict | None:
     path = FIGURES / f"{name}.json"
     return json.loads(path.read_text()) if path.exists() else None
-
-
-def pct(x: float) -> str:
-    return f"{x:.0%}"
 
 
 def main() -> None:
@@ -41,251 +42,22 @@ def main() -> None:
     add("```")
     add("")
 
-    def table(title: str, bench: str, rows: list[tuple[str, str, str]], note: str = "") -> None:
-        add(f"## {title}")
+    for figure in REGISTRY.values():
+        payload = load(figure.name)
+        if payload is None:
+            continue
+        add(f"## {figure.heading_for(payload)}")
         add("")
-        add(f"Bench: `benchmarks/{bench}`")
+        add(f"Bench: `benchmarks/{figure.bench}`")
         add("")
         add("| quantity | paper | measured |")
         add("|---|---|---|")
-        for quantity, paper, measured in rows:
+        for quantity, paper, measured in figure.rows(payload):
             add(f"| {quantity} | {paper} | {measured} |")
         add("")
-        if note:
-            add(note)
+        if figure.note:
+            add(figure.note)
             add("")
-
-    if (t1 := load("table1")) is not None:
-        cats = t1["applications_by_category"]
-        table(
-            "Table I — study population",
-            "test_table1_registry.py",
-            [
-                ("workloads", "107", str(t1["n_workloads"])),
-                ("applications", "30", str(t1["n_applications"])),
-                ("frameworks", "Hadoop 2.7, Spark 1.5, Spark 2.1", ", ".join(t1["frameworks"])),
-                ("micro / OLAP / statistics / ML apps", "4 / 3 / 9 / 14",
-                 " / ".join(str(len(cats[k])) for k in (
-                     "Micro Benchmark", "OLAP", "Statistics Function", "Machine Learning"))),
-            ],
-        )
-
-    if (f1 := load("fig1")) is not None:
-        regions = f1["regions"]
-        table(
-            "Figure 1 — Naive BO search-cost CDF (time)",
-            "test_fig01_naive_bo_cdf.py",
-            [
-                ("workloads solved within 6 measurements", "~50%", pct(f1["solved_at_6"])),
-                ("workloads solved within 12 measurements", "~85%", pct(f1["solved_at_12"])),
-                ("Region I / II / III", "~54 / ~37 / ~16",
-                 f"{regions['Region I']} / {regions['Region II']} / {regions['Region III']}"),
-            ],
-            note="Fragility reproduced: a material share of workloads needs more "
-                 "than a third of the search space.",
-        )
-
-    if (f2 := load("fig2")) is not None:
-        table(
-            f"Figure 2 — Naive BO on a fragile workload ({f2['workload']}; "
-            "the paper's showcase is ALS)",
-            "test_fig02_als_trace.py",
-            [
-                ("normalised time after 5 measurements", "~1.75x", f"{f2['median_at_5']:.2f}x"),
-                ("median measurements to optimum", "~13", f"{f2['steps_to_optimum_median']:.0f}"),
-            ],
-        )
-
-    if (f3 := load("fig3")) is not None:
-        table(
-            "Figure 3 — worst/best VM spreads",
-            "test_fig03_worst_best_spread.py",
-            [
-                ("max execution-time spread", "up to 20x", f"{f3['max_time_spread']:.1f}x"),
-                ("max deployment-cost spread", "up to 10x", f"{f3['max_cost_spread']:.1f}x"),
-                ("worst-time workload", "classification/Spark 1.5",
-                 f3["max_time_workload"]),
-                ("worst-cost workload", "linear regression", f3["max_cost_workload"]),
-            ],
-        )
-
-    if (f4 := load("fig4")) is not None:
-        exp_frac = f4["expensive_optimal_time_fraction"]
-        cheap_frac = f4["cheap_optimal_cost_fraction"]
-        table(
-            "Figure 4 — extreme VMs are not safe rules of thumb",
-            "test_fig04_expensive_not_best.py",
-            [
-                ("c4.2xlarge fastest for", "~50% of workloads", pct(exp_frac["c4.2xlarge"])),
-                ("m4.2xlarge / r4.2xlarge fastest for", "<50%",
-                 f"{pct(exp_frac['m4.2xlarge'])} / {pct(exp_frac['r4.2xlarge'])}"),
-                ("c4.large cheapest-to-run for", "~50%", pct(cheap_frac["c4.large"])),
-                ("m4.large / r4.large cheapest for", "<50%",
-                 f"{pct(cheap_frac['m4.large'])} / {pct(cheap_frac['r4.large'])}"),
-            ],
-            note="Our cost optima are spread more evenly across cheap VMs than "
-                 "the paper's (several families win), but the headline claim — "
-                 "no extreme VM is optimal for even 60% of workloads — holds.",
-        )
-
-    if (f5 := load("fig5")) is not None:
-        examples = "; ".join(
-            f"{e['application']}/{e['framework']}: {e['best_cost_by_size']}"
-            for e in f5["examples"][:2]
-        )
-        table(
-            "Figure 5 — input size moves the optimum",
-            "test_fig05_input_size.py",
-            [
-                ("(app, framework) pairs whose best-cost VM moves with size",
-                 "happens regularly", f"{f5['changed_best_cost']} of {f5['n_app_framework_pairs']}"),
-                ("example", "bayes: optimum changes small->large", examples),
-            ],
-        )
-
-    if (f6 := load("fig6")) is not None:
-        table(
-            "Figure 6 — cost creates a level playing field (regression/Spark 1.5)",
-            "test_fig06_cost_levelling.py",
-            [
-                ("time worst/best", "~4x", f"{f6['time_spread']:.1f}x"),
-                ("cost worst/best", "~1.5x (compressed)", f"{f6['cost_spread']:.1f}x"),
-                ("VMs within 25% of best (time / cost)", "few / several",
-                 f"{f6['time_competitive']} / {f6['cost_competitive']}"),
-            ],
-        )
-
-    if (f7 := load("fig7")) is not None:
-        rows = []
-        for case in f7["cases"]:
-            medians = case["median_cost_by_kernel"]
-            rows.append(
-                (f"{case['workload']} ({case['objective']}): best / worst kernel",
-                 "ranking flips between cases",
-                 f"{case['best_kernel']} ({medians[case['best_kernel']]:.0f}) / "
-                 f"{case['worst_kernel']} ({medians[case['worst_kernel']]:.0f})")
-            )
-        table(
-            "Figure 7 — kernel fragility of Naive BO",
-            "test_fig07_kernel_fragility.py",
-            rows,
-            note="Paper: Matérn 1/2 is best for als/time yet worst for "
-                 "bayes/cost.  Reproduced claim: the kernel ranking is not "
-                 "stable across workloads/objectives.",
-        )
-
-    if (s3c := load("sec3c")) is not None:
-        table(
-            "Section III-C — initial-point sensitivity",
-            "test_sec3c_initial_points.py",
-            [
-                (f"unsolved at 6 with clustered init {s3c['bad_initial']}",
-                 "~15%", pct(s3c["bad_unsolved_at_6"])),
-                (f"unsolved at 6 with distinct init {s3c['good_initial']}",
-                 "near 0%", pct(s3c["good_unsolved_at_6"])),
-            ],
-        )
-
-    if (f8 := load("fig8")) is not None:
-        rows8 = f8["rows"]
-        slowest, fastest = rows8[0], rows8[-1]
-        table(
-            "Figure 8 — low-level metrics expose the memory bottleneck (lr)",
-            "test_fig08_memory_bottleneck.py",
-            [
-                ("slowest VM (normalised time)", "c3.large, 14.8x",
-                 f"{slowest['vm']}, {slowest['normalised_time']:.1f}x"),
-                ("its memory commit", "saturated (>100%)", f"{slowest['mem_commit_pct']:.0f}%"),
-                ("fastest VM", "c4.2xlarge, 1.0x",
-                 f"{fastest['vm']}, {fastest['normalised_time']:.1f}x"),
-                ("its memory commit", "healthy (<100%)", f"{fastest['mem_commit_pct']:.0f}%"),
-            ],
-        )
-
-    for name, fig_label, bench in (
-        ("fig9a", "Figure 9(a) — CDFs, time objective", "test_fig09a_cdf_time.py"),
-        ("fig9b", "Figure 9(b) — CDFs, cost objective", "test_fig09b_cdf_cost.py"),
-    ):
-        if (f9 := load(name)) is not None:
-            sa = f9["solved_at"]
-            paper6 = ("~60%", "similar") if name == "fig9a" else ("~50%", "~60%")
-            rows = [
-                ("naive solved at 6", paper6[0], pct(sa["naive"]["6"])),
-                ("augmented solved at 6", paper6[1], pct(sa["augmented"]["6"])),
-                ("naive solved at 10", "~80%" if name == "fig9a" else "(lower)",
-                 pct(sa["naive"]["10"])),
-                ("augmented solved at 10", "~96%" if name == "fig9a" else ">= naive",
-                 pct(sa["augmented"]["10"])),
-            ]
-            if "hybrid" in sa:
-                rows.append(("hybrid solved at 6 / 10", ">= naive",
-                             f"{pct(sa['hybrid']['6'])} / {pct(sa['hybrid']['10'])}"))
-            table(fig_label, bench, rows)
-
-    if (f10 := load("fig10")) is not None:
-        rows = []
-        for case in f10["cases"]:
-            naive = case["methods"]["naive"]
-            augmented = case["methods"]["augmented"]
-            rows.append(
-                (f"{case['workload']} ({case['objective']}): "
-                 "median cost, naive -> augmented",
-                 "augmented lower, tighter IQR",
-                 f"{naive['median_cost_to_optimum']:.0f} (IQR {naive['iqr_cost_to_optimum']:.0f})"
-                 f" -> {augmented['median_cost_to_optimum']:.0f}"
-                 f" (IQR {augmented['iqr_cost_to_optimum']:.0f})")
-            )
-        table("Figure 10 — example search traces", "test_fig10_example_traces.py", rows)
-
-    if (f11 := load("fig11")) is not None:
-        rows = []
-        for threshold in ("0.9", "1.1", "1.3"):
-            for region, point in sorted(f11["augmented_delta"].get(threshold, {}).items()):
-                rows.append(
-                    (f"augmented delta={threshold}, {region}",
-                     "cheaper search at lower thresholds",
-                     f"{point['mean_search_cost']:.1f} meas, "
-                     f"{point['mean_normalised_cost']:.2f}x cost")
-                )
-        for region, point in sorted(f11["naive_ei"].get("0.1", {}).items()):
-            rows.append(
-                (f"naive ei=0.1, {region}", "reference",
-                 f"{point['mean_search_cost']:.1f} meas, "
-                 f"{point['mean_normalised_cost']:.2f}x cost")
-            )
-        table(
-            "Figure 11 — stopping-criterion trade-off by region (cost)",
-            "test_fig11_stopping_tradeoff.py",
-            rows,
-        )
-
-    if (f12 := load("fig12")) is not None:
-        counts = f12["counts"]
-        table(
-            "Figure 12 — win/draw/loss, cost objective (EI 10% vs Delta 1.1)",
-            "test_fig12_win_loss.py",
-            [
-                ("win / same / draw / loss", "46 / 39 / 17 / 5",
-                 f"{counts['win']} / {counts['same']} / {counts['draw']} / {counts['loss']}"),
-                ("mean search-cost reduction", "~20%", pct(f12["mean_search_reduction"])),
-                ("mean deployment-cost improvement", "~5%", pct(f12["mean_value_improvement"])),
-            ],
-        )
-
-    if (f13 := load("fig13")) is not None:
-        counts = f13["counts"]
-        table(
-            "Figure 13 — time-cost product (EI 10% vs Delta 1.05)",
-            "test_fig13_timecost_product.py",
-            [
-                ("naive long searches (>6)", "~24%", pct(f13["naive_long_search_fraction"])),
-                ("naive very long searches (>=10)", "~13%",
-                 pct(f13["naive_very_long_search_fraction"])),
-                ("augmented max search cost", "6", f"{f13['augmented_max_search_cost']:.0f}"),
-                ("win / same / draw / loss", "53 / 14 / 34 / 6",
-                 f"{counts['win']} / {counts['same']} / {counts['draw']} / {counts['loss']}"),
-            ],
-        )
 
     add("---")
     add("")

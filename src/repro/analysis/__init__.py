@@ -7,7 +7,9 @@
 * :mod:`repro.analysis.metrics` — search cost to optimum, CDF curves,
   win/draw/loss accounting (Figures 9, 12, 13),
 * :mod:`repro.analysis.stats` — median/IQR summaries for the
-  search-trace plots (Figure 10).
+  search-trace plots (Figure 10),
+* :mod:`repro.analysis.figures` — the registry of the paper's tables and
+  figures: build call, paper-vs-measured rows and chart of each.
 """
 
 from repro.analysis.runner import ExperimentRunner, RunGrid

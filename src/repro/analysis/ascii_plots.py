@@ -4,11 +4,17 @@ No plotting library is available offline, so the CLI renders figures as
 ASCII charts: multi-series line charts for the CDFs and search traces
 (Figures 1, 2, 9, 10) and horizontal bar charts for per-VM comparisons
 (Figures 4, 6, 8).  Output is deterministic, monospace-aligned text.
+:func:`render_chart` draws a figure's registry chart
+(:class:`repro.analysis.figures.Chart`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.analysis.figures import Chart
 
 #: Glyphs assigned to series, in order.
 SERIES_GLYPHS = "*o+x#@%&"
@@ -109,3 +115,22 @@ def bar_chart(
             f" {value:.2f}{unit}"
         )
     return "\n".join(lines)
+
+
+def render_chart(chart: Chart, payload: dict) -> str:
+    """Draw a registry chart over a figure payload, caption underneath.
+
+    The terminal chart carries no title: ``arrow figure`` names the
+    figure on its command line.
+    """
+    data = chart.series(payload)
+    if chart.kind == "bar":
+        text = bar_chart(data, unit=chart.unit)
+    else:
+        y_min, y_max = chart.y_range or (None, None)
+        text = line_chart(
+            data, x_label=chart.x_label, y_label=chart.y_label, y_min=y_min, y_max=y_max
+        )
+    if chart.caption:
+        text += "\n\n" + chart.caption.format_map(payload)
+    return text

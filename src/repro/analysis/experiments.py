@@ -1,8 +1,9 @@
 """Canonical reproduction experiments — one function per paper figure.
 
 Every table and figure of the paper's evaluation maps to one function
-here; the benchmark suite (``benchmarks/``) and the EXPERIMENTS.md
-generator both call these, so the numbers reported anywhere always come
+here, called through its entry in :mod:`repro.analysis.figures`; the
+benchmark suite (``benchmarks/``) and ``scripts/build_cache.py`` both go
+through that registry, so the numbers reported anywhere always come
 from the same code path.  All functions return JSON-serialisable dicts.
 
 Repeat counts default to smaller values than the paper's 100 because the

@@ -89,7 +89,12 @@ class RunGrid:
             raise ValueError("grid key must not contain '/' (it names a file)")
 
 
-def _result_to_json(result: SearchResult) -> dict:
+# The payload codec.  Queue workers serialize results with the same
+# canonical encoder the cache uses, and the coordinator decodes with the
+# same decoder the cache-read path uses, so a result that crossed the
+# durable queue re-encodes byte-identically: queue runs produce the same
+# cache files as serial runs.
+def result_to_payload(result: SearchResult) -> dict:
     # Charges are appended only when fractional (spot pricing), so
     # on-demand payloads are byte-identical to the v2 encoding.  Python's
     # repr-based JSON float round-trips exactly, so a decoded charge is
@@ -133,7 +138,7 @@ def _valid_charge(charge: object) -> bool:
     )
 
 
-def _valid_payload(payload: object) -> bool:
+def valid_payload(payload: object) -> bool:
     """Whether one cached run entry has the trusted v3 shape.
 
     Step and failure rows optionally carry a trailing fractional charge
@@ -232,7 +237,7 @@ def _migrate_legacy(payload: dict) -> dict[str, dict[str, dict]] | None:
     return migrated
 
 
-def _result_from_json(
+def result_from_payload(
     payload: Mapping, objective: Objective, workload_id: str
 ) -> SearchResult:
     steps = []
@@ -275,17 +280,6 @@ def _result_from_json(
             for kind, step, vm_name, detail in payload.get("events", [])
         ),
     )
-
-
-# Public payload codec.  Queue workers serialize results with the same
-# canonical encoder the cache uses, and the coordinator decodes with the
-# same decoder the cache-read path uses, so a result that crossed the
-# durable queue re-encodes byte-identically: queue runs produce the same
-# cache files as serial runs.  (The underscore names remain for existing
-# importers.)
-result_to_payload = _result_to_json
-result_from_payload = _result_from_json
-valid_payload = _valid_payload
 
 
 class ExperimentRunner:
@@ -509,9 +503,9 @@ class ExperimentRunner:
                     # as if it had been cached all along.
                     per_workload[seed_key] = recovered[cell]
                 if seed_key in per_workload:
-                    if _valid_payload(per_workload[seed_key]):
+                    if valid_payload(per_workload[seed_key]):
                         slots.append(
-                            _result_from_json(
+                            result_from_payload(
                                 per_workload[seed_key], grid.objective, workload_id
                             )
                         )
@@ -585,7 +579,7 @@ class ExperimentRunner:
                         queue=queue_config,
                     ):
                         workload_id, repeat = cell
-                        payload = _result_to_json(result)
+                        payload = result_to_payload(result)
                         cache[workload_id][str(repeat)] = payload
                         results[workload_id][repeat] = result
                         if recording:

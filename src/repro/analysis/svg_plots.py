@@ -4,8 +4,9 @@ No plotting library is installed offline, so this module emits
 self-contained SVG documents (no external CSS/JS) for the two chart
 shapes the reproduction needs: multi-series step/line charts for the
 CDFs and search traces, and horizontal bar charts for per-VM
-comparisons.  ``scripts/render_figures.py`` turns every cached figure
-JSON into an ``.svg`` next to it.
+comparisons.  :func:`render_chart_svg` draws a figure's registry chart
+(:class:`repro.analysis.figures.Chart`), and ``scripts/render_figures.py``
+turns every cached figure JSON that has one into an ``.svg`` next to it.
 
 The generator is deliberately small: fixed margins, a categorical
 six-colour palette, text in a generic sans-serif stack.  Everything is
@@ -15,6 +16,10 @@ deterministic, so SVG outputs are diffable across runs.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.analysis.figures import Chart
 
 #: Categorical palette (colour-blind-safe Okabe-Ito subset).
 PALETTE = ("#0072B2", "#D55E00", "#009E73", "#CC79A7", "#E69F00", "#56B4E9")
@@ -196,3 +201,20 @@ def bar_chart_svg(
         )
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def render_chart_svg(chart: Chart, payload: dict) -> str:
+    """Draw a registry chart over a figure payload as an SVG document."""
+    data = chart.series(payload)
+    title = chart.title.format_map(payload)
+    if chart.kind == "bar":
+        return bar_chart_svg(data, title=title, unit=chart.unit)
+    y_min, y_max = chart.y_range or (None, None)
+    return line_chart_svg(
+        data,
+        title=title,
+        x_label=chart.x_label,
+        y_label=chart.y_label,
+        y_min=y_min,
+        y_max=y_max,
+    )

@@ -26,7 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.ascii_plots import bar_chart, line_chart
+from repro.analysis.ascii_plots import bar_chart, line_chart, render_chart
+from repro.analysis.figures import FIGURES
+from repro.analysis.runner import ExperimentRunner, RunGrid
 from repro.cloud.catalog import DEFAULT_CATALOG_NAME, catalog_names, get_catalog
 from repro.cloud.spot import PRICING_MODES, SpotMarket, SpotPolicy
 from repro.cloud.vmtypes import get_vm_type
@@ -406,58 +408,40 @@ def _repeat_seed(_workload: str, repeat: int) -> int:
 def _run_repeats(args: argparse.Namespace, trace, objective):
     """All repeat results for ``arrow search --repeats N``, in order.
 
-    With ``--cache-dir`` the repeats run as a one-workload
-    :class:`~repro.analysis.runner.RunGrid` through the caching
-    :class:`~repro.analysis.runner.ExperimentRunner`, which records
-    every completed repeat in the grid's ``.queue`` file — an
-    interrupted campaign picks up with ``--resume`` instead of
-    recomputing.  Without it they stream
-    straight through the supervised engine.
+    The repeats run as a one-workload
+    :class:`~repro.analysis.runner.RunGrid` through
+    :class:`~repro.analysis.runner.ExperimentRunner`.  With
+    ``--cache-dir`` the runner caches them and records every completed
+    repeat in the grid's ``.queue`` file — an interrupted campaign picks
+    up with ``--resume`` instead of recomputing; without it nothing is
+    kept.
     """
-    from repro.parallel.engine import run_cells
 
     def factory(environment, _objective, seed):
         return _build_optimizer(args, _wrap_faults(args, environment), seed=seed)
 
-    if args.cache_dir:
-        from repro.analysis.runner import ExperimentRunner, RunGrid
-
-        runner = ExperimentRunner(trace, cache_dir=args.cache_dir)
-        grid = RunGrid(
-            key=_search_grid_key(args),
-            factory=factory,
-            objective=objective,
-            workload_ids=(args.workload,),
-            repeats=args.repeats,
-        )
-        results = runner.run(
-            grid,
-            workers=args.workers,
-            resume=args.resume,
-            cell_timeout=args.cell_timeout,
-            seed_fn=_repeat_seed,
-            executor=args.executor,
-            queue_workers=args.queue_workers,
-            queue_lease_s=args.queue_lease,
-            queue_max_attempts=args.queue_max_attempts,
-            queue_stall_timeout_s=args.queue_stall_timeout,
-            queue_pricing=getattr(args, "pricing", "on-demand"),
-        )
-        return results[args.workload]
-
-    return [
-        result
-        for _cell, result in run_cells(
-            trace=trace,
-            factory=factory,
-            objective=objective,
-            cells=[(args.workload, repeat) for repeat in range(args.repeats)],
-            workers=args.workers,
-            seed_fn=_repeat_seed,
-            cell_timeout=args.cell_timeout,
-            executor=args.executor,
-        )
-    ]
+    runner = ExperimentRunner(trace, cache_dir=args.cache_dir)
+    grid = RunGrid(
+        key=_search_grid_key(args),
+        factory=factory,
+        objective=objective,
+        workload_ids=(args.workload,),
+        repeats=args.repeats,
+    )
+    results = runner.run(
+        grid,
+        workers=args.workers,
+        resume=args.resume,
+        cell_timeout=args.cell_timeout,
+        seed_fn=_repeat_seed,
+        executor=args.executor,
+        queue_workers=args.queue_workers,
+        queue_lease_s=args.queue_lease,
+        queue_max_attempts=args.queue_max_attempts,
+        queue_stall_timeout_s=args.queue_stall_timeout,
+        queue_pricing=getattr(args, "pricing", "on-demand"),
+    )
+    return results[args.workload]
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -749,6 +733,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    chart = FIGURES[args.name].chart
     path = Path(args.dir) / f"{args.name}.json"
     if not path.exists():
         print(
@@ -756,81 +741,28 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    payload = json.loads(path.read_text())
-
-    if args.name in {"fig9a", "fig9b"}:
+    try:
+        payload = json.loads(path.read_text())
+        text = json.dumps(payload, indent=2) if chart is None else render_chart(chart, payload)
+    except (ValueError, KeyError, TypeError) as error:
+        # A truncated file fails to decode; a mis-shaped one lacks what
+        # the chart reads.
         print(
-            line_chart(
-                {label: curve for label, curve in payload["curves"].items()},
-                x_label="search cost (# of measurements)",
-                y_label="fraction of workloads solved",
-                y_min=0.0,
-                y_max=1.0,
-            )
+            f"error: {path} is not a valid {args.name} figure "
+            f"({type(error).__name__}: {error})",
+            file=sys.stderr,
         )
-        return 0
-    if args.name == "fig1":
-        print(
-            line_chart(
-                {"naive-bo": payload["curve"]},
-                x_label="search cost (# of measurements)",
-                y_label="fraction of workloads solved",
-                y_min=0.0,
-                y_max=1.0,
-            )
-        )
-        print(f"\nregions: {payload['regions']}")
-        return 0
-    if args.name in {"fig2"}:
-        print(
-            line_chart(
-                {
-                    "median": payload["median_curve"],
-                    "q1": payload["q1_curve"],
-                    "q3": payload["q3_curve"],
-                },
-                x_label="search cost (# of measurements)",
-                y_label="execution time (normalised)",
-            )
-        )
-        return 0
-    if args.name == "fig8":
-        bars = {
-            row["vm"]: row["normalised_time"] for row in payload["rows"]
-        }
-        print(bar_chart(bars, unit="x"))
-        return 0
-
-    print(json.dumps(payload, indent=2))
+        return 1
+    print(text)
     return 0
 
 
 # -- experiments -------------------------------------------------------------
 
 
-_EXPERIMENT_INDEX = (
-    ("table1", "Table I — applications and workloads"),
-    ("fig1", "Figure 1 — Naive BO search-cost CDF"),
-    ("fig2", "Figure 2 — Naive BO trace on ALS"),
-    ("fig3", "Figure 3 — worst/best VM spreads"),
-    ("fig4", "Figure 4 — extreme VMs are not optimal"),
-    ("fig5", "Figure 5 — input size moves the optimum"),
-    ("fig6", "Figure 6 — cost levels the playing field"),
-    ("fig7", "Figure 7 — kernel fragility"),
-    ("sec3c", "Section III-C — initial-point sensitivity"),
-    ("fig8", "Figure 8 — memory bottleneck in low-level metrics"),
-    ("fig9a", "Figure 9(a) — CDFs, time objective"),
-    ("fig9b", "Figure 9(b) — CDFs, cost objective"),
-    ("fig10", "Figure 10 — example search traces"),
-    ("fig11", "Figure 11 — stopping-criterion trade-off"),
-    ("fig12", "Figure 12 — win/draw/loss, cost"),
-    ("fig13", "Figure 13 — time-cost product"),
-)
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    for name, description in _EXPERIMENT_INDEX:
-        print(f"{name:<8} {description}")
+    for name, figure in FIGURES.items():
+        print(f"{name:<8} {figure.title}")
     return 0
 
 
@@ -1014,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(func=_cmd_profile)
 
     figure = sub.add_parser("figure", help="render a cached experiment figure")
-    figure.add_argument("name", choices=[name for name, _ in _EXPERIMENT_INDEX])
+    figure.add_argument("name", choices=list(FIGURES))
     figure.add_argument("--dir", default="results/figures")
     figure.set_defaults(func=_cmd_figure)
 

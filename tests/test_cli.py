@@ -268,6 +268,31 @@ class TestFigure:
         assert "* naive" in out
         assert "o augmented" in out
 
+    def test_renders_fig6_bar_chart(self, tmp_path, capsys):
+        payload = {
+            "workload": "regression/Spark 1.5/medium",
+            "rows": [{"vm": "c4.large", "time": 2.5, "cost": 1.0},
+                     {"vm": "r4.xlarge", "time": 1.0, "cost": 1.4}],
+        }
+        (tmp_path / "fig6.json").write_text(json.dumps(payload))
+        assert main(["figure", "fig6", "--dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("c4.large  |") and lines[0].endswith("| 2.50x")
+        assert lines[1].endswith("| 1.00x")
+
+    @pytest.mark.parametrize(
+        "text, cause",
+        [('{"curve": [0.1', "JSONDecodeError"), ('{"counts": {}}', "KeyError")],
+        ids=["truncated", "misshaped"],
+    )
+    def test_bad_figure_json_fails_cleanly(self, tmp_path, capsys, text, cause):
+        (tmp_path / "fig1.json").write_text(text)
+        assert main(["figure", "fig1", "--dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "fig1.json" in captured.err and cause in captured.err
+
     def test_unknown_figure_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["figure", "fig99"])

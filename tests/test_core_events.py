@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.runner import _result_from_json, _result_to_json, _valid_payload
+from repro.analysis.runner import result_from_payload, result_to_payload, valid_payload
 from repro.core.baselines import RandomSearch
 from repro.core.events import EVENT_KINDS, SearchEvent
 from repro.core.objectives import Objective
@@ -111,9 +111,9 @@ class TestStoppingRuleFired:
         result = RandomSearch(
             trace.environment(WORKLOAD), seed=1, stopping=MaxMeasurements(4)
         ).run()
-        payload = _result_to_json(result)
-        assert _valid_payload(payload)
-        restored = _result_from_json(payload, result.objective, WORKLOAD)
+        payload = result_to_payload(result)
+        assert valid_payload(payload)
+        restored = result_from_payload(payload, result.objective, WORKLOAD)
         assert restored == result
         fired = [e for e in restored.events if e.kind == "stopping_rule_fired"]
         assert [e.detail for e in fired] == ["MaxMeasurements(budget=4)"]
@@ -124,27 +124,27 @@ class TestCacheRoundtrip:
         result = RandomSearch(
             trace.environment(WORKLOAD), seed=2, max_measurements=6
         ).run()
-        payload = _result_to_json(result)
-        assert _valid_payload(payload)
-        restored = _result_from_json(payload, result.objective, WORKLOAD)
+        payload = result_to_payload(result)
+        assert valid_payload(payload)
+        restored = result_from_payload(payload, result.objective, WORKLOAD)
         assert restored == result
 
     def test_payload_without_events_is_still_valid(self, trace):
         result = RandomSearch(
             trace.environment(WORKLOAD), seed=2, max_measurements=6
         ).run()
-        payload = _result_to_json(result)
+        payload = result_to_payload(result)
         del payload["events"]
-        assert _valid_payload(payload)
-        restored = _result_from_json(payload, result.objective, WORKLOAD)
+        assert valid_payload(payload)
+        restored = result_from_payload(payload, result.objective, WORKLOAD)
         assert restored.events == ()
 
     def test_malformed_events_rejected(self, trace):
         result = RandomSearch(
             trace.environment(WORKLOAD), seed=2, max_measurements=6
         ).run()
-        payload = _result_to_json(result)
+        payload = result_to_payload(result)
         payload["events"] = [["not-a-kind", 1, None, ""]]
-        assert not _valid_payload(payload)
+        assert not valid_payload(payload)
         payload["events"] = [["measurement_started", 0, None, ""]]
-        assert not _valid_payload(payload)
+        assert not valid_payload(payload)
