@@ -579,9 +579,13 @@ class ExperimentRunner:
                         queue=queue_config,
                     ):
                         workload_id, repeat = cell
+                        results[workload_id][repeat] = result
+                        if cache_path is None:
+                            # No cache file and no checkpoint: nothing
+                            # would read the encoded payload.
+                            continue
                         payload = result_to_payload(result)
                         cache[workload_id][str(repeat)] = payload
-                        results[workload_id][repeat] = result
                         if recording:
                             # Durable the instant the cell completes: a
                             # kill -9 from here on loses only in-flight

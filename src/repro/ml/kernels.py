@@ -12,9 +12,13 @@ Every kernel exposes its free hyperparameters in log space
 with unconstrained L-BFGS.
 
 Each stationary kernel states its covariance once, in ``_from_sq``
-(``_value_and_dsq`` adds the derivative the likelihood gradient needs),
-and evaluates it for one GP at a time, also when the vectorized driver
-fits a group of GPs (:func:`repro.ml.gp.fit_gps_stacked`).
+(``_value_and_dsq`` adds the derivative the likelihood gradient needs).
+The derivative form takes the signal variance as an argument and is
+elementwise, so :func:`stacked_value_and_grad` evaluates it over a
+``(B, n, n)`` stack of isotropic kernels at once, each slice bit for bit
+what that kernel's own :meth:`~Kernel.value_and_grad` returns: the GP
+likelihood of a fitted group (:func:`repro.ml.gp.fit_gps_stacked`)
+builds one such stack per evaluation round.
 """
 
 from __future__ import annotations
@@ -286,9 +290,32 @@ class _Stationary(Kernel):
     def _from_sq(self, sq: np.ndarray) -> np.ndarray:
         """Covariance from squared distances of already-scaled inputs."""
 
+    @staticmethod
     @abc.abstractmethod
-    def _value_and_dsq(self, sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(K, dK/d sq)`` from scaled squared distances ``sq``."""
+    def _value_and_dsq(
+        sq: np.ndarray, variance: float | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(K, dK/d sq)`` from scaled squared distances ``sq``.
+
+        ``variance`` is a float, or a ``(B, 1, 1)`` column beside a
+        ``(B, n, n)`` stack of ``sq``: the arithmetic is elementwise,
+        so each slice of a stack rounds exactly as a lone kernel does.
+        """
+
+    @classmethod
+    def _isotropic_terms(
+        cls, sq: np.ndarray, variance: float | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(K, dK)`` w.r.t. ``(log variance, log lengthscale)``.
+
+        ``dK`` stacks the two gradients on axis ``-3``: ``(2, n, n)``
+        for one kernel, ``(B, 2, n, n)`` for a stack.
+        """
+        K, dK_dsq = cls._value_and_dsq(sq, variance)
+        grad = np.empty((*K.shape[:-2], 2, *K.shape[-2:]))
+        grad[..., 0, :, :] = K
+        grad[..., 1, :, :] = dK_dsq * (-2.0 * sq)
+        return K, grad
 
     def __call__(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         X = _as_2d(X)
@@ -306,16 +333,15 @@ class _Stationary(Kernel):
         gradient w.r.t. ``log variance`` is ``K`` itself.
         """
         sq = geometry.scaled_sq(self.lengthscale)
-        K, dK_dsq = self._value_and_dsq(sq)
+        if not self.is_ard:
+            return self._isotropic_terms(sq, self.variance)
+        K, dK_dsq = self._value_and_dsq(sq, self.variance)
         lengthscales = self._lengthscales()
         grad = np.empty((1 + lengthscales.size, *K.shape))
         grad[0] = K
-        if self.is_ard:
-            dims = geometry.dims
-            for axis, lengthscale in enumerate(lengthscales):
-                grad[1 + axis] = dK_dsq * (-2.0 / lengthscale**2) * dims[axis]
-        else:
-            grad[1] = dK_dsq * (-2.0 * sq)
+        dims = geometry.dims
+        for axis, lengthscale in enumerate(lengthscales):
+            grad[1 + axis] = dK_dsq * (-2.0 / lengthscale**2) * dims[axis]
         return K, grad
 
     def __repr__(self) -> str:
@@ -339,8 +365,11 @@ class RBF(_Stationary):
     def _from_sq(self, sq: np.ndarray) -> np.ndarray:
         return self.variance * np.exp(-0.5 * sq)
 
-    def _value_and_dsq(self, sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        K = self._from_sq(sq)
+    @staticmethod
+    def _value_and_dsq(
+        sq: np.ndarray, variance: float | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        K = variance * np.exp(-0.5 * sq)
         return K, -0.5 * K
 
 
@@ -355,9 +384,12 @@ class Matern12(_Stationary):
         d = np.sqrt(sq)
         return self.variance * np.exp(-d)
 
-    def _value_and_dsq(self, sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _value_and_dsq(
+        sq: np.ndarray, variance: float | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         d = np.sqrt(sq)
-        K = self.variance * np.exp(-d)
+        K = variance * np.exp(-d)
         # dK/dsq = -K / (2 d); the kernel is not differentiable at d = 0
         # (the diagonal), where the distance gradient is 0 anyway — take
         # the subgradient 0 there.
@@ -373,10 +405,13 @@ class Matern32(_Stationary):
         d = math.sqrt(3.0) * np.sqrt(sq)
         return self.variance * (1.0 + d) * np.exp(-d)
 
-    def _value_and_dsq(self, sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _value_and_dsq(
+        sq: np.ndarray, variance: float | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         d = math.sqrt(3.0) * np.sqrt(sq)
         exp_d = np.exp(-d)
-        return self.variance * (1.0 + d) * exp_d, -1.5 * self.variance * exp_d
+        return variance * (1.0 + d) * exp_d, -1.5 * variance * exp_d
 
 
 class Matern52(_Stationary):
@@ -390,11 +425,14 @@ class Matern52(_Stationary):
         d = math.sqrt(5.0) * np.sqrt(sq)
         return self.variance * (1.0 + d + d**2 / 3.0) * np.exp(-d)
 
-    def _value_and_dsq(self, sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _value_and_dsq(
+        sq: np.ndarray, variance: float | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         d = math.sqrt(5.0) * np.sqrt(sq)
         exp_d = np.exp(-d)
-        K = self.variance * (1.0 + d + d**2 / 3.0) * exp_d
-        return K, -(5.0 / 6.0) * self.variance * (1.0 + d) * exp_d
+        K = variance * (1.0 + d + d**2 / 3.0) * exp_d
+        return K, -(5.0 / 6.0) * variance * (1.0 + d) * exp_d
 
 
 class White(Kernel):
@@ -520,6 +558,47 @@ class Product(_Combination):
 
     def __repr__(self) -> str:
         return f"({self.left!r} * {self.right!r})"
+
+
+def stack_kind(kernel: Kernel) -> type[_Stationary] | None:
+    """The class :func:`stacked_value_and_grad` evaluates ``kernel`` as.
+
+    ``None`` unless ``kernel`` is exactly one of the paper's four
+    stationary kernels, isotropic: a subclass may override any step of
+    :meth:`~Kernel.value_and_grad`, and an ARD kernel's gradient
+    contracts its per-dimension stack, which does not stack elementwise.
+    """
+    kind = type(kernel)
+    if kind in (RBF, Matern12, Matern32, Matern52) and not kernel.is_ard:
+        return kind
+    return None
+
+
+def stacked_value_and_grad(
+    kind: type[_Stationary],
+    variances: np.ndarray,
+    lengthscales: list[float],
+    totals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(K, dK)`` of ``B`` isotropic ``kind`` kernels in one pass.
+
+    Args:
+        kind: a class :func:`stack_kind` returned.
+        variances: ``(B,)`` signal variances.
+        lengthscales: the ``B`` lengthscales, as floats.
+        totals: ``(B, n, m)`` unscaled squared distances
+            (:attr:`Geometry.total`).
+
+    Returns:
+        ``K`` of shape ``(B, n, m)`` and ``dK`` of shape
+        ``(B, 2, n, m)``; slice ``b`` is bit for bit
+        ``kind(variances[b], lengthscales[b]).value_and_grad(geometry)``
+        for a geometry with ``total == totals[b]``.
+    """
+    # Each divisor is squared as Geometry.scaled_sq squares it.
+    divisors = np.array([lengthscale**2 for lengthscale in lengthscales])
+    sq = totals / divisors[:, None, None]
+    return kind._isotropic_terms(sq, variances[:, None, None])
 
 
 class DesignGeometry:

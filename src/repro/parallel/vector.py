@@ -12,13 +12,15 @@ batches the per-round linear algebra across them:
   prediction call across all ensembles
   (:func:`repro.ml.tree.predict_packed_many`, which walks large
   factored queries over destination x source sets and small ones flat);
-* GP searches (Naive BO, the early phase of Hybrid BO) are fitted one
-  GP after another, each through the body its own ``fit`` runs
-  (:func:`repro.ml.gp.fit_gps_stacked`), and have their EI computed in
-  one row-wise pass (:func:`repro.core.acquisition.
-  expected_improvement_stacked`).  Only EI is stacked: the likelihood
-  optimisation is iterative per GP, and a stacked conditioning kernel
-  build was measured to gain nothing on paper-grid.
+* GP searches (Naive BO, the early phase of Hybrid BO) have their GPs
+  fitted as one lock-step group (:func:`repro.ml.gp.fit_gps_stacked`):
+  every L-BFGS-B round evaluates one pending point per unfinished GP,
+  with the kernels, gradients and Eq. 5.9 reductions of same-size
+  isotropic GPs computed over one ``(B, n, n)`` stack, and the
+  factorisations per GP.  Their EI is computed in one row-wise pass
+  (:func:`repro.core.acquisition.expected_improvement_stacked`).  The
+  conditioning kernel build after the optimisation stays per GP: a
+  stacked one was measured to gain nothing on paper-grid.
 
 Each search is still driven through its own
 :class:`~repro.core.smbo.SearchState` round split (``begin_round`` /

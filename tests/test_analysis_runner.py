@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from repro.analysis import runner as runner_module
 from repro.analysis.runner import (
     CACHE_SCHEMA_VERSION,
     ExperimentRunner,
     RunGrid,
+    result_to_payload,
     run_seed,
 )
 from repro.core.baselines import RandomSearch
@@ -121,6 +123,26 @@ class TestRunner:
         runner = ExperimentRunner(trace=trace, cache_dir=None)
         grid = RunGrid("random", random_factory, Objective.TIME, WORKLOADS, 1)
         runner.run(grid)  # must simply not raise
+
+    @pytest.mark.parametrize("executor", ["serial", "vector"])
+    def test_payloads_are_encoded_only_when_stored(
+        self, trace, tmp_path, monkeypatch, executor
+    ):
+        encoded = []
+
+        def counting(result):
+            encoded.append(result)
+            return result_to_payload(result)
+
+        monkeypatch.setattr(runner_module, "result_to_payload", counting)
+        grid = RunGrid("random", random_factory, Objective.TIME, WORKLOADS, 2)
+        plain = ExperimentRunner(trace=trace, cache_dir=None).run(grid, executor=executor)
+        assert encoded == []
+        cached = ExperimentRunner(trace=trace, cache_dir=tmp_path).run(
+            grid, executor=executor
+        )
+        assert len(encoded) == 2 * len(WORKLOADS)
+        assert _results_signature(plain) == _results_signature(cached)
 
     def test_cache_file_carries_schema_version(self, runner, tmp_path):
         grid = RunGrid("random", random_factory, Objective.TIME, WORKLOADS, 1)
