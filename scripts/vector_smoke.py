@@ -4,14 +4,17 @@
 Runs the same small experiment grid twice through
 :class:`~repro.analysis.runner.ExperimentRunner` — once with the serial
 executor, once with the lock-step vectorized driver — and fails unless
-the cache files that land on disk are **byte**-identical.  Four grids are
+the cache files that land on disk are **byte**-identical.  Six grids are
 checked: a clean stopping-rule Augmented-BO grid (the configuration the
 vectorized driver batches most aggressively, through its tree groups)
 and a fault-injected one (transient faults + retries, exercising the
 driver's interplay with the failure machinery and the desync fallback
 when searches stop at different steps), then the same pair for Naive
 BO with CherryPick's EI-10% stop, which the driver steps in lock-step
-GP groups.
+GP groups, then HistoryAugmentedBO under a prior built from every other
+workload (its blend rides the tree groups' shared commit step) and
+Naive BO scored by max-value entropy search (each search draws from
+its own scorer RNG inside a GP group).
 
 Exit status: 0 when every comparison matches, 1 otherwise.
 
@@ -33,6 +36,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis.experiments import all_workload_ids  # noqa: E402
 from repro.analysis.runner import ExperimentRunner, RunGrid  # noqa: E402
 from repro.core.augmented_bo import AugmentedBO  # noqa: E402
+from repro.core.history_bo import (  # noqa: E402
+    HistoryAugmentedBO,
+    HistoryModel,
+    build_history_pairs,
+)
 from repro.core.naive_bo import NaiveBO  # noqa: E402
 from repro.core.objectives import Objective  # noqa: E402
 from repro.core.stopping import EIThreshold, PredictionDeltaThreshold  # noqa: E402
@@ -80,11 +88,36 @@ def naive_faulty_factory(environment, objective, seed):
     )
 
 
+def history_factory(environment, objective, seed):
+    pairs = build_history_pairs(
+        default_trace(), environment.workload.workload_id, seed=0
+    )
+    return HistoryAugmentedBO(
+        environment,
+        objective=objective,
+        seed=seed,
+        history=HistoryModel(*pairs, seed=0),
+        stopping=PredictionDeltaThreshold(),
+    )
+
+
+def naive_mes_factory(environment, objective, seed):
+    return NaiveBO(
+        environment,
+        objective=objective,
+        seed=seed,
+        acquisition="mes",
+        stopping=EIThreshold(fraction=0.1),
+    )
+
+
 GRIDS = {
     "clean": clean_factory,
     "faulty": faulty_factory,
     "naive-clean": naive_clean_factory,
     "naive-faulty": naive_faulty_factory,
+    "history": history_factory,
+    "naive-mes": naive_mes_factory,
 }
 
 

@@ -425,7 +425,13 @@ FIGURES: dict[str, Figure] = {
         Figure(
             "fig11", "Figure 11 — stopping-criterion trade-off",
             "test_fig11_stopping_tradeoff.py",
-            lambda runner, repeats: exp.fig11_stopping_tradeoff(runner, repeats=repeats),
+            # Regions come from the full-grid Naive BO runs, so a fast
+            # sweep classifies them at the fast full-grid count.
+            lambda runner, repeats: exp.fig11_stopping_tradeoff(
+                runner,
+                repeats=repeats,
+                region_repeats=FULL.fast if repeats == SWEEP.fast else FULL.default,
+            ),
             SWEEP,
             "Figure 11 — stopping-criterion trade-off by region (cost)", _fig11_rows,
         ),

@@ -209,24 +209,8 @@ def top_q_indices(scores: np.ndarray, q: int) -> list[int]:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     scores = np.asarray(scores, dtype=float).ravel()
-    n = scores.size
-    k = min(q, n)
-    # Small inputs, full selections and NaN scores take the exact
-    # legacy path: a full stable argsort (NaNs sort last either way,
-    # but argpartition gives no stable guarantee around them).
-    if k == n or n <= 64 or np.isnan(scores).any():
-        order = np.argsort(-scores, kind="stable")
-        return [int(i) for i in order[:k]]
-    # O(n + k log k) selection for large catalogs: partition out the k
-    # best, widen the pool to every candidate tying the k-th value
-    # (argpartition splits ties arbitrarily), then order the pool by
-    # (score desc, position asc) — byte-for-byte the stable-argsort
-    # prefix, so a q=1 batch still picks exactly argmax(scores).
-    part = np.argpartition(-scores, k - 1)
-    threshold = scores[part[k - 1]]
-    pool = np.flatnonzero(scores >= threshold)
-    order = pool[np.lexsort((pool, -scores[pool]))]
-    return [int(i) for i in order[:k]]
+    order = np.argsort(-scores, kind="stable")
+    return [int(i) for i in order[:q]]
 
 
 def _sample_min_values(

@@ -378,6 +378,9 @@ class AugmentedBO(SequentialOptimizer):
     """
 
     name = "augmented-bo"
+    #: The scorer class this search builds; a subclass can change how
+    #: a round is scored by naming a :class:`PairwiseTreeScorer` subclass.
+    scorer_class = PairwiseTreeScorer
 
     def __init__(
         self,
@@ -389,7 +392,7 @@ class AugmentedBO(SequentialOptimizer):
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        self._scorer = PairwiseTreeScorer(
+        self._scorer = self.scorer_class(
             self.design_matrix,
             n_estimators=n_estimators,
             relational=relational,
@@ -402,14 +405,6 @@ class AugmentedBO(SequentialOptimizer):
     def scorer(self) -> PairwiseTreeScorer:
         """The pairwise surrogate scorer."""
         return self._scorer
-
-    def _score_candidates(self, unmeasured: list[int]) -> AcquisitionScores:
-        return self._scorer.score(
-            self.measured_indices,
-            self.measured_values,
-            self.measured_measurements,
-            unmeasured,
-        )
 
     def _round_scorer(self) -> PairwiseTreeScorer:
         return self._scorer

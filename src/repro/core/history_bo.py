@@ -30,7 +30,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.acquisition import prediction_delta
-from repro.core.augmented_bo import DEFAULT_N_ESTIMATORS, AugmentedBO
+from repro.core.augmented_bo import (
+    DEFAULT_N_ESTIMATORS,
+    AugmentedBO,
+    PairwiseTreeScorer,
+)
 from repro.core.smbo import AcquisitionScores
 from repro.ml.extra_trees import ExtraTreesRegressor
 from repro.ml.scaling import StandardScaler
@@ -118,6 +122,44 @@ class HistoryModel:
         return self._model.predict(self._scaler.transform(rows))
 
 
+class HistoryTreeScorer(PairwiseTreeScorer):
+    """The pairwise scorer with the history prior blended into its
+    predictions.
+
+    The blend happens in :meth:`score_commit`, the step every scoring
+    path shares (the serial :meth:`score` and the vectorized driver's
+    stacked tree groups), so both score a round the same way.  The
+    prior draws no random numbers, so the per-step seeds are drawn in
+    :class:`PairwiseTreeScorer`'s order.
+
+    Attributes:
+        history: the fitted :class:`HistoryModel`, or ``None`` to score
+            exactly like :class:`PairwiseTreeScorer`.
+        prior_strength: how many real measurements the prior is worth.
+    """
+
+    history: HistoryModel | None = None
+    prior_strength: float = DEFAULT_PRIOR_STRENGTH
+
+    def score_commit(self, pending, tree_predictions=None) -> AcquisitionScores:
+        current = super().score_commit(pending, tree_predictions)
+        if self.history is None or self.prior_strength == 0:
+            return current
+        k = pending.index.size
+        query = PairRows(
+            self._design[np.asarray(pending.unmeasured, dtype=np.int64)],
+            np.concatenate([self._design[pending.index], pending.metrics], axis=1),
+        )
+        ratios = self.history.predict(query).reshape(len(pending.unmeasured), k)
+        prior_log = (ratios + pending.log_values[None, :]).mean(axis=1)
+        alpha = self.prior_strength / (self.prior_strength + k)
+        assert current.predicted is not None
+        blended = np.exp(
+            alpha * prior_log + (1.0 - alpha) * np.log(current.predicted)
+        )
+        return AcquisitionScores(scores=prediction_delta(blended), predicted=blended)
+
+
 class HistoryAugmentedBO(AugmentedBO):
     """Augmented BO with a cross-workload history prior.
 
@@ -131,6 +173,7 @@ class HistoryAugmentedBO(AugmentedBO):
     """
 
     name = "history-augmented-bo"
+    scorer_class = HistoryTreeScorer
 
     def __init__(
         self,
@@ -144,33 +187,5 @@ class HistoryAugmentedBO(AugmentedBO):
         super().__init__(environment, *args, n_estimators=n_estimators, **kwargs)
         if prior_strength < 0:
             raise ValueError(f"prior_strength must be >= 0, got {prior_strength}")
-        self.history = history
-        self.prior_strength = prior_strength
-
-    def _score_candidates(self, unmeasured: list[int]) -> AcquisitionScores:
-        current = self._scorer.score(
-            self.measured_indices,
-            self.measured_values,
-            self.measured_measurements,
-            unmeasured,
-        )
-        if self.history is None or self.prior_strength == 0:
-            return current
-
-        measured = self.measured_indices
-        metrics = np.array([m.metrics.to_vector() for m in self.measured_measurements])
-        log_values = np.log(self.measured_values)
-        design = self.design_matrix
-        query = PairRows(
-            design[unmeasured], np.concatenate([design[measured], metrics], axis=1)
-        )
-        ratios = self.history.predict(query).reshape(len(unmeasured), len(measured))
-        prior_log = (ratios + log_values[None, :]).mean(axis=1)
-
-        k = len(measured)
-        alpha = self.prior_strength / (self.prior_strength + k)
-        assert current.predicted is not None
-        blended = np.exp(
-            alpha * prior_log + (1.0 - alpha) * np.log(current.predicted)
-        )
-        return AcquisitionScores(scores=prediction_delta(blended), predicted=blended)
+        self._scorer.history = history
+        self._scorer.prior_strength = prior_strength

@@ -64,26 +64,15 @@ class HybridBO(SequentialOptimizer):
             return self._gp_scorer
         return self._tree_scorer
 
-    def _score_candidates(self, unmeasured: list[int]) -> AcquisitionScores:
-        if len(self.measured_indices) < self.switch_at:
-            return self._gp_scorer.score(
-                self.measured_indices, self.measured_values, unmeasured
-            )
-        return self._tree_scorer.score(
-            self.measured_indices,
-            self.measured_values,
-            self.measured_measurements,
-            unmeasured,
-        )
-
     def _suggest_batch(
         self, unmeasured: list[int], q: int
     ) -> tuple[AcquisitionScores, list[int]]:
         # Early phase batches like Naive BO (constant-liar q-EI); the
         # late-phase tree surrogate batches via the base top-q
         # prediction delta (one batched ensemble predict, q argmins).
-        if len(self.measured_indices) < self.switch_at:
-            return self._gp_scorer.suggest_batch(
+        scorer = self._round_scorer()
+        if scorer is self._gp_scorer:
+            return scorer.suggest_batch(
                 self.measured_indices, self.measured_values, unmeasured, q, self.liar
             )
         return super()._suggest_batch(unmeasured, q)

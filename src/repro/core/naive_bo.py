@@ -15,13 +15,14 @@ import numpy as np
 
 from repro.core.acquisition import (
     expected_improvement,
+    expected_improvement_stacked,
     liar_value,
     lower_confidence_bound,
     max_value_entropy_search,
     probability_of_improvement,
 )
 from repro.core.smbo import AcquisitionScores, SequentialOptimizer
-from repro.ml.gp import GaussianProcessRegressor
+from repro.ml.gp import GaussianProcessRegressor, fit_gps_stacked
 from repro.ml.kernels import DesignGeometry, Kernel, Matern52
 from repro.ml.scaling import StandardScaler
 
@@ -50,7 +51,7 @@ class GPScorer:
         design_matrix: full encoded instance space (scaling is fitted on
             it once, so feature scales don't drift as measurements arrive).
         kernel: GP covariance function (cloned per fit).
-        acquisition: ``"ei"`` (default), ``"pi"`` or ``"lcb"``.
+        acquisition: ``"ei"`` (default), ``"pi"``, ``"lcb"`` or ``"mes"``.
         seed: seed for the GP's hyperparameter restarts.
     """
 
@@ -93,71 +94,83 @@ class GPScorer:
             "rebuilds": self._geometry.rebuilds,
         }
 
-    @property
-    def stackable(self) -> bool:
-        """Whether a cross-search driver can batch this scorer's round.
-
-        A driver fits the group's GPs with
-        :func:`repro.ml.gp.fit_gps_stacked` (each through the body its
-        own ``fit`` runs) and scores them with the row-stacked
-        :func:`repro.core.acquisition.expected_improvement_stacked`,
-        which reproduces the EI round bit for bit; the other
-        acquisitions (PI/LCB/MES — MES draws from the scorer RNG) fall
-        back to the per-search loop.
-        """
-        return self.acquisition == "ei"
-
-    def fit_inputs(
-        self, measured: list[int], values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, object]:
-        """This round's GP training inputs ``(X, y, fit geometry)``.
-
-        What :meth:`score` hands to ``gp.fit`` —
-        exposed so a cross-search driver can fit many scorers' GPs in
-        one call (:func:`repro.ml.gp.fit_gps_stacked`).
-        """
-        return (
-            self._scaled_design[measured],
-            values,
-            self._geometry.fit_geometry(measured),
-        )
-
-    def posterior(
-        self, measured: list[int], unmeasured: list[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate posterior ``(mean, std)`` from the already-fitted GP."""
-        return self._gp.predict(
-            self._scaled_design[unmeasured],
-            return_std=True,
-            geometry=self._geometry.cross_geometry(unmeasured, measured),
-        )
-
     def score(
-        self, measured: list[int], values: np.ndarray, unmeasured: list[int]
+        self,
+        measured: list[int],
+        values: np.ndarray,
+        unmeasured: list[int],
+        measurements=None,
     ) -> AcquisitionScores:
-        """Fit on the measured rows and return EI scores for the rest."""
-        # Reuse the incrementally grown distance geometry for both the
-        # fit and the cross-covariance block of the predict.
-        X, y, geometry = self.fit_inputs(measured, values)
-        self._gp.fit(X, y, geometry=geometry)
-        mean, std = self.posterior(measured, unmeasured)
-        scores, ei = self._scores_from_posterior(mean, std, float(values.min()))
-        return AcquisitionScores(scores=scores, predicted=mean, expected_improvements=ei)
+        """Fit on the measured rows and score the rest.
 
-    def _scores_from_posterior(
-        self, mean: np.ndarray, std: np.ndarray, incumbent: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Acquisition scores (and EI) from one posterior over candidates."""
-        ei = expected_improvement(mean, std, incumbent)
+        :meth:`score_group` for a group of one.  ``measurements`` is the
+        tree scorer's argument, accepted so that every scorer takes the
+        same named arguments; a GP does not read it.
+        """
+        return self.score_group([self], [(measured, values, unmeasured)])[0]
+
+    @staticmethod
+    def score_group(
+        scorers: list[GPScorer],
+        rounds: list[tuple[list[int], np.ndarray, list[int]]],
+    ) -> list[AcquisitionScores]:
+        """Score one round of each scorer's search, as one group.
+
+        ``rounds[i]`` is ``scorers[i]``'s ``(measured, values,
+        unmeasured)``; every ``unmeasured`` list has the same length.
+        The GPs are fitted as one lock-step group
+        (:func:`repro.ml.gp.fit_gps_stacked`), each posterior comes from
+        its own GP through the scorer's incremental distance geometry,
+        EI is computed for every row in one
+        :func:`~repro.core.acquisition.expected_improvement_stacked`
+        call, and then each scorer applies its own acquisition to its
+        row (MES draws from that scorer's RNG only).  Each scorer ends
+        exactly as it would scored alone.
+        """
+        pairs = list(zip(scorers, rounds))
+        fit_gps_stacked(
+            [scorer._gp for scorer in scorers],
+            [scorer._scaled_design[measured] for scorer, (measured, _, _) in pairs],
+            [values for _, values, _ in rounds],
+            [
+                scorer._geometry.fit_geometry(measured)
+                for scorer, (measured, _, _) in pairs
+            ],
+        )
+        posteriors = [
+            scorer._gp.predict(
+                scorer._scaled_design[unmeasured],
+                return_std=True,
+                geometry=scorer._geometry.cross_geometry(unmeasured, measured),
+            )
+            for scorer, (measured, _, unmeasured) in pairs
+        ]
+        means = np.stack([mean for mean, _ in posteriors])
+        stds = np.stack([std for _, std in posteriors])
+        incumbents = np.array([float(values.min()) for _, values, _ in rounds])
+        ei = expected_improvement_stacked(means, stds, incumbents)
+        return [
+            AcquisitionScores(
+                scores=scorer._acquisition(
+                    means[row], stds[row], incumbents[row], ei[row]
+                ),
+                predicted=means[row],
+                expected_improvements=ei[row],
+            )
+            for row, scorer in enumerate(scorers)
+        ]
+
+    def _acquisition(
+        self, mean: np.ndarray, std: np.ndarray, incumbent: float, ei: np.ndarray
+    ) -> np.ndarray:
+        """This scorer's acquisition over one posterior, given its EI."""
         if self.acquisition == "ei":
-            scores = ei
-        elif self.acquisition == "pi":
-            scores = probability_of_improvement(mean, std, incumbent)
-        elif self.acquisition == "lcb":
-            scores = lower_confidence_bound(mean, std)
-        else:
-            scores = max_value_entropy_search(mean, std, self._rng)
-        return scores, ei
+            return ei
+        if self.acquisition == "pi":
+            return probability_of_improvement(mean, std, incumbent)
+        if self.acquisition == "lcb":
+            return lower_confidence_bound(mean, std)
+        return max_value_entropy_search(mean, std, self._rng)
 
     def suggest_batch(
         self,
@@ -203,8 +216,9 @@ class GPScorer:
                     return_std=True,
                     geometry=self._geometry.cross_geometry(remaining, fant_measured),
                 )
-                scores, _ = self._scores_from_posterior(
-                    mean, std, float(fant_values.min())
+                incumbent = float(fant_values.min())
+                scores = self._acquisition(
+                    mean, std, incumbent, expected_improvement(mean, std, incumbent)
                 )
                 picked.append(remaining.pop(int(np.argmax(scores))))
         finally:
@@ -217,8 +231,8 @@ class NaiveBO(SequentialOptimizer):
 
     Args:
         kernel: covariance function; defaults to Matérn 5/2.
-        acquisition: ``"ei"`` (CherryPick's choice, default), ``"pi"`` or
-            ``"lcb"``.
+        acquisition: ``"ei"`` (CherryPick's choice, default), ``"pi"``,
+            ``"lcb"`` or ``"mes"``.
         **kwargs: forwarded to :class:`SequentialOptimizer`.
     """
 
@@ -238,9 +252,6 @@ class NaiveBO(SequentialOptimizer):
             acquisition=acquisition,
             seed=int(self._rng.integers(2**31)),
         )
-
-    def _score_candidates(self, unmeasured: list[int]) -> AcquisitionScores:
-        return self._scorer.score(self.measured_indices, self.measured_values, unmeasured)
 
     def _round_scorer(self) -> GPScorer:
         return self._scorer

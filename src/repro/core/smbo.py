@@ -391,9 +391,28 @@ class SequentialOptimizer(abc.ABC):
 
     # -- subclass hooks ------------------------------------------------------
 
-    @abc.abstractmethod
+    def _round_scorer(self):
+        """The scorer that scores this search's next round.
+
+        The one place a surrogate search says how it scores: the serial
+        :meth:`SearchState.step` scores through it (via
+        :meth:`_score_candidates`), and so does the ``"vector"``
+        executor, which groups compatible searches' scorers.  Every
+        scorer's ``score`` takes ``measured``, ``values``,
+        ``measurements`` and ``unmeasured`` by name.  ``None`` (the
+        base default) is for searches without a surrogate, which
+        override :meth:`_score_candidates` instead.
+        """
+        return None
+
     def _score_candidates(self, unmeasured: list[int]) -> AcquisitionScores:
         """Fit the surrogate and score the ``unmeasured`` catalog indices."""
+        return self._round_scorer().score(
+            measured=self.measured_indices,
+            values=self.measured_values,
+            measurements=self.measured_measurements,
+            unmeasured=unmeasured,
+        )
 
     def _suggest_batch(
         self, unmeasured: list[int], q: int
@@ -753,16 +772,6 @@ class SequentialOptimizer(abc.ABC):
         while state.step():
             pass
         return state.result()
-
-    def _round_scorer(self):
-        """The scorer :meth:`_score_candidates` would use next round.
-
-        Drivers that batch surrogate work across searches (the
-        ``"vector"`` executor) use this to group compatible searches;
-        ``None`` (the base default) means "not batchable — score via
-        :meth:`_score_candidates`".
-        """
-        return None
 
     def _build_result(self, stopped_by: str) -> SearchResult:
         steps = []

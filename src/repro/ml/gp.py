@@ -43,9 +43,10 @@ scipy >= 1.17, and a test pins the loop against ``minimize``.
 The optimiser is split at the evaluation boundary: each start is a
 generator (``_lbfgsb_steps``) that yields the point it wants evaluated
 and takes the value and gradient back.  :func:`fit_gps_stacked` fits a
-group of GPs for the vectorized grid driver, and :meth:`fit` runs as a
-group of one, through one private body: every round takes the pending
-hyperparameters of each unfinished GP and evaluates them together.  No
+group of GPs (a GP scorer's round, alone or in a vectorized-driver
+group), and :meth:`fit` runs as a group of one, through one private
+body: every round takes the pending hyperparameters of each
+unfinished GP and evaluates them together.  No
 GP's evaluation sequence depends on another's, so L-BFGS-B's
 data-dependent step counts only decide when a GP leaves the group.  The
 isotropic kernels of one class and size share one kernel and gradient
@@ -334,10 +335,7 @@ class GaussianProcessRegressor:
         assert self._X is not None
         n = self._X.shape[0]
         self.n_kernel_builds += 1
-        try:
-            K = self.kernel.value(geometry)
-        except NotImplementedError:
-            K = self.kernel(self._X)
+        K = self.kernel.value(geometry)
         K.flat[:: n + 1] += self.noise
         self._L = _cholesky_with_jitter(K)[0]
         self._alpha = _cho_solve(self._L, y_scaled)
@@ -430,7 +428,6 @@ class GaussianProcessRegressor:
         the *negative* log marginal likelihood and its gradient there,
         and sets the best start's hyperparameters when it ends.  The
         restarts are drawn on the first step, before any evaluation.
-        An override may instead optimise in place and return ``None``.
         """
         assert self._X is not None
         bounds = self._packed_bounds()
@@ -484,10 +481,7 @@ class GaussianProcessRegressor:
                     f"geometry shape {geometry.shape} does not match "
                     f"({X.shape[0]}, {self._X.shape[0]})"
                 )
-            try:
-                K_star = self.kernel.value(geometry)
-            except NotImplementedError:
-                K_star = self.kernel(X, self._X)
+            K_star = self.kernel.value(geometry)
         else:
             K_star = self.kernel(X, self._X)
         mean = K_star @ self._alpha * self._y_std + self._y_mean
@@ -673,26 +667,31 @@ def _fit_group(
     Last, each GP conditions on its data at the fitted hyperparameters.
     """
     fits = [_fit_inputs(X, y, geometry) for X, y, geometry in zip(Xs, ys, geometries)]
-    pending = []
+    # Each entry carries what its generator is sent next: ``None`` to
+    # prime it, then the negated likelihood and gradient at its theta.
+    # A generator that returns leaves the group.
+    replies = []
     for gp, (X, y_mean, y_std, y_scaled, geometry) in zip(gps, fits):
         gp._X, gp._y_mean, gp._y_std = X, y_mean, y_std
         gp.n_fits += 1
         if gp.optimise and X.shape[0] >= 2:
             steps = gp._optimise_hyperparameters(y_scaled, geometry)
-            if steps is not None:
-                pending.append((gp, steps, y_scaled, geometry, next(steps)))
-    while pending:
+            replies.append((gp, steps, y_scaled, geometry, None))
+    while replies:
+        pending = []
+        for gp, steps, y_scaled, geometry, reply in replies:
+            try:
+                theta = steps.send(reply)
+            except StopIteration:
+                continue
+            pending.append((gp, steps, y_scaled, geometry, theta))
         values = _group_lml(
             [(gp, theta, y, geometry) for gp, _, y, geometry, theta in pending]
         )
-        advanced = []
-        for (gp, steps, y_scaled, geometry, _), (lml, grad) in zip(pending, values):
-            try:
-                theta = steps.send((-lml, -grad))
-            except StopIteration:
-                continue
-            advanced.append((gp, steps, y_scaled, geometry, theta))
-        pending = advanced
+        replies = [
+            (gp, steps, y_scaled, geometry, (-lml, -grad))
+            for (gp, steps, y_scaled, geometry, _), (lml, grad) in zip(pending, values)
+        ]
     for gp, (_, _, _, y_scaled, geometry) in zip(gps, fits):
         gp._condition(y_scaled, geometry)
 
@@ -707,13 +706,12 @@ def fit_gps_stacked(
 
     Each GP ends exactly as its own ``fit(Xs[i], ys[i],
     geometry=geometries[i])`` ends: same hyperparameters, same factor,
-    same counters.  The vectorized driver's GP groups call this once per
-    round.  The likelihood optimisations advance together, one
+    same counters.  The likelihood optimisations advance together, one
     evaluation per unfinished GP per round, and the isotropic kernels
     of one class and size build their matrices and gradients in one
     stacked pass per round; the Cholesky factorisations, the solves and
-    the conditioning stay per GP.  The driver then scores the group
-    with one :func:`repro.core.acquisition.expected_improvement_stacked`.
+    the conditioning stay per GP.  Every GP scoring round fits through
+    here (:meth:`repro.core.naive_bo.GPScorer.score_group`).
 
     Raises:
         ValueError: if the four lists disagree in length, or as

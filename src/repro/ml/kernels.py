@@ -149,8 +149,10 @@ class Geometry:
 class Kernel(abc.ABC):
     """A positive semi-definite covariance function.
 
-    Subclasses implement :meth:`__call__`; hyperparameters live in
-    ``theta`` as log-transformed values so optimisation is unconstrained.
+    Subclasses implement :meth:`__call__`, :meth:`value` (the same
+    matrix from a cached :class:`Geometry`) and :meth:`diag`;
+    hyperparameters live in ``theta`` as log-transformed values so
+    optimisation is unconstrained.
     """
 
     @abc.abstractmethod
@@ -175,18 +177,9 @@ class Kernel(abc.ABC):
     def clone(self) -> Kernel:
         """An independent copy with the same hyperparameters."""
 
+    @abc.abstractmethod
     def value(self, geometry: Geometry) -> np.ndarray:
-        """Covariance matrix evaluated from cached distance geometry.
-
-        The generic fallback re-evaluates :meth:`__call__` on the raw row
-        sets; built-in kernels override it to rescale the cached
-        geometry instead of recomputing distances.
-        """
-        if geometry.X is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} cannot evaluate block-built geometry"
-            )
-        return self(geometry.X, None if geometry.self_pair else geometry.Y)
+        """Covariance matrix evaluated from cached distance geometry."""
 
     def value_and_grad(self, geometry: Geometry) -> tuple[np.ndarray, np.ndarray]:
         """``K`` and its analytic gradients w.r.t. the log hyperparameters.
@@ -205,14 +198,9 @@ class Kernel(abc.ABC):
             f"{type(self).__name__} has no analytic gradient"
         )
 
+    @abc.abstractmethod
     def diag(self, X: np.ndarray) -> np.ndarray:
-        """The diagonal of ``self(X, X)``.
-
-        Generic fallback: one vectorised kernel evaluation instead of a
-        per-row Python loop.  Subclasses override with O(n) shortcuts
-        that never form the matrix.
-        """
-        return np.diag(self(_as_2d(X))).copy()
+        """The diagonal of ``self(X, X)``, without forming the matrix."""
 
     def __add__(self, other: Kernel) -> Kernel:
         return Sum(self, other)

@@ -12,32 +12,37 @@ batches the per-round linear algebra across them:
   prediction call across all ensembles
   (:func:`repro.ml.tree.predict_packed_many`, which walks large
   factored queries over destination x source sets and small ones flat);
-* GP searches (Naive BO, the early phase of Hybrid BO) have their GPs
-  fitted as one lock-step group (:func:`repro.ml.gp.fit_gps_stacked`):
+* GP searches (Naive BO, the early phase of Hybrid BO) are scored
+  through :meth:`~repro.core.naive_bo.GPScorer.score_group`, the body
+  ``GPScorer.score`` runs as a group of one: their GPs are fitted as
+  one lock-step group (:func:`repro.ml.gp.fit_gps_stacked`), where
   every L-BFGS-B round evaluates one pending point per unfinished GP,
   with the kernels, gradients and Eq. 5.9 reductions of same-size
   isotropic GPs computed over one ``(B, n, n)`` stack, and the
   factorisations per GP.  Their EI is computed in one row-wise pass
-  (:func:`repro.core.acquisition.expected_improvement_stacked`).  The
-  conditioning kernel build after the optimisation stays per GP: a
-  stacked one was measured to gain nothing on paper-grid.
+  (:func:`repro.core.acquisition.expected_improvement_stacked`), and
+  each scorer's own acquisition (EI, PI, LCB or MES) is applied to its
+  row.  The conditioning kernel build after the optimisation stays per
+  GP: a stacked one was measured to gain nothing on paper-grid.
 
 Each search is still driven through its own
 :class:`~repro.core.smbo.SearchState` round split (``begin_round`` /
 ``complete_round``), consuming its own random streams in exactly the
-serial order, and every batched kernel is bit-identical per slice to
-its per-search counterpart — so the yielded results (and therefore any
-cache built from them) are **byte-identical** to the serial executor's.
-This is a dispatch-amortisation play, not an approximation.
+serial order.  Its round is scored by the scorer its optimiser's
+``_round_scorer()`` names, the one the serial step scores through, and
+every batched kernel is bit-identical per slice to its per-search
+counterpart — so the yielded results (and therefore any cache built
+from them) are **byte-identical** to the serial executor's.  This is a
+dispatch-amortisation play, not an approximation.
 
 Desync is the normal case, not an error: searches stop at different
 step counts (stopping rules, exhausted budgets), switch surrogates at
 different times (Hybrid BO), or are simply not batchable (random
-search, PI/LCB/MES acquisitions, warm-refit ensembles,
-``batch_size > 1`` fan-out rounds).  Every pass regroups whatever
-*is* batchable that round; everything else falls back to the classic
-per-cell step — same code the serial loop runs — so a heterogeneous
-grid degrades smoothly toward serial performance rather than breaking.
+search, warm-refit and random-forest ensembles, ``batch_size > 1``
+fan-out rounds).  Every pass regroups whatever *is* batchable that
+round; everything else is scored per cell — same code the serial loop
+runs — so a heterogeneous grid degrades smoothly toward serial
+performance rather than breaking.
 
 When the win shows up: the stacked builders amortise *dispatch*, so
 they pay off in the small-``m`` regime where per-level numpy call
@@ -51,16 +56,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-import numpy as np
-
-from repro.core.acquisition import expected_improvement_stacked
 from repro.core.augmented_bo import PairwiseTreeScorer
 from repro.core.naive_bo import GPScorer
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult
 from repro.core.smbo import AcquisitionScores, SearchState
 from repro.ml.extra_trees import fit_ensembles_stacked
-from repro.ml.gp import fit_gps_stacked
 from repro.ml.tree import predict_packed_many
 from repro.parallel.events import CellEvent
 from repro.trace.dataset import BenchmarkTrace
@@ -143,21 +144,10 @@ class VectorizedGridDriver:
 
     def _run_tree_group(self, group: list[_LiveCell]) -> None:
         """One stacked ensemble fit + one packed traversal for the group."""
-        try:
-            fit_ensembles_stacked(
-                [live.pending.model for live in group],
-                [(live.pending.X_scaled, live.pending.y_train) for live in group],
-            )
-        except ValueError:
-            # The group could not share a frontier after all (e.g. a
-            # factory mixing growth limits) — finish each cell exactly
-            # as PairwiseTreeScorer.score would, from the same pending.
-            self.fallback_rounds += 1
-            for live in group:
-                pending = live.pending
-                pending.model.fit(pending.X_scaled, pending.y_train)
-                self._commit(live, live.scorer.score_commit(pending))
-            return
+        fit_ensembles_stacked(
+            [live.pending.model for live in group],
+            [(live.pending.X_scaled, live.pending.y_train) for live in group],
+        )
         self.stacked_tree_fits += 1
         rows = [live.scorer.query_rows(live.pending) for live in group]
         predictions = predict_packed_many(
@@ -169,46 +159,21 @@ class VectorizedGridDriver:
             )
             self._commit(live, acquisition)
 
-    def _gp_group_key(self, live: _LiveCell) -> tuple:
-        opt = live.optimizer
-        return (
-            "gp",
-            len(opt.measured_indices),
-            len(live.candidates),
-        )
-
     def _run_gp_group(self, group: list[_LiveCell]) -> None:
-        """Per-GP fits + one stacked EI for the group."""
-        fit_args = []
-        for live in group:
-            opt = live.optimizer
-            X, y, geometry = live.scorer.fit_inputs(
-                opt.measured_indices, opt.measured_values
-            )
-            fit_args.append((X, y, geometry))
-        fit_gps_stacked(
-            [live.scorer._gp for live in group],
-            [X for X, _, _ in fit_args],
-            [y for _, y, _ in fit_args],
-            [geometry for _, _, geometry in fit_args],
+        """The group's rounds through :meth:`GPScorer.score_group`."""
+        acquisitions = GPScorer.score_group(
+            [live.scorer for live in group],
+            [
+                (
+                    live.optimizer.measured_indices,
+                    live.optimizer.measured_values,
+                    live.candidates,
+                )
+                for live in group
+            ],
         )
         self.stacked_gp_fits += 1
-        means, stds, incumbents = [], [], []
-        for live in group:
-            opt = live.optimizer
-            mean, std = live.scorer.posterior(opt.measured_indices, live.candidates)
-            means.append(mean)
-            stds.append(std)
-            incumbents.append(float(opt.measured_values.min()))
-        ei = expected_improvement_stacked(
-            np.stack(means), np.stack(stds), np.array(incumbents)
-        )
-        for index, live in enumerate(group):
-            acquisition = AcquisitionScores(
-                scores=ei[index],
-                predicted=means[index],
-                expected_improvements=ei[index],
-            )
+        for live, acquisition in zip(group, acquisitions):
             self._commit(live, acquisition)
 
     def _commit(self, live: _LiveCell, acquisition: AcquisitionScores) -> None:
@@ -222,18 +187,14 @@ class VectorizedGridDriver:
     def _round_bucket(self, live: _LiveCell) -> tuple | None:
         """The batch group for this cell's open round, or ``None``.
 
-        ``None`` means "score classically this round": the optimiser has
-        no round scorer, the scorer isn't stackable in its current
-        configuration, or (Hybrid BO) it is mid-switch into a phase the
-        driver cannot batch.
+        ``None`` means "score this cell alone this round": the search
+        has no round scorer (the baselines), or its tree scorer is not
+        stackable (warm refits, the random forest).  A GP group shares
+        one size of training set and of candidate set.
         """
         scorer = live.optimizer._round_scorer()
-        if scorer is None:
-            return None
-        if isinstance(scorer, PairwiseTreeScorer):
-            if not scorer.stackable:
-                return None
-            opt = live.optimizer
+        opt = live.optimizer
+        if isinstance(scorer, PairwiseTreeScorer) and scorer.stackable:
             live.scorer = scorer
             live.pending = scorer.score_begin(
                 opt.measured_indices,
@@ -243,10 +204,8 @@ class VectorizedGridDriver:
             )
             return self._tree_group_key(live)
         if isinstance(scorer, GPScorer):
-            if not scorer.stackable:
-                return None
             live.scorer = scorer
-            return self._gp_group_key(live)
+            return ("gp", len(opt.measured_indices), len(live.candidates))
         return None
 
     def run(self) -> Iterator[tuple[Cell, SearchResult]]:
@@ -284,6 +243,7 @@ class VectorizedGridDriver:
                 live.candidates = candidates
                 bucket = self._round_bucket(live)
                 if bucket is None:
+                    self.fallback_rounds += 1
                     acquisition = live.optimizer._score_candidates(candidates)
                     self._commit(live, acquisition)
                 else:

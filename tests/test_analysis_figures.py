@@ -38,6 +38,32 @@ def test_build_passes_the_repeat_profile():
             assert entry.repeats.fast < entry.repeats.default
 
 
+@pytest.mark.parametrize("fast", [False, True])
+def test_fig11_classifies_regions_at_the_full_grid_profile(monkeypatch, fast):
+    """Fig. 11's regions come from the full Naive BO grid, so a fast
+    build classifies them at the fast full-grid count (what Fig. 12's
+    fast build runs), not at the default five repeats."""
+    from repro.analysis import experiments as exp
+    from repro.analysis.figures import FULL
+
+    region_repeats, sweep_repeats = [], set()
+
+    def regions(runner, repeats, workload_ids=None):
+        region_repeats.append(repeats)
+        return {}
+
+    def full_grid(runner, key, factory, objective, repeats, workload_ids=None):
+        sweep_repeats.add(repeats)
+        return {}
+
+    monkeypatch.setattr(exp, "workload_regions", regions)
+    monkeypatch.setattr(exp, "_full_grid", full_grid)
+    figure = FIGURES["fig11"]
+    figure.build(None, fast=fast)
+    assert region_repeats == [FULL.fast if fast else FULL.default]
+    assert sweep_repeats == {figure.repeats.fast if fast else figure.repeats.default}
+
+
 @pytest.mark.parametrize(
     "name", [name for name, figure in FIGURES.items() if figure.chart is not None]
 )

@@ -16,7 +16,7 @@ from repro.core.acquisition import (
 
 
 def _top_q_reference(scores: np.ndarray, q: int) -> list[int]:
-    """The pre-argpartition implementation: one full stable argsort."""
+    """The order top_q_indices promises: one full stable argsort."""
     scores = np.asarray(scores, dtype=float).ravel()
     order = np.argsort(-scores, kind="stable")
     return [int(i) for i in order[: min(q, scores.size)]]
@@ -114,9 +114,8 @@ class TestPredictionDelta:
 
 
 class TestTopQIndices:
-    """The argpartition fast path must be indistinguishable from the
-    legacy full stable argsort — argmax first, ties to the lowest
-    position — for every q from 1 to n."""
+    """top_q_indices must order like one full stable argsort — argmax
+    first, ties to the lowest position — for every q from 1 to n."""
 
     @settings(max_examples=60, deadline=None)
     @given(

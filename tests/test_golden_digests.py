@@ -67,6 +67,13 @@ def test_process_executor_caches_equal_serial(caches, executor):
     assert caches[f"{grid}/{executor}"] == caches[f"{grid}/serial"]
 
 
+def test_history_vector_cache_equals_serial(caches):
+    """The vectorized driver scores HistoryBO through the scorer the
+    serial step uses, history prior included."""
+    grid = "cache/history-clean"
+    assert caches[f"{grid}/vector"] == caches[f"{grid}/serial"]
+
+
 def test_matrix_covers_the_pinned_behaviours(payloads):
     """The oracle is only as strong as what its cells exercise."""
     events = [

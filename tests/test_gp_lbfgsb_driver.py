@@ -21,7 +21,12 @@ DIMS = 3
 
 
 class MinimizeGP(GaussianProcessRegressor):
-    """The reference: the same fit, one ``optimize.minimize`` per start."""
+    """The reference: the same fit, one ``optimize.minimize`` per start.
+
+    A generator like the method it overrides, but one that evaluates
+    through ``minimize`` before its first ``yield`` and then returns,
+    so it leaves the fit's group as soon as it is primed.
+    """
 
     def _optimise_hyperparameters(self, y_scaled, geometry):
         bounds = self._packed_bounds()
@@ -49,6 +54,7 @@ class MinimizeGP(GaussianProcessRegressor):
             if result.fun < best_value:
                 best_theta, best_value = result.x, float(result.fun)
         self._set_packed_theta(best_theta)
+        yield from ()
 
 
 class PoisonedMatern52(Matern52):

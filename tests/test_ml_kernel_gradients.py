@@ -266,7 +266,9 @@ class FiniteDifferenceGP(GaussianProcessRegressor):
     Same starts and bounds as the fused path, but the gradient comes
     from L-BFGS-B's own finite differences of
     :meth:`~repro.ml.gp.GaussianProcessRegressor.log_marginal_likelihood`
-    (one kernel build and Cholesky per parameter per gradient).
+    (one kernel build and Cholesky per parameter per gradient).  A
+    generator like the method it overrides: it optimises through
+    ``minimize`` before its first ``yield`` and then returns.
     """
 
     def _optimise_hyperparameters(self, y_scaled, geometry):
@@ -287,6 +289,7 @@ class FiniteDifferenceGP(GaussianProcessRegressor):
             if result.fun < best_value:
                 best_theta, best_value = result.x, float(result.fun)
         self._set_packed_theta(best_theta)
+        yield from ()
 
 
 class TestGradientModes:

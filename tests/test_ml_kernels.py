@@ -69,21 +69,16 @@ class TestKernelValues:
         X = np.random.default_rng(2).normal(size=(8, 3))
         assert np.allclose(kernel.diag(X), np.diag(kernel(X)), atol=1e-12)
 
-    def test_base_diag_fallback_is_vectorised(self):
+    def test_value_and_diag_have_no_generic_body(self):
         from repro.ml.kernels import Kernel
 
-        calls = []
+        assert {"value", "diag"} <= Kernel.__abstractmethods__
 
-        class Counting(RBF):
-            def __call__(self, X, Y=None):
-                calls.append(np.asarray(X).shape)
-                return super().__call__(X, Y)
+        class NoGeometry(RBF):
+            value = Kernel.value
 
-        X = np.random.default_rng(3).normal(size=(6, 2))
-        diag = Kernel.diag(Counting(1.5, 0.8), X)
-        assert np.allclose(diag, 1.5)
-        # One full-matrix evaluation, not a per-row loop.
-        assert calls == [(6, 2)]
+        with pytest.raises(TypeError, match="value"):
+            NoGeometry()
 
     def test_smoothness_ordering_near_origin(self):
         """Rougher kernels decay faster for small distances:

@@ -18,6 +18,8 @@ Three layers of bit-identity guarantees:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,11 @@ from repro.core.acquisition import (
 )
 from repro.core.augmented_bo import AugmentedBO
 from repro.core.baselines import RandomSearch
+from repro.core.history_bo import (
+    HistoryAugmentedBO,
+    HistoryModel,
+    build_history_pairs,
+)
 from repro.core.hybrid_bo import HybridBO
 from repro.core.naive_bo import NaiveBO
 from repro.core.objectives import Objective
@@ -37,6 +44,7 @@ from repro.ml.gp import GaussianProcessRegressor, fit_gps_stacked
 from repro.ml.kernels import RBF, Geometry, Matern52
 from repro.ml.tree import predict_packed, predict_packed_many
 from repro.parallel import run_cells
+from repro.trace.generate import default_trace
 
 WORKLOADS = (
     "kmeans/Spark 2.1/small",
@@ -63,6 +71,36 @@ def gp_factory(environment, objective, seed):
 def hybrid_factory(environment, objective, seed):
     return HybridBO(
         environment, objective=objective, seed=seed, max_measurements=8
+    )
+
+
+def naive_factory(acquisition):
+    def factory(environment, objective, seed):
+        return NaiveBO(
+            environment,
+            objective=objective,
+            seed=seed,
+            acquisition=acquisition,
+            max_measurements=8,
+        )
+
+    return factory
+
+
+@functools.cache
+def _history_model(workload_id):
+    return HistoryModel(
+        *build_history_pairs(default_trace(), workload_id, seed=0), seed=0
+    )
+
+
+def history_factory(environment, objective, seed):
+    return HistoryAugmentedBO(
+        environment,
+        objective=objective,
+        seed=seed,
+        history=_history_model(environment.workload.workload_id),
+        max_measurements=8,
     )
 
 
@@ -352,8 +390,26 @@ def _run_grid(trace, factory, executor, on_event=None):
 class TestVectorExecutor:
     @pytest.mark.parametrize(
         "factory",
-        [tree_factory, gp_factory, hybrid_factory, faulty_tree_factory],
-        ids=["tree", "gp", "hybrid", "faulty-tree"],
+        [
+            tree_factory,
+            gp_factory,
+            hybrid_factory,
+            faulty_tree_factory,
+            history_factory,
+            naive_factory("pi"),
+            naive_factory("lcb"),
+            naive_factory("mes"),
+        ],
+        ids=[
+            "tree",
+            "gp",
+            "hybrid",
+            "faulty-tree",
+            "history",
+            "naive-pi",
+            "naive-lcb",
+            "naive-mes",
+        ],
     )
     def test_matches_serial_executor(self, trace, factory):
         serial = _run_grid(trace, factory, "serial")
@@ -365,6 +421,17 @@ class TestVectorExecutor:
         serial = _run_grid(trace, random_factory, "serial")
         vector = _run_grid(trace, random_factory, "vector")
         assert serial == vector
+
+    def test_rounds_without_a_scorer_count_as_fallback(self, trace):
+        from repro.parallel.vector import VectorizedGridDriver
+        from repro.analysis.runner import run_seed
+
+        driver = VectorizedGridDriver(
+            trace, random_factory, Objective.TIME, _grid_cells(), seed_fn=run_seed
+        )
+        list(driver.run())
+        assert driver.fallback_rounds > 0
+        assert driver.stacked_tree_fits == driver.stacked_gp_fits == 0
 
     def test_emits_vector_planned_and_cell_lifecycle(self, trace):
         events = []
@@ -408,6 +475,19 @@ class TestVectorExecutor:
         )
         list(driver.run())
         assert driver.stacked_gp_fits > 0
+
+    def test_mes_grid_uses_stacked_fits(self, trace):
+        """MES draws from each scorer's own RNG, so its rounds stack."""
+        from repro.parallel.vector import VectorizedGridDriver
+        from repro.analysis.runner import run_seed
+
+        driver = VectorizedGridDriver(
+            trace, naive_factory("mes"), Objective.TIME, _grid_cells(),
+            seed_fn=run_seed,
+        )
+        list(driver.run())
+        assert driver.stacked_gp_fits > 0
+        assert driver.fallback_rounds == 0
 
     def test_runner_cache_is_byte_identical(self, trace, tmp_path):
         from repro.analysis.runner import ExperimentRunner, RunGrid
