@@ -42,7 +42,13 @@ pipeline produces:
   scores draw from each search's own scorer RNG.  The
   ``history-clean`` grid runs HistoryAugmentedBO under a prior built
   from every other workload of the trace; its ``vector`` digest must
-  equal the serial one.  The
+  equal the serial one.  The ``hybrid-budget`` grid runs Hybrid BO
+  with a 9-measurement budget and no stopping rule, so its searches
+  change scorer class mid-grid (GP rounds, then tree rounds); the
+  ``augmented-warm`` grid runs Augmented BO with warm refits
+  (``refit_fraction=0.5``), whose rounds the vectorized driver scores
+  alone.  Each runs ``serial`` and ``vector``, and each ``vector``
+  digest must equal its serial one.  The
   clean Augmented BO grid also runs as ``pool`` (``auto`` at two
   workers: two local queue workers) and ``queue`` (two workers); their
   digests must equal the serial one.
@@ -346,6 +352,19 @@ def _history_factory(environment, objective, seed):
     )
 
 
+def _hybrid_budget_factory(environment, objective, seed):
+    return HybridBO(
+        environment, objective=objective, seed=seed, max_measurements=9,
+    )
+
+
+def _augmented_warm_factory(environment, objective, seed):
+    return AugmentedBO(
+        environment, objective=objective, seed=seed, refit_fraction=0.5,
+        stopping=PredictionDeltaThreshold(),
+    )
+
+
 def _large_factory(environment, objective, seed):
     return AugmentedBO(
         environment, objective=objective, seed=seed, max_measurements=LARGE_BUDGET,
@@ -361,6 +380,8 @@ CACHE_GRIDS = {
     "naive-spot-q4": (_spot_q4_factory, None, ("serial", "vector")),
     "naive-mes": (_naive_mes_factory, None, ("serial", "vector")),
     "history-clean": (_history_factory, None, ("serial", "vector")),
+    "hybrid-budget": (_hybrid_budget_factory, None, ("serial", "vector")),
+    "augmented-warm": (_augmented_warm_factory, None, ("serial", "vector")),
     "augmented-large": (_large_factory, LARGE_CATALOG, ("vector",)),
 }
 

@@ -67,11 +67,14 @@ def test_process_executor_caches_equal_serial(caches, executor):
     assert caches[f"{grid}/{executor}"] == caches[f"{grid}/serial"]
 
 
-def test_history_vector_cache_equals_serial(caches):
-    """The vectorized driver scores HistoryBO through the scorer the
-    serial step uses, history prior included."""
-    grid = "cache/history-clean"
-    assert caches[f"{grid}/vector"] == caches[f"{grid}/serial"]
+@pytest.mark.parametrize(
+    "grid", ["history-clean", "hybrid-budget", "augmented-warm"]
+)
+def test_vector_cache_equals_serial(caches, grid):
+    """The vectorized driver scores every round through the scorer the
+    serial step uses: HistoryBO's prior, Hybrid BO's switch from GP
+    groups to tree groups, and warm-refit rounds scored alone."""
+    assert caches[f"cache/{grid}/vector"] == caches[f"cache/{grid}/serial"]
 
 
 def test_matrix_covers_the_pinned_behaviours(payloads):
