@@ -4,7 +4,7 @@
 Runs the same small experiment grid twice through
 :class:`~repro.analysis.runner.ExperimentRunner` — once with the serial
 executor, once with the lock-step vectorized driver — and fails unless
-the cache files that land on disk are **byte**-identical.  Six grids are
+the cache files that land on disk are **byte**-identical.  Seven grids are
 checked: a clean stopping-rule Augmented-BO grid (the configuration the
 vectorized driver batches most aggressively, through its tree groups)
 and a fault-injected one (transient faults + retries, exercising the
@@ -14,7 +14,9 @@ BO with CherryPick's EI-10% stop, which the driver steps in lock-step
 GP groups, then HistoryAugmentedBO under a prior built from every other
 workload (its blend rides the tree groups' shared commit step) and
 Naive BO scored by max-value entropy search (each search draws from
-its own scorer RNG inside a GP group).
+its own scorer RNG inside a GP group), and Hybrid BO on a 9-measurement
+budget with no stopping rule (its searches move from GP groups to tree
+groups mid-grid).
 
 Exit status: 0 when every comparison matches, 1 otherwise.
 
@@ -41,6 +43,7 @@ from repro.core.history_bo import (  # noqa: E402
     HistoryModel,
     build_history_pairs,
 )
+from repro.core.hybrid_bo import HybridBO  # noqa: E402
 from repro.core.naive_bo import NaiveBO  # noqa: E402
 from repro.core.objectives import Objective  # noqa: E402
 from repro.core.stopping import EIThreshold, PredictionDeltaThreshold  # noqa: E402
@@ -111,6 +114,15 @@ def naive_mes_factory(environment, objective, seed):
     )
 
 
+def hybrid_budget_factory(environment, objective, seed):
+    return HybridBO(
+        environment,
+        objective=objective,
+        seed=seed,
+        max_measurements=9,
+    )
+
+
 GRIDS = {
     "clean": clean_factory,
     "faulty": faulty_factory,
@@ -118,6 +130,7 @@ GRIDS = {
     "naive-faulty": naive_faulty_factory,
     "history": history_factory,
     "naive-mes": naive_mes_factory,
+    "hybrid-budget": hybrid_budget_factory,
 }
 
 

@@ -65,10 +65,10 @@ import numpy as np
 
 from repro.core.acquisition import prediction_delta
 from repro.core.smbo import AcquisitionScores, SequentialOptimizer
-from repro.ml.extra_trees import ExtraTreesRegressor
+from repro.ml.extra_trees import ExtraTreesRegressor, fit_ensembles_stacked
 from repro.ml.random_forest import RandomForestRegressor
 from repro.ml.scaling import StandardScaler
-from repro.ml.tree import PairRows
+from repro.ml.tree import PairRows, predict_packed_many
 from repro.ml.tree_builder import TrainingPairs
 from repro.simulator.cluster import Measurement
 
@@ -85,9 +85,10 @@ class _PendingTreeScore:
     """A scoring step paused at the ensemble-fit boundary.
 
     Produced by :meth:`PairwiseTreeScorer.score_begin`; the model is
-    built (per-step seed already drawn) but unfitted.  The holder fits
-    ``model`` on ``(X_scaled, y_train)`` — alone or stacked with other
-    searches' pending steps — then finishes the step with
+    built (per-step seed already drawn) but unfitted.
+    :meth:`PairwiseTreeScorer.score_group` fits ``model`` on
+    ``(X_scaled, y_train)`` — alone or stacked with other searches'
+    pending steps — then finishes the step with
     :meth:`PairwiseTreeScorer.score_commit`.
     """
 
@@ -224,17 +225,18 @@ class PairwiseTreeScorer:
             raise RuntimeError("no pair cache yet; call score first")
         return self._pairs.materialize()
 
-    @property
-    def stackable(self) -> bool:
-        """Whether this scorer's ensemble fit can be stacked cross-search.
+    def group_key(self, measured, values, measurements, unmeasured) -> tuple | None:
+        """The group this round can be scored in, or ``None`` to score alone.
 
-        The cross-search batched builder
-        (:func:`repro.ml.tree_builder.build_extra_trees_stacked`) only
-        reproduces the full-refit Extra-Trees path bit for bit; warm
-        refits and the CART random forest fall back to the per-search
-        loop.
+        The stacked builder only reproduces a full Extra-Trees refit bit
+        for bit, so warm refits and the random forest score alone.
+        Every model :meth:`_build_model` makes has the same growth
+        limits and the metric vector has one width, so the design width
+        is the whole key.
         """
-        return self.ensemble == "extra_trees" and self.refit_fraction == 1.0
+        if self.ensemble != "extra_trees" or self.refit_fraction < 1.0:
+            return None
+        return ("tree", self._design.shape[1])
 
     def score_begin(
         self,
@@ -245,12 +247,10 @@ class PairwiseTreeScorer:
     ) -> _PendingTreeScore:
         """Everything :meth:`score` does *before* the ensemble fit.
 
-        Splitting the step at the fit boundary lets an external driver
+        Splitting the step at the fit boundary lets :meth:`score_group`
         fit many searches' ensembles in one stacked builder pass
         (:func:`repro.ml.extra_trees.fit_ensembles_stacked`) and then
-        finish each step with :meth:`score_commit`.  ``score_begin`` +
-        ``model.fit`` + ``score_commit`` is bit-identical to
-        :meth:`score` — it is the same code, split.
+        finish each step with :meth:`score_commit`.
         """
         index = np.asarray(measured, dtype=np.int64)
         values = np.asarray(values, dtype=float)
@@ -296,9 +296,9 @@ class PairwiseTreeScorer:
         """Assemble (and cache on ``pending``) the scaled query rows.
 
         The ``u * m`` candidate x source rows :meth:`score_commit`
-        scores, in destination-major order.  Exposed so a cross-search
-        driver can collect every pending step's rows and traverse all
-        ensembles at once (:func:`repro.ml.tree.predict_packed_many`);
+        scores, in destination-major order.  :meth:`score_group`
+        collects every pending step's rows to traverse all ensembles at
+        once (:func:`repro.ml.tree.predict_packed_many`);
         :meth:`score_commit` calls it itself otherwise.  Idempotent per
         pending step — the rows are built once and cached.
 
@@ -357,13 +357,51 @@ class PairwiseTreeScorer:
         measurements: list[Measurement],
         unmeasured: list[int],
     ) -> AcquisitionScores:
-        """Fit the pairwise surrogate and score the unmeasured candidates."""
-        pending = self.score_begin(measured, values, measurements, unmeasured)
-        if self.ensemble == "extra_trees":
-            pending.model.fit(pending.X_scaled, pending.y_train, pairs=pending.pairs)
-        else:
-            pending.model.fit(pending.X_scaled, pending.y_train)
-        return self.score_commit(pending)
+        """Fit the pairwise surrogate and score the unmeasured candidates.
+
+        :meth:`score_group` for a group of one.
+        """
+        return self.score_group(
+            [self], [(measured, values, measurements, unmeasured)]
+        )[0]
+
+    @staticmethod
+    def score_group(
+        scorers: list[PairwiseTreeScorer],
+        rounds: list[tuple[list[int], np.ndarray, list[Measurement], list[int]]],
+    ) -> list[AcquisitionScores]:
+        """Score one round of each scorer's search, as one group.
+
+        ``rounds[i]`` is ``scorers[i]``'s ``(measured, values,
+        measurements, unmeasured)``; the rounds share one
+        :meth:`group_key`.  A group of one fits its model alone, which
+        trains large pair sets over the factored pairs; a larger group
+        grows every ensemble in one stacked frontier
+        (:func:`repro.ml.extra_trees.fit_ensembles_stacked`) and walks
+        all their query rows in one packed prediction
+        (:func:`repro.ml.tree.predict_packed_many`).  Both grow the same
+        trees, so each scorer ends exactly as it would scored alone.
+        """
+        steps = [
+            scorer.score_begin(*round_) for scorer, round_ in zip(scorers, rounds)
+        ]
+        if len(steps) == 1:
+            (scorer,), (step,) = scorers, steps
+            pairs = {"pairs": step.pairs} if scorer.ensemble == "extra_trees" else {}
+            step.model.fit(step.X_scaled, step.y_train, **pairs)
+            return [scorer.score_commit(step)]
+        fit_ensembles_stacked(
+            [step.model for step in steps],
+            [(step.X_scaled, step.y_train) for step in steps],
+        )
+        predictions = predict_packed_many(
+            [step.model._packed for step in steps],
+            [scorer.query_rows(step) for scorer, step in zip(scorers, steps)],
+        )
+        return [
+            scorer.score_commit(step, tree_predictions=tree_predictions)
+            for scorer, step, tree_predictions in zip(scorers, steps, predictions)
+        ]
 
 
 class AugmentedBO(SequentialOptimizer):

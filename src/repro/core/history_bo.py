@@ -126,11 +126,11 @@ class HistoryTreeScorer(PairwiseTreeScorer):
     """The pairwise scorer with the history prior blended into its
     predictions.
 
-    The blend happens in :meth:`score_commit`, the step every scoring
-    path shares (the serial :meth:`score` and the vectorized driver's
-    stacked tree groups), so both score a round the same way.  The
-    prior draws no random numbers, so the per-step seeds are drawn in
-    :class:`PairwiseTreeScorer`'s order.
+    The blend happens in :meth:`score_commit`, the step both paths of
+    :meth:`score_group` share (a group of one, as the serial
+    :meth:`score` runs, and a stacked group), so both score a round the
+    same way.  The prior draws no random numbers, so the per-step seeds
+    are drawn in :class:`PairwiseTreeScorer`'s order.
 
     Attributes:
         history: the fitted :class:`HistoryModel`, or ``None`` to score

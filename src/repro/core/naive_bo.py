@@ -107,18 +107,26 @@ class GPScorer:
         tree scorer's argument, accepted so that every scorer takes the
         same named arguments; a GP does not read it.
         """
-        return self.score_group([self], [(measured, values, unmeasured)])[0]
+        return self.score_group(
+            [self], [(measured, values, measurements, unmeasured)]
+        )[0]
+
+    def group_key(self, measured, values, measurements, unmeasured) -> tuple:
+        """The group this round can be scored in: one training-set size
+        and one candidate-set size, so the posteriors stack into one EI
+        pass."""
+        return ("gp", len(measured), len(unmeasured))
 
     @staticmethod
     def score_group(
         scorers: list[GPScorer],
-        rounds: list[tuple[list[int], np.ndarray, list[int]]],
+        rounds: list[tuple[list[int], np.ndarray, object, list[int]]],
     ) -> list[AcquisitionScores]:
         """Score one round of each scorer's search, as one group.
 
         ``rounds[i]`` is ``scorers[i]``'s ``(measured, values,
-        unmeasured)``; every ``unmeasured`` list has the same length.
-        The GPs are fitted as one lock-step group
+        measurements, unmeasured)``; the rounds share one
+        :meth:`group_key`.  The GPs are fitted as one lock-step group
         (:func:`repro.ml.gp.fit_gps_stacked`), each posterior comes from
         its own GP through the scorer's incremental distance geometry,
         EI is computed for every row in one
@@ -130,11 +138,11 @@ class GPScorer:
         pairs = list(zip(scorers, rounds))
         fit_gps_stacked(
             [scorer._gp for scorer in scorers],
-            [scorer._scaled_design[measured] for scorer, (measured, _, _) in pairs],
-            [values for _, values, _ in rounds],
+            [scorer._scaled_design[measured] for scorer, (measured, *_) in pairs],
+            [values for _, values, _, _ in rounds],
             [
                 scorer._geometry.fit_geometry(measured)
-                for scorer, (measured, _, _) in pairs
+                for scorer, (measured, *_) in pairs
             ],
         )
         posteriors = [
@@ -143,11 +151,11 @@ class GPScorer:
                 return_std=True,
                 geometry=scorer._geometry.cross_geometry(unmeasured, measured),
             )
-            for scorer, (measured, _, unmeasured) in pairs
+            for scorer, (measured, _, _, unmeasured) in pairs
         ]
         means = np.stack([mean for mean, _ in posteriors])
         stds = np.stack([std for _, std in posteriors])
-        incumbents = np.array([float(values.min()) for _, values, _ in rounds])
+        incumbents = np.array([float(values.min()) for _, values, _, _ in rounds])
         ei = expected_improvement_stacked(means, stds, incumbents)
         return [
             AcquisitionScores(

@@ -397,11 +397,15 @@ class SequentialOptimizer(abc.ABC):
         The one place a surrogate search says how it scores: the serial
         :meth:`SearchState.step` scores through it (via
         :meth:`_score_candidates`), and so does the ``"vector"``
-        executor, which groups compatible searches' scorers.  Every
+        executor, which groups compatible searches' rounds.  Every
         scorer's ``score`` takes ``measured``, ``values``,
-        ``measurements`` and ``unmeasured`` by name.  ``None`` (the
-        base default) is for searches without a surrogate, which
-        override :meth:`_score_candidates` instead.
+        ``measurements`` and ``unmeasured`` by name; its
+        ``group_key`` takes the same four and names the group the
+        round can be scored in (``None``: alone), and its static
+        ``score_group(scorers, rounds)`` scores a group, one
+        ``(measured, values, measurements, unmeasured)`` round per
+        scorer.  ``None`` (the base default) is for searches without a
+        surrogate, which override :meth:`_score_candidates` instead.
         """
         return None
 

@@ -3,87 +3,60 @@
 The serial executor runs each ``(workload, repeat)`` cell's search to
 completion before the next one starts.  :class:`VectorizedGridDriver`
 instead advances *every* live search one acquisition round per pass and
-batches the per-round linear algebra across them:
+scores the pass's rounds in groups, through the one protocol every
+surrogate scorer speaks:
 
-* tree-surrogate searches (Augmented BO, the late phase of Hybrid BO)
-  have their Extra-Trees ensembles grown in **one** level-synchronous
-  frontier (:func:`repro.ml.extra_trees.fit_ensembles_stacked`) and
-  their candidate x source queries evaluated in **one** packed
-  prediction call across all ensembles
-  (:func:`repro.ml.tree.predict_packed_many`, which walks large
-  factored queries over destination x source sets and small ones flat);
-* GP searches (Naive BO, the early phase of Hybrid BO) are scored
-  through :meth:`~repro.core.naive_bo.GPScorer.score_group`, the body
-  ``GPScorer.score`` runs as a group of one: their GPs are fitted as
-  one lock-step group (:func:`repro.ml.gp.fit_gps_stacked`), where
-  every L-BFGS-B round evaluates one pending point per unfinished GP,
-  with the kernels, gradients and Eq. 5.9 reductions of same-size
-  isotropic GPs computed over one ``(B, n, n)`` stack, and the
-  factorisations per GP.  Their EI is computed in one row-wise pass
-  (:func:`repro.core.acquisition.expected_improvement_stacked`), and
-  each scorer's own acquisition (EI, PI, LCB or MES) is applied to its
-  row.  The conditioning kernel build after the optimisation stays per
-  GP: a stacked one was measured to gain nothing on paper-grid.
+* ``scorer.group_key(measured, values, measurements, unmeasured)``
+  names the group the round can be scored in, or ``None`` to score it
+  alone;
+* the static ``type(scorer).score_group(scorers, rounds)`` scores one
+  ``(measured, values, measurements, unmeasured)`` round per member;
+  the scorer's own ``score`` is the group of one.
+
+The driver buckets rounds by ``(type(scorer), key)`` and knows nothing
+of the model families behind them: the tree scorer
+(:meth:`~repro.core.augmented_bo.PairwiseTreeScorer.score_group`) grows
+a group's Extra-Trees ensembles in one stacked frontier and walks their
+queries in one packed prediction, the GP scorer
+(:meth:`~repro.core.naive_bo.GPScorer.score_group`) fits a group's GPs
+in lock-step and computes their EI in one row-wise pass.
 
 Each search is still driven through its own
 :class:`~repro.core.smbo.SearchState` round split (``begin_round`` /
 ``complete_round``), consuming its own random streams in exactly the
-serial order.  Its round is scored by the scorer its optimiser's
-``_round_scorer()`` names, the one the serial step scores through, and
-every batched kernel is bit-identical per slice to its per-search
-counterpart — so the yielded results (and therefore any cache built
-from them) are **byte-identical** to the serial executor's.  This is a
-dispatch-amortisation play, not an approximation.
+serial order, and is scored by the scorer its optimiser's
+``_round_scorer()`` names — the one the serial step scores through.
+Every group body is bit-identical per member to that member's own
+``score``, so the yielded results (and any cache built from them) are
+**byte-identical** to the serial executor's.
 
 Desync is the normal case, not an error: searches stop at different
-step counts (stopping rules, exhausted budgets), switch surrogates at
-different times (Hybrid BO), or are simply not batchable (random
-search, warm-refit and random-forest ensembles, ``batch_size > 1``
-fan-out rounds).  Every pass regroups whatever *is* batchable that
-round; everything else is scored per cell — same code the serial loop
-runs — so a heterogeneous grid degrades smoothly toward serial
-performance rather than breaking.
-
-When the win shows up: the stacked builders amortise *dispatch*, so
-they pay off in the small-``m`` regime where per-level numpy call
-overhead dominates — exactly where the paper's searches live (the
-prediction-delta stopping rule ends most searches within ~5–9
-measurements).  Long fixed-depth searches drift into the
-compute/memory-bound regime where batching converges to ~1x.
+step counts, switch scorers at different times (Hybrid BO), or are not
+batchable (no scorer, a ``None`` key, ``batch_size > 1`` rounds).  Every
+pass regroups whatever *is* batchable that round and scores everything
+else per cell, the way the serial loop does, so a heterogeneous grid
+degrades smoothly toward serial performance.  The stacked builders
+amortise per-call numpy *dispatch*, so they pay off in the small-``m``
+regime the paper's stopping-rule searches live in; long fixed-depth
+searches become compute-bound and converge to ~1x.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterator
 
-from repro.core.augmented_bo import PairwiseTreeScorer
-from repro.core.naive_bo import GPScorer
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult
-from repro.core.smbo import AcquisitionScores, SearchState
-from repro.ml.extra_trees import fit_ensembles_stacked
-from repro.ml.tree import predict_packed_many
+from repro.core.smbo import SearchState
+
+# Not called here; kept bound for the import-binding check of
+# perfbench/tests/test_perfbench.py::test_wrappers_patch_names_bound_by_import.
+from repro.ml.tree import predict_packed_many  # noqa: F401
 from repro.parallel.events import CellEvent
 from repro.trace.dataset import BenchmarkTrace
 
 Cell = tuple[str, int]
-
-
-class _LiveCell:
-    """One grid cell's in-flight search and its per-round scratch."""
-
-    __slots__ = ("cell", "state", "candidates", "pending", "scorer")
-
-    def __init__(self, cell: Cell, state: SearchState) -> None:
-        self.cell = cell
-        self.state = state
-        self.candidates: list[int] | None = None
-        self.pending = None
-        self.scorer = None
-
-    @property
-    def optimizer(self):
-        return self.state.optimizer
 
 
 class VectorizedGridDriver:
@@ -122,91 +95,23 @@ class VectorizedGridDriver:
         self._seed_fn = seed_fn
         self._on_event = on_event
         self.rounds = 0
-        self.stacked_tree_fits = 0
-        self.stacked_gp_fits = 0
         self.fallback_rounds = 0
+        # Groups scored, by the label a group key starts with.
+        self._groups_scored: Counter[str] = Counter()
+
+    @property
+    def stacked_tree_fits(self) -> int:
+        """Tree groups scored, each in one ensemble fit."""
+        return self._groups_scored["tree"]
+
+    @property
+    def stacked_gp_fits(self) -> int:
+        """GP groups scored, each in one lock-step fit."""
+        return self._groups_scored["gp"]
 
     def _emit(self, event: CellEvent) -> None:
         if self._on_event is not None:
             self._on_event(event)
-
-    # -- batched round helpers ----------------------------------------------
-
-    def _tree_group_key(self, live: _LiveCell) -> tuple:
-        pending = live.pending
-        model = pending.model
-        return (
-            "tree",
-            pending.X_scaled.shape[1],
-            model.min_samples_split,
-            model.max_depth,
-        )
-
-    def _run_tree_group(self, group: list[_LiveCell]) -> None:
-        """One stacked ensemble fit + one packed traversal for the group."""
-        fit_ensembles_stacked(
-            [live.pending.model for live in group],
-            [(live.pending.X_scaled, live.pending.y_train) for live in group],
-        )
-        self.stacked_tree_fits += 1
-        rows = [live.scorer.query_rows(live.pending) for live in group]
-        predictions = predict_packed_many(
-            [live.pending.model._packed for live in group], rows
-        )
-        for live, tree_predictions in zip(group, predictions):
-            acquisition = live.scorer.score_commit(
-                live.pending, tree_predictions=tree_predictions
-            )
-            self._commit(live, acquisition)
-
-    def _run_gp_group(self, group: list[_LiveCell]) -> None:
-        """The group's rounds through :meth:`GPScorer.score_group`."""
-        acquisitions = GPScorer.score_group(
-            [live.scorer for live in group],
-            [
-                (
-                    live.optimizer.measured_indices,
-                    live.optimizer.measured_values,
-                    live.candidates,
-                )
-                for live in group
-            ],
-        )
-        self.stacked_gp_fits += 1
-        for live, acquisition in zip(group, acquisitions):
-            self._commit(live, acquisition)
-
-    def _commit(self, live: _LiveCell, acquisition: AcquisitionScores) -> None:
-        live.state.complete_round(live.candidates, acquisition)
-        live.candidates = None
-        live.pending = None
-        live.scorer = None
-
-    # -- the lock-step loop --------------------------------------------------
-
-    def _round_bucket(self, live: _LiveCell) -> tuple | None:
-        """The batch group for this cell's open round, or ``None``.
-
-        ``None`` means "score this cell alone this round": the search
-        has no round scorer (the baselines), or its tree scorer is not
-        stackable (warm refits, the random forest).  A GP group shares
-        one size of training set and of candidate set.
-        """
-        scorer = live.optimizer._round_scorer()
-        opt = live.optimizer
-        if isinstance(scorer, PairwiseTreeScorer) and scorer.stackable:
-            live.scorer = scorer
-            live.pending = scorer.score_begin(
-                opt.measured_indices,
-                opt.measured_values,
-                opt.measured_measurements,
-                live.candidates,
-            )
-            return self._tree_group_key(live)
-        if isinstance(scorer, GPScorer):
-            live.scorer = scorer
-            return ("gp", len(opt.measured_indices), len(live.candidates))
-        return None
 
     def run(self) -> Iterator[tuple[Cell, SearchResult]]:
         """Drive every cell to completion; yield in submission order."""
@@ -215,7 +120,7 @@ class VectorizedGridDriver:
                 "vector_planned", f"cells={len(self._cells)} lock-step rounds"
             )
         )
-        live_cells: list[_LiveCell] = []
+        states: list[tuple[Cell, SearchState]] = []
         for cell in self._cells:
             workload_id, repeat = cell
             environment = self._trace.environment(workload_id)
@@ -223,43 +128,55 @@ class VectorizedGridDriver:
                 environment, self._objective, self._seed_fn(workload_id, repeat)
             )
             self._emit(CellEvent.for_cell("cell_scheduled", cell))
-            live_cells.append(_LiveCell(cell, optimizer.start()))
+            states.append((cell, optimizer.start()))
 
-        active = list(live_cells)
+        active = list(states)
         while active:
             self.rounds += 1
-            groups: dict[tuple, list[_LiveCell]] = {}
-            for live in active:
-                state = live.state
+            groups: dict[tuple, list] = {}
+            for _, state in active:
+                optimizer = state.optimizer
                 # Init observations are per-cell by nature; batched
                 # (q > 1) rounds take their picks from the optimiser's
                 # own _suggest_batch, so they are stepped per cell too.
-                if state.phase == "init" or live.optimizer.batch_size != 1:
+                if state.phase == "init" or optimizer.batch_size != 1:
                     state.step()
                     continue
                 candidates = state.begin_round()
                 if candidates is None:
                     continue
-                live.candidates = candidates
-                bucket = self._round_bucket(live)
-                if bucket is None:
+                scorer = optimizer._round_scorer()
+                round_ = (
+                    optimizer.measured_indices,
+                    optimizer.measured_values,
+                    optimizer.measured_measurements,
+                    candidates,
+                )
+                key = None if scorer is None else scorer.group_key(*round_)
+                if key is None:
                     self.fallback_rounds += 1
-                    acquisition = live.optimizer._score_candidates(candidates)
-                    self._commit(live, acquisition)
+                    state.complete_round(
+                        candidates, optimizer._score_candidates(candidates)
+                    )
                 else:
-                    groups.setdefault(bucket, []).append(live)
-            for bucket, group in groups.items():
-                if bucket[0] == "tree":
-                    self._run_tree_group(group)
-                else:
-                    self._run_gp_group(group)
+                    groups.setdefault((type(scorer), key), []).append(
+                        (state, scorer, round_)
+                    )
+            for (scorer_class, key), members in groups.items():
+                self._groups_scored[key[0]] += 1
+                acquisitions = scorer_class.score_group(
+                    [scorer for _, scorer, _ in members],
+                    [round_ for _, _, round_ in members],
+                )
+                for (state, _, round_), acquisition in zip(members, acquisitions):
+                    state.complete_round(round_[-1], acquisition)
             still_active = []
-            for live in active:
-                if live.state.done:
-                    self._emit(CellEvent.for_cell("cell_finished", live.cell))
+            for cell, state in active:
+                if state.done:
+                    self._emit(CellEvent.for_cell("cell_finished", cell))
                 else:
-                    still_active.append(live)
+                    still_active.append((cell, state))
             active = still_active
 
-        for live in live_cells:
-            yield live.cell, live.state.result()
+        for cell, state in states:
+            yield cell, state.result()

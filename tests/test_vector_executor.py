@@ -13,7 +13,8 @@ Three layers of bit-identity guarantees:
   and faulty;
 * ``run_cells(executor="vector")`` must yield the same results in the
   same order as the serial executor, for every optimiser family it can
-  batch and for the fallback paths it cannot.
+  batch and for the fallback paths it cannot; the driver groups rounds
+  through the scorers' ``group_key`` / ``score_group`` protocol alone.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ import functools
 import numpy as np
 import pytest
 
+from repro.cloud.encoding import InstanceEncoder
 from repro.core.acquisition import (
     expected_improvement,
     expected_improvement_stacked,
 )
-from repro.core.augmented_bo import AugmentedBO
+from repro.core.augmented_bo import AugmentedBO, PairwiseTreeScorer
 from repro.core.baselines import RandomSearch
 from repro.core.history_bo import (
     HistoryAugmentedBO,
@@ -37,13 +39,16 @@ from repro.core.history_bo import (
 from repro.core.hybrid_bo import HybridBO
 from repro.core.naive_bo import NaiveBO
 from repro.core.objectives import Objective
+from repro.core.smbo import AcquisitionScores, SequentialOptimizer
 from repro.core.stopping import PredictionDeltaThreshold
 from repro.faults import FaultInjector, RetryPolicy, parse_fault_plan
 from repro.ml.extra_trees import ExtraTreesRegressor, fit_ensembles_stacked
 from repro.ml.gp import GaussianProcessRegressor, fit_gps_stacked
 from repro.ml.kernels import RBF, Geometry, Matern52
 from repro.ml.tree import predict_packed, predict_packed_many
+from repro.ml.tree_builder import FACTORED_MIN_TRAIN_PAIRS
 from repro.parallel import run_cells
+from repro.parallel.vector import VectorizedGridDriver
 from repro.trace.generate import default_trace
 
 WORKLOADS = (
@@ -102,6 +107,24 @@ def history_factory(environment, objective, seed):
         history=_history_model(environment.workload.workload_id),
         max_measurements=8,
     )
+
+
+def tree_variant_factory(**variant):
+    def factory(environment, objective, seed):
+        return AugmentedBO(
+            environment,
+            objective=objective,
+            seed=seed,
+            stopping=PredictionDeltaThreshold(),
+            **variant,
+        )
+
+    return factory
+
+
+#: Augmented BO surrogates whose rounds the driver scores alone.
+warm_tree_factory = tree_variant_factory(refit_fraction=0.5)
+random_forest_factory = tree_variant_factory(ensemble="random_forest")
 
 
 def random_factory(environment, objective, seed):
@@ -360,9 +383,95 @@ class TestFitEnsemblesStacked:
             np.testing.assert_array_equal(result, predict_packed(packed, X))
 
 
+class TestTreeScoreGroup:
+    """``PairwiseTreeScorer.score_group`` picks its fit path from the
+    group size: a group of one trains over the factored pairs from
+    ``FACTORED_MIN_TRAIN_PAIRS`` on, a larger group stacks.  Both must
+    score every member as its same-seed twin scores alone."""
+
+    def _round(self, trace, workload_id, m):
+        indices = list(range(0, 4 * m, 4))
+        measurements = [
+            trace.measurement(workload_id, trace.catalog[i]) for i in indices
+        ]
+        values = np.array([meas.execution_time_s for meas in measurements])
+        unmeasured = [i for i in range(len(trace.catalog)) if i not in indices]
+        return indices, values, measurements, unmeasured
+
+    def test_group_matches_twins_across_the_factored_crossover(self, large_trace):
+        design = InstanceEncoder(large_trace.catalog).encode_all()
+        workloads = [workload.workload_id for workload in large_trace.registry][:3]
+        rounds = [
+            self._round(large_trace, workload_id, m)
+            for workload_id, m in zip(workloads, (20, 5, 21))
+        ]
+        assert len(rounds[0][0]) ** 2 >= FACTORED_MIN_TRAIN_PAIRS
+        group = [PairwiseTreeScorer(design, seed=seed) for seed in (1, 2, 3)]
+        twins = [PairwiseTreeScorer(design, seed=seed) for seed in (1, 2, 3)]
+        grouped = PairwiseTreeScorer.score_group(group, rounds)
+        for twin, round_, scored in zip(twins, rounds, grouped):
+            alone = twin.score(*round_)
+            np.testing.assert_array_equal(scored.scores, alone.scores)
+            np.testing.assert_array_equal(scored.predicted, alone.predicted)
+
+
 # ---------------------------------------------------------------------------
 # The vectorized executor end to end.
 # ---------------------------------------------------------------------------
+
+
+class _NearestScorer:
+    """A test-local scorer: predicts each candidate's value as its
+    nearest measured neighbour's, plus a draw from its own generator,
+    and groups every round under one key."""
+
+    #: The size of every group scored, in order.
+    group_sizes: list[int] = []
+
+    def __init__(self, design, seed):
+        self._design = design
+        self._rng = np.random.default_rng(seed)
+
+    def group_key(self, measured, values, measurements, unmeasured):
+        return ("nearest",)
+
+    @staticmethod
+    def score_group(scorers, rounds):
+        _NearestScorer.group_sizes.append(len(scorers))
+        return [scorer._score(*round_) for scorer, round_ in zip(scorers, rounds)]
+
+    def score(self, measured, values, measurements, unmeasured):
+        return self.score_group(
+            [self], [(measured, values, measurements, unmeasured)]
+        )[0]
+
+    def _score(self, measured, values, measurements, unmeasured):
+        distances = np.linalg.norm(
+            self._design[unmeasured][:, None, :] - self._design[measured][None, :, :],
+            axis=2,
+        )
+        predicted = np.asarray(values)[distances.argmin(axis=1)]
+        predicted = predicted * (1.0 + 0.1 * self._rng.random(len(unmeasured)))
+        return AcquisitionScores(scores=-predicted, predicted=predicted)
+
+
+class _NearestBO(SequentialOptimizer):
+    name = "nearest-bo"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._scorer = _NearestScorer(
+            self.design_matrix, seed=int(self._rng.integers(2**31))
+        )
+
+    def _round_scorer(self):
+        return self._scorer
+
+
+def nearest_factory(environment, objective, seed):
+    return _NearestBO(
+        environment, objective=objective, seed=seed, max_measurements=7
+    )
 
 
 def _grid_cells(repeats=2):
@@ -399,6 +508,8 @@ class TestVectorExecutor:
             naive_factory("pi"),
             naive_factory("lcb"),
             naive_factory("mes"),
+            warm_tree_factory,
+            random_forest_factory,
         ],
         ids=[
             "tree",
@@ -409,6 +520,8 @@ class TestVectorExecutor:
             "naive-pi",
             "naive-lcb",
             "naive-mes",
+            "warm-tree",
+            "random-forest",
         ],
     )
     def test_matches_serial_executor(self, trace, factory):
@@ -422,16 +535,42 @@ class TestVectorExecutor:
         vector = _run_grid(trace, random_factory, "vector")
         assert serial == vector
 
-    def test_rounds_without_a_scorer_count_as_fallback(self, trace):
-        from repro.parallel.vector import VectorizedGridDriver
+    @pytest.mark.parametrize(
+        "factory",
+        [random_factory, warm_tree_factory, random_forest_factory],
+        ids=["random", "warm-tree", "random-forest"],
+    )
+    def test_rounds_without_a_scorer_count_as_fallback(self, trace, factory):
+        """Rounds with no scorer, or whose scorer's ``group_key`` is
+        ``None``, are scored alone."""
         from repro.analysis.runner import run_seed
 
         driver = VectorizedGridDriver(
-            trace, random_factory, Objective.TIME, _grid_cells(), seed_fn=run_seed
+            trace, factory, Objective.TIME, _grid_cells(), seed_fn=run_seed
         )
         list(driver.run())
         assert driver.fallback_rounds > 0
         assert driver.stacked_tree_fits == driver.stacked_gp_fits == 0
+
+    def test_groups_any_scorer_through_its_own_protocol(self, trace):
+        """A scorer class the driver has never heard of is grouped by its
+        own key, once per round with every live cell."""
+        from repro.analysis.runner import run_seed
+
+        _NearestScorer.group_sizes.clear()
+        serial = _run_grid(trace, nearest_factory, "serial")
+        rounds_scored = len(_NearestScorer.group_sizes)
+        assert set(_NearestScorer.group_sizes) == {1}
+
+        _NearestScorer.group_sizes.clear()
+        driver = VectorizedGridDriver(
+            trace, nearest_factory, Objective.TIME, _grid_cells(), seed_fn=run_seed
+        )
+        vector = list(driver.run())
+        assert vector == serial
+        assert driver.fallback_rounds == 0
+        assert set(_NearestScorer.group_sizes) == {len(_grid_cells())}
+        assert sum(_NearestScorer.group_sizes) == rounds_scored
 
     def test_emits_vector_planned_and_cell_lifecycle(self, trace):
         events = []
@@ -454,7 +593,6 @@ class TestVectorExecutor:
         assert finished == set(cells)
 
     def test_driver_counts_stacked_rounds(self, trace):
-        from repro.parallel.vector import VectorizedGridDriver
         from repro.analysis.runner import run_seed
 
         driver = VectorizedGridDriver(
@@ -467,7 +605,6 @@ class TestVectorExecutor:
         assert driver.fallback_rounds == 0
 
     def test_gp_grid_uses_stacked_fits(self, trace):
-        from repro.parallel.vector import VectorizedGridDriver
         from repro.analysis.runner import run_seed
 
         driver = VectorizedGridDriver(
@@ -478,7 +615,6 @@ class TestVectorExecutor:
 
     def test_mes_grid_uses_stacked_fits(self, trace):
         """MES draws from each scorer's own RNG, so its rounds stack."""
-        from repro.parallel.vector import VectorizedGridDriver
         from repro.analysis.runner import run_seed
 
         driver = VectorizedGridDriver(
