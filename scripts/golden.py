@@ -37,8 +37,9 @@ pipeline produces:
   its searches' large query sets through ``predict_packed_many``).  The
   ``naive-clean`` grid runs q=1 Naive BO with CherryPick's EI-10% stop,
   the configuration the vectorized driver steps in lock-step GP groups
-  (``fit_gps_stacked`` + ``expected_improvement_stacked``); the
-  ``naive-mes`` grid runs it with max-value entropy search, whose
+  (``fit_gps_stacked`` + ``expected_improvement_stacked``), and the
+  ``naive-faulty`` grid runs it under transient faults and retries,
+  whose searches fall out of lock-step; the ``naive-mes`` grid runs it with max-value entropy search, whose
   scores draw from each search's own scorer RNG.  The
   ``history-clean`` grid runs HistoryAugmentedBO under a prior built
   from every other workload of the trace; its ``vector`` digest must
@@ -334,6 +335,15 @@ def _naive_clean_factory(environment, objective, seed):
     )
 
 
+def _naive_faulty_factory(environment, objective, seed):
+    plan = parse_fault_plan("transient:rate=0.3", seed=seed)
+    return NaiveBO(
+        FaultInjector(environment, plan), objective=objective, seed=seed,
+        stopping=EIThreshold(fraction=0.1),
+        retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.1),
+    )
+
+
 def _naive_mes_factory(environment, objective, seed):
     return NaiveBO(
         environment, objective=objective, seed=seed, acquisition="mes",
@@ -377,6 +387,7 @@ CACHE_GRIDS = {
     "augmented-clean": (_clean_factory, None, ("serial", "vector", "pool", "queue")),
     "augmented-faulty": (_faulty_factory, None, ("serial", "vector")),
     "naive-clean": (_naive_clean_factory, None, ("serial", "vector")),
+    "naive-faulty": (_naive_faulty_factory, None, ("serial", "vector")),
     "naive-spot-q4": (_spot_q4_factory, None, ("serial", "vector")),
     "naive-mes": (_naive_mes_factory, None, ("serial", "vector")),
     "history-clean": (_history_factory, None, ("serial", "vector")),
