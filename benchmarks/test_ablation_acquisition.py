@@ -9,23 +9,12 @@ is not hostage to one acquisition choice.
 import numpy as np
 from conftest import show
 
-from repro.analysis.experiments import all_workload_ids, naive_factory
-from repro.analysis.runner import RunGrid
+from repro.analysis.experiments import ablation_grids
 from repro.core.objectives import Objective
-
-SLICE = all_workload_ids()[::10]  # 11 workloads
-REPEATS = 4
 
 
 def mean_median_cost(runner, acquisition):
-    grid = RunGrid(
-        key=f"ablation-naive-acq-{acquisition}",
-        factory=naive_factory(acquisition=acquisition),
-        objective=Objective.TIME,
-        workload_ids=SLICE,
-        repeats=REPEATS,
-    )
-    results = runner.run(grid)
+    results = runner.run(ablation_grids()[f"ablation-naive-acq-{acquisition}"])
     costs = runner.costs_to_optimum(results, Objective.TIME)
     return float(
         np.mean(

@@ -9,23 +9,12 @@ document how sensitive Augmented BO is to that choice.
 import numpy as np
 from conftest import show
 
-from repro.analysis.experiments import all_workload_ids, augmented_factory
-from repro.analysis.runner import RunGrid
+from repro.analysis.experiments import ablation_grids
 from repro.core.objectives import Objective
 
-SLICE = all_workload_ids()[::12]  # 9 workloads
-REPEATS = 3
 
-
-def mean_median_cost(runner, key, **opts):
-    grid = RunGrid(
-        key=key,
-        factory=augmented_factory(**opts),
-        objective=Objective.TIME,
-        workload_ids=SLICE,
-        repeats=REPEATS,
-    )
-    results = runner.run(grid)
+def mean_median_cost(runner, key):
+    results = runner.run(ablation_grids()[key])
     costs = runner.costs_to_optimum(results, Objective.TIME)
     return float(
         np.mean(
@@ -37,9 +26,7 @@ def mean_median_cost(runner, key, **opts):
 def test_ablation_ensemble(benchmark, runner):
     def run():
         extra = mean_median_cost(runner, "ablation-augmented-et")
-        forest = mean_median_cost(
-            runner, "ablation-augmented-rf", ensemble="random_forest"
-        )
+        forest = mean_median_cost(runner, "ablation-augmented-rf")
         return extra, forest
 
     extra, forest = benchmark.pedantic(run, rounds=1, iterations=1)

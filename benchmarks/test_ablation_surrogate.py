@@ -13,51 +13,15 @@ Both ablations run on a diverse workload slice with several repeats.
 """
 
 import numpy as np
-import pytest
 from conftest import show
 
-from repro.analysis.experiments import all_workload_ids, augmented_factory
-from repro.analysis.runner import RunGrid
-from repro.core.augmented_bo import AugmentedBO
+from repro.analysis.experiments import ablation_grids
 from repro.core.objectives import Objective
-from repro.simulator.cluster import Measurement
-from repro.simulator.lowlevel import LowLevelMetrics
-
-SLICE = all_workload_ids()[::8]  # 14 workloads
-REPEATS = 4
-
-_BLANK_METRICS = LowLevelMetrics(50.0, 50.0, 8.0, 50.0, 50.0, 10.0)
 
 
-class BlindAugmentedBO(AugmentedBO):
-    """Augmented BO with the low-level metrics blanked out."""
-
-    name = "augmented-bo-blind"
-
-    @property
-    def measured_measurements(self):
-        return [
-            Measurement(
-                vm=m.vm,
-                execution_time_s=m.execution_time_s,
-                cost_usd=m.cost_usd,
-                metrics=_BLANK_METRICS,
-            )
-            for m in super().measured_measurements
-        ]
-
-
-def blind_factory(environment, objective, seed):
-    return BlindAugmentedBO(environment, objective=objective, seed=seed)
-
-
-def median_costs(runner, key, factory, objective=Objective.TIME):
-    grid = RunGrid(
-        key=key, factory=factory, objective=objective,
-        workload_ids=SLICE, repeats=REPEATS,
-    )
-    results = runner.run(grid)
-    costs = runner.costs_to_optimum(results, objective)
+def median_costs(runner, key):
+    results = runner.run(ablation_grids()[key])
+    costs = runner.costs_to_optimum(results, Objective.TIME)
     per_workload = [
         float(np.median([18 if c is None else c for c in cs])) for cs in costs.values()
     ]
@@ -68,8 +32,8 @@ def test_ablation_low_level_metrics(benchmark, runner):
     """Blanking the metrics must make the search more expensive."""
 
     def run():
-        full = median_costs(runner, "ablation-augmented-full", augmented_factory())
-        blind = median_costs(runner, "ablation-augmented-blind", blind_factory)
+        full = median_costs(runner, "ablation-augmented-full")
+        blind = median_costs(runner, "ablation-augmented-blind")
         return full, blind
 
     full, blind = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -89,12 +53,8 @@ def test_ablation_relational_target(benchmark, runner):
     """Compare relational (log-ratio) vs absolute surrogate targets."""
 
     def run():
-        relational = median_costs(
-            runner, "ablation-augmented-full", augmented_factory()
-        )
-        absolute = median_costs(
-            runner, "ablation-augmented-absolute", augmented_factory(relational=False)
-        )
+        relational = median_costs(runner, "ablation-augmented-full")
+        absolute = median_costs(runner, "ablation-augmented-absolute")
         return relational, absolute
 
     relational, absolute = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -607,7 +607,7 @@ def _gp_timings() -> dict:
     score_s, _ = _best_of(
         N_GP_FIT_ROUNDS,
         lambda: scorer,
-        lambda scorer: scorer.score(measured, values, unmeasured),
+        lambda scorer: scorer.score(measured, values, None, unmeasured),
     )
 
     # -- end-to-end Figure 7 kernel-fragility grid.

@@ -29,6 +29,8 @@ from repro.core.naive_bo import NaiveBO
 from repro.core.objectives import Objective
 from repro.core.stopping import EIThreshold, PredictionDeltaThreshold
 from repro.ml.kernels import kernel_by_name
+from repro.simulator.cluster import Measurement
+from repro.simulator.lowlevel import LowLevelMetrics
 from repro.workloads.registry import default_registry
 from repro.workloads.spec import InputSize
 
@@ -688,3 +690,59 @@ def fig13_timecost_product(
         }
     )
     return result
+
+
+# -- Ablations ----------------------------------------------------------------
+
+#: The constant metrics the blanked-metrics ablation feeds its surrogate.
+_BLANK_METRICS = LowLevelMetrics(50.0, 50.0, 8.0, 50.0, 50.0, 10.0)
+
+
+class BlindAugmentedBO(AugmentedBO):
+    """Augmented BO with the low-level metrics blanked out."""
+
+    name = "augmented-bo-blind"
+
+    @property
+    def measured_measurements(self):
+        return [
+            Measurement(
+                vm=m.vm,
+                execution_time_s=m.execution_time_s,
+                cost_usd=m.cost_usd,
+                metrics=_BLANK_METRICS,
+            )
+            for m in super().measured_measurements
+        ]
+
+
+def _blind_factory(environment, objective, seed):
+    return BlindAugmentedBO(environment, objective=objective, seed=seed)
+
+
+def ablation_grids() -> dict[str, RunGrid]:
+    """The ablation benches' grids (``benchmarks/test_ablation_*.py``),
+    by key: time-objective grids over fixed slices of the workloads."""
+    workload_ids = all_workload_ids()
+
+    def grid(key: str, factory: OptimizerFactory, every: int, repeats: int) -> RunGrid:
+        return RunGrid(
+            key=key,
+            factory=factory,
+            objective=Objective.TIME,
+            workload_ids=workload_ids[::every],
+            repeats=repeats,
+        )
+
+    grids = [
+        *(
+            grid(f"ablation-naive-acq-{name}", naive_factory(acquisition=name), 10, 4)
+            for name in ("ei", "pi", "lcb")
+        ),
+        grid("ablation-augmented-et", augmented_factory(), 12, 3),
+        grid("ablation-augmented-rf", augmented_factory(ensemble="random_forest"), 12, 3),
+        grid("ablation-augmented-full", augmented_factory(), 8, 4),
+        grid("ablation-augmented-blind", _blind_factory, 8, 4),
+        grid("ablation-augmented-absolute", augmented_factory(relational=False), 8, 4),
+    ]
+    return {g.key: g for g in grids}

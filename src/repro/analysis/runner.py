@@ -9,11 +9,13 @@ share one underlying grid of runs.
 Seeds are derived per (workload, repeat) so repeats are decorrelated
 across workloads while remaining reproducible across processes.
 
-The cache is crash-safe: writes are atomic (tmp + rename), files carry a
-schema version, and a truncated or otherwise corrupt cache file — the
-footprint of a killed process — is quarantined aside (``*.corrupt``) and
-recomputed rather than crashing the runner.  Every run is deterministic
-given its seed, so recomputation yields identical results.
+The cache is crash-safe: writes are atomic (tmp + rename), files carry
+one schema version (:data:`CACHE_SCHEMA_VERSION`), and a file with any
+other schema (or none), a truncated file — the footprint of a killed
+process — or any other unreadable file is quarantined aside
+(``*.corrupt``) and recomputed rather than read as it is or crashing
+the runner.  Every run is deterministic given its seed, so
+recomputation yields identical results.
 
 Interrupted grids resume instead of recomputing: every completed cell is
 also recorded in the grid's ``*.queue`` file next to the cache
@@ -45,11 +47,10 @@ from repro.trace.generate import default_trace
 
 logger = logging.getLogger(__name__)
 
-#: Bump whenever the cached payload shape changes; mismatching files are
-#: quarantined and recomputed (cheap, because runs are deterministic).
-#: v3 adds optional per-step / per-failure fractional charges (spot
-#: pricing); every v2 payload is shape-valid v3, so v2 files migrate in
-#: place instead of being quarantined.
+#: The one cache schema the runner reads and writes.  Bump it whenever
+#: the cached payload shape changes: a file with any other schema (or
+#: none) is quarantined and recomputed, which is cheap and exact because
+#: runs are deterministic.
 CACHE_SCHEMA_VERSION = 3
 
 #: Builds a fresh optimiser for one run: (environment, objective, seed).
@@ -211,32 +212,6 @@ def _in_repeat_order(entries: dict) -> dict:
     return {**{key: entries[key] for key in repeats}, **entries}
 
 
-def _migrate_legacy(payload: dict) -> dict[str, dict[str, dict]] | None:
-    """Upgrade a pre-schema (v1) cache body, or None if it isn't one.
-
-    v1 stored the result map at top level with ``[vm, value]`` step
-    pairs; v2 wraps it in ``{"schema", "results"}`` and adds the
-    per-step attempt count (1 for every legacy run: v1 predates retry
-    accounting).  Entries that still fail validation afterwards are
-    dropped and recomputed individually.
-    """
-    migrated: dict[str, dict[str, dict]] = {}
-    for workload_id, per_workload in payload.items():
-        if not isinstance(per_workload, dict):
-            return None
-        out: dict[str, dict] = {}
-        for seed_key, entry in per_workload.items():
-            if isinstance(entry, Mapping) and isinstance(entry.get("steps"), list):
-                entry = dict(entry)
-                entry["steps"] = [
-                    [*step, 1] if isinstance(step, list) and len(step) == 2 else step
-                    for step in entry["steps"]
-                ]
-            out[seed_key] = entry
-        migrated[workload_id] = out
-    return migrated
-
-
 def result_from_payload(
     payload: Mapping, objective: Objective, workload_id: str
 ) -> SearchResult:
@@ -342,21 +317,6 @@ class ExperimentRunner:
         except (json.JSONDecodeError, UnicodeDecodeError, OSError) as error:
             self._quarantine(cache_path, f"unreadable: {error}")
             return {}
-        if isinstance(payload, dict) and "schema" not in payload:
-            migrated = _migrate_legacy(payload)
-            if migrated is not None:
-                logger.info("migrating legacy (v1) cache file %s", cache_path)
-                return migrated
-        if (
-            isinstance(payload, dict)
-            and payload.get("schema") == 2
-            and isinstance(payload.get("results"), dict)
-        ):
-            # v2 rows (no charge column) are shape-valid v3 rows with an
-            # implicit unit charge: adopt them as-is and rewrite at v3 on
-            # the next flush instead of recomputing.
-            logger.info("migrating v2 cache file %s to v3 in place", cache_path)
-            return payload["results"]
         if (
             not isinstance(payload, dict)
             or payload.get("schema") != CACHE_SCHEMA_VERSION

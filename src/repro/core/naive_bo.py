@@ -98,14 +98,14 @@ class GPScorer:
         self,
         measured: list[int],
         values: np.ndarray,
+        measurements: object,
         unmeasured: list[int],
-        measurements=None,
     ) -> AcquisitionScores:
         """Fit on the measured rows and score the rest.
 
-        :meth:`score_group` for a group of one.  ``measurements`` is the
-        tree scorer's argument, accepted so that every scorer takes the
-        same named arguments; a GP does not read it.
+        :meth:`score_group` for a group of one.  Every scorer takes the
+        same ``(measured, values, measurements, unmeasured)`` round; a GP
+        does not read ``measurements``.
         """
         return self.score_group(
             [self], [(measured, values, measurements, unmeasured)]
@@ -199,7 +199,7 @@ class GPScorer:
         incremental distance geometry as :meth:`score`, appending one
         fantasy column per pick instead of rebuilding distances.
         """
-        acquisition = self.score(measured, values, unmeasured)
+        acquisition = self.score(measured, values, None, unmeasured)
         picked = [unmeasured[int(np.argmax(acquisition.scores))]]
         if q <= 1 or len(unmeasured) <= 1:
             return acquisition, picked

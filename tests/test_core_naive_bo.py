@@ -80,7 +80,7 @@ class TestGPScorer:
         design = np.random.default_rng(0).normal(size=(10, 4))
         scorer = GPScorer(design, kernel=Matern52(), seed=0)
         values = np.array([3.0, 1.0, 2.0])
-        scores = scorer.score([0, 1, 2], values, [3, 4, 5, 6])
+        scores = scorer.score([0, 1, 2], values, None, [3, 4, 5, 6])
         assert scores.scores.shape == (4,)
         assert scores.predicted is not None
         assert scores.expected_improvements is not None
@@ -90,7 +90,7 @@ class TestGPScorer:
         design = np.random.default_rng(1).normal(size=(8, 3))
         scorer = GPScorer(design, seed=0)
         values = np.array([5.0, 4.0])
-        scores = scorer.score([0, 1], values, list(range(2, 8)))
+        scores = scorer.score([0, 1], values, None, list(range(2, 8)))
         assert scores.scores.max() > 0
 
     def test_prediction_interpolates_measured_neighbourhood(self):
@@ -101,5 +101,5 @@ class TestGPScorer:
         design[11] = design[0] + 1e-4
         scorer = GPScorer(design, seed=0)
         values = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
-        scores = scorer.score([0, 1, 2, 3, 4], values, [11])
+        scores = scorer.score([0, 1, 2, 3, 4], values, None, [11])
         assert scores.predicted[0] == pytest.approx(10.0, rel=0.2)

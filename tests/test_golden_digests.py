@@ -68,12 +68,19 @@ def test_process_executor_caches_equal_serial(caches, executor):
 
 
 @pytest.mark.parametrize(
-    "grid", ["history-clean", "hybrid-budget", "augmented-warm"]
+    "grid",
+    [
+        key
+        for key, (_, _, labels) in golden.CACHE_GRIDS.items()
+        if {"serial", "vector"} <= set(labels)
+    ],
 )
 def test_vector_cache_equals_serial(caches, grid):
     """The vectorized driver scores every round through the scorer the
-    serial step uses: HistoryBO's prior, Hybrid BO's switch from GP
-    groups to tree groups, and warm-refit rounds scored alone."""
+    serial step uses, so every grid pinned under both executors writes
+    the serial bytes: tree and GP groups, searches desynced by faults,
+    HistoryBO's prior, Hybrid BO's switch from GP groups to tree groups,
+    and warm-refit rounds scored alone."""
     assert caches[f"cache/{grid}/vector"] == caches[f"cache/{grid}/serial"]
 
 

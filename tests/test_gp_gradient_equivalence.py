@@ -109,7 +109,7 @@ class TestScorerEquivalence:
 
         scorer = GPScorer(design, seed=0)
         scorer.gp.optimise = False
-        scores = scorer.score(measured, y[measured], unmeasured)
+        scores = scorer.score(measured, y[measured], None, unmeasured)
 
         scaled = scorer._scaled_design
         direct = GaussianProcessRegressor(optimise=False).fit(scaled[measured], y[measured])
@@ -127,7 +127,7 @@ class TestScorerEquivalence:
         for step, index in enumerate([3, 8, 1, 6]):
             measured.append(index)
             unmeasured = [i for i in range(10) if i not in measured]
-            scorer.score(measured, np.asarray(y)[measured], unmeasured)
+            scorer.score(measured, np.asarray(y)[measured], None, unmeasured)
         stats = scorer.geometry_stats
         assert stats["extensions"] == 4
         assert stats["rebuilds"] == 0

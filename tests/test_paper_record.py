@@ -26,8 +26,8 @@ FIGURE_DIGESTS = {
     "fig1": "6b8e5b500b548952446e6384363e538cb3cfc3a8d5aa0f19d862214325611c14",
     "fig2": "b60bbcc205f10c207feec8fac0b731006861926de8a2ca899f28342a03dbe676",
     "fig8": "c782227a4ea555365a2ff83a6577bfb6f5cef13226804704565fe6f0427927d8",
-    "fig9a": "c3dcc2daa7eb06c8626e5fc512cc13eaebd0f3232df6a0457470ace038854e2b",
-    "fig9b": "6bb1c25e270c4f4ba92fcb5110a4bf6a2f5ad3fc7ab71c11ed679e7e3eb7611b",
+    "fig9a": "90d2902e3d26feeb9ea82aff03bf30cbe33f9d16074dd431fc39176012cd1a38",
+    "fig9b": "57621c01c573af348dfffb331109c898fbc22cf5e279649a3d4661fa0e2e47b6",
 }
 
 #: sha256 of the stdout of ``arrow experiments``.

@@ -37,7 +37,7 @@ from repro.core.history_bo import (
     build_history_pairs,
 )
 from repro.core.hybrid_bo import HybridBO
-from repro.core.naive_bo import NaiveBO
+from repro.core.naive_bo import GPScorer, NaiveBO
 from repro.core.objectives import Objective
 from repro.core.smbo import AcquisitionScores, SequentialOptimizer
 from repro.core.stopping import PredictionDeltaThreshold
@@ -381,6 +381,33 @@ class TestFitEnsemblesStacked:
         batched = predict_packed_many(packeds, queries)
         for packed, X, result in zip(packeds, queries, batched):
             np.testing.assert_array_equal(result, predict_packed(packed, X))
+
+
+class TestScoreProtocol:
+    """Every scorer takes one ``(measured, values, measurements,
+    unmeasured)`` round, and ``score`` is its class's ``score_group``
+    for a group of one, so ``score(*round_)`` works for any scorer."""
+
+    @pytest.mark.parametrize("scorer_class", [GPScorer, PairwiseTreeScorer])
+    def test_score_is_the_group_of_one(self, trace, scorer_class):
+        workload_id = WORKLOADS[0]
+        measured = [0, 3, 7, 12]
+        measurements = [
+            trace.measurement(workload_id, trace.catalog[i]) for i in measured
+        ]
+        values = np.array([meas.execution_time_s for meas in measurements])
+        unmeasured = [i for i in range(len(trace.catalog)) if i not in measured]
+        round_ = (measured, values, measurements, unmeasured)
+        design = InstanceEncoder(trace.catalog).encode_all()
+        alone = scorer_class(design, seed=4).score(*round_)
+        scorer = scorer_class(design, seed=4)
+        grouped = type(scorer).score_group([scorer], [round_])[0]
+        assert len(alone.scores) == len(unmeasured)
+        np.testing.assert_array_equal(alone.scores, grouped.scores)
+        np.testing.assert_array_equal(alone.predicted, grouped.predicted)
+        np.testing.assert_array_equal(
+            alone.expected_improvements, grouped.expected_improvements
+        )
 
 
 class TestTreeScoreGroup:
