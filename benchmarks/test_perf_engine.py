@@ -944,12 +944,11 @@ def test_vectorized_grid_reduction(trace):
     serial_s, serial_results = best_run("serial")
     vector_s, vector_results = best_run("vector")
     grid_reduction = serial_s / vector_s if vector_s > 0 else float("inf")
-    bit_identical = [cell for cell, _ in vector_results] == cells and all(
-        serial_result == vector_result
-        for (_, serial_result), (_, vector_result) in zip(
-            serial_results, vector_results
-        )
-    )
+    # The vector driver yields each cell in the round it finishes, so
+    # the results are compared cell by cell, not in yield order.
+    bit_identical = len(vector_results) == len(cells) and dict(
+        vector_results
+    ) == dict(serial_results)
     clamped = (os.cpu_count() or 1) < 2
     steps = sum(len(result.steps) for _, result in serial_results)
 

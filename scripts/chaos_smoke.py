@@ -108,10 +108,8 @@ SPOT_SEED = 5
 #: Worker-side pacing so the parent can signal a worker mid-cell.
 PACE_S = 0.5
 
-#: The cell whose worker attempts kill their worker.  The *first* cell in
-#: submission order: results are yielded (and recorded) in that order,
-#: so a crash-recovering cell in the middle would buffer every completed
-#: sibling and make the record grow in one burst instead of steadily.
+#: The cell whose worker attempts kill their worker: the first one
+#: submitted, so its crash recovery overlaps the rest of the grid.
 LETHAL_SEED = run_seed(WORKLOADS[0], 0)
 
 ALL_CELLS = {(w, r) for w in WORKLOADS for r in range(REPEATS)}

@@ -415,17 +415,18 @@ class ExperimentRunner:
             order preserved).
 
         Raises:
-            ValueError: if ``cell_timeout`` is not a positive number
-                (even when every cell is cached), or if
-                ``executor="queue"`` without a ``cache_dir``.
+            ValueError: if ``executor`` is unknown, ``workers`` is below
+                1 or ``cell_timeout`` is not a positive number (even
+                when every cell is cached), or if ``executor="queue"``
+                without a ``cache_dir``.
         """
         # Imported lazily: the engine imports this module at top level.
         from repro.parallel.checkpoint import GridCheckpoint, flush_on_signal
-        from repro.parallel.engine import check_cell_timeout, queue_backed, run_cells
+        from repro.parallel.engine import check_run_options, queue_backed, run_cells
         from repro.parallel.events import CellEvent
 
-        check_cell_timeout(cell_timeout)
         n_workers = self.workers if workers is None else workers
+        check_run_options(executor, n_workers, cell_timeout)
         cache_path = self._cache_path(grid)
         if executor == "queue" and cache_path is None:
             raise ValueError(

@@ -86,14 +86,6 @@ class GPScorer:
         """The underlying GP (exposes fit/eval instrumentation counters)."""
         return self._gp
 
-    @property
-    def geometry_stats(self) -> dict[str, int]:
-        """Incremental-geometry counters: columns appended vs restarts."""
-        return {
-            "extensions": self._geometry.extensions,
-            "rebuilds": self._geometry.rebuilds,
-        }
-
     def score(
         self,
         measured: list[int],

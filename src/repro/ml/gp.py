@@ -475,15 +475,14 @@ class GaussianProcessRegressor:
         if X.ndim == 1:
             X = X.reshape(1, -1)
 
-        if geometry is not None:
-            if geometry.shape != (X.shape[0], self._X.shape[0]):
-                raise ValueError(
-                    f"geometry shape {geometry.shape} does not match "
-                    f"({X.shape[0]}, {self._X.shape[0]})"
-                )
-            K_star = self.kernel.value(geometry)
-        else:
-            K_star = self.kernel(X, self._X)
+        if geometry is None:
+            geometry = Geometry(X, self._X)
+        elif geometry.total.shape != (X.shape[0], self._X.shape[0]):
+            raise ValueError(
+                f"geometry shape {geometry.total.shape} does not match "
+                f"({X.shape[0]}, {self._X.shape[0]})"
+            )
+        K_star = self.kernel.value(geometry)
         mean = K_star @ self._alpha * self._y_std + self._y_mean
         if not return_std:
             return mean
@@ -513,15 +512,19 @@ def _fit_inputs(
     if X.shape[0] == 0:
         raise ValueError("cannot fit a GP on zero observations")
     n = X.shape[0]
-    if geometry is not None and geometry.shape != (n, n):
-        raise ValueError(f"geometry shape {geometry.shape} does not match {n} rows")
+    if geometry is None:
+        geometry = Geometry(X)
+    elif geometry.total.shape != (n, n):
+        raise ValueError(
+            f"geometry shape {geometry.total.shape} does not match {n} rows"
+        )
     y_mean = float(y.mean())
     y_std = float(y.std()) or 1.0
     y_scaled = (y - y_mean) / y_std
     # The one finiteness check of the right-hand side every solve of
     # the fit uses.
     _require_finite(y_scaled, "standardised targets")
-    return X, y_mean, y_std, y_scaled, geometry if geometry is not None else Geometry(X)
+    return X, y_mean, y_std, y_scaled, geometry
 
 
 def _lml_stack(
@@ -616,7 +619,7 @@ def _group_lml(
             gp._set_packed_theta(theta)
             lone.append(index)
         else:
-            stacks.setdefault((kind, geometry.shape), []).append(index)
+            stacks.setdefault((kind, geometry.total.shape), []).append(index)
     for (kind, (n, _)), members in stacks.items():
         # exp of the packed (log variance, log lengthscale, log noise),
         # as the theta setters take it.

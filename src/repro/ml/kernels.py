@@ -11,14 +11,19 @@ Every kernel exposes its free hyperparameters in log space
 (:meth:`Kernel.theta`) so the GP can optimise the marginal likelihood
 with unconstrained L-BFGS.
 
-Each stationary kernel states its covariance once, in ``_from_sq``
-(``_value_and_dsq`` adds the derivative the likelihood gradient needs).
-The derivative form takes the signal variance as an argument and is
-elementwise, so :func:`stacked_value_and_grad` evaluates it over a
-``(B, n, n)`` stack of isotropic kernels at once, each slice bit for bit
-what that kernel's own :meth:`~Kernel.value_and_grad` returns: the GP
-likelihood of a fitted group (:func:`repro.ml.gp.fit_gps_stacked`)
-builds one such stack per evaluation round.
+Every kernel matrix is evaluated from a :class:`Geometry`: the exact
+per-dimension squared differences of two row sets, computed by one
+formula whether the rows are raw (``kernel(X, Y)``) or columns cached
+across a search (:class:`DesignGeometry`), so both read the same bits.
+Each stationary kernel states its covariance once, in
+``_value_and_dsq``, beside the derivative the likelihood gradient
+needs; :meth:`Kernel.value` keeps the first half.  That form takes the
+signal variance as an argument and is elementwise, so
+:func:`stacked_value_and_grad` evaluates it over a ``(B, n, n)`` stack
+of isotropic kernels at once, each slice bit for bit what that
+kernel's own :meth:`~Kernel.value_and_grad` returns: the GP likelihood
+of a fitted group (:func:`repro.ml.gp.fit_gps_stacked`) builds one such
+stack per evaluation round.
 """
 
 from __future__ import annotations
@@ -38,101 +43,71 @@ def _as_2d(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _sq_dists(X: np.ndarray, Y: np.ndarray, lengthscale: float | np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances of scaled inputs, clipped at 0.
+def _sq_diffs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact squared differences of each row of ``X`` against each of ``Y``.
 
-    ``lengthscale`` may be a scalar (isotropic) or a per-dimension vector
-    (ARD — automatic relevance determination).
+    Returns ``(dims, total)``: the per-dimension stack
+    ``dims[k, i, j] = (X[i, k] - Y[j, k])**2`` of shape ``(d, n, m)``
+    and its sum over ``k``, shape ``(n, m)``.  The one distance formula:
+    :class:`Geometry` and :class:`DesignGeometry`'s column cache both
+    call it, so a kernel evaluated on raw rows or on cached columns
+    reads the same bits, and a row against itself is exactly 0.
     """
-    Xs, Ys = X / lengthscale, Y / lengthscale
-    sq = (
-        np.sum(Xs**2, axis=1)[:, None]
-        + np.sum(Ys**2, axis=1)[None, :]
-        - 2.0 * Xs @ Ys.T
-    )
-    return np.maximum(sq, 0.0)
+    diff = X[:, None, :] - Y[None, :, :]
+    square = diff * diff
+    return np.ascontiguousarray(np.moveaxis(square, -1, 0)), square.sum(axis=-1)
 
 
 class Geometry:
-    """Cached *unscaled* pairwise squared-distance geometry of two row sets.
+    """Unscaled pairwise squared-distance geometry of two row sets.
 
     The log-marginal-likelihood optimisation evaluates the kernel matrix
     at dozens of hyperparameter settings over the same design.  The
-    design never changes during a fit, so the expensive part — pairwise
-    squared distances — is computed once here and merely rescaled by
+    design never changes during a fit, so the pairwise squared
+    differences are computed once here and merely rescaled by
     ``1/lengthscale**2`` per evaluation (:meth:`scaled_sq`).
 
-    ``total`` holds the summed squared distances (enough for isotropic
-    kernels); the per-dimension stack ``dims`` — needed for ARD values
-    and gradients — is materialised lazily on first use.
+    Attributes:
+        dims: per-dimension squared differences, shape ``(d, n, m)``
+            (ARD values and gradients contract it).
+        total: their sum over dimensions, shape ``(n, m)`` (enough for
+            isotropic kernels).
+        self_pair: whether the row sets are one and the same
+            (``K(X, X)``): white noise adds to the diagonal only then.
     """
 
-    __slots__ = ("X", "Y", "self_pair", "_total", "_dims")
+    __slots__ = ("dims", "total", "self_pair")
 
     def __init__(self, X: np.ndarray, Y: np.ndarray | None = None) -> None:
-        self.X = _as_2d(X)
-        #: Whether the two row sets are the same object (K(X, X)): white
-        #: noise contributes to the diagonal only in that case.
+        X = _as_2d(X)
         self.self_pair = Y is None
-        self.Y = self.X if Y is None else _as_2d(Y)
-        if self.X.shape[1] != self.Y.shape[1]:
+        Y = X if Y is None else _as_2d(Y)
+        if X.shape[1] != Y.shape[1]:
             raise ValueError(
                 f"row sets disagree on dimensionality: "
-                f"{self.X.shape[1]} vs {self.Y.shape[1]}"
+                f"{X.shape[1]} vs {Y.shape[1]}"
             )
-        self._total: np.ndarray | None = None
-        self._dims: np.ndarray | None = None
+        self.dims, self.total = _sq_diffs(X, Y)
 
     @classmethod
     def from_blocks(
-        cls, dims: np.ndarray, total: np.ndarray | None, self_pair: bool
+        cls, dims: np.ndarray, total: np.ndarray, self_pair: bool
     ) -> Geometry:
         """Wrap precomputed distance blocks (the incremental-scorer path).
 
         Args:
             dims: per-dimension squared differences, shape ``(d, n, m)``.
-            total: their sum over dimensions ``(n, m)``; derived when None.
+            total: their sum over dimensions, shape ``(n, m)``.
             self_pair: whether the blocks describe ``K(X, X)``.
         """
         dims = np.asarray(dims, dtype=float)
         if dims.ndim != 3:
             raise ValueError(f"dims must be (d, n, m), got shape {dims.shape}")
         geometry = cls.__new__(cls)
-        geometry.X = None  # type: ignore[assignment]
-        geometry.Y = None  # type: ignore[assignment]
+        geometry.dims = dims
+        geometry.total = np.asarray(total, dtype=float)
         geometry.self_pair = self_pair
-        geometry._dims = dims
-        geometry._total = dims.sum(axis=0) if total is None else np.asarray(total, float)
         return geometry
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """``(n, m)`` — rows of X by rows of Y."""
-        if self._total is not None:
-            return self._total.shape  # type: ignore[return-value]
-        if self._dims is not None:
-            return self._dims.shape[1:]  # type: ignore[return-value]
-        return (self.X.shape[0], self.Y.shape[0])
-
-    @property
-    def total(self) -> np.ndarray:
-        """Unscaled pairwise squared distances, shape ``(n, m)``."""
-        if self._total is None:
-            self._total = _sq_dists(self.X, self.Y, 1.0)
-            if self.self_pair:
-                # The quadratic-expansion formula leaves ~1e-15 residuals
-                # where the exact distance is 0; pin the diagonal so
-                # non-smooth kernels (Matérn 1/2) see exact zeros.
-                self._total.flat[:: self._total.shape[0] + 1] = 0.0
-        return self._total
-
-    @property
-    def dims(self) -> np.ndarray:
-        """Per-dimension squared differences, shape ``(d, n, m)``."""
-        if self._dims is None:
-            diff = self.X[:, None, :] - self.Y[None, :, :]
-            self._dims = np.ascontiguousarray(np.moveaxis(diff * diff, -1, 0))
-        return self._dims
 
     def scaled_sq(self, lengthscale: float | np.ndarray) -> np.ndarray:
         """Squared distances of ``1/lengthscale``-scaled inputs.
@@ -149,15 +124,17 @@ class Geometry:
 class Kernel(abc.ABC):
     """A positive semi-definite covariance function.
 
-    Subclasses implement :meth:`__call__`, :meth:`value` (the same
-    matrix from a cached :class:`Geometry`) and :meth:`diag`;
-    hyperparameters live in ``theta`` as log-transformed values so
-    optimisation is unconstrained.
+    Subclasses implement :meth:`value` (the matrix from a
+    :class:`Geometry`) and :meth:`diag`; calling a kernel on raw rows
+    builds their geometry and evaluates :meth:`value`, so every kernel
+    matrix comes from one distance formula.  Hyperparameters live in
+    ``theta`` as log-transformed values so optimisation is
+    unconstrained.
     """
 
-    @abc.abstractmethod
     def __call__(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         """Covariance matrix between rows of ``X`` and rows of ``Y`` (or ``X``)."""
+        return self.value(Geometry(X, Y))
 
     @property
     @abc.abstractmethod
@@ -274,10 +251,6 @@ class _Stationary(Kernel):
     def diag(self, X: np.ndarray) -> np.ndarray:
         return np.full(_as_2d(X).shape[0], self.variance)
 
-    @abc.abstractmethod
-    def _from_sq(self, sq: np.ndarray) -> np.ndarray:
-        """Covariance from squared distances of already-scaled inputs."""
-
     @staticmethod
     @abc.abstractmethod
     def _value_and_dsq(
@@ -305,13 +278,9 @@ class _Stationary(Kernel):
         grad[..., 1, :, :] = dK_dsq * (-2.0 * sq)
         return K, grad
 
-    def __call__(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-        X = _as_2d(X)
-        Y = X if Y is None else _as_2d(Y)
-        return self._from_sq(_sq_dists(X, Y, self.lengthscale))
-
     def value(self, geometry: Geometry) -> np.ndarray:
-        return self._from_sq(geometry.scaled_sq(self.lengthscale))
+        sq = geometry.scaled_sq(self.lengthscale)
+        return self._value_and_dsq(sq, self.variance)[0]
 
     def value_and_grad(self, geometry: Geometry) -> tuple[np.ndarray, np.ndarray]:
         """``K`` plus gradients w.r.t. ``log variance`` and log lengthscales.
@@ -350,9 +319,6 @@ class RBF(_Stationary):
     equally" and can be unrealistic for cloud performance.
     """
 
-    def _from_sq(self, sq: np.ndarray) -> np.ndarray:
-        return self.variance * np.exp(-0.5 * sq)
-
     @staticmethod
     def _value_and_dsq(
         sq: np.ndarray, variance: float | np.ndarray
@@ -367,10 +333,6 @@ class Matern12(_Stationary):
     The roughest prior: sample paths are continuous but nowhere
     differentiable.
     """
-
-    def _from_sq(self, sq: np.ndarray) -> np.ndarray:
-        d = np.sqrt(sq)
-        return self.variance * np.exp(-d)
 
     @staticmethod
     def _value_and_dsq(
@@ -389,10 +351,6 @@ class Matern12(_Stationary):
 class Matern32(_Stationary):
     """Matérn kernel with smoothness 3/2 (once-differentiable paths)."""
 
-    def _from_sq(self, sq: np.ndarray) -> np.ndarray:
-        d = math.sqrt(3.0) * np.sqrt(sq)
-        return self.variance * (1.0 + d) * np.exp(-d)
-
     @staticmethod
     def _value_and_dsq(
         sq: np.ndarray, variance: float | np.ndarray
@@ -408,10 +366,6 @@ class Matern52(_Stationary):
     Twice-differentiable sample paths: smooth enough for efficient
     optimisation but without RBF's unrealistically strong smoothness.
     """
-
-    def _from_sq(self, sq: np.ndarray) -> np.ndarray:
-        d = math.sqrt(5.0) * np.sqrt(sq)
-        return self.variance * (1.0 + d + d**2 / 3.0) * np.exp(-d)
 
     @staticmethod
     def _value_and_dsq(
@@ -434,12 +388,6 @@ class White(Kernel):
         self.noise = float(noise)
         self._bounds = noise_bounds
 
-    def __call__(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-        X = _as_2d(X)
-        if Y is None:
-            return self.noise * np.eye(X.shape[0])
-        return np.zeros((X.shape[0], _as_2d(Y).shape[0]))
-
     @property
     def theta(self) -> np.ndarray:
         return np.log([self.noise])
@@ -459,10 +407,9 @@ class White(Kernel):
         return White(self.noise, self._bounds)
 
     def value(self, geometry: Geometry) -> np.ndarray:
-        n, m = geometry.shape
-        K = np.zeros((n, m))
+        K = np.zeros(geometry.total.shape)
         if geometry.self_pair:
-            K.flat[:: m + 1] = self.noise
+            K.flat[:: K.shape[1] + 1] = self.noise
         return K
 
     def value_and_grad(self, geometry: Geometry) -> tuple[np.ndarray, np.ndarray]:
@@ -506,9 +453,6 @@ class _Combination(Kernel):
 class Sum(_Combination):
     """Pointwise sum of two kernels."""
 
-    def __call__(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-        return self.left(X, Y) + self.right(X, Y)
-
     def value(self, geometry: Geometry) -> np.ndarray:
         return self.left.value(geometry) + self.right.value(geometry)
 
@@ -526,9 +470,6 @@ class Sum(_Combination):
 
 class Product(_Combination):
     """Pointwise product of two kernels."""
-
-    def __call__(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-        return self.left(X, Y) * self.right(X, Y)
 
     def value(self, geometry: Geometry) -> np.ndarray:
         return self.left.value(geometry) * self.right.value(geometry)
@@ -614,32 +555,18 @@ class DesignGeometry:
     def __init__(self, design: np.ndarray) -> None:
         self.design = _as_2d(np.asarray(design, dtype=float))
         n, d = self.design.shape
-        self._order: list[int] = []
         self._col_dims = np.empty((d, n, n))
         self._col_total = np.empty((n, n))
         self._have = np.zeros(n, dtype=bool)
-        #: Observability counters: columns computed, and serve orders
-        #: that diverged from a pure extension of the previous one
-        #: (those used to force a full recompute; they are now served
-        #: from the by-index cache like any other order).
-        self.extensions = 0
-        self.rebuilds = 0
 
     def _sync(self, measured: list[int]) -> None:
         """Compute any columns of ``measured`` not cached yet."""
-        if measured[: len(self._order)] != self._order:
-            self.rebuilds += 1
-            self._order = list(measured)
-        elif len(measured) > len(self._order):
-            self._order = list(measured)
         for index in measured:
             if not self._have[index]:
-                diff = self.design - self.design[index]
-                square = diff * diff
-                self._col_dims[:, :, index] = square.T
-                self._col_total[:, index] = square.sum(axis=1)
+                dims, total = _sq_diffs(self.design, self.design[index : index + 1])
+                self._col_dims[:, :, index] = dims[:, :, 0]
+                self._col_total[:, index] = total[:, 0]
                 self._have[index] = True
-                self.extensions += 1
 
     def fit_geometry(self, measured: list[int]) -> Geometry:
         """Geometry of the measured rows against themselves."""

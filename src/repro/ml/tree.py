@@ -427,15 +427,13 @@ def _partition(
     return np.concatenate([items[to_left], items[to_right]]), child
 
 
-def predict_packed(
-    packed: PackedTrees, X, chunk_rows: int | None = None
-) -> np.ndarray:
+def predict_packed(packed: PackedTrees, X) -> np.ndarray:
     """Per-tree predictions for ``X`` in one ensemble-wide walk.
 
     For dense rows all ``n_trees * n_rows`` cursors descend
     simultaneously; the loop runs for the depth of the deepest tree
-    rather than once per tree.  Inputs wider than ``chunk_rows`` rows
-    (default :data:`PREDICT_CHUNK_ROWS`) are traversed in row chunks so
+    rather than once per tree.  Inputs wider than
+    :data:`PREDICT_CHUNK_ROWS` rows are traversed in row chunks so
     the cursor arrays stay cache-sized at large candidate counts — each
     row descends independently, so the result is the same bit for bit.
 
@@ -444,13 +442,10 @@ def predict_packed(
     is materialised first.  Returns an ``(n_trees, n_rows)`` array
     identical to walking each tree on its own over the dense rows.
     """
-    chunk = PREDICT_CHUNK_ROWS if chunk_rows is None else int(chunk_rows)
-    if chunk < 1:
-        raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
     if _factored(X):
         return _walk_pairs(packed, [packed.roots], [X])[0]
     X = _as_rows(X)
-    n_rows = X.shape[0]
+    n_rows, chunk = X.shape[0], PREDICT_CHUNK_ROWS
     if n_rows <= chunk:
         return _walk_rows(packed, [packed.roots], [X])[0]
     out = np.empty((packed.n_trees, n_rows))

@@ -15,8 +15,10 @@ Properties that make this a drop-in for the serial loop:
   seed (``seed_fn(workload_id, repeat)``, by default
   :func:`~repro.analysis.runner.run_seed`), so a cell's result does not
   depend on which worker ran it, in what order, or how many times it
-  had to be re-run.  Results are yielded in submission order, so
-  downstream cache assembly is byte-identical to the serial path.
+  had to be re-run.  Each result is yielded as its cell finishes, so a
+  caller can record it at once; the runner writes every workload's
+  repeats in order, so the cache it assembles is byte-identical to the
+  serial path's whatever the yield order.
 * **Fork-based context sharing** — optimiser factories are arbitrary
   closures and therefore not picklable.  The engine stores the cell
   context (trace, factory, objective, seed function) in a module global
@@ -105,7 +107,7 @@ def plan_workers(
 
     This is also the single validation site for worker counts: every
     entry point (:func:`run_cells`, the runner, the CLI) funnels
-    through it.
+    through it, by way of :func:`check_run_options`.
 
     Raises:
         ValueError: if ``workers`` is less than 1.
@@ -202,8 +204,20 @@ def queue_backed(executor: str, workers: int, n_cells: int) -> bool:
     )
 
 
-def check_cell_timeout(cell_timeout: float | None) -> None:
-    """Reject a ``cell_timeout`` that is set but not a positive number."""
+def check_run_options(
+    executor: str, workers: int, cell_timeout: float | None
+) -> None:
+    """Reject an unknown ``executor``, ``workers`` below 1, or a set but
+    non-positive ``cell_timeout``.
+
+    :func:`run_cells` and the runner both call it first, so a fully
+    cached grid refuses the options a grid with work to do refuses.
+    """
+    if executor not in EXECUTOR_CHOICES:
+        raise ValueError(
+            f"unknown executor {executor!r}; choose from {EXECUTOR_CHOICES}"
+        )
+    plan_workers(workers, 0)  # raises on a count below 1
     if cell_timeout is not None and not cell_timeout > 0:
         raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
 
@@ -220,7 +234,11 @@ def run_cells(
     executor: str = "auto",
     queue: QueueConfig | None = None,
 ) -> Iterator[tuple[Cell, SearchResult]]:
-    """Execute grid cells, yielding ``(cell, result)`` in submission order.
+    """Execute grid cells, yielding each ``(cell, result)`` as it finishes.
+
+    The serial loop finishes cells in submission order; the work queue
+    and the vector driver finish them in whatever order their searches
+    end.
 
     Args:
         trace: the ground-truth trace to replay against.
@@ -263,23 +281,16 @@ def run_cells(
             is not a positive number, if ``executor`` is unknown, or if
             ``executor="queue"`` lacks a usable ``queue`` config.
     """
-    check_cell_timeout(cell_timeout)
-    if executor not in EXECUTOR_CHOICES:
-        raise ValueError(
-            f"unknown executor {executor!r}; choose from {EXECUTOR_CHOICES}"
-        )
+    check_run_options(executor, workers, cell_timeout)
     if executor == "queue" and (queue is None or queue.path is None):
         raise ValueError('executor="queue" requires a QueueConfig with a path')
     cells = list(cells)
     if executor == "vector":
         # The vectorized driver is its own execution plane: in-process,
         # single-worker, unsupervised (an application error propagates
-        # exactly as the serial path's final attempt would).  It yields
-        # in submission order, so downstream cache assembly stays
-        # byte-identical to the serial executor.
+        # exactly as the serial path's final attempt would).
         from repro.parallel.vector import VectorizedGridDriver
 
-        plan_workers(workers, len(cells))  # validate the request
         driver = VectorizedGridDriver(
             trace, factory, objective, cells, seed_fn=seed_fn, on_event=on_event
         )

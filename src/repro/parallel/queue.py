@@ -1462,8 +1462,8 @@ def supervise(
     cell_timeout_s: float | None = None,
     on_event: Callable[[CellEvent], None] | None = None,
 ) -> Iterator[tuple[Cell, SearchResult]]:
-    """Run ``cells`` through ``executor``, yielding ``(cell, result)`` in
-    submission order, then shut the executor down.
+    """Run ``cells`` through ``executor``, yielding each ``(cell, result)``
+    as it settles, then shut the executor down.
 
     Retrying and healing happen in the queue, so only final verdicts
     reach this loop.  Each is settled by completing the cell once,
@@ -1486,9 +1486,8 @@ def supervise(
       leaves the cell running.
     """
     order = list(cells)
-    results: dict[Cell, SearchResult] = {}
     pending: set[Cell] = set(order)
-    emitted = 0
+    settled: list[tuple[Cell, SearchResult]] = []
     tick = executor.config.poll_tick_s if cell_timeout_s is not None else None
 
     def emit(kind: str, cell: Cell, detail: str = "") -> None:
@@ -1496,7 +1495,7 @@ def supervise(
             on_event(CellEvent.for_cell(kind, cell, detail))
 
     def finish(cell: Cell, result: SearchResult) -> None:
-        results[cell] = result
+        settled.append((cell, result))
         pending.discard(cell)
         emit("cell_finished", cell)
 
@@ -1545,8 +1544,7 @@ def supervise(
                             "completing serially",
                         )
                         run_serially(cell)
-            while emitted < len(order) and order[emitted] in results:
-                yield order[emitted], results[order[emitted]]
-                emitted += 1
+            yield from settled
+            settled.clear()
     finally:
         executor.shutdown()

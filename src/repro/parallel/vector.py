@@ -28,7 +28,9 @@ serial order, and is scored by the scorer its optimiser's
 ``_round_scorer()`` names — the one the serial step scores through.
 Every group body is bit-identical per member to that member's own
 ``score``, so the yielded results (and any cache built from them) are
-**byte-identical** to the serial executor's.
+**byte-identical** to the serial executor's.  A cell is yielded in the
+round its search finishes, so a caller can record it durably before
+the rest of the grid is done.
 
 Desync is the normal case, not an error: searches stop at different
 step counts, switch scorers at different times (Hybrid BO), or are not
@@ -73,9 +75,10 @@ class VectorizedGridDriver:
             sink (``cell_scheduled`` / ``cell_finished`` per cell, one
             grid-scoped ``vector_planned`` up front).
 
-    :meth:`run` yields ``(cell, result)`` in submission order with
-    results bit-identical to the serial executor's; an exception in any
-    cell's search propagates (there is no in-process retry — supervision
+    :meth:`run` yields each ``(cell, result)`` in the round its search
+    finishes (in submission order within the round), with results
+    bit-identical to the serial executor's; an exception in any cell's
+    search propagates (there is no in-process retry — supervision
     belongs to the work queue's process-isolating workers).
     """
 
@@ -114,13 +117,13 @@ class VectorizedGridDriver:
             self._on_event(event)
 
     def run(self) -> Iterator[tuple[Cell, SearchResult]]:
-        """Drive every cell to completion; yield in submission order."""
+        """Drive every cell to completion, yielding each as it finishes."""
         self._emit(
             CellEvent.for_grid(
                 "vector_planned", f"cells={len(self._cells)} lock-step rounds"
             )
         )
-        states: list[tuple[Cell, SearchState]] = []
+        active: list[tuple[Cell, SearchState]] = []
         for cell in self._cells:
             workload_id, repeat = cell
             environment = self._trace.environment(workload_id)
@@ -128,9 +131,8 @@ class VectorizedGridDriver:
                 environment, self._objective, self._seed_fn(workload_id, repeat)
             )
             self._emit(CellEvent.for_cell("cell_scheduled", cell))
-            states.append((cell, optimizer.start()))
+            active.append((cell, optimizer.start()))
 
-        active = list(states)
         while active:
             self.rounds += 1
             groups: dict[tuple, list] = {}
@@ -174,9 +176,7 @@ class VectorizedGridDriver:
             for cell, state in active:
                 if state.done:
                     self._emit(CellEvent.for_cell("cell_finished", cell))
+                    yield cell, state.result()
                 else:
                     still_active.append((cell, state))
             active = still_active
-
-        for cell, state in states:
-            yield cell, state.result()

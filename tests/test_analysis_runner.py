@@ -144,6 +144,26 @@ class TestRunner:
         assert len(encoded) == 2 * len(WORKLOADS)
         assert _results_signature(plain) == _results_signature(cached)
 
+    @pytest.mark.parametrize(
+        ("options", "message"),
+        [
+            ({"executor": "bogus"}, "unknown executor"),
+            ({"workers": 0}, "workers must be >= 1"),
+            ({"workers": -3}, "workers must be >= 1"),
+            ({"cell_timeout": -5.0}, "cell_timeout must be positive"),
+        ],
+        ids=["executor", "workers-0", "workers-negative", "cell-timeout"],
+    )
+    def test_bad_run_options_rejected_on_a_cached_grid(
+        self, runner, options, message
+    ):
+        """Every cell is served from the cache, so nothing reaches the
+        engine: the runner itself refuses what the engine refuses."""
+        grid = RunGrid("random", random_factory, Objective.TIME, WORKLOADS, 1)
+        runner.run(grid)
+        with pytest.raises(ValueError, match=message):
+            runner.run(grid, **options)
+
     def test_cache_file_carries_schema_version(self, runner, tmp_path):
         grid = RunGrid("random", random_factory, Objective.TIME, WORKLOADS, 1)
         runner.run(grid)

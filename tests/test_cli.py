@@ -116,7 +116,17 @@ class TestSearch:
         ) == 1
         assert "cell_timeout must be positive" in capsys.readouterr().err
 
-    def test_bad_cell_timeout_fails_cleanly_on_a_cached_grid(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        ("flags", "error"),
+        [
+            (["--cell-timeout", "-5"], "cell_timeout must be positive, got -5.0"),
+            (["--workers", "0"], "workers must be >= 1, got 0"),
+        ],
+        ids=["cell-timeout", "workers"],
+    )
+    def test_bad_cell_timeout_fails_cleanly_on_a_cached_grid(
+        self, tmp_path, capsys, flags, error
+    ):
         argv = [
             "search", "kmeans/Spark 2.1/small", "--method", "random",
             "--repeats", "2", "--cache-dir", str(tmp_path),
@@ -124,11 +134,9 @@ class TestSearch:
         assert main(argv) == 0
         capsys.readouterr()
         # Every cell is served from the cache, so nothing reaches the
-        # engine: the runner itself must reject the deadline.
-        assert main(argv + ["--cell-timeout", "-5"]) == 1
-        assert capsys.readouterr().err.strip() == (
-            "error: cell_timeout must be positive, got -5.0"
-        )
+        # engine: the runner itself must reject the option.
+        assert main(argv + flags) == 1
+        assert capsys.readouterr().err.strip() == f"error: {error}"
 
     def test_refit_fraction_flag(self, capsys):
         assert main(

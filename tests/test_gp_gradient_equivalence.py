@@ -24,6 +24,7 @@ from repro.core.acquisition import expected_improvement
 from repro.core.naive_bo import GPScorer, NaiveBO
 from repro.core.objectives import Objective
 from repro.core.stopping import EIThreshold
+from repro.ml import kernels
 from repro.ml.gp import GaussianProcessRegressor
 from repro.ml.kernels import kernel_by_name
 from tests.test_ml_kernel_gradients import FiniteDifferenceGP
@@ -115,19 +116,27 @@ class TestScorerEquivalence:
         direct = GaussianProcessRegressor(optimise=False).fit(scaled[measured], y[measured])
         mean, std = direct.predict(scaled[unmeasured], return_std=True)
         ei = expected_improvement(mean, std, float(y[measured].min()))
-        assert np.allclose(scores.scores, ei, atol=1e-9)
-        assert np.allclose(scores.predicted, mean, atol=1e-9)
+        assert np.array_equal(scores.scores, ei)
+        assert np.array_equal(scores.predicted, mean)
 
-    def test_incremental_geometry_used_in_analytic_mode(self):
+    def test_incremental_geometry_used_in_analytic_mode(self, monkeypatch):
+        """Four scoring steps compute four distance columns, one per
+        measurement, and nothing else."""
         rng = np.random.default_rng(12)
         design = rng.uniform(size=(10, 3))
         y = rng.uniform(1.0, 2.0, size=10)
         scorer = GPScorer(design, seed=0)
+        columns: list = []
+        formula = kernels._sq_diffs
+
+        def counting(X, Y):
+            columns.append(Y.shape[0])
+            return formula(X, Y)
+
+        monkeypatch.setattr(kernels, "_sq_diffs", counting)
         measured = []
-        for step, index in enumerate([3, 8, 1, 6]):
+        for index in [3, 8, 1, 6]:
             measured.append(index)
             unmeasured = [i for i in range(10) if i not in measured]
             scorer.score(measured, np.asarray(y)[measured], None, unmeasured)
-        stats = scorer.geometry_stats
-        assert stats["extensions"] == 4
-        assert stats["rebuilds"] == 0
+        assert columns == [1, 1, 1, 1]

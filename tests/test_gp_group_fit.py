@@ -138,8 +138,10 @@ class TestCholeskyLadder:
         # A huge signal variance over repeated rows leaves the noise far
         # below rounding, so the first factorisation escalates; its
         # stack mates must keep starting their ladders at the bottom.
+        # (Repeated rows are exactly 0 apart, so the variance must bury
+        # the noise in rounding on its own.)
         steep = Matern52(
-            variance=1e8, lengthscale=1e2, variance_bounds=(1e-3, 1e9),
+            variance=1e10, lengthscale=1e2, variance_bounds=(1e-3, 1e11),
             lengthscale_bounds=(1e-2, 1e3),
         )
         kernels = [Matern52(), steep, Matern52()]

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from repro.ml import kernels
 from repro.ml.gp import GaussianProcessRegressor
 from repro.ml.kernels import (
     RBF,
@@ -88,8 +89,8 @@ class TestKernelGradients:
     def test_value_matches_call(self, make, X):
         kernel = make()
         K, grad = kernel.value_and_grad(Geometry(X))
-        assert np.allclose(K, kernel(X), atol=1e-12)
-        assert np.allclose(kernel.value(Geometry(X)), kernel(X), atol=1e-12)
+        assert np.array_equal(K, kernel(X))
+        assert np.array_equal(kernel.value(Geometry(X)), kernel(X))
 
     def test_variance_gradient_is_the_kernel_matrix(self, X):
         kernel = Matern52(1.5, 0.9)
@@ -125,12 +126,22 @@ class TestKernelGradients:
 
 class TestGeometry:
     def test_scaled_sq_matches_direct(self, X):
-        from repro.ml.kernels import _sq_dists
+        Y = np.random.default_rng(1).normal(size=(5, 3))
+        for lengthscale in (0.7, np.array([0.5, 2.0, 1.0])):
+            ls = np.broadcast_to(lengthscale, (3,))
+            textbook = np.array(
+                [
+                    [sum(((x[k] - y[k]) / ls[k]) ** 2 for k in range(3)) for y in Y]
+                    for x in X
+                ]
+            )
+            scaled = Geometry(X, Y).scaled_sq(lengthscale)
+            assert np.allclose(scaled, textbook, rtol=1e-13, atol=0.0)
 
+    def test_self_pair_diagonal_is_exactly_zero(self, X):
         geometry = Geometry(X)
-        assert np.allclose(geometry.scaled_sq(0.7), _sq_dists(X, X, 0.7), atol=1e-10)
-        ard = np.array([0.5, 2.0, 1.0])
-        assert np.allclose(geometry.scaled_sq(ard), _sq_dists(X, X, ard), atol=1e-10)
+        assert np.all(np.diagonal(geometry.total) == 0.0)
+        assert np.all(np.diagonal(geometry.dims, axis1=1, axis2=2) == 0.0)
 
     def test_dimension_mismatch_rejected(self, X):
         with pytest.raises(ValueError, match="dimensionality"):
@@ -138,12 +149,27 @@ class TestGeometry:
 
     def test_from_blocks_requires_3d(self):
         with pytest.raises(ValueError, match="dims"):
-            Geometry.from_blocks(np.zeros((2, 2)), None, self_pair=True)
+            Geometry.from_blocks(np.zeros((2, 2)), np.zeros((2, 2)), self_pair=True)
 
-    def test_from_blocks_derives_total(self, X):
+    def test_from_blocks_wraps_the_blocks(self, X):
         geometry = Geometry(X)
-        rebuilt = Geometry.from_blocks(geometry.dims, None, self_pair=True)
-        assert np.allclose(rebuilt.total, geometry.total)
+        wrapped = Geometry.from_blocks(geometry.dims, geometry.total, self_pair=True)
+        kernel = Matern52(1.2, np.array([2.0, 0.3, 1.0]))
+        assert np.array_equal(kernel.value(wrapped), kernel.value(geometry))
+
+
+def count_columns(monkeypatch) -> list:
+    """Record every distance computation :class:`DesignGeometry` makes
+    (one call of the shared formula per column)."""
+    calls: list = []
+    formula = kernels._sq_diffs
+
+    def counting(X, Y):
+        calls.append(Y.shape[0])
+        return formula(X, Y)
+
+    monkeypatch.setattr(kernels, "_sq_diffs", counting)
+    return calls
 
 
 class TestDesignGeometry:
@@ -151,34 +177,60 @@ class TestDesignGeometry:
         design = DesignGeometry(X)
         kernel = Matern52(1.2, np.array([2.0, 0.3, 1.0]))
         measured = [2, 5, 0]
-        assert np.allclose(kernel.value(design.fit_geometry(measured)), kernel(X[measured]))
+        assert np.array_equal(
+            kernel.value(design.fit_geometry(measured)), kernel(X[measured])
+        )
         candidates = [1, 3, 6]
-        assert np.allclose(
+        assert np.array_equal(
             kernel.value(design.cross_geometry(candidates, measured)),
             kernel(X[candidates], X[measured]),
         )
 
-    def test_extends_one_column_per_measurement(self, X):
-        design = DesignGeometry(X)
-        design.fit_geometry([2, 5, 0])
-        assert design.extensions == 3 and design.rebuilds == 0
-        design.fit_geometry([2, 5, 0, 4])
-        assert design.extensions == 4 and design.rebuilds == 0
+    @pytest.mark.parametrize("make", kernel_cases())
+    def test_call_is_bit_identical_to_cached_columns(self, make):
+        """``kernel(X[rows], X[measured])`` and the scorer's cached-column
+        path read one distance formula, so they agree bit for bit; a
+        12-wide design also covers numpy's pairwise summation."""
+        kernel = make()
+        rng = np.random.default_rng(5)
+        rows, measured = [1, 4, 7, 9, 11], [6, 2, 10, 0]
+        widths = (3,) if getattr(kernel, "is_ard", False) else (3, 12)
+        for width in widths:
+            X = rng.normal(size=(12, width))
+            design = DesignGeometry(X)
+            assert np.array_equal(
+                kernel(X[rows], X[measured]),
+                kernel.value(design.cross_geometry(rows, measured)),
+            )
+            assert np.array_equal(
+                kernel(X[measured]), kernel.value(design.fit_geometry(measured))
+            )
 
-    def test_diverged_order_rebuilds(self, X):
+    def test_extends_one_column_per_measurement(self, X, monkeypatch):
+        calls = count_columns(monkeypatch)
         design = DesignGeometry(X)
         design.fit_geometry([2, 5, 0])
+        assert calls == [1, 1, 1]
+        design.fit_geometry([2, 5, 0, 4])
+        design.cross_geometry([1, 3], [2, 5, 0, 4])
+        assert calls == [1, 1, 1, 1]
+
+    def test_diverged_order_served_from_cache(self, X, monkeypatch):
+        calls = count_columns(monkeypatch)
+        design = DesignGeometry(X)
+        design.fit_geometry([2, 5, 0])
+        diverged = design.fit_geometry([5, 2])
+        assert calls == [1, 1, 1]
         kernel = Matern52()
-        assert np.allclose(kernel.value(design.fit_geometry([5, 2])), kernel(X[[5, 2]]))
-        assert design.rebuilds == 1
+        assert np.array_equal(kernel.value(diverged), kernel(X[[5, 2]]))
 
     def test_white_sees_self_pair_only_in_fit_block(self, X):
         design = DesignGeometry(X)
         white = White(0.4)
         fit = white.value(design.fit_geometry([1, 2]))
         cross = white.value(design.cross_geometry([3, 4], [1, 2]))
-        assert np.allclose(fit, 0.4 * np.eye(2))
-        assert np.allclose(cross, 0.0)
+        assert np.array_equal(fit, 0.4 * np.eye(2))
+        assert np.array_equal(cross, np.zeros((2, 2)))
 
 
 class TestFusedLMLGradient:
@@ -221,18 +273,14 @@ class TestFusedLMLGradient:
         "make",
         [
             pytest.param(lambda: RBF(), id="rbf"),
+            pytest.param(lambda: Matern12(), id="matern12"),
             pytest.param(lambda: Matern32(), id="matern32"),
             pytest.param(lambda: Matern52(lengthscale=np.ones(4)), id="matern52-ard"),
         ],
     )
     def test_matches_differences_of_value_only_likelihood(self, make, data):
         """The fused gradient against central differences of the public
-        value-only :meth:`log_marginal_likelihood`.
-
-        Matérn 1/2 is left out: the value-only path evaluates distances
-        directly, so its self-pair distances carry rounding noise where
-        the kernel is not differentiable.
-        """
+        value-only :meth:`log_marginal_likelihood`."""
         X, y_scaled = data
         gp = GaussianProcessRegressor(make(), optimise=False, seed=0).fit(X, y_scaled)
         gp._eye = np.eye(X.shape[0])
@@ -257,7 +305,7 @@ class TestFusedLMLGradient:
         theta = gp._packed_theta()
         fused, _ = gp._lml_value_and_grad(theta, y_scaled, Geometry(X))
         gp._set_packed_theta(theta)
-        assert fused == pytest.approx(gp.log_marginal_likelihood(y_scaled), rel=1e-12)
+        assert fused == gp.log_marginal_likelihood(y_scaled)
 
 
 class FiniteDifferenceGP(GaussianProcessRegressor):
@@ -338,8 +386,8 @@ class TestGradientModes:
         gp = GaussianProcessRegressor(Matern52(), seed=0).fit(X, y)
         plain_mean, plain_std = gp.predict(queries, return_std=True)
         mean, std = gp.predict(queries, return_std=True, geometry=Geometry(queries, X))
-        assert np.allclose(mean, plain_mean, atol=1e-10)
-        assert np.allclose(std, plain_std, atol=1e-10)
+        assert np.array_equal(mean, plain_mean)
+        assert np.array_equal(std, plain_std)
 
     def test_predict_geometry_shape_validated(self):
         rng = np.random.default_rng(8)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ml import tree as tree_module
 from repro.ml.extra_trees import ExtraTreesRegressor, fit_ensembles_stacked
 from repro.ml.random_forest import RandomForestRegressor
 from repro.ml.tree import (
@@ -53,21 +54,16 @@ class TestPackTrees:
         )
 
     @pytest.mark.parametrize("chunk_rows", [1, 7, 40, 64, 4096])
-    def test_chunked_predict_is_bit_identical(self, data, chunk_rows):
+    def test_chunked_predict_is_bit_identical(self, data, chunk_rows, monkeypatch):
         """Row-chunked traversal must reproduce the monolithic pass
         exactly — rows traverse the packed arrays independently."""
         X, y = data
         packed = _forest(X, y, 5, min_samples_split=4)
         queries = np.random.default_rng(2).uniform(size=(129, 5))
         whole = predict_packed(packed, queries)
-        chunked = predict_packed(packed, queries, chunk_rows=chunk_rows)
+        monkeypatch.setattr(tree_module, "PREDICT_CHUNK_ROWS", chunk_rows)
+        chunked = predict_packed(packed, queries)
         np.testing.assert_array_equal(chunked, whole)
-
-    def test_chunk_rows_validation(self, data):
-        X, y = data
-        packed = _forest(X, y, 1)
-        with pytest.raises(ValueError, match="chunk_rows"):
-            predict_packed(packed, X, chunk_rows=0)
 
     def test_single_row_query(self, data):
         X, y = data

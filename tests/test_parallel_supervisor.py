@@ -112,10 +112,12 @@ def kinds(events: list[CellEvent]) -> list[str]:
 
 
 class TestHappyPath:
-    def test_yields_in_submission_order(self):
-        script = {("a", 0): "ok", ("b", 0): "ok", ("c", 0): "ok"}
-        _, events, results = run_supervised(script)
-        assert [cell for cell, _ in results] == [("a", 0), ("b", 0), ("c", 0)]
+    def test_yields_each_cell_as_it_settles(self):
+        """The first submitted cell straggles: its siblings are yielded
+        as they settle, not held back behind it."""
+        script = {("a", 0): "hang", ("b", 0): "ok", ("c", 0): "ok"}
+        _, events, results = run_supervised(script, cell_timeout_s=5.0)
+        assert [cell for cell, _ in results] == [("b", 0), ("c", 0), ("a", 0)]
         assert kinds(events).count("cell_finished") == 3
 
     def test_executor_shut_down_after_run(self):
