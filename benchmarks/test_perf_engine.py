@@ -928,8 +928,9 @@ def test_vectorized_grid_reduction(trace):
         results, best = [], float("inf")
         for _ in range(N_VECTOR_ROUNDS + 1):  # first round is the warm-up
             t0 = perf_counter()
-            results = list(
-                run_cells(
+            results = [
+                item
+                for finished in run_cells(
                     trace=trace,
                     factory=_vector_factory,
                     objective=Objective.TIME,
@@ -937,15 +938,16 @@ def test_vectorized_grid_reduction(trace):
                     workers=1,
                     executor=executor,
                 )
-            )
+                for item in finished
+            ]
             best = min(best, perf_counter() - t0)
         return best, results
 
     serial_s, serial_results = best_run("serial")
     vector_s, vector_results = best_run("vector")
     grid_reduction = serial_s / vector_s if vector_s > 0 else float("inf")
-    # The vector driver yields each cell in the round it finishes, so
-    # the results are compared cell by cell, not in yield order.
+    # The vector driver yields the cells each round finishes as one
+    # list, so the results are compared cell by cell, not in yield order.
     bit_identical = len(vector_results) == len(cells) and dict(
         vector_results
     ) == dict(serial_results)

@@ -50,6 +50,19 @@ operator would hit them.
    queue's recorded pricing mode is ``spot``, and that a final
    ``resume=True`` pass recomputes nothing.
 
+``--scenario vector`` (lock-step rounds, one commit each, under SIGKILL):
+
+1. Computes a clean serial reference cache for a grid of stopping-rule
+   Augmented BO searches, which finish in different lock-step rounds.
+2. Launches a child running the same grid under ``executor="vector"``,
+   paced on every ``cell_finished`` event, waits until its queue file
+   holds at least one ``done`` cell, then ``SIGKILL``\ s it.
+3. Asserts that the recorded cells are exactly the cells of the first
+   few finishing rounds (a kill loses at most the round in flight),
+   that a ``resume=True`` pass under ``vector`` schedules only the
+   other cells, that the final cache is byte-identical to the serial
+   reference, and that the clean completion retires the queue file.
+
 Each scenario prints its timings.  They measure signal latency,
 recovery and deliberate pacing sleeps, not hot-path speed, so nothing
 records or gates them.
@@ -63,6 +76,7 @@ Usage::
     python scripts/chaos_smoke.py --queue-worker D OWNER  # internal
     python scripts/chaos_smoke.py --spot-coordinator D    # internal
     python scripts/chaos_smoke.py --spot-worker D OWNER   # internal
+    python scripts/chaos_smoke.py --vector-child D        # internal
 """
 
 from __future__ import annotations
@@ -80,11 +94,14 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.runner import ExperimentRunner, RunGrid, run_seed  # noqa: E402
 from repro.cloud.spot import SpotMarket, SpotPolicy  # noqa: E402
+from repro.core.augmented_bo import AugmentedBO  # noqa: E402
 from repro.core.baselines import RandomSearch  # noqa: E402
 from repro.core.objectives import Objective  # noqa: E402
+from repro.core.stopping import PredictionDeltaThreshold  # noqa: E402
 from repro.faults.models import FaultPlan, SpotInterruptions  # noqa: E402
 from repro.faults.retry import RetryPolicy  # noqa: E402
 from repro.parallel import WorkQueue  # noqa: E402
+from repro.parallel.vector import VectorizedGridDriver  # noqa: E402
 from repro.trace.generate import default_trace  # noqa: E402
 
 WORKLOADS = (
@@ -104,6 +121,9 @@ QUEUE_LEASE_S = 2.0
 SPOT_GRID_KEY = "chaos-spot"
 SPOT_CACHE_NAME = f"{SPOT_GRID_KEY}__time"
 SPOT_SEED = 5
+
+VECTOR_GRID_KEY = "chaos-vector"
+VECTOR_CACHE_NAME = f"{VECTOR_GRID_KEY}__time"
 
 #: Worker-side pacing so the parent can signal a worker mid-cell.
 PACE_S = 0.5
@@ -659,10 +679,124 @@ def scenario_spot(work: Path, trace) -> int:
     return 0
 
 
+# -- vector scenario -------------------------------------------------------
+
+
+def stopping_factory(environment, objective, seed):
+    """Augmented BO under its stopping rule: searches stop at different
+    steps, so a vector grid finishes its cells over several rounds."""
+    return AugmentedBO(
+        environment, objective=objective, seed=seed, stopping=PredictionDeltaThreshold()
+    )
+
+
+def run_vector_child(cache_dir: Path) -> int:
+    """The killed run: the vector grid, paced on every finished cell so
+    the parent can SIGKILL it between two rounds' commits."""
+
+    def pace(event) -> None:
+        if event.kind == "cell_finished":
+            time.sleep(PACE_S)
+
+    runner = ExperimentRunner(default_trace(), cache_dir=cache_dir)
+    runner.run(
+        _grid(stopping_factory, key=VECTOR_GRID_KEY), executor="vector", on_event=pace
+    )
+    return 0
+
+
+def scenario_vector(work: Path, trace) -> int:
+    ref_dir, chaos_dir = work / "vector-ref", work / "vector-chaos"
+    total = len(ALL_CELLS)
+    grid = _grid(stopping_factory, key=VECTOR_GRID_KEY)
+
+    print(f"chaos-smoke[vector]: clean serial reference ({total} cells)")
+    ExperimentRunner(trace, cache_dir=ref_dir).run(grid, executor="serial")
+    reference = (ref_dir / f"{VECTOR_CACHE_NAME}.json").read_bytes()
+    driver = VectorizedGridDriver(
+        trace, stopping_factory, Objective.TIME,
+        [(w, r) for w in WORKLOADS for r in range(REPEATS)], seed_fn=run_seed,
+    )
+    rounds = [{cell for cell, _ in finished} for finished in driver.run()]
+    # The recorded cells the kill may leave: every prefix of whole rounds.
+    prefixes = [set().union(*rounds[:k]) for k in range(1, len(rounds))]
+    print(f"chaos-smoke[vector]: the grid finishes in {len(rounds)} rounds")
+
+    print("chaos-smoke[vector]: launching the vector run, SIGKILL after a commit")
+    started = time.monotonic()
+    child = subprocess.Popen(
+        [sys.executable, __file__, "--vector-child", str(chaos_dir)],
+        cwd=REPO_ROOT,
+    )
+    queue_path = chaos_dir / f"{VECTOR_CACHE_NAME}.queue"
+    try:
+        deadline = time.monotonic() + 120.0
+        while not _done_cells(queue_path):
+            if child.poll() is not None:
+                print("chaos-smoke[vector]: FAIL — child finished before the kill")
+                return 1
+            if time.monotonic() >= deadline:
+                print("chaos-smoke[vector]: FAIL — the queue file never held a cell")
+                return 1
+            time.sleep(0.05)
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=60.0)
+    finally:
+        if child.poll() is None:
+            child.kill()
+    interrupted_s = time.monotonic() - started
+
+    recorded = _done_cells(queue_path)
+    print(
+        f"chaos-smoke[vector]: child SIGKILLed after {len(recorded)} recorded "
+        f"cells ({interrupted_s:.1f}s)"
+    )
+    events = []
+    started = time.monotonic()
+    ExperimentRunner(trace, cache_dir=chaos_dir).run(
+        grid, executor="vector", resume=True, on_event=events.append
+    )
+    resume_s = time.monotonic() - started
+    resumed = {e.cell for e in events if e.kind == "cell_resumed"}
+    scheduled = {e.cell for e in events if e.kind == "cell_scheduled"}
+    print(
+        f"chaos-smoke[vector]: resume recovered {len(resumed)} cells, "
+        f"recomputed {len(scheduled)} ({resume_s:.1f}s)"
+    )
+
+    failures = []
+    if child.returncode != -signal.SIGKILL:
+        failures.append(f"child exit {child.returncode}, wanted -9")
+    if recorded not in prefixes:
+        failures.append(
+            f"the {len(recorded)} recorded cells are not whole finishing rounds"
+        )
+    if resumed != recorded or scheduled != ALL_CELLS - recorded:
+        failures.append("the resume did not schedule exactly the unrecorded cells")
+    if (chaos_dir / f"{VECTOR_CACHE_NAME}.json").read_bytes() != reference:
+        failures.append("resumed cache differs from the clean serial reference")
+    if queue_path.exists():
+        failures.append("queue file not retired after clean completion")
+
+    print(
+        f"chaos-smoke[vector]: timings interrupted_run_s={interrupted_s:.3f} "
+        f"resume_run_s={resume_s:.3f}"
+    )
+    if failures:
+        for failure in failures:
+            print(f"chaos-smoke[vector]: FAIL — {failure}")
+        return 1
+    print(
+        "chaos-smoke[vector]: passed (whole rounds recorded, byte-identical "
+        "resume, zero extra recompute)"
+    )
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--scenario", choices=("pool", "queue", "spot", "all"), default="all"
+        "--scenario", choices=("pool", "queue", "spot", "vector", "all"), default="all"
     )
     parser.add_argument("--child", metavar="DIR", help=argparse.SUPPRESS)
     parser.add_argument("--queue-coordinator", metavar="DIR", help=argparse.SUPPRESS)
@@ -673,6 +807,7 @@ def main() -> int:
     parser.add_argument(
         "--spot-worker", nargs=2, metavar=("DIR", "OWNER"), help=argparse.SUPPRESS
     )
+    parser.add_argument("--vector-child", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.child:
@@ -685,6 +820,8 @@ def main() -> int:
         return run_spot_coordinator(Path(args.spot_coordinator))
     if args.spot_worker:
         return run_spot_worker(Path(args.spot_worker[0]), args.spot_worker[1])
+    if args.vector_child:
+        return run_vector_child(Path(args.vector_child))
 
     import tempfile
 
@@ -698,6 +835,8 @@ def main() -> int:
             rc = scenario_queue(work, trace) or rc
         if args.scenario in ("spot", "all"):
             rc = scenario_spot(work, trace) or rc
+        if args.scenario in ("vector", "all"):
+            rc = scenario_vector(work, trace) or rc
     return rc
 
 

@@ -355,9 +355,10 @@ class ExperimentRunner:
 
         While computing, every completed cell is recorded crash-safely
         in the grid's ``<cache>.queue`` file (the same file for every
-        executor) and SIGINT/SIGTERM flush the consolidated cache
-        before the process dies, so an interrupted grid loses at most
-        its in-flight cells.
+        executor; the cells one lock-step ``vector`` round finishes
+        share one commit) and SIGINT/SIGTERM flush the consolidated
+        cache before the process dies, so an interrupted grid loses at
+        most its in-flight cells.
 
         Args:
             grid: the experiment grid to run.
@@ -527,7 +528,7 @@ class ExperimentRunner:
         try:
             if missing:
                 with flush_on_signal(flush):
-                    for cell, result in run_cells(
+                    for finished in run_cells(
                         trace=self.trace,
                         factory=grid.factory,
                         objective=grid.objective,
@@ -539,20 +540,25 @@ class ExperimentRunner:
                         executor=executor,
                         queue=queue_config,
                     ):
-                        workload_id, repeat = cell
-                        results[workload_id][repeat] = result
+                        for (workload_id, repeat), result in finished:
+                            results[workload_id][repeat] = result
                         if cache_path is None:
                             # No cache file and no checkpoint: nothing
                             # would read the encoded payload.
                             continue
-                        payload = result_to_payload(result)
-                        cache[workload_id][str(repeat)] = payload
+                        payloads = [
+                            (cell, result_to_payload(result)) for cell, result in finished
+                        ]
+                        for (workload_id, repeat), payload in payloads:
+                            cache[workload_id][str(repeat)] = payload
                         if recording:
-                            # Durable the instant the cell completes: a
-                            # kill -9 from here on loses only in-flight
-                            # cells.
-                            checkpoint.record(cell, payload)
-                        dirty += 1
+                            # Cells that finished together are durable
+                            # together, in one commit: a kill -9 from
+                            # here on loses only the cells in flight.
+                            with checkpoint.batch():
+                                for cell, payload in payloads:
+                                    checkpoint.record(cell, payload)
+                        dirty += len(finished)
                         # Consolidate periodically so the common restart
                         # path reads one JSON file, not a long record.
                         if dirty >= 100:

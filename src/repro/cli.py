@@ -838,7 +838,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         help="cache directory for --repeats campaigns; completed repeats "
         "persist across invocations and interruptions (each is recorded in "
-        "a .queue file next to the cache as it finishes)",
+        "a .queue file next to the cache as it finishes, a vector round's "
+        "together). A cache is stamped with its schema, not with the code "
+        "that wrote it: after a change that moves search results, use a "
+        "fresh directory",
     )
     search.add_argument(
         "--resume", action="store_true",

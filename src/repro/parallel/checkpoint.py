@@ -4,7 +4,9 @@ A long grid run writes its consolidated JSON cache only periodically —
 an atomic whole-file rewrite per cell would be quadratic — so every
 completed cell is also recorded in the grid's one durable per-cell
 record: its work-queue file, ``<grid-key>__<objective>.queue`` next to
-the cache (:class:`~repro.parallel.queue.WorkQueue`).  Each record is an
+the cache (:class:`~repro.parallel.queue.WorkQueue`).  The runner
+records each batch of cells that finished together — one cell under
+the serial loop, one lock-step round under the vector driver — in one
 fsync'd SQLite commit, so after any interruption (SIGTERM, ``kill -9``,
 power loss) at most the *in-flight* cells are lost.  Serial and vector
 runs record through :class:`GridCheckpoint`; on the work queue (``auto``
@@ -60,16 +62,30 @@ class GridCheckpoint:
         cache_path = Path(cache_path)
         return cls(cache_path.with_suffix(QUEUE_SUFFIX), cache_key=cache_path.stem)
 
+    def _open(self) -> WorkQueue:
+        if self._queue is None:
+            self._queue = WorkQueue(self.path, self.cache_key)
+        return self._queue
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Group the :meth:`record` calls of one block into one commit.
+
+        The cells recorded inside the block become durable together when
+        it exits; an exception rolls every one of them back.  Opens the
+        file on entry, so enter it only with cells to record.
+        """
+        with self._open()._tx():
+            yield
+
     def record(self, cell: Cell, payload: dict) -> None:
         """Durably mark one completed cell ``done`` with its payload.
 
-        The commit is fsync'd before returning (SQLite's default
-        ``synchronous=FULL``), so a subsequent hard kill cannot lose
-        this cell.
+        The commit is fsync'd when its batch commits (SQLite's default
+        ``synchronous=FULL``) — at once outside a :meth:`batch` — so a
+        later hard kill cannot lose this cell.
         """
-        if self._queue is None:
-            self._queue = WorkQueue(self.path, self.cache_key)
-        self._queue.record_external(cell, payload, "recorded by the runner")
+        self._open().record_external(cell, payload, "recorded by the runner")
 
     def resume(
         self, lacking: Iterable[Cell], held: Iterable[Cell]

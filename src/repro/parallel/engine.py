@@ -15,10 +15,12 @@ Properties that make this a drop-in for the serial loop:
   seed (``seed_fn(workload_id, repeat)``, by default
   :func:`~repro.analysis.runner.run_seed`), so a cell's result does not
   depend on which worker ran it, in what order, or how many times it
-  had to be re-run.  Each result is yielded as its cell finishes, so a
-  caller can record it at once; the runner writes every workload's
-  repeats in order, so the cache it assembles is byte-identical to the
-  serial path's whatever the yield order.
+  had to be re-run.  Results are yielded as their cells finish, as one
+  list per batch of cells that finished together (one cell at a time
+  serially and on the work queue, one lock-step round under the vector
+  driver), so a caller can record each batch at once; the runner
+  writes every workload's repeats in order, so the cache it assembles
+  is byte-identical to the serial path's whatever the yield order.
 * **Fork-based context sharing** — optimiser factories are arbitrary
   closures and therefore not picklable.  The engine stores the cell
   context (trace, factory, objective, seed function) in a module global
@@ -233,12 +235,14 @@ def run_cells(
     cell_timeout: float | None = None,
     executor: str = "auto",
     queue: QueueConfig | None = None,
-) -> Iterator[tuple[Cell, SearchResult]]:
-    """Execute grid cells, yielding each ``(cell, result)`` as it finishes.
+) -> Iterator[list[tuple[Cell, SearchResult]]]:
+    """Execute grid cells, yielding the ``(cell, result)`` pairs that
+    finished together as one list.
 
-    The serial loop finishes cells in submission order; the work queue
-    and the vector driver finish them in whatever order their searches
-    end.
+    The serial loop and the work queue yield one-cell lists, the serial
+    loop in submission order and the queue in whatever order its cells
+    settle; the vector driver yields one list per lock-step round that
+    finished any search.  No list is empty.
 
     Args:
         trace: the ground-truth trace to replay against.
@@ -355,7 +359,7 @@ def run_cells(
                 result = _execute_cell(cell)
                 if on_event is not None:
                     on_event(CellEvent.for_cell("cell_finished", cell))
-                yield cell, result
+                yield [(cell, result)]
     finally:
         _CELL_CONTEXT = previous
         if scratch is not None:

@@ -371,7 +371,15 @@ class WorkQueue:
     def _tx(self, synchronous: str = "FULL"):
         """A short IMMEDIATE transaction (write lock up front, no
         deferred-upgrade deadlocks between concurrent workers), committed
-        at ``synchronous`` (the connection returns to ``FULL`` after)."""
+        at ``synchronous`` (the connection returns to ``FULL`` after).
+
+        Inside an open transaction it is a no-op: the statements join
+        the outer one, which alone commits or rolls back (this is how a
+        :meth:`~repro.parallel.checkpoint.GridCheckpoint.batch` groups
+        several :meth:`record_external` calls into one commit)."""
+        if self._con.in_transaction:
+            yield
+            return
         if synchronous != "FULL":
             self._con.execute(f"PRAGMA synchronous={synchronous}")
         try:
@@ -1461,9 +1469,10 @@ def supervise(
     cells: Sequence[Cell],
     cell_timeout_s: float | None = None,
     on_event: Callable[[CellEvent], None] | None = None,
-) -> Iterator[tuple[Cell, SearchResult]]:
-    """Run ``cells`` through ``executor``, yielding each ``(cell, result)``
-    as it settles, then shut the executor down.
+) -> Iterator[list[tuple[Cell, SearchResult]]]:
+    """Run ``cells`` through ``executor``, yielding each settled cell as
+    a one-element ``[(cell, result)]`` list, then shut the executor
+    down.
 
     Retrying and healing happen in the queue, so only final verdicts
     reach this loop.  Each is settled by completing the cell once,
@@ -1544,7 +1553,8 @@ def supervise(
                             "completing serially",
                         )
                         run_serially(cell)
-            yield from settled
+            for item in settled:
+                yield [item]
             settled.clear()
     finally:
         executor.shutdown()

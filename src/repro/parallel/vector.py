@@ -28,9 +28,9 @@ serial order, and is scored by the scorer its optimiser's
 ``_round_scorer()`` names — the one the serial step scores through.
 Every group body is bit-identical per member to that member's own
 ``score``, so the yielded results (and any cache built from them) are
-**byte-identical** to the serial executor's.  A cell is yielded in the
-round its search finishes, so a caller can record it durably before
-the rest of the grid is done.
+**byte-identical** to the serial executor's.  The cells a round
+finishes are yielded together as one list, so a caller can record
+them durably, in one commit, before the rest of the grid is done.
 
 Desync is the normal case, not an error: searches stop at different
 step counts, switch scorers at different times (Hybrid BO), or are not
@@ -75,11 +75,12 @@ class VectorizedGridDriver:
             sink (``cell_scheduled`` / ``cell_finished`` per cell, one
             grid-scoped ``vector_planned`` up front).
 
-    :meth:`run` yields each ``(cell, result)`` in the round its search
-    finishes (in submission order within the round), with results
-    bit-identical to the serial executor's; an exception in any cell's
-    search propagates (there is no in-process retry — supervision
-    belongs to the work queue's process-isolating workers).
+    :meth:`run` yields, once per round that finishes any search, the
+    list of ``(cell, result)`` pairs that round finished (in submission
+    order), with results bit-identical to the serial executor's; an
+    exception in any cell's search propagates (there is no in-process
+    retry — supervision belongs to the work queue's process-isolating
+    workers).
     """
 
     def __init__(
@@ -116,8 +117,9 @@ class VectorizedGridDriver:
         if self._on_event is not None:
             self._on_event(event)
 
-    def run(self) -> Iterator[tuple[Cell, SearchResult]]:
-        """Drive every cell to completion, yielding each as it finishes."""
+    def run(self) -> Iterator[list[tuple[Cell, SearchResult]]]:
+        """Drive every cell to completion, yielding each round's finished
+        cells as one list."""
         self._emit(
             CellEvent.for_grid(
                 "vector_planned", f"cells={len(self._cells)} lock-step rounds"
@@ -172,11 +174,13 @@ class VectorizedGridDriver:
                 )
                 for (state, _, round_), acquisition in zip(members, acquisitions):
                     state.complete_round(round_[-1], acquisition)
-            still_active = []
+            finished, still_active = [], []
             for cell, state in active:
                 if state.done:
                     self._emit(CellEvent.for_cell("cell_finished", cell))
-                    yield cell, state.result()
+                    finished.append((cell, state.result()))
                 else:
                     still_active.append((cell, state))
             active = still_active
+            if finished:
+                yield finished

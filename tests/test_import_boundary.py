@@ -164,8 +164,9 @@ def factory(environment, objective, seed):
     return NaiveBO(environment, objective=objective, seed=seed, max_measurements=6)
 cells = [(w, 0) for w in ids]
 before = {SCIPY_LOADED}
-done = list(engine.run_cells(trace, factory, Objective.TIME, cells, workers=2,
-                             executor="auto"))
+done = [item for finished in engine.run_cells(trace, factory, Objective.TIME,
+                                              cells, workers=2, executor="auto")
+        for item in finished]
 print(json.dumps([before, len(done)]))
 """)
     assert json.loads(lines[-1]) == [False, 4]

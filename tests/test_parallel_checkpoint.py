@@ -138,6 +138,48 @@ class TestGridCheckpoint:
         assert checkpoint._queue is None
 
 
+def _stored(path):
+    """What a second connection sees committed in the queue file."""
+    with WorkQueue.attach(path, readonly=True) as reader:
+        return {cell: json.loads(text) for cell, text in reader.stored_results(CELLS)}
+
+
+class TestBatch:
+    def test_batch_commits_its_records_together_on_exit(self, tmp_path):
+        path = tmp_path / "grid.queue"
+        with GridCheckpoint(path, cache_key="g") as checkpoint:
+            with checkpoint.batch():
+                checkpoint.record(("w1", 0), PAYLOAD_A)
+                checkpoint.record(("w1", 1), PAYLOAD_B)
+                assert _stored(path) == {}
+            assert _stored(path) == {("w1", 0): PAYLOAD_A, ("w1", 1): PAYLOAD_B}
+
+    def test_exception_rolls_back_every_record_of_the_batch(self, tmp_path):
+        """A failed batch leaves nothing of itself behind and no open
+        transaction, so a later record commits on its own."""
+        path = tmp_path / "grid.queue"
+        with GridCheckpoint(path, cache_key="g") as checkpoint:
+            with pytest.raises(RuntimeError, match="mid-batch"):
+                with checkpoint.batch():
+                    checkpoint.record(("w1", 0), PAYLOAD_A)
+                    checkpoint.record(("w1", 1), PAYLOAD_B)
+                    raise RuntimeError("mid-batch")
+            assert _stored(path) == {}
+            assert not checkpoint._queue._con.in_transaction
+            checkpoint.record(("w1", 1), PAYLOAD_B)
+            assert _stored(path) == {("w1", 1): PAYLOAD_B}
+
+    def test_nested_tx_commits_nothing_by_itself(self, tmp_path):
+        path = tmp_path / "grid.queue"
+        with WorkQueue(path, "g") as queue:
+            with queue._tx():
+                with queue._tx():
+                    queue.record_external(("w1", 0), PAYLOAD_A, "inner")
+                assert queue._con.in_transaction
+                assert _stored(path) == {}
+            assert _stored(path) == {("w1", 0): PAYLOAD_A}
+
+
 WORKLOADS = ("kmeans/Spark 2.1/small", "lr/Spark 1.5/medium")
 
 

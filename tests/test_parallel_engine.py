@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from pathlib import Path
@@ -33,6 +34,15 @@ WORKLOADS = (
 def random_factory(environment, objective, seed):
     return RandomSearch(
         environment, objective=objective, seed=seed, max_measurements=6
+    )
+
+
+def staggered_factory(environment, objective, seed):
+    """Random search with a per-cell budget of 3 or 4, so a lock-step
+    grid finishes its cells over two rounds (three cells each on
+    ``WORKLOADS`` x 2 repeats)."""
+    return RandomSearch(
+        environment, objective=objective, seed=seed, max_measurements=3 + seed % 2
     )
 
 
@@ -116,12 +126,12 @@ class TestDeterminism:
 class TestEngine:
     def test_yields_in_submission_order(self, trace):
         """The serial loop finishes, and so yields, cells in submission
-        order; local queue workers and the vector driver yield them as
-        they finish."""
+        order, one cell per list; local queue workers and the vector
+        driver yield them as they finish."""
         cells = [(workload, repeat) for workload in WORKLOADS for repeat in (0, 1)]
         yielded = [
             cell
-            for cell, _ in run_cells(
+            for [(cell, _)] in run_cells(
                 trace=trace,
                 factory=random_factory,
                 objective=Objective.TIME,
@@ -154,15 +164,16 @@ class TestEngine:
     def test_serial_event_stream_is_pinned(self, trace, executor):
         """The in-process loop's exact stream: ``pool_planned``, one
         ``cell_scheduled`` per cell in submission order, then one
-        ``cell_finished`` per cell just before it is yielded; a raising
-        factory propagates out of the loop unchanged."""
+        ``cell_finished`` per cell just before it is yielded alone in a
+        one-cell list; a raising factory propagates out of the loop
+        unchanged."""
         cells = [(WORKLOADS[0], 0), (WORKLOADS[1], 0), (WORKLOADS[0], 1)]
         stream: list[tuple] = []
 
         def record(event):
             stream.append((event.kind, event.workload_id, event.repeat))
 
-        for cell, _ in run_cells(
+        for [(cell, _)] in run_cells(
             trace=trace,
             factory=random_factory,
             objective=Objective.TIME,
@@ -290,8 +301,9 @@ class TestEngine:
         monkeypatch.setattr(engine, "_scratch_root", lambda: str(tmp_path))
         cells = [(workload, repeat) for workload in WORKLOADS for repeat in (0, 1)]
         events: list[CellEvent] = []
-        results = list(
-            run_cells(
+        results = [
+            item
+            for [item] in run_cells(
                 trace=trace,
                 factory=random_factory,
                 objective=Objective.TIME,
@@ -299,7 +311,7 @@ class TestEngine:
                 workers=2,
                 on_event=events.append,
             )
-        )
+        ]
         assert sorted(cell for cell, _ in results) == sorted(cells)
         # The grid ran on local queue workers ...
         assert any(event.kind == "lease_claimed" for event in events)
@@ -325,15 +337,16 @@ class TestEngine:
 
         monkeypatch.setattr(WorkQueue, "enqueue", traced_enqueue)
         cells = [(workload, repeat) for workload in WORKLOADS for repeat in (0, 1)]
-        results = list(
-            run_cells(
+        results = [
+            item
+            for [item] in run_cells(
                 trace=trace,
                 factory=random_factory,
                 objective=Objective.TIME,
                 cells=cells,
                 workers=2,
             )
-        )
+        ]
         assert len(results) == len(cells)
         assert enqueued == [(len(cells), 1)]
 
@@ -353,8 +366,9 @@ class TestDegradation:
 
         cells = [(workload, 0) for workload in WORKLOADS]
         events: list[CellEvent] = []
-        results = list(
-            run_cells(
+        results = [
+            item
+            for [item] in run_cells(
                 trace=trace,
                 factory=flaky_factory,
                 objective=Objective.TIME,
@@ -362,7 +376,7 @@ class TestDegradation:
                 workers=2,
                 on_event=events.append,
             )
-        )
+        ]
         assert sorted(cell for cell, _ in results) == sorted(cells)
         failed = [e for e in events if e.kind == "cell_failed"]
         assert failed and all("worker-side failure" in e.detail for e in failed)
@@ -380,8 +394,9 @@ class TestDegradation:
 
         cells = [(workload, repeat) for workload in WORKLOADS for repeat in (0, 1)]
         events: list[CellEvent] = []
-        results = list(
-            run_cells(
+        results = [
+            item
+            for [item] in run_cells(
                 trace=trace,
                 factory=lethal_factory,
                 objective=Objective.TIME,
@@ -389,7 +404,7 @@ class TestDegradation:
                 workers=2,
                 on_event=events.append,
             )
-        )
+        ]
         assert sorted(cell for cell, _ in results) == sorted(cells)
         pinned = [e.cell for e in events if e.kind == "cell_pinned"]
         assert sorted(pinned) == sorted(cells)
@@ -514,8 +529,9 @@ class TestSelfHealing:
 
         cells = [(workload, repeat) for workload in WORKLOADS for repeat in (0, 1)]
         events: list[CellEvent] = []
-        results = list(
-            run_cells(
+        results = [
+            item
+            for [item] in run_cells(
                 trace=trace,
                 factory=one_lethal_factory,
                 objective=Objective.TIME,
@@ -523,7 +539,7 @@ class TestSelfHealing:
                 workers=2,
                 on_event=events.append,
             )
-        )
+        ]
         assert sorted(cell for cell, _ in results) == sorted(cells)
         poison = (WORKLOADS[0], 0)
         assert [e.cell for e in events if e.kind == "cell_pinned"] == [poison]
@@ -544,8 +560,9 @@ class TestSelfHealing:
         cells = [(workload, repeat) for workload in WORKLOADS for repeat in (0, 1)]
         events: list[CellEvent] = []
         start = time.monotonic()
-        results = list(
-            run_cells(
+        results = [
+            item
+            for [item] in run_cells(
                 trace=trace,
                 factory=straggler_factory,
                 objective=Objective.TIME,
@@ -554,7 +571,7 @@ class TestSelfHealing:
                 on_event=events.append,
                 cell_timeout=1.0,
             )
-        )
+        ]
         elapsed = time.monotonic() - start
         assert elapsed < 30.0  # nowhere near the 60 s straggler sleep
         assert sorted(cell for cell, _ in results) == sorted(cells)
@@ -796,7 +813,7 @@ class TestResume:
     ):
         """One record for every executor: cells recorded under one
         resume under another, and the cache matches a clean serial run."""
-        grid = _grid("par-cross", random_factory)
+        grid = _grid("par-cross", staggered_factory)
         clean = ExperimentRunner(trace, cache_dir=tmp_path / "clean")
         clean.run(grid, executor="serial")
 
@@ -806,24 +823,33 @@ class TestResume:
             # Queue workers record cells themselves; stop the coordinator.
             on_event = _InterruptAfter(3)
         else:
-            # The vector driver yields only once every search is done, so
-            # interrupt on the runner's third record instead.
-            record = GridCheckpoint.record
+            # The runner commits one batch per list the executor yields
+            # (a cell serially, a round of three cells under vector), so
+            # interrupt right after the batch that holds the third
+            # record has committed.
+            record, batch = GridCheckpoint.record, GridCheckpoint.batch
             recorded_calls = []
 
-            def record_then_die(self, cell, payload):
+            def counting_record(self, cell, payload):
                 record(self, cell, payload)
                 recorded_calls.append(cell)
-                if len(recorded_calls) == 3:
+
+            @contextlib.contextmanager
+            def batch_then_die(self):
+                with batch(self):
+                    yield
+                if len(recorded_calls) >= 3:
                     raise KeyboardInterrupt
 
-            monkeypatch.setattr(GridCheckpoint, "record", record_then_die)
+            monkeypatch.setattr(GridCheckpoint, "record", counting_record)
+            monkeypatch.setattr(GridCheckpoint, "batch", batch_then_die)
         with pytest.raises(KeyboardInterrupt):
             runner.run(grid, executor=first, workers=1, on_event=on_event)
         monkeypatch.undo()
         queue_path = tmp_path / "bumpy" / "par-cross__time.queue"
         recorded = _recorded(queue_path)
-        assert recorded >= 3
+        # Queue workers may record more before the coordinator stops.
+        assert recorded >= 3 if first == "queue" else recorded == 3
 
         events: list[CellEvent] = []
         runner.run(

@@ -103,7 +103,10 @@ def run_supervised(script, cell_timeout_s=None, order=None, serial=serial_run):
     executor = ScriptedExecutor(script, serial)
     events: list[CellEvent] = []
     cells = order if order is not None else list(script)
-    results = list(supervise(executor, cells, cell_timeout_s, events.append))
+    # Every settled cell is yielded alone, as a one-element list.
+    results = [
+        item for [item] in supervise(executor, cells, cell_timeout_s, events.append)
+    ]
     return executor, events, results
 
 
@@ -215,7 +218,7 @@ class TestDeadlines:
 
         executor = ExternalLease({("a", 0): "hang"})
         events: list[CellEvent] = []
-        results = list(supervise(executor, [("a", 0)], 0.01, events.append))
+        results = [item for [item] in supervise(executor, [("a", 0)], 0.01, events.append)]
         assert results[0][1].workload_id == "a"
         assert executor.refused == [("a", 0), ("a", 0)]
         assert "cell_timeout" not in kinds(events)

@@ -15,12 +15,14 @@ Three layers of bit-identity guarantees:
   cell as the serial executor, for every optimiser family it can batch
   and for the fallback paths it cannot; the driver groups rounds
   through the scorers' ``group_key`` / ``score_group`` protocol alone,
-  and yields each cell in the round it finishes, so a killed grid
-  keeps every cell it finished.
+  and yields the cells each round finishes as one list, which the
+  runner records in one commit, so a killed grid keeps every round it
+  finished.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import signal
@@ -515,8 +517,13 @@ def _grid_cells(repeats=2):
     ]
 
 
+def _flatten(batches):
+    """The ``(cell, result)`` pairs of ``run_cells``' finished lists."""
+    return [item for finished in batches for item in finished]
+
+
 def _run_grid(trace, factory, executor, on_event=None):
-    return list(
+    return _flatten(
         run_cells(
             trace,
             factory,
@@ -600,7 +607,7 @@ class TestVectorExecutor:
         driver = VectorizedGridDriver(
             trace, nearest_factory, Objective.TIME, _grid_cells(), seed_fn=run_seed
         )
-        vector = list(driver.run())
+        vector = _flatten(driver.run())
         assert len(vector) == len(serial)
         assert dict(vector) == dict(serial)
         assert driver.fallback_rounds == 0
@@ -633,11 +640,28 @@ class TestVectorExecutor:
         driver = VectorizedGridDriver(
             trace, tree_factory, Objective.TIME, _grid_cells(), seed_fn=run_seed
         )
-        results = list(driver.run())
+        results = _flatten(driver.run())
         assert len(results) == len(_grid_cells())
         assert driver.rounds > 0
         assert driver.stacked_tree_fits > 0
         assert driver.fallback_rounds == 0
+
+    def test_yields_one_list_per_finishing_round(self, trace):
+        """Each yielded list is the cells one round finished, in
+        submission order: never empty, at most one per round, and here
+        fewer lists than cells."""
+        from repro.analysis.runner import run_seed
+
+        cells = _grid_cells()
+        driver = VectorizedGridDriver(
+            trace, tree_factory, Objective.TIME, cells, seed_fn=run_seed
+        )
+        rounds = [[cell for cell, _ in finished] for finished in driver.run()]
+        assert all(rounds)
+        assert len(rounds) <= driver.rounds
+        assert 1 < len(rounds) < len(cells)
+        assert all(finished == sorted(finished, key=cells.index) for finished in rounds)
+        assert sorted(cell for finished in rounds for cell in finished) == sorted(cells)
 
     def test_gp_grid_uses_stacked_fits(self, trace):
         from repro.analysis.runner import run_seed
@@ -681,58 +705,156 @@ class TestVectorExecutor:
         assert caches["serial"] == caches["vector"]
 
 
+def _tree_grid(key):
+    from repro.analysis.runner import RunGrid
+
+    return RunGrid(
+        key=key,
+        factory=tree_factory,
+        objective=Objective.TIME,
+        workload_ids=WORKLOADS,
+        repeats=2,
+    )
+
+
+def _finishing_rounds(trace):
+    """The cells of ``_grid_cells()`` each lock-step round finishes."""
+    from repro.analysis.runner import run_seed
+
+    driver = VectorizedGridDriver(
+        trace, tree_factory, Objective.TIME, _grid_cells(), seed_fn=run_seed
+    )
+    return [[cell for cell, _ in finished] for finished in driver.run()]
+
+
+def _run_killed(trace, grid, cache_dir, executor, kill_at):
+    """Run ``grid`` in a forked child that SIGKILLs itself at its
+    ``kill_at``-th ``cell_finished`` event."""
+    from repro.analysis.runner import ExperimentRunner
+
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child never returns
+        finished = 0
+
+        def die(event):
+            nonlocal finished
+            if event.kind == "cell_finished":
+                finished += 1
+                if finished == kill_at:
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+        try:
+            ExperimentRunner(trace, cache_dir=cache_dir).run(
+                grid, executor=executor, on_event=die
+            )
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
 class TestVectorDurability:
     def test_killed_grid_resumes_only_its_unrecorded_cells(self, trace, tmp_path):
-        """A vector grid records each cell in the round it finishes.  A
-        child running one is SIGKILLed at its third ``cell_finished``
-        event (the third cell is not yet recorded): its queue file keeps
-        the first two, a resume recomputes only the other four, and the
+        """A vector grid records the cells each round finishes in one
+        commit.  A child running one is SIGKILLed at the first
+        ``cell_finished`` event of the second finishing round (that
+        round is not yet recorded): its queue file holds exactly the
+        first round's cells, a resume schedules only the rest, and the
         cache equals a clean serial run's byte for byte."""
-        from repro.analysis.runner import ExperimentRunner, RunGrid
+        from repro.analysis.runner import ExperimentRunner
 
-        grid = RunGrid(
-            key="vector-kill",
-            factory=tree_factory,
-            objective=Objective.TIME,
-            workload_ids=WORKLOADS,
-            repeats=2,
-        )
+        grid = _tree_grid("vector-kill")
         ExperimentRunner(trace, cache_dir=tmp_path / "serial").run(
             grid, executor="serial"
         )
-        kill_at = 3
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - the child never returns
-            finished = 0
-
-            def die(event):
-                nonlocal finished
-                if event.kind == "cell_finished":
-                    finished += 1
-                    if finished == kill_at:
-                        os.kill(os.getpid(), signal.SIGKILL)
-
-            try:
-                ExperimentRunner(trace, cache_dir=tmp_path / "vector").run(
-                    grid, executor="vector", on_event=die
-                )
-            finally:
-                os._exit(1)
-        _, status = os.waitpid(pid, 0)
-        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        rounds = _finishing_rounds(trace)
+        assert len(rounds) >= 2
+        first = rounds[0]
+        _run_killed(trace, grid, tmp_path / "vector", "vector", len(first) + 1)
 
         queue_path = tmp_path / "vector" / "vector-kill__time.queue"
         with WorkQueue.attach(queue_path, readonly=True) as queue:
-            assert queue.counts()["done"] == kill_at - 1
+            assert queue.counts()["done"] == len(first)
+            assert {cell for cell, _ in queue.stored_results(_grid_cells())} == set(first)
         events = []
         ExperimentRunner(trace, cache_dir=tmp_path / "vector").run(
             grid, executor="vector", resume=True, on_event=events.append
         )
         kinds = [event.kind for event in events]
-        assert kinds.count("cell_resumed") == kill_at - 1
-        assert kinds.count("cell_scheduled") == 6 - (kill_at - 1)
+        assert kinds.count("cell_resumed") == len(first)
+        assert kinds.count("cell_scheduled") == 6 - len(first)
+        scheduled = {event.cell for event in events if event.kind == "cell_scheduled"}
+        assert scheduled == set(_grid_cells()) - set(first)
         assert (tmp_path / "vector" / "vector-kill__time.json").read_bytes() == (
             tmp_path / "serial" / "vector-kill__time.json"
         ).read_bytes()
         assert not queue_path.exists()
+
+    def test_killed_serial_grid_keeps_each_finished_cell(self, trace, tmp_path):
+        """The serial loop commits each cell alone: killed at its third
+        ``cell_finished`` event, it has recorded exactly the first two."""
+        from repro.analysis.runner import ExperimentRunner
+
+        grid = _tree_grid("serial-kill")
+        _run_killed(trace, grid, tmp_path / "killed", "serial", 3)
+
+        queue_path = tmp_path / "killed" / "serial-kill__time.queue"
+        with WorkQueue.attach(queue_path, readonly=True) as queue:
+            assert queue.counts()["done"] == 2
+            assert {cell for cell, _ in queue.stored_results(_grid_cells())} == set(
+                _grid_cells()[:2]
+            )
+        events = []
+        ExperimentRunner(trace, cache_dir=tmp_path / "killed").run(
+            grid, executor="serial", resume=True, on_event=events.append
+        )
+        kinds = [event.kind for event in events]
+        assert kinds.count("cell_resumed") == 2
+        assert kinds.count("cell_scheduled") == 4
+
+
+class TestRoundCommits:
+    @staticmethod
+    def _count_commits(monkeypatch) -> list[int]:
+        """Patch ``WorkQueue._tx`` to count the transactions it opens
+        (an ``_tx`` nested in an open one joins it and is not counted);
+        each entry is the number of cells that transaction recorded."""
+        commits: list[int] = []
+        real_tx = WorkQueue._tx
+        real_record = WorkQueue.record_external
+
+        @contextlib.contextmanager
+        def counting_tx(self, *args, **kwargs):
+            if not self._con.in_transaction:
+                commits.append(0)
+            with real_tx(self, *args, **kwargs):
+                yield
+
+        def counting_record(self, *args, **kwargs):
+            real_record(self, *args, **kwargs)
+            commits[-1] += 1  # the transaction it joined or opened
+
+        monkeypatch.setattr(WorkQueue, "_tx", counting_tx)
+        monkeypatch.setattr(WorkQueue, "record_external", counting_record)
+        return commits
+
+    @pytest.mark.parametrize("executor", ["serial", "vector"])
+    def test_one_commit_per_finishing_round(self, trace, tmp_path, monkeypatch, executor):
+        """With a cache dir, a vector grid records its cells in one
+        write transaction per round that finished any cell — fewer than
+        its cells; a serial grid commits each cell alone."""
+        from repro.analysis.runner import ExperimentRunner
+
+        commits = self._count_commits(monkeypatch)
+        ExperimentRunner(trace, cache_dir=tmp_path).run(
+            _tree_grid("commits"), executor=executor
+        )
+        # The first transaction stamps the new file's meta table.
+        assert commits[0] == 0
+        recorded = commits[1:]
+        if executor == "vector":
+            assert len(recorded) < len(_grid_cells())
+            assert recorded == [len(finished) for finished in _finishing_rounds(trace)]
+        else:
+            assert recorded == [1] * len(_grid_cells())
